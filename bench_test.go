@@ -17,7 +17,6 @@ import (
 	"nodecap/internal/fleet"
 	"nodecap/internal/machine"
 	"nodecap/internal/multicore"
-	"nodecap/internal/simtime"
 	"nodecap/internal/workloads/bursty"
 	"nodecap/internal/workloads/parallel"
 	"nodecap/internal/workloads/sar"
@@ -428,23 +427,6 @@ func BenchmarkSweepParallel1(b *testing.B) { sweepAtParallelism(b, 1) }
 // sweep is embarrassingly parallel (15 independent machine runs), so
 // on >= 4 free cores this approaches a 4x speedup over Parallel1.
 func BenchmarkSweepParallel4(b *testing.B) { sweepAtParallelism(b, 4) }
-
-// BenchmarkBMCSettle measures how much simulated time the controller
-// needs to settle a 130 W cap from cold, reported in virtual
-// microseconds.
-func BenchmarkBMCSettle(b *testing.B) {
-	var settle simtime.Duration
-	for i := 0; i < b.N; i++ {
-		cfg := machine.Romley()
-		m := machine.New(cfg)
-		m.SetPolicy(130)
-		res := m.RunWorkload(stereo.New(benchStereoConfig()))
-		// Settled when the frequency floor is reached: approximate via
-		// steps-down count times the control period.
-		settle = simtime.Duration(res.BMCStats.StepsDown) * cfg.BMC.ControlPeriod
-	}
-	b.ReportMetric(settle.Nanos()/1e3, "settle-virt-us")
-}
 
 // BenchmarkAblationTStates answers "could the paper's platform have
 // honoured its 120 W cap?": with ACPI clock modulation appended to the

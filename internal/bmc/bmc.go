@@ -31,7 +31,6 @@ package bmc
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"nodecap/internal/simtime"
 	"nodecap/internal/telemetry"
@@ -211,6 +210,23 @@ type Stats struct {
 	FailSafeTicks   uint64 // ticks spent in fail-safe mode
 }
 
+// Add accumulates o into s (fleet totals over per-node counters).
+func (s *Stats) Add(o *Stats) {
+	s.Ticks += o.Ticks
+	s.StepsDown += o.StepsDown
+	s.StepsUp += o.StepsUp
+	s.GateEscalate += o.GateEscalate
+	s.GateRelax += o.GateRelax
+	s.OverCapTicks += o.OverCapTicks
+	s.AtFloorTicks += o.AtFloorTicks
+	s.BatchSteals += o.BatchSteals
+	s.FloorHolds += o.FloorHolds
+	s.FloorBreaks += o.FloorBreaks
+	s.SensorFaults += o.SensorFaults
+	s.FailSafeEntries += o.FailSafeEntries
+	s.FailSafeTicks += o.FailSafeTicks
+}
+
 // OverCapFraction reports the fraction of control ticks whose smoothed
 // power exceeded the cap — a controller-quality metric the ablation
 // benches compare.
@@ -234,22 +250,19 @@ type Health struct {
 	InfeasibleCap bool
 }
 
-// BMC is the controller instance for one node.
+// BMC is the controller instance for one node: the kernel.go law
+// adapted to a Plant. It reads the sensor, runs Step, asks the plant
+// for the one move Step decided and mirrors what happened into the
+// fleet counters and the decision trace.
 type BMC struct {
-	cfg      Config
-	plant    Plant
-	policy   Policy
-	smoothed float64
-	haveEWMA bool
-	stats    Stats
-
-	failSafe   bool
-	badTicks   int     // consecutive untrusted readings
-	saneTicks  int     // consecutive trusted readings while in fail-safe
-	lastRaw    float64 // last delivered raw reading (stuck detection)
-	haveRaw    bool
-	stuckRun   int // consecutive identical delivered readings
-	infeasible bool
+	cfg    Config
+	env    Envelope
+	plant  Plant
+	sensor PowerSampler  // nil when the plant always delivers a sample
+	tiers  PriorityPlant // nil on a uniform (fair-share) plant
+	policy Policy
+	st     State
+	stats  Stats
 
 	// Telemetry sinks (SetTelemetry); nil-safe, zero-alloc when wired.
 	trace           *telemetry.Trace
@@ -262,12 +275,21 @@ type BMC struct {
 	mFloorBreaks    *telemetry.Counter
 }
 
-// New builds a BMC for plant; panics on invalid static config.
+// New builds a BMC for plant, resolving the plant's envelope once;
+// panics on invalid static config.
 func New(cfg Config, plant Plant) *BMC {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &BMC{cfg: cfg, plant: plant}
+	var floor float64
+	if fr, ok := plant.(FloorReporter); ok {
+		floor = fr.CapFloorWatts()
+	}
+	b := &BMC{cfg: cfg, plant: plant,
+		env: Resolve(cfg, plant.NumPStates(), plant.MaxGatingLevel(), floor)}
+	b.sensor, _ = plant.(PowerSampler)
+	b.tiers, _ = plant.(PriorityPlant)
+	return b
 }
 
 // Config returns the controller tuning.
@@ -292,54 +314,33 @@ func (b *BMC) SetTelemetry(reg *telemetry.Registry, tr *telemetry.Trace, node st
 // Policy returns the active policy.
 func (b *BMC) Policy() Policy { return b.policy }
 
-// SetPolicy installs a capping policy. Disabling the policy restores
-// full speed and removes all gating, as deactivating a DCM policy
-// does, and clears any fail-safe condition — the operator has taken
-// over. The returned error is advisory: a cap below the platform
-// floor (when the plant reports one) yields ErrInfeasibleCap but the
-// policy is applied regardless, matching the paper's 120 W rows.
-//
-// Re-pushing the policy already in force is a no-op that preserves the
-// defensive state: a manager reconciliation sweep or periodic
-// rebalance that lands on the same cap must not reset fail-safe or the
-// sensor-vetting counters — only a *changed* operator intent does.
+// SetPolicy installs a capping policy (see Install for the state
+// machine). Disabling the policy restores full speed and removes all
+// gating, as deactivating a DCM policy does. The returned error is
+// advisory: a cap below the platform floor (when the plant reports
+// one) yields ErrInfeasibleCap but the policy is applied regardless.
 func (b *BMC) SetPolicy(p Policy) error {
-	if p == b.policy {
-		if b.infeasible {
-			return fmt.Errorf("bmc: %w: %.1f W (policy already in force; node pinned at the floor)",
-				ErrInfeasibleCap, p.CapWatts)
-		}
-		return nil
-	}
-	if b.failSafe {
-		// The operator's changed intent overrides the defensive clamp.
-		b.mFailSafeExits.Inc()
-		b.trace.Append(telemetry.Event{Node: b.traceNode, Kind: telemetry.EvFailSafeExit})
-	}
+	repush := p == b.policy
+	ev := Install(&b.env, &b.st, b.policy, p)
 	b.policy = p
-	b.failSafe = false
-	b.badTicks = 0
-	b.saneTicks = 0
-	b.stuckRun = 0
-	b.haveRaw = false
-	b.infeasible = false
-	if !p.Enabled {
+	b.mirror(ev)
+	if ev&Restore != 0 {
 		b.plant.SetGatingLevel(0)
-		if pp := b.priorityPlant(); pp != nil {
-			pp.SetBatchGatingLevel(0)
+		if b.tiers != nil {
+			b.tiers.SetBatchGatingLevel(0)
 		}
 		b.plant.SetPState(0)
-		b.haveEWMA = false
+	}
+	switch {
+	case !b.st.Infeasible:
 		return nil
+	case repush:
+		return fmt.Errorf("bmc: %w: %.1f W (policy already in force; node pinned at the floor)",
+			ErrInfeasibleCap, p.CapWatts)
+	default:
+		return fmt.Errorf("bmc: %w: %.1f W < %.1f W floor (policy applied; node will pin at the floor)",
+			ErrInfeasibleCap, p.CapWatts, b.env.FloorWatts)
 	}
-	if fr, ok := b.plant.(FloorReporter); ok {
-		if floor := fr.CapFloorWatts(); floor > 0 && p.CapWatts < floor {
-			b.infeasible = true
-			return fmt.Errorf("bmc: %w: %.1f W < %.1f W floor (policy applied; node will pin at the floor)",
-				ErrInfeasibleCap, p.CapWatts, floor)
-		}
-	}
-	return nil
 }
 
 // Stats returns a snapshot of controller activity.
@@ -350,81 +351,28 @@ func (b *BMC) ResetStats() { b.stats = Stats{} }
 
 // SmoothedWatts reports the EWMA-filtered power estimate the
 // controller is acting on.
-func (b *BMC) SmoothedWatts() float64 { return b.smoothed }
+func (b *BMC) SmoothedWatts() float64 { return b.st.Smoothed }
 
 // FailSafe reports whether the controller is holding its fail-safe
 // floor because it distrusts the power sensor.
-func (b *BMC) FailSafe() bool { return b.failSafe }
+func (b *BMC) FailSafe() bool { return b.st.FailSafe }
 
 // Health returns the defensive-controller status.
-func (b *BMC) Health() Health {
-	return Health{
-		FailSafe:      b.failSafe,
-		SensorFaults:  b.stats.SensorFaults,
-		InfeasibleCap: b.infeasible,
-	}
-}
+func (b *BMC) Health() Health { return b.st.Health(&b.stats) }
 
-// readSensor takes one reading, through PowerSample when the plant can
-// drop out.
-func (b *BMC) readSensor() (float64, bool) {
-	if ps, ok := b.plant.(PowerSampler); ok {
-		return ps.PowerSample()
+// mirror surfaces the law's transitions in the fleet counters and the
+// decision trace.
+func (b *BMC) mirror(ev Events) {
+	if ev&SensorFault != 0 {
+		b.mSensorFaults.Inc()
 	}
-	return b.plant.PowerWatts(), true
-}
-
-// sensorTrusted judges one reading and maintains the stuck-at tracker.
-// Dropouts do not advance the tracker — a frozen sensor is one that
-// keeps *delivering* the same number.
-func (b *BMC) sensorTrusted(w float64, delivered bool) bool {
-	if !delivered {
-		return false
+	if ev&EnteredFailSafe != 0 {
+		b.mFailSafeEnters.Inc()
+		b.trace.Append(telemetry.Event{Node: b.traceNode, Kind: telemetry.EvFailSafeEnter})
 	}
-	if b.cfg.StuckSensorTicks > 0 {
-		if b.haveRaw && w == b.lastRaw {
-			b.stuckRun++
-		} else {
-			b.stuckRun = 0
-		}
-	}
-	b.lastRaw = w
-	b.haveRaw = true
-	if math.IsNaN(w) || math.IsInf(w, 0) || w < 0 {
-		return false
-	}
-	if b.cfg.MinPlausibleWatts > 0 && w < b.cfg.MinPlausibleWatts {
-		return false
-	}
-	if b.cfg.MaxPlausibleWatts > 0 && w > b.cfg.MaxPlausibleWatts {
-		return false
-	}
-	if b.cfg.StuckSensorTicks > 0 && b.stuckRun >= b.cfg.StuckSensorTicks {
-		return false
-	}
-	return true
-}
-
-// failSafeFloor resolves the configured fail-safe P-state.
-func (b *BMC) failSafeFloor() int {
-	slowest := b.plant.NumPStates() - 1
-	if f := b.cfg.FailSafePState; f > 0 && f <= slowest {
-		return f
-	}
-	return slowest
-}
-
-// clampFailSafe enforces the fail-safe floor: the plant may be slower
-// than the floor (left where the last trusted control decision put
-// it), never faster. Priority plants clamp tier by tier.
-func (b *BMC) clampFailSafe() {
-	if pp := b.priorityPlant(); pp != nil {
-		b.clampTierFailSafe(pp)
-		return
-	}
-	if floor := b.failSafeFloor(); b.plant.PStateIndex() < floor {
-		b.plant.SetPState(floor)
-		b.stats.StepsDown++
+	if ev&LeftFailSafe != 0 {
+		b.mFailSafeExits.Inc()
+		b.trace.Append(telemetry.Event{Node: b.traceNode, Kind: telemetry.EvFailSafeExit})
 	}
 }
 
@@ -435,105 +383,31 @@ func (b *BMC) Tick() {
 	if !b.policy.Enabled {
 		return
 	}
-
-	w, delivered := b.readSensor()
-	if !b.sensorTrusted(w, delivered) {
-		// Never actuate — in particular never step up — on data the
-		// controller cannot trust.
-		b.stats.SensorFaults++
-		b.mSensorFaults.Inc()
-		b.saneTicks = 0
-		b.badTicks++
-		if k := b.cfg.FaultToleranceTicks; k > 0 && !b.failSafe && b.badTicks >= k {
-			b.failSafe = true
-			b.stats.FailSafeEntries++
-			b.mFailSafeEnters.Inc()
-			b.trace.Append(telemetry.Event{Node: b.traceNode, Kind: telemetry.EvFailSafeEnter})
-			b.haveEWMA = false
-		}
-		if b.failSafe {
-			b.stats.FailSafeTicks++
-			b.clampFailSafe()
-		}
-		return
-	}
-	b.badTicks = 0
-	if b.failSafe {
-		b.stats.FailSafeTicks++
-		b.saneTicks++
-		m := b.cfg.RecoveryTicks
-		if m < 1 {
-			m = 1
-		}
-		if b.saneTicks < m {
-			b.clampFailSafe()
-			return
-		}
-		// M consecutive sane readings: resume control with a fresh
-		// EWMA so stale pre-fault history cannot drive the first step.
-		b.failSafe = false
-		b.saneTicks = 0
-		b.haveEWMA = false
-		b.mFailSafeExits.Inc()
-		b.trace.Append(telemetry.Event{Node: b.traceNode, Kind: telemetry.EvFailSafeExit})
-	}
-
-	if !b.haveEWMA {
-		b.smoothed = w
-		b.haveEWMA = true
+	// Read through PowerSample when the sensor can drop out.
+	w, delivered := 0.0, true
+	if b.sensor != nil {
+		w, delivered = b.sensor.PowerSample()
 	} else {
-		a := b.cfg.Smoothing
-		b.smoothed = a*w + (1-a)*b.smoothed
+		w = b.plant.PowerWatts()
 	}
-
-	cap := b.policy.CapWatts
-	target := cap - b.cfg.GuardBandWatts
-	if b.smoothed > cap {
-		b.stats.OverCapTicks++
+	at := Pos{PState: int32(b.plant.PStateIndex()), Gating: int32(b.plant.GatingLevel())}
+	to, ev := Step(&b.cfg, &b.env, b.policy.CapWatts, &b.st, &b.stats, at, w, delivered, b.tiers != nil)
+	// Cap best effort: request only the move the law decided. What the
+	// plant actually applied is read back at the next tick.
+	if to.PState != at.PState {
+		b.plant.SetPState(int(to.PState))
 	}
-
-	if pp := b.priorityPlant(); pp != nil {
-		b.tickPriority(pp)
+	if to.Gating != at.Gating {
+		b.plant.SetGatingLevel(int(to.Gating))
+	}
+	if ev == 0 {
 		return
 	}
-
+	b.mirror(ev)
 	switch {
-	case b.smoothed > target:
-		// Too hot: slow down (proportionally to the excess), then gate.
-		if p := b.plant.PStateIndex(); p < b.plant.NumPStates()-1 {
-			steps := 1
-			if b.cfg.StepWattsPerPState > 0 {
-				steps += int((b.smoothed - target) / b.cfg.StepWattsPerPState)
-			}
-			b.plant.SetPState(p + steps)
-			b.stats.StepsDown++
-			return
-		}
-		if g := b.plant.GatingLevel(); g < b.plant.MaxGatingLevel() {
-			b.plant.SetGatingLevel(g + 1)
-			b.stats.GateEscalate++
-			return
-		}
-		// Fully escalated and still above target: the cap is below
-		// the platform's floor (the paper's 120 W rows).
-		b.stats.AtFloorTicks++
-	default:
-		// At or under target. Ungating is cheap headroom-wise and
-		// hugely valuable performance-wise, so it triggers on a small
-		// undershoot; speeding the clock back up waits for a solid
-		// margin.
-		if g := b.plant.GatingLevel(); g > 0 {
-			if b.smoothed < target-b.cfg.GateRelaxHysteresisWatts {
-				b.plant.SetGatingLevel(g - 1)
-				b.stats.GateRelax++
-			}
-			return
-		}
-		if b.smoothed < target-b.cfg.HysteresisWatts {
-			if p := b.plant.PStateIndex(); p > 0 {
-				b.plant.SetPState(p - 1)
-				b.stats.StepsUp++
-			}
-		}
+	case ev&ClampTiers != 0:
+		b.clampTierFailSafe()
+	case ev&ActTiers != 0:
+		b.tickPriority()
 	}
 }

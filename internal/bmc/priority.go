@@ -40,22 +40,13 @@ type PriorityPlant interface {
 	SetBatchGatingLevel(l int)
 }
 
-// priorityPlant returns the plant's priority surface, or nil when the
-// plant is a uniform (fair-share) machine.
-func (b *BMC) priorityPlant() PriorityPlant {
-	if pp, ok := b.plant.(PriorityPlant); ok {
-		return pp
-	}
-	return nil
-}
-
 // clampTierFailSafe enforces the fail-safe floor tier by tier: neither
 // tier may run faster than the floor while the sensor is distrusted,
 // but a tier already slower is left where the last trusted decision
 // put it (a package-wide SetPState could speed the batch tier *up* on
 // untrusted data, which is exactly what fail-safe must never do).
-func (b *BMC) clampTierFailSafe(pp PriorityPlant) {
-	floor := b.failSafeFloor()
+func (b *BMC) clampTierFailSafe() {
+	pp, floor := b.tiers, int(b.env.FailSafeFloor)
 	if pp.ServingPState() < floor {
 		pp.SetServingPState(floor)
 		b.stats.StepsDown++
@@ -66,9 +57,10 @@ func (b *BMC) clampTierFailSafe(pp PriorityPlant) {
 	}
 }
 
-// tickPriority is the priority-aware control decision, called by Tick
-// with the trusted smoothed reading already folded in. One actuation
-// per tick, like the uniform path.
+// tickPriority is the tier ladder: the priority-aware control decision
+// Tick runs when Step returns ActTiers, with the trusted reading
+// already folded into the smoothed estimate. One actuation per tick,
+// like the uniform ladder.
 //
 // Escalation order (too hot): batch P-state down → batch private
 // gating → serving P-state down to its floor → shared-structure
@@ -77,23 +69,15 @@ func (b *BMC) clampTierFailSafe(pp PriorityPlant) {
 // serving tier is restored first (below-floor recovery is eager, like
 // ungating), then shared structures ungate, then the batch tier gets
 // its ways and clocks back.
-func (b *BMC) tickPriority(pp PriorityPlant) {
+func (b *BMC) tickPriority() {
+	pp, smoothed := b.tiers, b.st.Smoothed
 	target := b.policy.CapWatts - b.cfg.GuardBandWatts
-	slowest := pp.NumPStates() - 1
-	floor := pp.ServingFloorPState()
-	if floor < 0 {
-		floor = 0
-	}
-	if floor > slowest {
-		floor = slowest
-	}
+	slowest := int(b.env.Slowest)
+	floor := min(max(pp.ServingFloorPState(), 0), slowest)
 
-	if b.smoothed > target {
+	if smoothed > target {
 		// Too hot: steal from the batch tier first.
-		steps := 1
-		if b.cfg.StepWattsPerPState > 0 {
-			steps += int((b.smoothed - target) / b.cfg.StepWattsPerPState)
-		}
+		steps := int(b.cfg.descent(smoothed-target, b.env.Slowest))
 		if p := pp.BatchPState(); p < slowest {
 			pp.SetBatchPState(p + steps)
 			b.stats.StepsDown++
@@ -146,20 +130,20 @@ func (b *BMC) tickPriority(pp PriorityPlant) {
 	if p := pp.ServingPState(); p > floor {
 		// Below-floor recovery is eager (small hysteresis): restoring
 		// the serving tier's floor is the whole point of the policy.
-		if b.smoothed < target-b.cfg.GateRelaxHysteresisWatts {
+		if smoothed < target-b.cfg.GateRelaxHysteresisWatts {
 			pp.SetServingPState(p - 1)
 			b.stats.StepsUp++
 		}
 		return
 	}
 	if g := pp.GatingLevel(); g > 0 {
-		if b.smoothed < target-b.cfg.GateRelaxHysteresisWatts {
+		if smoothed < target-b.cfg.GateRelaxHysteresisWatts {
 			pp.SetGatingLevel(g - 1)
 			b.stats.GateRelax++
 		}
 		return
 	}
-	if b.smoothed < target-b.cfg.HysteresisWatts {
+	if smoothed < target-b.cfg.HysteresisWatts {
 		if p := pp.ServingPState(); p > 0 {
 			pp.SetServingPState(p - 1)
 			b.stats.StepsUp++

@@ -43,7 +43,7 @@
 //     under its current owner) never exceeds the datacenter budget,
 //     at every tick including mid-handoff; when the budget sits below
 //     the platform minimums the bound is the minimum sum instead.
-// 10. single_owner — in sharded scenarios, every cap push a plant
+//  10. single_owner — in sharded scenarios, every cap push a plant
 //     admits was carried by the node's CURRENT owning leaf: each
 //     node's fence watermark advances under exactly one leaf. A
 //     deposed or isolated leaf's pushes must be refused by the

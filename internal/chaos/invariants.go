@@ -223,7 +223,7 @@ func (iv *invariants) checkTick(tick int) {
 	e := iv.f.eng
 	p := e.Params()
 	floor := e.FloorWatts()
-	fsFloor := int32(p.FailSafePState)
+	fsFloor := p.Envelope().FailSafeFloor
 	var capChecks, fsChecks, writerChecks, pushChecks int
 
 	grayOn := iv.gray
@@ -251,7 +251,7 @@ func (iv *invariants) checkTick(tick int) {
 			a.OverTicks[i] = 0
 		} else {
 			capChecks++
-			truth := p.P0Watts - p.WattsPerPState*float64(a.PState[i]) - p.WattsPerGate*float64(a.Gating[i])
+			truth := p.TrueWatts(a.PState[i], a.Gating[i])
 			if truth > capW+TolWatts {
 				a.OverTicks[i]++
 			} else {

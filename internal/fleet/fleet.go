@@ -5,9 +5,11 @@
 // advanced by one cache-friendly pass per tick instead of one
 // heap-allocated object, mutex and *rand.Rand pointer chase per node.
 //
-// The per-node control semantics are an exact port of the scalar stack
-// the chaos harness used to build per node (bmc.BMC over a
-// faults.FaultyPlant over an analytic plant), with two deliberate
+// Every node runs the one control law in internal/bmc (bmc.Step and
+// bmc.Install over per-node bmc.State and bmc.Stats records) — the
+// same calls bmc.BMC makes for a single Plant. What is the engine's own
+// is the plant and the sensor the scalar stack used to layer per node
+// (a faults.FaultyPlant over an analytic plant), with two deliberate
 // substitutions:
 //
 //   - Randomness is counter-based (SplitMix64 streams keyed per node)
@@ -19,9 +21,11 @@
 //     fault profile the chaos scenarios inject) rather than a
 //     probability draw per read.
 //
-// The byte-identical equivalence of Tick against the legacy per-node
-// object stepping is pinned by TestEngineMatchesLegacyStepping, which
-// drives both through 1k random seeded scenarios.
+// TestEngineMatchesLegacyStepping drives the engine and the real
+// bmc.BMC over a per-node reference plant through 1k random seeded
+// scenarios and requires bit-identical state: with one law underneath
+// both, what it guards is the two adapters — noise draw order,
+// envelope resolution, policy install and the audit snapshots.
 //
 // Concurrency: Tick shards nodes across a persistent pool.Gang in
 // contiguous index ranges. Nodes are mutually independent within a
@@ -71,25 +75,15 @@ type Params struct {
 	WattsPerGate   float64
 	NoiseWatts     float64
 
-	// Controller tuning (the bmc.Config subset the analytic fleet
-	// exercises; stuck-at detection is not modelled — the chaos
-	// scenarios never inject it and the simulated sensor is noisy).
-	GuardBandWatts           float64
-	HysteresisWatts          float64
-	GateRelaxHysteresisWatts float64
-	Smoothing                float64
-	StepWattsPerPState       float64
-	MinPlausibleWatts        float64
-	MaxPlausibleWatts        float64
-	FaultToleranceTicks      int
-	RecoveryTicks            int
-	FailSafePState           int
+	// BMC is the controller tuning every node runs.
+	BMC bmc.Config
 }
 
 // DefaultParams returns the chaos fleet's envelope with the hardened
 // (fail-safe) BMC tuning.
 func DefaultParams() Params {
 	c := bmc.FailSafeConfig()
+	c.FailSafePState = FailSafePState
 	return Params{
 		NumPStates:     NumPStates,
 		MaxGatingLevel: MaxGatingLevel,
@@ -97,34 +91,27 @@ func DefaultParams() Params {
 		WattsPerPState: WattsPerPState,
 		WattsPerGate:   WattsPerGate,
 		NoiseWatts:     NoiseWatts,
-
-		GuardBandWatts:           c.GuardBandWatts,
-		HysteresisWatts:          c.HysteresisWatts,
-		GateRelaxHysteresisWatts: c.GateRelaxHysteresisWatts,
-		Smoothing:                c.Smoothing,
-		StepWattsPerPState:       c.StepWattsPerPState,
-		MinPlausibleWatts:        c.MinPlausibleWatts,
-		MaxPlausibleWatts:        c.MaxPlausibleWatts,
-		FaultToleranceTicks:      c.FaultToleranceTicks,
-		RecoveryTicks:            c.RecoveryTicks,
-		FailSafePState:           FailSafePState,
+		BMC:            c,
 	}
 }
 
 // FloorWatts is the platform's minimum achievable power: full DVFS
 // descent plus the whole gating ladder.
-func (p Params) FloorWatts() float64 {
+func (p *Params) FloorWatts() float64 {
 	return p.P0Watts - p.WattsPerPState*float64(p.NumPStates-1) - p.WattsPerGate*float64(p.MaxGatingLevel)
 }
 
-// failSafeFloor resolves the configured fail-safe P-state exactly as
-// bmc.failSafeFloor does: out-of-range configs mean the slowest state.
-func (p Params) failSafeFloor() int {
-	slowest := p.NumPStates - 1
-	if f := p.FailSafePState; f > 0 && f <= slowest {
-		return f
-	}
-	return slowest
+// TrueWatts is the analytic plant: a node's actual draw at P-state ps
+// and gating level gt. (Pointer receiver: called per node-tick, where
+// a value receiver's copy of Params cost the loop +35 %.)
+func (p *Params) TrueWatts(ps, gt int32) float64 {
+	return p.P0Watts - p.WattsPerPState*float64(ps) - p.WattsPerGate*float64(gt)
+}
+
+// Envelope resolves what the control law needs to know about this
+// plant under this tuning.
+func (p *Params) Envelope() bmc.Envelope {
+	return bmc.Resolve(p.BMC, p.NumPStates, p.MaxGatingLevel, p.FloorWatts())
 }
 
 // Config assembles an Engine.
@@ -147,91 +134,36 @@ type Config struct {
 	Parallelism int
 }
 
-// Health is one node's defensive-controller status.
-type Health struct {
-	FailSafe      bool
-	SensorFaults  uint64
-	InfeasibleCap bool
-}
-
-// Stats aggregates controller activity across the fleet.
-type Stats struct {
-	Ticks           uint64
-	StepsDown       uint64
-	StepsUp         uint64
-	GateEscalate    uint64
-	GateRelax       uint64
-	OverCapTicks    uint64
-	AtFloorTicks    uint64
-	SensorFaults    uint64
-	FailSafeEntries uint64
-	FailSafeTicks   uint64
-}
-
 // shardEvt is one buffered mid-tick trace event (fail-safe enter or
 // exit), merged into the trace in node order after the tick barrier.
 type shardEvt struct {
-	node  int32
-	enter bool
+	node int32
+	kind string
 }
 
-// Engine holds the whole fleet's state as structure-of-arrays slices.
+// Engine holds the whole fleet's state: plant, policy and audit
+// observations as structure-of-arrays slices, the controller as one
+// bmc.State and one bmc.Stats record per node.
 type Engine struct {
 	mu sync.Mutex
 
 	p          Params
+	env        bmc.Envelope
 	n          int
-	floor      float64
-	fsFloor    int32
 	breakFloor bool
 	names      []string
 
-	// Plant.
-	pstate []int32
-	gating []int32
-	// Policy (what the last admitted push installed).
-	capEnabled []bool
-	capWatts   []float64
-	infeasible []bool
-	// Controller.
-	smoothed  []float64
-	haveEWMA  []bool
-	failSafe  []bool
-	badTicks  []int32
-	saneTicks []int32
-	// Sensor-fault injection: a storming node's sensor delivers
-	// nothing (the only profile the chaos scenarios use).
-	dropout []bool
+	// a is every slice the invariant checker audits — plant position,
+	// installed policy, sensor storms, per-tick observations — stored
+	// once, in the view Audit hands out.
+	a Audit
+	// Controller memory and activity counters (shard-local writes).
+	state []bmc.State
+	stats []bmc.Stats
 	// Counter-based noise streams, one uint64 of state per node.
 	noise []uint64
-
-	// Per-node activity counters (shard-local writes, summed on read).
-	stTicks        []uint64
-	stStepsDown    []uint64
-	stStepsUp      []uint64
-	stGateEscalate []uint64
-	stGateRelax    []uint64
-	stOverCap      []uint64
-	stAtFloor      []uint64
-	stSensorFault  []uint64
-	stFSEntries    []uint64
-	stFSTicks      []uint64
-
-	// Per-tick observations for the invariant checker: pre/post
-	// snapshots bracket the LAST tick of a batch (the chaos run loop
-	// ticks one at a time, so they bracket every tick it audits).
-	prePState    []int32
-	postPState   []int32
-	preFailSafe  []bool
-	postFailSafe []bool
-	// sinceCapChange counts ticks since the last material policy
-	// change; overTicks and regSeen are checker-owned accumulators
-	// carried here so the whole audit surface lives in one place.
-	sinceCapChange   []int32
-	overTicks        []int32
-	actEpoch         []uint64
-	epochRegressions []int32
-	regSeen          []int32
+	// actEpoch is the highest fencing epoch that ever reached each node.
+	actEpoch []uint64
 
 	// Telemetry (nil-safe).
 	trace         *telemetry.Trace
@@ -247,8 +179,9 @@ type Engine struct {
 	shardFn     func(worker, lo, hi int)
 }
 
-// New builds an engine; panics on a non-positive node count (a
-// misassembled harness, not a runtime condition).
+// New builds an engine; panics on a non-positive node count or an
+// invalid controller tuning (a misassembled harness, not a runtime
+// condition).
 func New(cfg Config) *Engine {
 	if cfg.Nodes <= 0 {
 		panic(fmt.Sprintf("fleet: non-positive node count %d", cfg.Nodes))
@@ -257,6 +190,9 @@ func New(cfg Config) *Engine {
 	if p == (Params{}) {
 		p = DefaultParams()
 	}
+	if err := p.BMC.Validate(); err != nil {
+		panic(err)
+	}
 	prefix := cfg.NamePrefix
 	if prefix == "" {
 		prefix = "node-"
@@ -264,45 +200,29 @@ func New(cfg Config) *Engine {
 	n := cfg.Nodes
 	e := &Engine{
 		p:          p,
+		env:        p.Envelope(),
 		n:          n,
-		floor:      p.FloorWatts(),
-		fsFloor:    int32(p.failSafeFloor()),
 		breakFloor: cfg.BreakFailSafeFloor,
 		names:      make([]string, n),
-
-		pstate:     make([]int32, n),
-		gating:     make([]int32, n),
-		capEnabled: make([]bool, n),
-		capWatts:   make([]float64, n),
-		infeasible: make([]bool, n),
-		smoothed:   make([]float64, n),
-		haveEWMA:   make([]bool, n),
-		failSafe:   make([]bool, n),
-		badTicks:   make([]int32, n),
-		saneTicks:  make([]int32, n),
-		dropout:    make([]bool, n),
-		noise:      make([]uint64, n),
-
-		stTicks:        make([]uint64, n),
-		stStepsDown:    make([]uint64, n),
-		stStepsUp:      make([]uint64, n),
-		stGateEscalate: make([]uint64, n),
-		stGateRelax:    make([]uint64, n),
-		stOverCap:      make([]uint64, n),
-		stAtFloor:      make([]uint64, n),
-		stSensorFault:  make([]uint64, n),
-		stFSEntries:    make([]uint64, n),
-		stFSTicks:      make([]uint64, n),
-
-		prePState:        make([]int32, n),
-		postPState:       make([]int32, n),
-		preFailSafe:      make([]bool, n),
-		postFailSafe:     make([]bool, n),
-		sinceCapChange:   make([]int32, n),
-		overTicks:        make([]int32, n),
-		actEpoch:         make([]uint64, n),
-		epochRegressions: make([]int32, n),
-		regSeen:          make([]int32, n),
+		a: Audit{
+			PState:           make([]int32, n),
+			Gating:           make([]int32, n),
+			CapEnabled:       make([]bool, n),
+			CapWatts:         make([]float64, n),
+			Dropout:          make([]bool, n),
+			PrePState:        make([]int32, n),
+			PostPState:       make([]int32, n),
+			PreFailSafe:      make([]bool, n),
+			PostFailSafe:     make([]bool, n),
+			SinceCapChange:   make([]int32, n),
+			OverTicks:        make([]int32, n),
+			EpochRegressions: make([]int32, n),
+			RegSeen:          make([]int32, n),
+		},
+		state:    make([]bmc.State, n),
+		stats:    make([]bmc.Stats, n),
+		noise:    make([]uint64, n),
+		actEpoch: make([]uint64, n),
 	}
 	for i := 0; i < n; i++ {
 		e.names[i] = fmt.Sprintf("%s%d", prefix, i)
@@ -313,7 +233,7 @@ func New(cfg Config) *Engine {
 		e.workers = n
 	}
 	e.shardEvents = make([][]shardEvt, e.workers)
-	e.shardFn = e.runShard
+	e.shardFn = e.stepRange
 	return e
 }
 
@@ -337,7 +257,7 @@ func (e *Engine) Params() Params { return e.p }
 func (e *Engine) Name(i int) string { return e.names[i] }
 
 // FloorWatts is the platform floor shared by every node.
-func (e *Engine) FloorWatts() float64 { return e.floor }
+func (e *Engine) FloorWatts() float64 { return e.env.FloorWatts }
 
 // SetTelemetry wires the fleet counters and the decision trace; either
 // may be nil. Tick remains allocation-free when wired.
@@ -372,221 +292,110 @@ func (e *Engine) Tick(n int) {
 	if e.trace != nil {
 		for _, evs := range e.shardEvents {
 			for _, ev := range evs {
-				kind := telemetry.EvFailSafeEnter
-				if !ev.enter {
-					kind = telemetry.EvFailSafeExit
-				}
-				e.trace.Append(telemetry.Event{Node: e.names[ev.node], Kind: kind})
+				e.trace.Append(telemetry.Event{Node: e.names[ev.node], Kind: ev.kind})
 			}
 		}
 	}
 }
 
-func (e *Engine) runShard(worker, lo, hi int) {
-	e.stepRange(worker, lo, hi)
-}
-
 // stepRange advances nodes [lo, hi) by the current batch. The tick
-// loop is innermost per node, so one node's whole working set stays in
+// loop is innermost per node, so one node's plant position stays in
 // registers for the batch; nodes never interact within a tick, so the
 // node-major order is unobservable.
+//
+// The loop holds only what is the engine's own: the noise draw, the
+// analytic plant's watts, the audit snapshots, the broken-floor quirk
+// and trace buffering. The law is the one bmc.Step call per node-tick;
+// the counters that advance on every tick whatever Step decides (Ticks,
+// sinceCapChange) are added once per batch after the inner loop — see
+// bmc.Step for why the loop has exactly this shape.
 func (e *Engine) stepRange(worker, lo, hi int) {
 	evs := e.shardEvents[worker][:0]
-	p := &e.p
-	kTol := int32(p.FaultToleranceTicks)
-	mRec := int32(p.RecoveryTicks)
-	if mRec < 1 {
-		mRec = 1
-	}
-	numP := int32(p.NumPStates)
-	maxG := int32(p.MaxGatingLevel)
-	fsFloor := e.fsFloor
+	a, p, cfg, env := &e.a, &e.p, &e.p.BMC, &e.env
 	batch := e.batch
 
 	for i := lo; i < hi; i++ {
-		ps, gt := e.pstate[i], e.gating[i]
-		fs := e.failSafe[i]
-		enabled := e.capEnabled[i]
-		capW := e.capWatts[i]
-		sm, haveEWMA := e.smoothed[i], e.haveEWMA[i]
-		bad, sane := e.badTicks[i], e.saneTicks[i]
-		drop := e.dropout[i]
+		pos := bmc.Pos{PState: a.PState[i], Gating: a.Gating[i]}
+		st, stats := &e.state[i], &e.stats[i]
+		enabled := a.CapEnabled[i]
+		capW := a.CapWatts[i]
+		drop := a.Dropout[i]
 		rng := e.noise[i]
 
 		var pre, post int32
 		var preFS, postFS bool
 
 		for t := 0; t < batch; t++ {
-			pre, preFS = ps, fs
-			e.stTicks[i]++
-			if !enabled {
-				goto plantQuirks
-			}
-			{
+			pre, preFS = pos.PState, st.FailSafe
+			if enabled {
 				var w float64
-				delivered := !drop
-				if delivered {
+				if !drop {
 					rng += splitmixGamma
 					f := float64(splitmix(rng)>>11) / (1 << 53)
-					w = p.P0Watts - p.WattsPerPState*float64(ps) - p.WattsPerGate*float64(gt) +
-						(f*2-1)*p.NoiseWatts
+					w = p.TrueWatts(pos.PState, pos.Gating) + (f*2-1)*p.NoiseWatts
 				}
-				trusted := delivered &&
-					!(math.IsNaN(w) || math.IsInf(w, 0) || w < 0) &&
-					!(p.MinPlausibleWatts > 0 && w < p.MinPlausibleWatts) &&
-					!(p.MaxPlausibleWatts > 0 && w > p.MaxPlausibleWatts)
-				if !trusted {
-					// Never actuate — in particular never step up — on
-					// data the controller cannot trust.
-					e.stSensorFault[i]++
-					e.mSensorFaults.Inc()
-					sane = 0
-					bad++
-					if kTol > 0 && !fs && bad >= kTol {
-						fs = true
-						e.stFSEntries[i]++
+				var ev bmc.Events
+				pos, ev = bmc.Step(cfg, env, capW, st, stats, pos, w, !drop, false)
+				if ev != 0 {
+					if ev&bmc.SensorFault != 0 {
+						e.mSensorFaults.Inc()
+					}
+					if ev&bmc.EnteredFailSafe != 0 {
 						e.mFSEnters.Inc()
-						evs = append(evs, shardEvt{node: int32(i), enter: true})
-						haveEWMA = false
+						evs = append(evs, shardEvt{node: int32(i), kind: telemetry.EvFailSafeEnter})
 					}
-					if fs {
-						e.stFSTicks[i]++
-						if ps < fsFloor {
-							ps = fsFloor
-							e.stStepsDown[i]++
-						}
-					}
-					goto plantQuirks
-				}
-				bad = 0
-				if fs {
-					e.stFSTicks[i]++
-					sane++
-					if sane < mRec {
-						if ps < fsFloor {
-							ps = fsFloor
-							e.stStepsDown[i]++
-						}
-						goto plantQuirks
-					}
-					// M consecutive sane readings: resume control with a
-					// fresh EWMA so stale pre-fault history cannot drive
-					// the first step.
-					fs = false
-					sane = 0
-					haveEWMA = false
-					e.mFSExits.Inc()
-					evs = append(evs, shardEvt{node: int32(i), enter: false})
-				}
-
-				if !haveEWMA {
-					sm = w
-					haveEWMA = true
-				} else {
-					a := p.Smoothing
-					sm = a*w + (1-a)*sm
-				}
-
-				target := capW - p.GuardBandWatts
-				if sm > capW {
-					e.stOverCap[i]++
-				}
-				switch {
-				case sm > target:
-					// Too hot: slow down (proportionally to the excess),
-					// then gate.
-					if ps < numP-1 {
-						steps := int32(1)
-						if p.StepWattsPerPState > 0 {
-							steps += int32((sm - target) / p.StepWattsPerPState)
-						}
-						ps += steps
-						if ps > numP-1 {
-							ps = numP - 1
-						}
-						e.stStepsDown[i]++
-					} else if gt < maxG {
-						gt++
-						e.stGateEscalate[i]++
-					} else {
-						e.stAtFloor[i]++
-					}
-				default:
-					if gt > 0 {
-						if sm < target-p.GateRelaxHysteresisWatts {
-							gt--
-							e.stGateRelax[i]++
-						}
-					} else if sm < target-p.HysteresisWatts && ps > 0 {
-						ps--
-						e.stStepsUp[i]++
+					if ev&bmc.LeftFailSafe != 0 {
+						e.mFSExits.Inc()
+						evs = append(evs, shardEvt{node: int32(i), kind: telemetry.EvFailSafeExit})
 					}
 				}
 			}
-
-		plantQuirks:
-			if e.breakFloor && fs && ps > 0 {
+			if e.breakFloor && st.FailSafe && pos.PState > 0 {
 				// The "broken guard": the plant ignores the fail-safe
 				// clamp and creeps back toward full speed.
-				ps--
+				pos.PState--
 			}
-			post, postFS = ps, fs
-			e.sinceCapChange[i]++
+			post, postFS = pos.PState, st.FailSafe
 		}
+		stats.Ticks += uint64(batch)
+		a.SinceCapChange[i] += int32(batch)
 
-		e.pstate[i], e.gating[i] = ps, gt
-		e.failSafe[i] = fs
-		e.smoothed[i], e.haveEWMA[i] = sm, haveEWMA
-		e.badTicks[i], e.saneTicks[i] = bad, sane
+		a.PState[i], a.Gating[i] = pos.PState, pos.Gating
 		e.noise[i] = rng
-		e.prePState[i], e.postPState[i] = pre, post
-		e.preFailSafe[i], e.postFailSafe[i] = preFS, postFS
+		a.PrePState[i], a.PostPState[i] = pre, post
+		a.PreFailSafe[i], a.PostFailSafe[i] = preFS, postFS
 	}
 	e.shardEvents[worker] = evs
 }
 
-// PushPolicy installs a capping policy on node i, mirroring the legacy
-// management path end to end: fencing-epoch bookkeeping (a push
-// carrying an epoch below the node's high-water mark is counted as a
-// split-brain actuation), bmc.SetPolicy's state machine (same-policy
-// re-pushes preserve defensive state; a changed policy clears
-// fail-safe; disabling restores full speed; an infeasible cap is
-// applied but flagged), and the checker's settle-window reset on a
-// material change (> 1 W or an enabled flip).
+// PushPolicy installs a capping policy on node i through bmc.Install —
+// the state machine behind bmc.BMC.SetPolicy — and keeps around it what
+// the management path owns: fencing-epoch bookkeeping (a push carrying
+// an epoch below the node's high-water mark is counted as a split-brain
+// actuation) and the checker's settle-window reset on a material change
+// (> 1 W or an enabled flip).
 func (e *Engine) PushPolicy(i int, enabled bool, capWatts float64, epoch uint64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	a := &e.a
 	if epoch < e.actEpoch[i] {
-		e.epochRegressions[i]++
+		a.EpochRegressions[i]++
 	} else {
 		e.actEpoch[i] = epoch
 	}
-	oldEn, oldCap := e.capEnabled[i], e.capWatts[i]
-	if oldEn != enabled || oldCap != capWatts {
-		if e.failSafe[i] {
-			// The operator's changed intent overrides the defensive
-			// clamp.
-			e.mFSExits.Inc()
-			if e.trace != nil {
-				e.trace.Append(telemetry.Event{Node: e.names[i], Kind: telemetry.EvFailSafeExit})
-			}
-		}
-		e.capEnabled[i], e.capWatts[i] = enabled, capWatts
-		e.failSafe[i] = false
-		e.badTicks[i] = 0
-		e.saneTicks[i] = 0
-		e.infeasible[i] = false
-		if !enabled {
-			e.gating[i] = 0
-			e.pstate[i] = 0
-			e.haveEWMA[i] = false
-		} else if capWatts < e.floor {
-			e.infeasible[i] = true
-		}
+	old := bmc.Policy{Enabled: a.CapEnabled[i], CapWatts: a.CapWatts[i]}
+	ev := bmc.Install(&e.env, &e.state[i], old, bmc.Policy{Enabled: enabled, CapWatts: capWatts})
+	a.CapEnabled[i], a.CapWatts[i] = enabled, capWatts
+	if ev&bmc.LeftFailSafe != 0 {
+		e.mFSExits.Inc()
+		e.trace.Append(telemetry.Event{Node: e.names[i], Kind: telemetry.EvFailSafeExit})
 	}
-	if oldEn != enabled || math.Abs(oldCap-capWatts) > 1 {
-		e.sinceCapChange[i] = 0
-		e.overTicks[i] = 0
+	if ev&bmc.Restore != 0 {
+		a.PState[i], a.Gating[i] = 0, 0
+	}
+	if old.Enabled != enabled || math.Abs(old.CapWatts-capWatts) > 1 {
+		a.SinceCapChange[i] = 0
+		a.OverTicks[i] = 0
 	}
 }
 
@@ -594,7 +403,7 @@ func (e *Engine) PushPolicy(i int, enabled bool, capWatts float64, epoch uint64)
 func (e *Engine) Policy(i int) (enabled bool, capWatts float64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.capEnabled[i], e.capWatts[i]
+	return e.a.CapEnabled[i], e.a.CapWatts[i]
 }
 
 // SetDropout switches node i's sensor storm: while on, the sensor
@@ -602,7 +411,7 @@ func (e *Engine) Policy(i int) (enabled bool, capWatts float64) {
 func (e *Engine) SetDropout(i int, on bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.dropout[i] = on
+	e.a.Dropout[i] = on
 }
 
 // TrueWatts is node i's actual draw — what the invariant checker
@@ -614,7 +423,7 @@ func (e *Engine) TrueWatts(i int) float64 {
 }
 
 func (e *Engine) trueWattsLocked(i int) float64 {
-	return e.p.P0Watts - e.p.WattsPerPState*float64(e.pstate[i]) - e.p.WattsPerGate*float64(e.gating[i])
+	return e.p.TrueWatts(e.a.PState[i], e.a.Gating[i])
 }
 
 // ManagementWatts is the reading served to management polls: the
@@ -624,7 +433,7 @@ func (e *Engine) trueWattsLocked(i int) float64 {
 func (e *Engine) ManagementWatts(i int) float64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if w := e.smoothed[i]; w != 0 {
+	if w := e.state[i].Smoothed; w != 0 {
 		return w
 	}
 	return e.trueWattsLocked(i)
@@ -634,88 +443,67 @@ func (e *Engine) ManagementWatts(i int) float64 {
 func (e *Engine) PState(i int) int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return int(e.pstate[i])
+	return int(e.a.PState[i])
 }
 
 // GatingLevel reports node i's gating-ladder position.
 func (e *Engine) GatingLevel(i int) int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return int(e.gating[i])
+	return int(e.a.Gating[i])
 }
 
 // NodeHealth reports node i's defensive-controller status.
-func (e *Engine) NodeHealth(i int) Health {
+func (e *Engine) NodeHealth(i int) bmc.Health {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return Health{
-		FailSafe:      e.failSafe[i],
-		SensorFaults:  e.stSensorFault[i],
-		InfeasibleCap: e.infeasible[i],
-	}
+	return e.state[i].Health(&e.stats[i])
 }
 
 // Stats sums the per-node activity counters into fleet totals.
-func (e *Engine) Stats() Stats {
+func (e *Engine) Stats() bmc.Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	var s Stats
-	for i := 0; i < e.n; i++ {
-		s.Ticks += e.stTicks[i]
-		s.StepsDown += e.stStepsDown[i]
-		s.StepsUp += e.stStepsUp[i]
-		s.GateEscalate += e.stGateEscalate[i]
-		s.GateRelax += e.stGateRelax[i]
-		s.OverCapTicks += e.stOverCap[i]
-		s.AtFloorTicks += e.stAtFloor[i]
-		s.SensorFaults += e.stSensorFault[i]
-		s.FailSafeEntries += e.stFSEntries[i]
-		s.FailSafeTicks += e.stFSTicks[i]
+	var s bmc.Stats
+	for i := range e.stats {
+		s.Add(&e.stats[i])
 	}
 	return s
 }
 
-// Audit exposes the SoA state an invariant checker reads (and the two
-// accumulators it owns: OverTicks and RegSeen). The slices alias
-// engine state — bracket every use with Lock/Unlock. Auditing this way
+// Audit is the SoA state an invariant checker reads (and the two
+// accumulators it owns: OverTicks and RegSeen). The slices are the
+// engine's own — bracket every use with Lock/Unlock. Auditing this way
 // costs one mutex acquisition per fleet-wide pass instead of one per
 // node.
 type Audit struct {
-	PState           []int32
-	Gating           []int32
-	CapEnabled       []bool
-	CapWatts         []float64
-	Infeasible       []bool
-	Dropout          []bool
-	PrePState        []int32
-	PostPState       []int32
-	PreFailSafe      []bool
-	PostFailSafe     []bool
+	// Plant.
+	PState []int32
+	Gating []int32
+	// Policy (what the last admitted push installed).
+	CapEnabled []bool
+	CapWatts   []float64
+	// Sensor-fault injection: a storming node's sensor delivers
+	// nothing (the only profile the chaos scenarios use).
+	Dropout []bool
+	// Pre/post snapshots bracket the LAST tick of a batch (the chaos
+	// run loop ticks one at a time, so they bracket every tick it
+	// audits).
+	PrePState    []int32
+	PostPState   []int32
+	PreFailSafe  []bool
+	PostFailSafe []bool
+	// SinceCapChange counts ticks since the last material policy
+	// change; EpochRegressions counts pushes that carried an epoch below
+	// the node's high-water mark.
 	SinceCapChange   []int32
 	OverTicks        []int32
 	EpochRegressions []int32
 	RegSeen          []int32
 }
 
-// Audit returns the aliased audit view; see Audit's locking contract.
-func (e *Engine) Audit() Audit {
-	return Audit{
-		PState:           e.pstate,
-		Gating:           e.gating,
-		CapEnabled:       e.capEnabled,
-		CapWatts:         e.capWatts,
-		Infeasible:       e.infeasible,
-		Dropout:          e.dropout,
-		PrePState:        e.prePState,
-		PostPState:       e.postPState,
-		PreFailSafe:      e.preFailSafe,
-		PostFailSafe:     e.postFailSafe,
-		SinceCapChange:   e.sinceCapChange,
-		OverTicks:        e.overTicks,
-		EpochRegressions: e.epochRegressions,
-		RegSeen:          e.regSeen,
-	}
-}
+// Audit returns the audit view; see Audit's locking contract.
+func (e *Engine) Audit() Audit { return e.a }
 
 // Lock serializes an audit pass (or any multi-read) against ticks and
 // management pushes.

@@ -84,19 +84,8 @@ type refNode struct {
 }
 
 func newRefNode(i int, seed int64, p Params, breakFloor bool) *refNode {
-	cfg := bmc.FailSafeConfig()
-	cfg.GuardBandWatts = p.GuardBandWatts
-	cfg.HysteresisWatts = p.HysteresisWatts
-	cfg.GateRelaxHysteresisWatts = p.GateRelaxHysteresisWatts
-	cfg.Smoothing = p.Smoothing
-	cfg.StepWattsPerPState = p.StepWattsPerPState
-	cfg.MinPlausibleWatts = p.MinPlausibleWatts
-	cfg.MaxPlausibleWatts = p.MaxPlausibleWatts
-	cfg.FaultToleranceTicks = p.FaultToleranceTicks
-	cfg.RecoveryTicks = p.RecoveryTicks
-	cfg.FailSafePState = p.FailSafePState
 	plant := &refPlant{p: p, rng: noiseStreamKey(seed, i)}
-	return &refNode{plant: plant, ctl: bmc.New(cfg, plant), breakFloor: breakFloor}
+	return &refNode{plant: plant, ctl: bmc.New(p.BMC, plant), breakFloor: breakFloor}
 }
 
 // tick mirrors the legacy simNode.tick exactly: snapshot, controller
@@ -134,24 +123,21 @@ func (n *refNode) managementWatts() float64 {
 	return n.plant.trueWatts()
 }
 
-// snapshot renders every field the invariant checker or the management
-// plane can observe; the property test compares these strings, so any
-// divergence — even in the last bit of a float — fails.
+// snapshotFormat renders every field the invariant checker or the
+// management plane can observe; the property test compares these
+// strings, so any divergence — even in the last bit of a float — fails.
+const snapshotFormat = "n%d ps=%d gt=%d true=%b mgmt=%b pol=%v/%b health=%+v " +
+	"pre=%d/%v post=%d/%v settle=%d epoch=%d reg=%d stats=%+v\n"
+
 func snapshotRef(nodes []*refNode) string {
 	s := ""
 	for i, n := range nodes {
 		pol := n.ctl.Policy()
-		h := n.ctl.Health()
-		st := n.ctl.Stats()
-		s += fmt.Sprintf("n%d ps=%d gt=%d true=%b mgmt=%b pol=%v/%b inf=%v fs=%v "+
-			"pre=%d/%v post=%d/%v settle=%d epoch=%d reg=%d "+
-			"stats=%d,%d,%d,%d,%d,%d,%d,%d,%d,%d\n",
+		s += fmt.Sprintf(snapshotFormat,
 			i, n.plant.pstate, n.plant.gating, n.plant.trueWatts(), n.managementWatts(),
-			pol.Enabled, pol.CapWatts, h.InfeasibleCap, h.FailSafe,
+			pol.Enabled, pol.CapWatts, n.ctl.Health(),
 			n.prePState, n.preFailSafe, n.postPState, n.postFailSafe,
-			n.sinceCapChange, n.actEpoch, n.epochRegressions,
-			st.Ticks, st.StepsDown, st.StepsUp, st.GateEscalate, st.GateRelax,
-			st.OverCapTicks, st.AtFloorTicks, st.SensorFaults, st.FailSafeEntries, st.FailSafeTicks)
+			n.sinceCapChange, n.actEpoch, n.epochRegressions, n.ctl.Stats())
 	}
 	return s
 }
@@ -162,31 +148,62 @@ func snapshotEngine(e *Engine) string {
 	a := e.Audit()
 	s := ""
 	for i := 0; i < e.n; i++ {
-		mgmt := e.smoothed[i]
+		mgmt := e.state[i].Smoothed
 		if mgmt == 0 {
 			mgmt = e.trueWattsLocked(i)
 		}
-		s += fmt.Sprintf("n%d ps=%d gt=%d true=%b mgmt=%b pol=%v/%b inf=%v fs=%v "+
-			"pre=%d/%v post=%d/%v settle=%d epoch=%d reg=%d "+
-			"stats=%d,%d,%d,%d,%d,%d,%d,%d,%d,%d\n",
+		s += fmt.Sprintf(snapshotFormat,
 			i, a.PState[i], a.Gating[i], e.trueWattsLocked(i), mgmt,
-			a.CapEnabled[i], a.CapWatts[i], a.Infeasible[i], e.failSafe[i],
+			a.CapEnabled[i], a.CapWatts[i], e.state[i].Health(&e.stats[i]),
 			a.PrePState[i], a.PreFailSafe[i], a.PostPState[i], a.PostFailSafe[i],
-			a.SinceCapChange[i], e.actEpoch[i], a.EpochRegressions[i],
-			e.stTicks[i], e.stStepsDown[i], e.stStepsUp[i], e.stGateEscalate[i], e.stGateRelax[i],
-			e.stOverCap[i], e.stAtFloor[i], e.stSensorFault[i], e.stFSEntries[i], e.stFSTicks[i])
+			a.SinceCapChange[i], e.actEpoch[i], a.EpochRegressions[i], e.stats[i])
 	}
 	return s
 }
 
+// randomParams draws one scenario's plant noise and controller tuning,
+// edge values included: no proportional descent, fail-safe disabled,
+// recovery below 1, fail-safe floors unset and out of range, the
+// plausibility check off or so tight that full speed itself reads as a
+// fault, and stuck-at detection over a noiseless (exactly constant)
+// sensor.
+func randomParams(rng *rand.Rand) Params {
+	p := DefaultParams()
+	pick := func(vs ...float64) float64 { return vs[rng.Intn(len(vs))] }
+	p.NoiseWatts = pick(NoiseWatts, NoiseWatts, 0)
+	c := &p.BMC
+	c.Smoothing = pick(1, 0.6, 0.3, 0.05)
+	c.GuardBandWatts = pick(0, 0.5, 2)
+	c.HysteresisWatts = pick(0, 2, 5)
+	c.GateRelaxHysteresisWatts = pick(0, 0.3, 1.5)
+	c.StepWattsPerPState = pick(0, 0.5, 2, 6)
+	c.FaultToleranceTicks = int(pick(0, 1, 5))
+	c.RecoveryTicks = int(pick(0, 1, 10))
+	c.FailSafePState = int(pick(0, -3, 4, FailSafePState, NumPStates-1, NumPStates, 99))
+	c.StuckSensorTicks = int(pick(0, 0, 4))
+	switch rng.Intn(4) { // case 3 keeps the default 50..400 W
+	case 0:
+		c.MinPlausibleWatts, c.MaxPlausibleWatts = 0, 0
+	case 1:
+		c.MinPlausibleWatts, c.MaxPlausibleWatts = 124, 150
+	case 2:
+		c.MinPlausibleWatts, c.MaxPlausibleWatts = 0, 140
+	}
+	return p
+}
+
 // TestEngineMatchesLegacyStepping is the property test that retired the
-// per-node object path: 1k random seeded scenarios — random fleet
-// sizes, cap pushes (feasible, marginal, and infeasible), fencing-epoch
-// regressions, sensor storms, policy disables, broken-floor fleets, and
-// random batch sizes at random parallelism — each driven through both
-// the SoA engine and per-node reference objects layered on the real
-// bmc.BMC, comparing every observable field (rendered with %b floats,
-// so equality is bit-exact) after every operation.
+// per-node object path: 1k random seeded scenarios — random controller
+// tunings, fleet sizes, cap pushes (feasible, marginal, and
+// infeasible), fencing-epoch regressions, sensor storms, policy
+// disables, broken-floor fleets, and random batch sizes at random
+// parallelism — each driven through both the engine and per-node
+// reference objects layered on the real bmc.BMC, comparing every
+// observable field (rendered with %b floats, so equality is bit-exact)
+// after every operation. Both sides run the one law in bmc/kernel.go,
+// so what this guards is the two adapters around it: when the noise is
+// drawn, how the envelope is resolved, what a policy install touches,
+// where the per-batch counters land and what the audit snapshots see.
 func TestEngineMatchesLegacyStepping(t *testing.T) {
 	scenarios := 1000
 	if testing.Short() {
@@ -199,11 +216,13 @@ func TestEngineMatchesLegacyStepping(t *testing.T) {
 		breakFloor := rng.Intn(8) == 0
 		par := []int{1, 2, 4, runtime.NumCPU()}[rng.Intn(4)]
 
-		e := New(Config{Nodes: nodes, Seed: seed, BreakFailSafeFloor: breakFloor, Parallelism: par})
+		params := randomParams(rng)
+
+		e := New(Config{Nodes: nodes, Seed: seed, Params: params, BreakFailSafeFloor: breakFloor, Parallelism: par})
 		defer e.Close()
 		ref := make([]*refNode, nodes)
 		for i := range ref {
-			ref[i] = newRefNode(i, seed, e.Params(), breakFloor)
+			ref[i] = newRefNode(i, seed, params, breakFloor)
 		}
 
 		ops := 30 + rng.Intn(70)
@@ -234,8 +253,8 @@ func TestEngineMatchesLegacyStepping(t *testing.T) {
 			}
 			got, want := snapshotEngine(e), snapshotRef(ref)
 			if got != want {
-				t.Fatalf("scenario %d (nodes=%d seed=%d par=%d breakFloor=%v) diverged after op %d:\nengine:\n%s\nreference:\n%s",
-					sc, nodes, seed, par, breakFloor, op, got, want)
+				t.Fatalf("scenario %d (nodes=%d seed=%d par=%d breakFloor=%v tuning=%+v) diverged after op %d:\nengine:\n%s\nreference:\n%s",
+					sc, nodes, seed, par, breakFloor, params.BMC, op, got, want)
 			}
 		}
 		e.Close()
@@ -337,7 +356,7 @@ func TestPolicyLifecycle(t *testing.T) {
 }
 
 func TestFailSafeRoundTrip(t *testing.T) {
-	p := DefaultParams()
+	p := DefaultParams().BMC
 	e := New(Config{Nodes: 1, Seed: 11, Parallelism: 1})
 	defer e.Close()
 	e.PushPolicy(0, true, 140, 1)

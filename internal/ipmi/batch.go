@@ -38,11 +38,11 @@ const MaxBatchEntries = 24
 
 // Per-entry wire sizes.
 const (
-	batchPollReqEntry  = 4              // id
-	batchPollRespEntry = 4 + 1 + 8 + 5  // id cc reading(8) limit flag+centiwatts(5)
-	batchSetReqEntry   = 4 + 1 + 4 + 8  // id flag centiwatts epoch
-	batchSetRespEntry  = 4 + 1          // id cc
-	batchOverhead      = 1 + 4          // count byte + crc32 trailer
+	batchPollReqEntry  = 4             // id
+	batchPollRespEntry = 4 + 1 + 8 + 5 // id cc reading(8) limit flag+centiwatts(5)
+	batchSetReqEntry   = 4 + 1 + 4 + 8 // id flag centiwatts epoch
+	batchSetRespEntry  = 4 + 1         // id cc
+	batchOverhead      = 1 + 4         // count byte + crc32 trailer
 )
 
 // BatchPollResult is one node's slot in a BatchPoll response. Reading
