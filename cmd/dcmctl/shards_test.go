@@ -30,8 +30,7 @@ func shardedHarness(t *testing.T, leaves, nodes int) (serverAddr string, bmcs []
 			t.Fatal(err)
 		}
 	}
-	srv := dcm.NewServer(nil)
-	srv.SetHandler(tree.HandleControl)
+	srv := dcm.NewServer(tree)
 	serverAddr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -38,6 +38,14 @@ func haDial(a string) (dcm.BMC, error) {
 
 func silentLog(string, ...any) {}
 
+// manager reads the daemon's current manager; promotion swaps it from
+// the heartbeat goroutine.
+func (d *daemon) manager() *dcm.Manager {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.mgr
+}
+
 // waitFor polls cond until it holds or the deadline passes.
 func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Helper()
@@ -170,7 +178,7 @@ func TestHAFailover(t *testing.T) {
 	// journal is swapped in — wait for the restored fleet, not just the
 	// role flip.
 	waitFor(t, 10*time.Second, "standby promotion", func() bool {
-		m := s.srv.Manager()
+		m := s.manager()
 		return m.Role() == dcm.RolePrimary && len(m.Nodes()) == 1
 	})
 
@@ -239,7 +247,7 @@ func TestHAGracefulHandover(t *testing.T) {
 
 	// The peer takes over well inside the TTL it would otherwise wait.
 	waitFor(t, 10*time.Second, "handover", func() bool {
-		m := s.srv.Manager()
+		m := s.manager()
 		return m.Role() == dcm.RolePrimary && len(m.Nodes()) == 1
 	})
 	if elapsed := time.Since(start); elapsed > 8*time.Second {
@@ -280,7 +288,7 @@ func TestHAStandbyRestartPromotesWithoutPrimary(t *testing.T) {
 		t.Fatal("restarted standby recovered no resume point; it can never promote")
 	}
 	waitFor(t, 10*time.Second, "restarted standby promotion", func() bool {
-		m := s2.srv.Manager()
+		m := s2.manager()
 		return m.Role() == dcm.RolePrimary && len(m.Nodes()) == 1
 	})
 	got := s2.srv.Handle(dcm.Request{Op: "leader"})

@@ -32,6 +32,25 @@
 // budget, and takes over polling. SIGTERM/SIGINT shut down gracefully:
 // polling drains, the journal compacts, and the lease is released so
 // the peer can take over without waiting out the TTL.
+//
+// # Sharded control plane
+//
+// With -shards N one daemon runs N leaf managers under a budget
+// aggregator (DESIGN §13):
+//
+//	dcmd -shards 4 -state-dir /srv/dcm -budget 40000 -aggregator 5s
+//
+// Every node is owned by exactly one leaf, chosen by a consistent-hash
+// ring; dcmctl talks to the aggregator, which routes per-node ops to the
+// owner, merges fleet listings, and cascades the budget across the
+// leaves (on every "dcmctl budget" push, and on the -aggregator
+// interval). The state dir holds one journal per leaf (leaf-NN/) and
+// the shard map (shardmap.snap); a restarted daemon re-binds its leaves
+// to the journaled map and resumes with the same ownership. -shards
+// refuses the HA flags and -group.
+//
+// All three shapes — flat, HA pair member, sharded — come up through
+// the same start path and are served through the same dcm.Control seam.
 package main
 
 import (
@@ -46,7 +65,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
@@ -216,50 +235,67 @@ type daemon struct {
 	ReplAddr    string // bound replication-feed address (empty when not serving)
 
 	httpSrv *http.Server
-	httpLn  net.Listener
 
-	// HA machinery (nil/zero outside an HA pair). opts/dial/logf are
-	// retained so a promoted standby can build its real manager with the
-	// same configuration it was started with.
-	opts       options
-	dial       dcm.Dialer
-	logf       func(format string, args ...any)
+	// opts/dial/logf are retained so a promoted standby builds its real
+	// manager with the configuration the daemon was started with.
+	opts options
+	dial dcm.Dialer
+	logf func(format string, args ...any)
+
+	// HA machinery (nil outside an HA pair).
 	haNode     *dcm.HANode
 	replSrv    *store.ReplServer
 	replClient *store.ReplClient
 	rep        *store.Replica
 	replicaSt  *store.Store // standby's replicated store; nil once promoted
-	hbStop     chan struct{}
-	hbWG       sync.WaitGroup
-	closed     bool
 
 	// Sharded control plane (nil/empty outside -shards mode): the
-	// aggregator tree, its leaf managers, and the budget-cascade loop.
-	// mgr is nil in this mode — the tree's HandleControl owns dispatch.
+	// aggregator tree and its leaf managers. mgr is nil in this mode —
+	// the tree owns dispatch.
 	shTree   *shard.Tree
 	shLeaves []*dcm.Manager
-	aggStop  chan struct{}
-	aggWG    sync.WaitGroup
+
+	// stop ends the every() loops (lease heartbeat, budget cascade).
+	stop     chan struct{}
+	stopOnce sync.Once
+	loops    sync.WaitGroup
+	closed   bool
 }
 
 // start builds and launches a daemon from opts. A nil dial uses the
 // real IPMI dialer (with wire-level request counters); tests inject
-// their own.
+// their own. Every shape comes up through this one path — validate,
+// build the shape's managers (newManager) and make the acting ones
+// lead, serve, then start the loops — and differs only in which
+// dcm.Control it serves: flat, standby or tree.
 func start(opts options, dial dcm.Dialer, logf func(format string, args ...any)) (*daemon, error) {
 	if logf == nil {
 		logf = log.Printf
 	}
-	if opts.haEnabled() && opts.StateDir == "" {
+	switch {
+	case opts.haEnabled() && opts.StateDir == "":
 		return nil, fmt.Errorf("dcmd: -replica-addr/-standby-of require -state-dir (the journal is what replicates)")
+	case opts.Shards > 0 && opts.haEnabled():
+		return nil, fmt.Errorf("dcmd: -shards is incompatible with -replica-addr/-standby-of (the sharded tree is its own availability story)")
+	case opts.Shards > 0 && opts.Group != "":
+		return nil, fmt.Errorf("dcmd: -group has no meaning under -shards (the budget group is the whole tree)")
+	case opts.Shards > 0 && opts.Aggregator > 0 && opts.Budget <= 0:
+		return nil, fmt.Errorf("dcmd: -aggregator needs -budget (the cascade divides the datacenter budget)")
+	case opts.Shards > 99:
+		return nil, fmt.Errorf("dcmd: -shards %d: at most 99 leaves", opts.Shards)
 	}
-	reg := telemetry.NewRegistry()
-	trace := telemetry.NewTrace(telemetry.DefaultTraceCapacity)
+	d := &daemon{
+		reg:   telemetry.NewRegistry(),
+		trace: telemetry.NewTrace(telemetry.DefaultTraceCapacity),
+		opts:  opts, dial: dial, logf: logf,
+		stop: make(chan struct{}),
+	}
 	// Register the wire-level series up front so the scrape surface is
 	// stable whether or not the default dialer is in use.
-	ipmiReqs := reg.Counter("ipmi_requests_total")
-	ipmiFails := reg.Counter("ipmi_request_failures_total")
+	ipmiReqs := d.reg.Counter("ipmi_requests_total")
+	ipmiFails := d.reg.Counter("ipmi_request_failures_total")
 	if dial == nil {
-		dial = func(addr string) (dcm.BMC, error) {
+		d.dial = func(addr string) (dcm.BMC, error) {
 			c, err := ipmi.DialTimeout(addr, opts.ConnectTO, opts.RequestTO)
 			if err != nil {
 				return nil, err
@@ -268,119 +304,285 @@ func start(opts options, dial dcm.Dialer, logf func(format string, args ...any))
 			return c, nil
 		}
 	}
-	if opts.Shards > 0 {
-		return startSharded(opts, dial, logf, reg, trace)
-	}
-	if opts.StandbyOf != "" {
-		return startStandby(opts, dial, logf, reg, trace)
+	if opts.haEnabled() {
+		d.haNode = &dcm.HANode{
+			ID:        opts.haID(),
+			Lease:     store.NewLeaseFile(opts.leasePath()),
+			TTL:       opts.leaseTTL(),
+			OnPromote: d.promote,
+		}
 	}
 
-	mgr := dcm.NewManager(dial)
-	opts.tune(mgr)
-	mgr.SetTelemetry(reg, trace)
-	if opts.StateDir != "" {
-		if err := mgr.OpenStateDir(opts.StateDir); err != nil {
+	var control dcm.Control
+	var err error
+	switch {
+	case opts.Shards > 0:
+		control, err = d.tree()
+	case opts.StandbyOf != "":
+		control, err = d.standby()
+	default:
+		control, err = d.flat()
+	}
+	if err == nil {
+		err = d.serve(control)
+	}
+	if err != nil {
+		d.Close()
+		return nil, err
+	}
+	// The loops start last: promotion swaps what d.srv serves.
+	if d.haNode != nil {
+		// Leaves a healthy primary two spare renewals per term.
+		d.every(max(opts.leaseTTL()/3, time.Millisecond), d.heartbeat)
+	}
+	if d.shTree != nil && opts.Aggregator > 0 {
+		// Each pass re-divides the datacenter budget from the leaves'
+		// latest demand summaries, so caps follow load between dcmctl
+		// interventions.
+		d.every(opts.Aggregator, func() {
+			if _, err := d.shTree.Rebalance(opts.Budget); err != nil {
+				logf("dcmd: budget cascade: %v", err)
+			}
+		})
+		logf("dcmd: cascading %.0f W across %d leaves every %v", opts.Budget, opts.Shards, opts.Aggregator)
+	}
+	return d, nil
+}
+
+// newManager builds a manager the way every shape needs one: tuned from
+// the flags, on the shared telemetry, journaling into dir ("" = not at
+// all) and holding the -tiers presets.
+func (d *daemon) newManager(dir string) (*dcm.Manager, error) {
+	mgr := dcm.NewManager(d.dial)
+	d.opts.tune(mgr)
+	mgr.SetTelemetry(d.reg, d.trace)
+	if dir != "" {
+		if err := mgr.OpenStateDir(dir); err != nil {
 			mgr.Close()
 			return nil, err
 		}
 		if n := len(mgr.Nodes()); n > 0 {
-			logf("dcmd: restored %d node(s) from %s; reconciling caps on the next poll", n, opts.StateDir)
+			d.logf("dcmd: restored %d node(s) from %s; reconciling caps on the next poll", n, dir)
 		}
 	}
 	// After the state dir, so presets reach restored nodes immediately
 	// (nodes registering later pick their preset up at AddNode).
-	if opts.Tiers != "" {
-		if err := applyTiers(mgr, opts.Tiers); err != nil {
-			mgr.Close()
-			return nil, err
-		}
+	if err := applyTiers(mgr, d.opts.Tiers); err != nil {
+		mgr.Close()
+		return nil, err
 	}
+	return mgr, nil
+}
 
-	var node *dcm.HANode
-	if opts.haEnabled() {
-		// Primary side of an HA pair: take the lease before actuating
-		// anything. Losing the race means a live primary already leads —
-		// this process was misconfigured (it should be the standby), so
-		// refuse to start rather than sit in a role the operator did not
-		// ask for.
-		node = &dcm.HANode{
-			ID:    opts.haID(),
-			Lease: store.NewLeaseFile(opts.leasePath()),
-			TTL:   opts.leaseTTL(),
-			Mgr:   mgr,
-		}
-		// Re-stamp the store's replication generation at every promotion
-		// — first and any later self-lapse re-promotion. The generation
-		// combines the fencing epoch with the state dir's open counter
-		// (SetGenForEpoch), so even a crash-restart that live-renews the
-		// same epoch yields a fresh generation and a standby resuming
-		// across any leadership or process boundary renegotiates from a
-		// snapshot instead of splicing incarnations.
-		node.OnPromote = func(epoch uint64) {
-			if st := mgr.Store(); st != nil {
-				st.SetGenForEpoch(epoch)
+// lead makes mgr an acting manager: arm its budget, start polling, and
+// serve the replication feed when -replica-addr is set. budget/group
+// are the -budget/-group flags at a cold start, where the command line
+// is the operator's newest word and wins over a journaled budget. A
+// promoting standby passes none and re-arms only the journaled budget:
+// that is what the deposed primary was enforcing, and dcmctl may have
+// changed it since either member's flags were written. A start without
+// the flags does the same, so a restart never silently drops the
+// fleet's power budget.
+func (d *daemon) lead(mgr *dcm.Manager, budget float64, group string) error {
+	if budget > 0 && group != "" {
+		names := strings.Split(group, ",")
+		mgr.StartAutoBalance(budget, names, d.opts.Rebalance)
+		d.logf("dcmd: auto-balancing %.0f W across %v every %v", budget, names, d.opts.Rebalance)
+	} else if watts, names, interval, ok := mgr.RestoredBudget(); ok {
+		mgr.StartAutoBalance(watts, names, interval)
+		d.logf("dcmd: restored auto-balance of %.0f W across %v every %v", watts, names, interval)
+	}
+	mgr.StartPolling(d.opts.Poll)
+	if d.opts.ReplicaAddr == "" {
+		return nil
+	}
+	rs := store.NewReplServer(mgr.Store())
+	raddr, err := rs.Listen(d.opts.ReplicaAddr)
+	if err != nil {
+		return fmt.Errorf("dcmd: replica listen: %w", err)
+	}
+	d.replSrv, d.ReplAddr = rs, raddr
+	d.logf("dcmd: serving replication feed on %s", raddr)
+	return nil
+}
+
+// every runs fn on its interval until the daemon stops.
+func (d *daemon) every(interval time.Duration, fn func()) {
+	d.loops.Add(1)
+	go func() {
+		defer d.loops.Done()
+		t := time.NewTicker(interval)
+		defer t.Stop()
+		for {
+			select {
+			case <-d.stop:
+				return
+			case <-t.C:
+				fn()
 			}
 		}
-		role, err := node.Start()
+	}()
+}
+
+// serve listens for the control plane and, with -metrics-addr, for
+// /metrics + /trace.
+func (d *daemon) serve(control dcm.Control) error {
+	d.srv = dcm.NewServer(control)
+	addr, err := d.srv.Listen(d.opts.Listen)
+	if err != nil {
+		return fmt.Errorf("dcmd: listen: %w", err)
+	}
+	d.ControlAddr = addr
+	if d.opts.MetricsAddr == "" {
+		return nil
+	}
+	ln, err := net.Listen("tcp", d.opts.MetricsAddr)
+	if err != nil {
+		return fmt.Errorf("dcmd: metrics listen: %w", err)
+	}
+	d.MetricsAddr = ln.Addr().String()
+	d.httpSrv = &http.Server{Handler: telemetry.Handler(d.reg, d.trace)}
+	go d.httpSrv.Serve(ln)
+	d.logf("dcmd: metrics on http://%s/metrics, trace on /trace", d.MetricsAddr)
+	return nil
+}
+
+// flat is the one-manager shape, alone or as the primary of an HA pair.
+func (d *daemon) flat() (dcm.Control, error) {
+	mgr, err := d.newManager(d.opts.StateDir)
+	if err != nil {
+		return nil, err
+	}
+	d.mgr = mgr
+	if d.haNode != nil {
+		// Take the lease before actuating anything. Losing the race means
+		// a live primary already leads — this process was misconfigured
+		// (it should be the standby), so refuse to start rather than sit
+		// in a role the operator did not ask for.
+		d.haNode.Mgr = mgr
+		role, err := d.haNode.Start()
 		if err != nil {
-			mgr.Close()
 			return nil, fmt.Errorf("dcmd: lease: %w", err)
 		}
 		if role != dcm.RolePrimary {
-			mgr.Close()
-			return nil, fmt.Errorf("dcmd: lease %s is held by another live primary; start this member with -standby-of", opts.leasePath())
+			return nil, fmt.Errorf("dcmd: lease %s is held by another live primary; start this member with -standby-of", d.opts.leasePath())
 		}
-		logf("dcmd: primary at epoch %d (lease %s)", mgr.Epoch(), opts.leasePath())
+		d.logf("dcmd: primary at epoch %d (lease %s)", mgr.Epoch(), d.opts.leasePath())
 	}
-	mgr.StartPolling(opts.Poll)
-	switch {
-	case opts.Budget > 0 && opts.Group != "":
-		names := strings.Split(opts.Group, ",")
-		mgr.StartAutoBalance(opts.Budget, names, opts.Rebalance)
-		logf("dcmd: auto-balancing %.0f W across %v every %v", opts.Budget, names, opts.Rebalance)
-	default:
-		// No budget on the command line: re-arm the one the state dir
-		// holds, if any — a restart must not silently drop the fleet's
-		// power budget.
-		if watts, names, interval, ok := mgr.RestoredBudget(); ok {
-			mgr.StartAutoBalance(watts, names, interval)
-			logf("dcmd: restored auto-balance of %.0f W across %v every %v", watts, names, interval)
-		}
-	}
+	return mgr, d.lead(mgr, d.opts.Budget, d.opts.Group)
+}
 
-	srv := dcm.NewServer(mgr)
-	addr, err := srv.Listen(opts.Listen)
+// standby is the hot-standby member of an HA pair: it opens its own
+// state dir as a replica of the primary's journal, pulls the feed over
+// TCP, and serves only read-side ops ("leader", "nodes", "trace") until
+// the primary's lease lapses — at which point promote builds the real
+// manager from the replicated state and takes over the fleet.
+func (d *daemon) standby() (dcm.Control, error) {
+	st, err := store.Open(d.opts.StateDir)
 	if err != nil {
-		mgr.Close()
-		return nil, fmt.Errorf("dcmd: listen: %w", err)
+		return nil, fmt.Errorf("dcmd: opening replica state dir: %w", err)
 	}
-	d := &daemon{
-		mgr: mgr, srv: srv, reg: reg, trace: trace,
-		ControlAddr: addr,
-		opts:        opts, dial: dial, logf: logf,
-		haNode: node,
+	d.replicaSt = st
+	// Recover the persisted resume point, if any: a restarted standby
+	// picks replication back up at its cursor, and its non-zero
+	// generation marks it synced enough to contend for the lease even
+	// when the primary never comes back.
+	d.rep = store.RecoverReplica(st, d.opts.StateDir)
+	if g, c := d.rep.Gen(), d.rep.Cursor(); g != 0 {
+		d.logf("dcmd: standby resuming replication at gen %d cursor %d", g, c)
 	}
-
-	if opts.ReplicaAddr != "" {
-		rs := store.NewReplServer(mgr.Store())
-		raddr, err := rs.Listen(opts.ReplicaAddr)
-		if err != nil {
-			d.Close()
-			return nil, fmt.Errorf("dcmd: replica listen: %w", err)
-		}
-		d.replSrv = rs
-		d.ReplAddr = raddr
-		logf("dcmd: serving replication feed on %s", raddr)
-	}
-	if node != nil {
-		d.startHeartbeat(opts.leaseTTL())
-	}
-
-	if err := d.serveMetrics(opts, logf); err != nil {
-		d.Close()
+	// A placeholder manager serves the control plane while standing by:
+	// it knows no nodes and refuses every mutation (RoleStandby), but
+	// answers "leader" so operators can see who to talk to.
+	mgr, err := d.newManager("")
+	if err != nil {
 		return nil, err
 	}
-	return d, nil
+	mgr.SetFencing(dcm.RoleStandby, 0)
+	d.mgr, d.haNode.Mgr = mgr, mgr
+	d.replClient = store.NewReplClient(d.opts.StandbyOf, d.rep)
+	d.replClient.Start()
+	d.logf("dcmd: standby of %s (lease %s); replicating into %s", d.opts.StandbyOf, d.opts.leasePath(), d.opts.StateDir)
+	return mgr, nil
+}
+
+// promote is every HA member's OnPromote hook (called from start or the
+// heartbeat once HANode holds the lease and has fenced d.mgr). A
+// standby's first promotion seals the replicated journal, rebuilds a
+// real manager over it, re-announces the new epoch to every node, has
+// it lead, and swaps it into the control plane.
+func (d *daemon) promote(epoch uint64) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	mgr := d.mgr
+	if d.replicaSt != nil && !d.closed {
+		d.replClient.Stop()
+		d.replicaSt.Close() // compacts: the state dir reopens from one clean snapshot
+		d.replicaSt = nil
+		// Drop the replication resume claim: from here the dir journals this
+		// member's own records, and resuming the old claim into a later
+		// standby lifetime could splice that history into a session.
+		if err := store.ClearReplicaMeta(d.opts.StateDir); err != nil {
+			d.logf("dcmd: promotion: clearing replica resume point: %v", err)
+		}
+		var err error
+		if mgr, err = d.newManager(d.opts.StateDir); err != nil {
+			// The replicated journal would not reopen: stay a fenced
+			// placeholder rather than lead with no state. The lease is held,
+			// so the fleet is headless until an operator intervenes — but
+			// caps keep being enforced by the nodes themselves.
+			d.logf("dcmd: promotion at epoch %d failed reopening %s: %v", epoch, d.opts.StateDir, err)
+			return
+		}
+		mgr.SetFencing(dcm.RolePrimary, epoch)
+	}
+	// Re-stamp the store's replication generation at every promotion —
+	// first and any later self-lapse re-promotion. The generation
+	// combines the fencing epoch with the state dir's open counter
+	// (SetGenForEpoch), so even a crash-restart that live-renews the same
+	// epoch yields a fresh generation and a standby resuming across any
+	// leadership or process boundary renegotiates from a snapshot instead
+	// of splicing incarnations.
+	if st := mgr.Store(); st != nil {
+		st.SetGenForEpoch(epoch)
+	}
+	if mgr == d.mgr {
+		return // no rebuild: HANode already re-fenced and re-announced d.mgr
+	}
+	if err := mgr.AnnounceEpoch(); err != nil {
+		// Unreachable nodes miss the announce now; reconciliation
+		// re-pushes (and thereby fences) them as they return.
+		d.logf("dcmd: promotion: announcing epoch %d: %v", epoch, err)
+	}
+	if err := d.lead(mgr, 0, ""); err != nil {
+		d.logf("dcmd: promotion: %v", err)
+	}
+	placeholder := d.mgr
+	d.mgr, d.haNode.Mgr = mgr, mgr
+	d.srv.SetControl(mgr)
+	placeholder.Close()
+	d.logf("dcmd: promoted to primary at epoch %d", epoch)
+}
+
+// heartbeat drives the lease state machine one step.
+func (d *daemon) heartbeat() {
+	// A never-synced standby must not seize the lease: promoting before
+	// the first snapshot frame lands would lead an empty fleet while the
+	// real one runs headless. A restarted standby that recovered its
+	// replicated journal carries a non-zero generation
+	// (store.RecoverReplica) and so still contends — its local state is
+	// the fleet's best surviving copy.
+	if d.rep != nil && d.haNode.Mgr.Role() == dcm.RoleStandby && d.rep.Gen() == 0 {
+		return
+	}
+	changed, err := d.haNode.Tick()
+	if err != nil {
+		d.logf("dcmd: lease: %v", err)
+	}
+	if changed {
+		m := d.haNode.Mgr
+		d.logf("dcmd: now %s at epoch %d", m.Role(), m.Epoch())
+	}
 }
 
 // shardSeed fixes the aggregator's ring seed: determinism across
@@ -389,410 +591,78 @@ func start(opts options, dial dcm.Dialer, logf func(format string, args ...any))
 const shardSeed = 1
 
 // leafName names the i'th leaf manager of a sharded daemon. %02d keeps
-// lexical order equal to index order, which the snapshot-restore leaf
-// check relies on (hence the 99-leaf cap in startSharded).
+// lexical order equal to index order, which the snapshot leaf check
+// relies on (hence the 99-leaf cap in start).
 func leafName(i int) string { return fmt.Sprintf("leaf-%02d", i) }
 
-// startSharded brings dcmd up as a two-level control plane (DESIGN
-// §13): -shards leaf managers each own a consistent-hash shard of the
-// fleet, an aggregator tree routes control-plane ops to owners and
-// cascades the -budget across the leaves, and -state-dir journals both
-// the per-leaf registries (leaf-NN/) and the shard map (shardmap.snap)
-// so a restarted daemon resumes ownership exactly where it left off.
-func startSharded(opts options, dial dcm.Dialer, logf func(format string, args ...any), reg *telemetry.Registry, trace *telemetry.Trace) (*daemon, error) {
-	switch {
-	case opts.haEnabled():
-		return nil, fmt.Errorf("dcmd: -shards is incompatible with -replica-addr/-standby-of (the sharded tree is its own availability story)")
-	case opts.Group != "":
-		return nil, fmt.Errorf("dcmd: -group has no meaning under -shards (the budget group is the whole tree)")
-	case opts.Aggregator > 0 && opts.Budget <= 0:
-		return nil, fmt.Errorf("dcmd: -aggregator needs -budget (the cascade divides the datacenter budget)")
-	case opts.Shards > 99:
-		return nil, fmt.Errorf("dcmd: -shards %d: at most 99 leaves", opts.Shards)
-	}
-
-	mgrs := make([]*dcm.Manager, opts.Shards)
-	closeAll := func() {
-		for _, m := range mgrs {
-			if m != nil {
-				m.Close()
-			}
-		}
-	}
-	for i := range mgrs {
-		mgr := dcm.NewManager(dial)
-		opts.tune(mgr)
-		mgr.SetTelemetry(reg, trace)
-		if opts.StateDir != "" {
-			if err := mgr.OpenStateDir(filepath.Join(opts.StateDir, leafName(i))); err != nil {
-				closeAll()
-				return nil, err
-			}
-		}
-		if opts.Tiers != "" {
-			// Every leaf holds every preset; only the owner's copy is
-			// consulted when the node registers.
-			if err := applyTiers(mgr, opts.Tiers); err != nil {
-				closeAll()
-				return nil, err
-			}
-		}
-		mgrs[i] = mgr
-	}
-
-	tree, err := buildTree(opts, mgrs, logf)
-	if err != nil {
-		closeAll()
-		return nil, err
-	}
-	for _, mgr := range mgrs {
-		mgr.StartPolling(opts.Poll)
-	}
-
-	srv := dcm.NewServer(nil)
-	srv.SetHandler(tree.HandleControl)
-	addr, err := srv.Listen(opts.Listen)
-	if err != nil {
-		closeAll()
-		return nil, fmt.Errorf("dcmd: listen: %w", err)
-	}
-	d := &daemon{
-		srv: srv, reg: reg, trace: trace,
-		ControlAddr: addr,
-		opts:        opts, dial: dial, logf: logf,
-		shTree: tree, shLeaves: mgrs,
-	}
-	if opts.Aggregator > 0 {
-		d.startAggregator(opts.Budget, opts.Aggregator)
-		logf("dcmd: cascading %.0f W across %d leaves every %v", opts.Budget, opts.Shards, opts.Aggregator)
-	}
-	if err := d.serveMetrics(opts, logf); err != nil {
-		d.Close()
-		return nil, err
-	}
-	logf("dcmd: aggregator over %d leaf shard(s) at epoch %d", opts.Shards, tree.Epoch())
-	return d, nil
-}
-
-// buildTree restores the aggregator from the journaled shard map when
-// one is present and names the same leaves, and otherwise builds a
-// fresh ring — re-registering through it any nodes the leaf journals
-// carried, so a daemon that lost only shardmap.snap still comes back
-// owning its fleet.
-func buildTree(opts options, mgrs []*dcm.Manager, logf func(format string, args ...any)) (*shard.Tree, error) {
-	var snapPath string
+// tree is the two-level shape (DESIGN §13): -shards leaf managers each
+// own a consistent-hash shard of the fleet, an aggregator tree routes
+// control-plane ops to owners and cascades the -budget across the
+// leaves, and -state-dir journals both the per-leaf registries
+// (leaf-NN/) and the shard map (shardmap.snap) so a restarted daemon
+// resumes ownership exactly where it left off.
+func (d *daemon) tree() (dcm.Control, error) {
+	opts, snapPath := d.opts, ""
 	if opts.StateDir != "" {
 		snapPath = shard.SnapshotPathIn(opts.StateDir)
-		if st, err := shard.LoadSnapshot(snapPath); err == nil {
-			t, rerr := restoreTree(st, snapPath, mgrs, logf)
-			if rerr == nil {
-				logf("dcmd: restored shard map: %d node(s) across %d leaves at epoch %d", len(st.Nodes), len(st.Leaves), t.Epoch())
-				return t, nil
-			}
-			logf("dcmd: shard map %s not restorable (%v); rebuilding the ring", snapPath, rerr)
-		} else if !errors.Is(err, fs.ErrNotExist) {
-			logf("dcmd: shard map %s unreadable (%v); rebuilding the ring", snapPath, err)
-		}
 	}
-
-	t := shard.NewTree(shardSeed, 0, nil, snapPath)
-	// Collect whatever the leaf journals restored before joining the
-	// leaves: ownership must come from the fresh ring, not from which
-	// journal happened to hold the node.
-	var orphans []shard.NodeInfo
-	for i, mgr := range mgrs {
-		for _, st := range mgr.Nodes() {
-			orphans = append(orphans, shard.NodeInfo{Name: st.Name, Addr: st.Addr, ID: shard.NodeID(st.Name)})
-			_ = mgr.RemoveNode(st.Name)
+	// A fresh ring is the empty shard map over this daemon's leaves.
+	fresh := shard.TreeState{Seed: shardSeed}
+	live := make(map[string]*dcm.Manager, opts.Shards)
+	for i := 0; i < opts.Shards; i++ {
+		dir := ""
+		if opts.StateDir != "" {
+			dir = filepath.Join(opts.StateDir, leafName(i))
 		}
-		if _, err := t.AddLeaf(leafName(i), mgr); err != nil {
+		// Every leaf holds every -tiers preset; only the owner's copy is
+		// consulted when the node registers.
+		mgr, err := d.newManager(dir)
+		if err != nil {
 			return nil, err
 		}
+		d.shLeaves = append(d.shLeaves, mgr)
+		live[leafName(i)] = mgr
+		fresh.Leaves = append(fresh.Leaves, shard.LeafRecord{Name: leafName(i)})
 	}
-	sort.Slice(orphans, func(i, j int) bool { return orphans[i].Name < orphans[j].Name })
-	for _, n := range orphans {
-		// Per-node, tolerating failures: a node that is down right now
-		// re-registers when the operator re-adds it.
-		if err := t.AddNode(n.Name, n.Addr, n.ID); err != nil {
-			logf("dcmd: re-registering journaled node %s: %v", n.Name, err)
+	// Resume from the journaled shard map when it names these leaves.
+	st := fresh
+	if snapPath != "" {
+		snap, err := shard.LoadSnapshot(snapPath)
+		if err == nil && !slices.EqualFunc(snap.Leaves, fresh.Leaves, func(a, b shard.LeafRecord) bool { return a.Name == b.Name }) {
+			err = fmt.Errorf("snapshot's %d leaves are not the %d that -shards names", len(snap.Leaves), opts.Shards)
 		}
-	}
-	return t, nil
-}
-
-// restoreTree rebuilds the aggregator from a decoded shard map and
-// re-binds this process's leaf managers to it.
-func restoreTree(st shard.TreeState, snapPath string, mgrs []*dcm.Manager, logf func(format string, args ...any)) (*shard.Tree, error) {
-	if len(st.Leaves) != len(mgrs) {
-		return nil, fmt.Errorf("snapshot has %d leaves, -shards is %d", len(st.Leaves), len(mgrs))
-	}
-	for i, l := range st.Leaves {
-		if l.Name != leafName(i) {
-			return nil, fmt.Errorf("snapshot leaf %q is not %s", l.Name, leafName(i))
+		switch {
+		case err == nil:
+			st = snap
+			d.logf("dcmd: restoring shard map: %d node(s) across %d leaves at epoch %d", len(st.Nodes), len(st.Leaves), st.Epoch)
+		case !errors.Is(err, fs.ErrNotExist):
+			d.logf("dcmd: shard map %s not restorable (%v); rebuilding the ring", snapPath, err)
 		}
 	}
 	t, err := shard.NewTreeFromState(st, nil, snapPath)
 	if err != nil {
 		return nil, err
 	}
-	known := make(map[string]map[string]bool, len(mgrs))
-	for i, mgr := range mgrs {
-		if err := t.Attach(leafName(i), mgr); err != nil {
-			// Attach reconciles map-owned nodes into the manager and
-			// reports per-node registration failures while the attachment
-			// itself stands; only a failed bind aborts the restore.
-			if t.Leaf(leafName(i)) == nil {
-				return nil, err
-			}
-			logf("dcmd: reconciling leaf %s on attach: %v", leafName(i), err)
-		}
-		set := make(map[string]bool)
-		for _, ns := range mgr.Nodes() {
-			set[ns.Name] = true
-		}
-		known[leafName(i)] = set
+	// Re-bind the leaves exactly as an aggregator restart does (the
+	// procedure chaos leaf-crash proves). The shard map and the leaf
+	// journals commit independently, so a crash can wedge them apart:
+	// Rebind re-registers map-owned nodes a leaf journal lost and
+	// re-routes journal-only nodes through the ring — every journaled
+	// node, when the map is fresh, so a daemon that lost only
+	// shardmap.snap still comes back owning its fleet. Per-node failures
+	// are tolerated: a node that is down right now re-registers when the
+	// operator re-adds it.
+	if _, err := t.Rebind(live); err != nil {
+		d.logf("dcmd: re-binding leaves to the shard map: %v", err)
 	}
-	// The shard map and the leaf journals commit independently, so a
-	// crash can wedge them apart. Map-owned nodes a leaf journal lost
-	// re-register with their recorded owner; journal-only nodes the map
-	// never heard of re-route through the ring under fresh ownership.
-	for _, n := range st.Nodes {
-		if known[n.Owner][n.Name] {
-			continue
-		}
-		if mgr := t.Leaf(n.Owner); mgr != nil {
-			if err := mgr.AddNode(n.Name, n.Addr); err != nil {
-				logf("dcmd: reconciling shard-map node %s onto %s: %v", n.Name, n.Owner, err)
-			}
+	for _, mgr := range d.shLeaves {
+		if err := d.lead(mgr, 0, ""); err != nil {
+			return nil, err
 		}
 	}
-	for i, mgr := range mgrs {
-		for _, ns := range mgr.Nodes() {
-			if _, owned := t.Owner(ns.Name); owned {
-				continue
-			}
-			_ = mgr.RemoveNode(ns.Name)
-			if err := t.AddNode(ns.Name, ns.Addr, shard.NodeID(ns.Name)); err != nil {
-				logf("dcmd: adopting journal-only node %s from %s: %v", ns.Name, leafName(i), err)
-			}
-		}
-	}
+	d.shTree = t
+	d.logf("dcmd: aggregator over %d leaf shard(s) at epoch %d", opts.Shards, t.Epoch())
 	return t, nil
-}
-
-// startAggregator runs the budget cascade on its interval. Each pass
-// re-divides the datacenter budget from the leaves' latest demand
-// summaries, so caps follow load between dcmctl interventions.
-func (d *daemon) startAggregator(budget float64, every time.Duration) {
-	stop := make(chan struct{})
-	d.aggStop = stop
-	d.aggWG.Add(1)
-	go func() {
-		defer d.aggWG.Done()
-		t := time.NewTicker(every)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-			}
-			if _, err := d.shTree.Rebalance(budget); err != nil {
-				d.logf("dcmd: budget cascade: %v", err)
-			}
-		}
-	}()
-}
-
-// startStandby brings the daemon up as the hot-standby member of an HA
-// pair: it opens its own state dir as a replica of the primary's
-// journal, pulls the feed over TCP, and serves only read-side ops
-// ("leader", "nodes", "trace") until the primary's lease lapses — at
-// which point promote builds the real manager from the replicated
-// state and takes over the fleet.
-func startStandby(opts options, dial dcm.Dialer, logf func(format string, args ...any), reg *telemetry.Registry, trace *telemetry.Trace) (*daemon, error) {
-	st, err := store.Open(opts.StateDir)
-	if err != nil {
-		return nil, fmt.Errorf("dcmd: opening replica state dir: %w", err)
-	}
-	// Recover the persisted resume point, if any: a restarted standby
-	// picks replication back up at its cursor, and its non-zero
-	// generation marks it synced enough to contend for the lease even
-	// when the primary never comes back.
-	rep := store.RecoverReplica(st, opts.StateDir)
-	if g, c := rep.Gen(), rep.Cursor(); g != 0 {
-		logf("dcmd: standby resuming replication at gen %d cursor %d", g, c)
-	}
-	rc := store.NewReplClient(opts.StandbyOf, rep)
-
-	// A placeholder manager serves the control plane while standing by:
-	// it knows no nodes and refuses every mutation (RoleStandby), but
-	// answers "leader" so operators can see who to talk to.
-	mgr := dcm.NewManager(dial)
-	opts.tune(mgr)
-	mgr.SetTelemetry(reg, trace)
-	mgr.SetFencing(dcm.RoleStandby, 0)
-
-	srv := dcm.NewServer(mgr)
-	addr, err := srv.Listen(opts.Listen)
-	if err != nil {
-		mgr.Close()
-		st.Close()
-		return nil, fmt.Errorf("dcmd: listen: %w", err)
-	}
-	d := &daemon{
-		mgr: mgr, srv: srv, reg: reg, trace: trace,
-		ControlAddr: addr,
-		opts:        opts, dial: dial, logf: logf,
-		replClient: rc, rep: rep, replicaSt: st,
-	}
-	d.haNode = &dcm.HANode{
-		ID:        opts.haID(),
-		Lease:     store.NewLeaseFile(opts.leasePath()),
-		TTL:       opts.leaseTTL(),
-		Mgr:       mgr,
-		OnPromote: d.promote,
-	}
-	rc.Start()
-	d.startHeartbeat(opts.leaseTTL())
-	logf("dcmd: standby of %s (lease %s); replicating into %s", opts.StandbyOf, opts.leasePath(), opts.StateDir)
-
-	if err := d.serveMetrics(opts, logf); err != nil {
-		d.Close()
-		return nil, err
-	}
-	return d, nil
-}
-
-// promote is the standby's OnPromote hook (called from the heartbeat
-// goroutine once HANode has taken the lease and fenced the placeholder
-// manager). It seals the replicated journal, rebuilds a real manager
-// over it, re-announces the new epoch to every node, re-arms the
-// journaled budget, and swaps it into the control plane.
-func (d *daemon) promote(epoch uint64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.replicaSt == nil || d.closed {
-		// Already promoted (a later self-lapse re-promotion needs no
-		// rebuild — HANode re-fenced and re-announced the real manager),
-		// or shutting down.
-		if d.mgr != nil {
-			if st := d.mgr.Store(); st != nil {
-				st.SetGenForEpoch(epoch)
-			}
-		}
-		return
-	}
-	d.replClient.Stop()
-	st := d.replicaSt
-	d.replicaSt = nil
-	st.Close() // compacts: the state dir reopens from one clean snapshot
-	// Drop the replication resume claim: from here the dir journals this
-	// member's own records, and resuming the old claim into a later
-	// standby lifetime could splice that history into a session.
-	if err := store.ClearReplicaMeta(d.opts.StateDir); err != nil {
-		d.logf("dcmd: promotion: clearing replica resume point: %v", err)
-	}
-
-	real := dcm.NewManager(d.dial)
-	d.opts.tune(real)
-	real.SetTelemetry(d.reg, d.trace)
-	if err := real.OpenStateDir(d.opts.StateDir); err != nil {
-		// The replicated journal would not reopen: stay a fenced
-		// placeholder rather than lead with no state. The lease is held,
-		// so the fleet is headless until an operator intervenes — but
-		// caps keep being enforced by the nodes themselves.
-		d.logf("dcmd: promotion at epoch %d failed reopening %s: %v", epoch, d.opts.StateDir, err)
-		real.Close()
-		return
-	}
-	real.SetFencing(dcm.RolePrimary, epoch)
-	real.Store().SetGenForEpoch(epoch)
-	if err := real.AnnounceEpoch(); err != nil {
-		// Unreachable nodes miss the announce now; reconciliation
-		// re-pushes (and thereby fences) them as they return.
-		d.logf("dcmd: promotion: announcing epoch %d: %v", epoch, err)
-	}
-	if watts, names, interval, ok := real.RestoredBudget(); ok {
-		real.StartAutoBalance(watts, names, interval)
-		d.logf("dcmd: re-armed auto-balance of %.0f W across %v every %v", watts, names, interval)
-	}
-	real.StartPolling(d.opts.Poll)
-
-	placeholder := d.mgr
-	d.mgr = real
-	d.haNode.Mgr = real
-	d.srv.SetManager(real)
-	placeholder.Close()
-
-	if d.opts.ReplicaAddr != "" {
-		rs := store.NewReplServer(real.Store())
-		if raddr, err := rs.Listen(d.opts.ReplicaAddr); err != nil {
-			d.logf("dcmd: promotion: replica listen: %v", err)
-		} else {
-			d.replSrv = rs
-			d.ReplAddr = raddr
-		}
-	}
-	d.logf("dcmd: promoted to primary at epoch %d", epoch)
-}
-
-// startHeartbeat drives the lease state machine at a cadence that
-// leaves a healthy primary two spare renewals per term.
-func (d *daemon) startHeartbeat(ttl time.Duration) {
-	tick := ttl / 3
-	if tick <= 0 {
-		tick = time.Millisecond
-	}
-	stop := make(chan struct{})
-	d.hbStop = stop
-	d.hbWG.Add(1)
-	go func() {
-		defer d.hbWG.Done()
-		t := time.NewTicker(tick)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-			}
-			// A never-synced standby must not seize the lease: promoting
-			// before the first snapshot frame lands would lead an empty
-			// fleet while the real one runs headless. A restarted standby
-			// that recovered its replicated journal carries a non-zero
-			// generation (store.RecoverReplica) and so still contends —
-			// its local state is the fleet's best surviving copy.
-			if d.rep != nil && d.haNode.Mgr.Role() == dcm.RoleStandby && d.rep.Gen() == 0 {
-				continue
-			}
-			changed, err := d.haNode.Tick()
-			if err != nil {
-				d.logf("dcmd: lease: %v", err)
-			}
-			if changed {
-				m := d.haNode.Mgr
-				d.logf("dcmd: now %s at epoch %d", m.Role(), m.Epoch())
-			}
-		}
-	}()
-}
-
-// serveMetrics starts the optional /metrics + /trace HTTP listener.
-func (d *daemon) serveMetrics(opts options, logf func(format string, args ...any)) error {
-	if opts.MetricsAddr == "" {
-		return nil
-	}
-	ln, err := net.Listen("tcp", opts.MetricsAddr)
-	if err != nil {
-		return fmt.Errorf("dcmd: metrics listen: %w", err)
-	}
-	d.httpLn = ln
-	d.MetricsAddr = ln.Addr().String()
-	d.httpSrv = &http.Server{Handler: telemetry.Handler(d.reg, d.trace)}
-	go d.httpSrv.Serve(ln)
-	logf("dcmd: metrics on http://%s/metrics, trace on /trace", d.MetricsAddr)
-	return nil
 }
 
 // applyTiers parses the -tiers flag ("NAME=high,NAME2=low") into tier
@@ -823,11 +693,7 @@ func applyTiers(mgr *dcm.Manager, spec string) error {
 // the TTL, replication winds down, and Close compacts the journal into
 // one clean snapshot (Manager.Close → Store.Close).
 func (d *daemon) Shutdown() {
-	if d.hbStop != nil {
-		close(d.hbStop)
-		d.hbWG.Wait()
-		d.hbStop = nil
-	}
+	d.stopLoops()
 	if d.haNode != nil {
 		if err := d.haNode.StepDown(); err != nil {
 			d.logf("dcmd: releasing lease: %v", err)
@@ -836,9 +702,15 @@ func (d *daemon) Shutdown() {
 	d.Close()
 }
 
-// Close tears the daemon down (HTTP and replication first, then the
-// control plane, then the manager and its pollers). Idempotent, and
-// safe on a daemon that never finished starting. Unlike Shutdown it
+// stopLoops ends the every() loops and waits for them. Idempotent.
+func (d *daemon) stopLoops() {
+	d.stopOnce.Do(func() { close(d.stop) })
+	d.loops.Wait()
+}
+
+// Close tears the daemon down (loops, HTTP and replication first, then
+// the control plane, then the managers and their pollers). Idempotent,
+// and safe on a daemon that never finished starting. Unlike Shutdown it
 // does not touch the lease: a SIGKILL'd or crashed primary leaves its
 // lease to expire, and Close models every non-graceful path.
 func (d *daemon) Close() {
@@ -852,16 +724,7 @@ func (d *daemon) Close() {
 	d.replicaSt = nil
 	d.mu.Unlock()
 
-	if d.hbStop != nil {
-		close(d.hbStop)
-		d.hbWG.Wait()
-		d.hbStop = nil
-	}
-	if d.aggStop != nil {
-		close(d.aggStop)
-		d.aggWG.Wait()
-		d.aggStop = nil
-	}
+	d.stopLoops()
 	if d.replClient != nil {
 		d.replClient.Stop()
 	}

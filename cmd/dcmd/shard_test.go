@@ -155,6 +155,58 @@ func TestShardedDaemonRestartRestoresOwnership(t *testing.T) {
 	}
 }
 
+// TestShardedDaemonRestartWithChangedShards: a shard map that names
+// other leaves than -shards does is not restorable; the daemon rebuilds
+// the ring and re-registers through it every node the leaf journals
+// carried, so the whole fleet is still listed and owned exactly once.
+func TestShardedDaemonRestartWithChangedShards(t *testing.T) {
+	addrs := startBMCs(t, 4)
+	opts := shardedOpts(t.TempDir())
+	d, err := start(opts, nil, func(string, ...any) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, a := range addrs {
+		if resp := d.srv.Handle(dcm.Request{Op: "add", Name: fmt.Sprintf("n%d", i), Addr: a}); resp.Error != "" {
+			t.Fatalf("add n%d: %s", i, resp.Error)
+		}
+	}
+	d.Close()
+
+	opts.Shards = 3
+	d2, err := start(opts, nil, func(string, ...any) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	resp := d2.srv.Handle(dcm.Request{Op: "nodes"})
+	if len(resp.Nodes) != len(addrs) {
+		t.Fatalf("restart with -shards 3 lists %d of %d nodes: %+v", len(resp.Nodes), len(addrs), resp.Nodes)
+	}
+	resp = d2.srv.Handle(dcm.Request{Op: "shards"})
+	total := 0
+	for _, sh := range resp.Shards {
+		total += sh.Nodes
+	}
+	if len(resp.Shards) != 3 || total != len(addrs) {
+		t.Fatalf("rebuilt ring: %d leaves owning %d of %d nodes", len(resp.Shards), total, len(addrs))
+	}
+	for i := range addrs {
+		name := fmt.Sprintf("n%d", i)
+		owner, ok := d2.shTree.Owner(name)
+		if !ok {
+			t.Fatalf("no owner for %s after the rebuild", name)
+		}
+		for j, mgr := range d2.shLeaves {
+			for _, ns := range mgr.Nodes() {
+				if ns.Name == name && leafName(j) != owner {
+					t.Errorf("%s registered with %s but owned by %s", name, leafName(j), owner)
+				}
+			}
+		}
+	}
+}
+
 // TestShardedAggregatorLoop: with -aggregator the cascade runs without
 // operator pushes; each leaf eventually reports its granted budget.
 func TestShardedAggregatorLoop(t *testing.T) {

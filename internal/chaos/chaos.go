@@ -427,18 +427,10 @@ func Run(s Scenario) (Verdict, error) {
 	}
 	defer f.stop()
 	budget := f.budget
-	if f.sh != nil {
-		// Bulk registration: one shard-map persist for the whole fleet
-		// instead of one per node (O(n²) at datacenter scale).
-		if err := f.registerAllSharded(); err != nil {
-			return Verdict{}, err
-		}
-	} else {
-		for i := 0; i < s.Nodes; i++ {
-			if err := f.addNode(i); err != nil {
-				return Verdict{}, fmt.Errorf("chaos: registering node %d: %w", i, err)
-			}
-		}
+	// Bulk registration: one shard-map persist (sharded) or one
+	// Manager.Nodes() pass (solo/HA) for the whole fleet, not one per node.
+	if err := f.registerAll(); err != nil {
+		return Verdict{}, err
 	}
 	if s.HA {
 		// Arm the continuous balancing mode so the budget is journaled

@@ -404,24 +404,50 @@ func (f *Fleet) addNode(i int) error {
 	if f.mgr == nil {
 		return errors.New("chaos: manager crashed")
 	}
-	name := f.name(i)
-	if err := f.mgr.AddNode(name, f.nodeAddr(i)); err != nil {
+	if err := f.mgr.AddNode(f.name(i), f.nodeAddr(i)); err != nil {
 		return err
 	}
-	f.registered[i] = true
-	// Mirror the journaled record with the manager's own view, so
-	// float round-trips through the wire codec cannot skew the shadow.
-	for _, st := range f.mgr.Nodes() {
-		if st.Name == name {
-			f.meta[i] = nodeMeta{addr: st.Addr, min: st.MinCapWatts, max: st.MaxCapWatts}
-			f.shadow = append(f.shadow, store.Record{
-				Op: store.OpAddNode, Name: name,
-				Node: &store.NodeRecord{Addr: st.Addr, MinCapWatts: st.MinCapWatts, MaxCapWatts: st.MaxCapWatts},
-			})
-			return nil
+	return f.mirrorAdds(i, i+1)
+}
+
+// registerAll registers the whole solo/HA fleet and mirrors it with one
+// Manager.Nodes() pass — a lookup per node copies and sorts the whole
+// fleet N times over.
+func (f *Fleet) registerAll() error {
+	if f.sh != nil {
+		return f.registerAllSharded()
+	}
+	for i := 0; i < f.scenario.Nodes; i++ {
+		if err := f.mgr.AddNode(f.name(i), f.nodeAddr(i)); err != nil {
+			return fmt.Errorf("chaos: registering node %d: %w", i, err)
 		}
 	}
-	return fmt.Errorf("chaos: node %q missing after AddNode", name)
+	return f.mirrorAdds(0, f.scenario.Nodes)
+}
+
+// mirrorAdds marks sim nodes [lo, hi) registered and appends their
+// journaled add records in index order, from the manager's own view so
+// float round-trips through the wire codec cannot skew the shadow.
+func (f *Fleet) mirrorAdds(lo, hi int) error {
+	found := 0
+	for _, st := range f.mgr.Nodes() {
+		if i, ok := f.nameIdx[st.Name]; ok && i >= lo && i < hi {
+			f.meta[i] = nodeMeta{addr: st.Addr, min: st.MinCapWatts, max: st.MaxCapWatts}
+			found++
+		}
+	}
+	if found != hi-lo {
+		return fmt.Errorf("chaos: %d of nodes [%d,%d) missing after AddNode", hi-lo-found, lo, hi)
+	}
+	for i := lo; i < hi; i++ {
+		m := f.meta[i]
+		f.registered[i] = true
+		f.shadow = append(f.shadow, store.Record{
+			Op: store.OpAddNode, Name: f.name(i),
+			Node: &store.NodeRecord{Addr: m.addr, MinCapWatts: m.min, MaxCapWatts: m.max},
+		})
+	}
+	return nil
 }
 
 func (f *Fleet) removeNode(i int) error {

@@ -17,8 +17,11 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/verdict_*.json f
 // kernel, at the seeds and sizes CI's chaos-smoke job runs. Every
 // number in a verdict is downstream of the per-node control law, so
 // any drift of the law (or of the engine's noise draw order, policy
-// install or audit snapshots) fails here first. Rendered as cmd/chaos
-// prints it, so a golden can be diffed against a CLI run.
+// install or audit snapshots) fails here first. leaf_crash — the one
+// scenario with aggregator restarts — was recorded before the restart
+// procedure moved out of this harness into shard.Tree.Rebind, which
+// dcmd runs too. Rendered as cmd/chaos prints it, so a golden can be
+// diffed against a CLI run.
 func TestVerdictGolden(t *testing.T) {
 	cases := []struct {
 		file         string
@@ -33,6 +36,7 @@ func TestVerdictGolden(t *testing.T) {
 		{"shard_handoff", "shard-handoff", 7, 12, 1200, false},
 		{"failover_kill", "failover-kill", 1, 5, 1200, false},
 		{"latency_storm", "latency-storm", 6, 5, 1200, false},
+		{"leaf_crash", "leaf-crash", 3, 12, 1200, false},
 	}
 	for _, c := range cases {
 		t.Run(c.file, func(t *testing.T) {

@@ -279,33 +279,20 @@ func (f *Fleet) shardAggRestart(v *Verdict) error {
 	tree.BreakHandoff = f.scenario.BreakHandoff
 	tree.BreakAggregator = f.scenario.BreakAggregator
 	tree.SetTelemetry(f.trace)
-	byName := make(map[string]*shardLeaf, len(sh.leaves))
+	// Tree.Rebind is the restart procedure dcmd ships; here the leaves
+	// that crashed or stayed isolated are left out of live, so their
+	// shards are seized once every survivor is re-attached.
+	live := make(map[string]*dcm.Manager, len(sh.leaves))
 	for _, lf := range sh.leaves {
-		byName[lf.name] = lf
-	}
-	// Re-attach every survivor before seizing any casualty: a seize
-	// migrates the dead leaf's nodes to the surviving members, and the
-	// handoff can only fence and register through leaves that are
-	// already re-bound to their managers.
-	var dead []string
-	for _, name := range tree.Leaves() {
-		lf := byName[name]
-		if lf != nil && lf.mgr != nil && !lf.isolated && !lf.crashed {
-			if err := tree.Attach(name, lf.mgr); err != nil {
-				return fmt.Errorf("chaos: re-attaching %s: %w", name, err)
-			}
-			continue
+		if lf.mgr != nil && !lf.isolated && !lf.crashed {
+			live[lf.name] = lf.mgr
 		}
-		// Member in the snapshot but dead or isolated now: seize it.
-		dead = append(dead, name)
 	}
-	for _, name := range dead {
-		moved, err := tree.Seize(name)
-		if err != nil {
-			return fmt.Errorf("chaos: seizing %s after aggregator restart: %w", name, err)
-		}
-		v.Handoffs += moved
+	moved, err := tree.Rebind(live)
+	if err != nil {
+		return fmt.Errorf("chaos: re-binding leaves after aggregator restart: %w", err)
 	}
+	v.Handoffs += moved
 	sh.tree = tree
 	v.AggRestarts++
 	return nil

@@ -31,6 +31,7 @@ import (
 
 	"nodecap/internal/dcm/store"
 	"nodecap/internal/ipmi"
+	"nodecap/internal/pool"
 	"nodecap/internal/telemetry"
 )
 
@@ -793,18 +794,7 @@ func (m *Manager) Poll() {
 	// merely a stable starting schedule.
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i].name < nodes[j].name })
 
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for _, n := range nodes {
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(n *managedNode) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			m.pollNode(n, shed)
-		}(n)
-	}
-	wg.Wait()
+	pool.ForEach(len(nodes), workers, func(i int) { m.pollNode(nodes[i], shed) })
 	elapsed := m.wallNow().Sub(start)
 	tel.polls.Inc()
 	tel.pollSeconds.Observe(elapsed.Seconds())

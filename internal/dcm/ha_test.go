@@ -294,10 +294,10 @@ func TestServerLeaderOpAndEpochGate(t *testing.T) {
 		t.Fatalf("stale-epoch read refused: %+v", r)
 	}
 
-	// SetManager swaps the served manager (promotion in a daemon).
+	// SetControl swaps the served manager (promotion in a daemon).
 	m2 := fleet(map[string]*fakeBMC{})
 	m2.SetFencing(RoleStandby, 4)
-	s.SetManager(m2)
+	s.SetControl(m2)
 	if r = s.Handle(Request{Op: "leader"}); r.Role != "standby" {
 		t.Fatalf("leader after swap = %+v", r)
 	}

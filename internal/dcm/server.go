@@ -85,7 +85,17 @@ type ShardStatus struct {
 	Infeasible  bool    `json:"infeasible"`
 }
 
-// Server exposes a Manager over the control-plane protocol.
+// Control is what a Server serves: a flat *Manager, or a sharded
+// daemon's aggregator (*shard.Tree), which routes each op to the leaf
+// manager owning the node.
+type Control interface {
+	// HandleControl answers one request.
+	HandleControl(Request) Response
+	// Epoch is the fencing epoch mutating requests are checked against.
+	Epoch() uint64
+}
+
+// Server exposes a Control over the control-plane protocol.
 type Server struct {
 	// IdleTimeout bounds the wait for a client's next request (and
 	// the write of each response), so an idle or stalled dcmctl
@@ -94,52 +104,26 @@ type Server struct {
 	IdleTimeout time.Duration
 
 	mu       sync.Mutex
-	mgr      *Manager // swappable: a promoted standby installs its restored manager
-	handler  func(Request) Response
+	ctl      Control // swappable: a promoted standby installs its restored manager
 	listener net.Listener
 	conns    map[net.Conn]struct{}
 	closed   bool
 	wg       sync.WaitGroup
 }
 
-// NewServer wraps mgr.
-func NewServer(mgr *Manager) *Server {
-	return &Server{mgr: mgr, conns: make(map[net.Conn]struct{})}
+// NewServer serves ctl.
+func NewServer(ctl Control) *Server {
+	return &Server{ctl: ctl, conns: make(map[net.Conn]struct{})}
 }
 
-// SetManager swaps the served manager — how a standby daemon replaces
-// its placeholder manager with the one restored from the replicated
+// SetControl swaps what is served — how a standby daemon replaces its
+// placeholder manager with the one restored from the replicated
 // journal on promotion, without dropping client connections. An
-// in-flight request keeps the manager it already resolved.
-func (s *Server) SetManager(mgr *Manager) {
+// in-flight request keeps the control it already resolved.
+func (s *Server) SetControl(ctl Control) {
 	s.mu.Lock()
-	s.mgr = mgr
+	s.ctl = ctl
 	s.mu.Unlock()
-}
-
-// Manager returns the currently served manager.
-func (s *Server) Manager() *Manager {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.mgr
-}
-
-// SetHandler overrides request dispatch entirely: every request goes
-// to h instead of the wrapped manager. This is how a sharded daemon
-// serves the control plane from its aggregator (internal/shard), which
-// routes each op to the owning leaf manager — a single flat Manager
-// cannot answer for a tree. Set before Listen.
-func (s *Server) SetHandler(h func(Request) Response) {
-	s.mu.Lock()
-	s.handler = h
-	s.mu.Unlock()
-}
-
-// handlerFn reads the dispatch override.
-func (s *Server) handlerFn() func(Request) Response {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.handler
 }
 
 // Listen binds addr and serves until Close.
@@ -216,45 +200,50 @@ var mutatingOps = map[string]bool{
 }
 
 // Handle dispatches one request; exposed for in-process use and tests.
+// A mutating op carrying a client epoch that is not the served
+// control's is refused here, ahead of dispatch, so the check holds for
+// a flat manager and a sharded tree alike.
 func (s *Server) Handle(req Request) Response {
-	fail := func(err error) Response { return Response{Error: err.Error()} }
-	if h := s.handlerFn(); h != nil {
-		// The override owns the whole dispatch, including the mutating-op
-		// epoch check: the wrapped manager may be nil in handler mode.
-		return h(req)
-	}
-	mgr := s.Manager()
+	s.mu.Lock()
+	ctl := s.ctl
+	s.mu.Unlock()
 	if mutatingOps[req.Op] && req.Epoch != 0 {
-		if cur := mgr.Epoch(); req.Epoch != cur {
-			return fail(fmt.Errorf("dcm: stale client epoch %d (serving epoch %d)", req.Epoch, cur))
+		if cur := ctl.Epoch(); req.Epoch != cur {
+			return Response{Error: fmt.Sprintf("dcm: stale client epoch %d (serving epoch %d)", req.Epoch, cur)}
 		}
 	}
+	return ctl.HandleControl(req)
+}
+
+// HandleControl serves the control-plane protocol for one flat manager.
+func (m *Manager) HandleControl(req Request) Response {
+	fail := func(err error) Response { return Response{Error: err.Error()} }
 	switch req.Op {
 	case "add":
-		if err := mgr.AddNode(req.Name, req.Addr); err != nil {
+		if err := m.AddNode(req.Name, req.Addr); err != nil {
 			return fail(err)
 		}
 		return Response{OK: true}
 	case "remove":
-		if err := mgr.RemoveNode(req.Name); err != nil {
+		if err := m.RemoveNode(req.Name); err != nil {
 			return fail(err)
 		}
 		return Response{OK: true}
 	case "nodes":
 		return Response{
-			OK: true, Nodes: mgr.Nodes(),
-			Role: string(mgr.Role()), Epoch: mgr.Epoch(), Fenced: mgr.Fenced(),
+			OK: true, Nodes: m.Nodes(),
+			Role: string(m.Role()), Epoch: m.Epoch(), Fenced: m.Fenced(),
 		}
 	case "leader":
 		return Response{
 			OK:   true,
-			Role: string(mgr.Role()), Epoch: mgr.Epoch(), Fenced: mgr.Fenced(),
+			Role: string(m.Role()), Epoch: m.Epoch(), Fenced: m.Fenced(),
 		}
 	case "setcap":
 		if req.Name == "" {
 			return fail(fmt.Errorf("dcm: setcap requires a node name"))
 		}
-		if err := mgr.SetNodeCap(req.Name, req.Cap); err != nil {
+		if err := m.SetNodeCap(req.Name, req.Cap); err != nil {
 			return fail(err)
 		}
 		return Response{OK: true}
@@ -266,7 +255,7 @@ func (s *Server) Handle(req Request) Response {
 		if err != nil {
 			return fail(err)
 		}
-		if err := mgr.SetNodeTier(req.Name, tier); err != nil {
+		if err := m.SetNodeTier(req.Name, tier); err != nil {
 			return fail(err)
 		}
 		return Response{OK: true}
@@ -274,18 +263,18 @@ func (s *Server) Handle(req Request) Response {
 		if len(req.Group) == 0 {
 			return fail(fmt.Errorf("dcm: budget requires a non-empty node group"))
 		}
-		allocs, err := mgr.ApplyBudgetWeighted(req.Budget, req.Group, req.Weights)
+		allocs, err := m.ApplyBudgetWeighted(req.Budget, req.Group, req.Weights)
 		if err != nil {
 			return fail(err)
 		}
 		return Response{OK: true, Allocs: allocs}
 	case "poll":
-		mgr.Poll()
-		return Response{OK: true, Nodes: mgr.Nodes()}
+		m.Poll()
+		return Response{OK: true, Nodes: m.Nodes()}
 	case "trace":
-		return Response{OK: true, Trace: mgr.TraceEvents(req.Since, req.Name, req.Limit)}
+		return Response{OK: true, Trace: m.TraceEvents(req.Since, req.Name, req.Limit)}
 	case "history":
-		h, err := mgr.History(req.Name)
+		h, err := m.History(req.Name)
 		if err != nil {
 			return fail(err)
 		}

@@ -2,7 +2,6 @@ package ipmi
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"net"
@@ -253,41 +252,38 @@ func checkBatchLen(n, entrySize int) error {
 // the batched path and any direct per-node connection — a deposed
 // leaf cannot sneak a stale cap past the fence by switching transports.
 type Mux struct {
-	mu    sync.RWMutex
-	nodes map[uint32]*Server
-
-	lnMu     sync.Mutex
-	listener net.Listener
-	conns    map[net.Conn]struct{}
-	closed   bool
-	wg       sync.WaitGroup
+	frameListener
+	nodesMu sync.RWMutex
+	nodes   map[uint32]*Server
 }
 
 // NewMux builds an empty multiplexer.
 func NewMux() *Mux {
-	return &Mux{nodes: make(map[uint32]*Server), conns: make(map[net.Conn]struct{})}
+	m := &Mux{nodes: make(map[uint32]*Server)}
+	m.frameListener = frameListener{handle: m.Handle, conns: make(map[net.Conn]struct{})}
+	return m
 }
 
 // Register exposes srv as node id. Re-registering an id replaces the
 // previous endpoint.
 func (m *Mux) Register(id uint32, srv *Server) {
-	m.mu.Lock()
+	m.nodesMu.Lock()
 	m.nodes[id] = srv
-	m.mu.Unlock()
+	m.nodesMu.Unlock()
 }
 
 // Unregister removes node id; subsequent batch entries for it complete
 // with CCNotPresent.
 func (m *Mux) Unregister(id uint32) {
-	m.mu.Lock()
+	m.nodesMu.Lock()
 	delete(m.nodes, id)
-	m.mu.Unlock()
+	m.nodesMu.Unlock()
 }
 
 // node looks up one endpoint.
 func (m *Mux) node(id uint32) *Server {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
+	m.nodesMu.RLock()
+	defer m.nodesMu.RUnlock()
 	return m.nodes[id]
 }
 
@@ -393,81 +389,6 @@ func ccOf(f Frame) byte {
 		return CCUnspecified
 	}
 	return f.Payload[0]
-}
-
-// Listen starts accepting multiplexed connections on addr and returns
-// the bound address.
-func (m *Mux) Listen(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", err
-	}
-	m.lnMu.Lock()
-	if m.closed {
-		m.lnMu.Unlock()
-		ln.Close()
-		return "", errors.New("ipmi: mux closed")
-	}
-	m.listener = ln
-	m.lnMu.Unlock()
-	m.wg.Add(1)
-	go m.acceptLoop(ln)
-	return ln.Addr().String(), nil
-}
-
-func (m *Mux) acceptLoop(ln net.Listener) {
-	defer m.wg.Done()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		m.lnMu.Lock()
-		if m.closed {
-			m.lnMu.Unlock()
-			conn.Close()
-			return
-		}
-		m.conns[conn] = struct{}{}
-		m.lnMu.Unlock()
-		m.wg.Add(1)
-		go m.serveConn(conn)
-	}
-}
-
-func (m *Mux) serveConn(conn net.Conn) {
-	defer m.wg.Done()
-	defer func() {
-		conn.Close()
-		m.lnMu.Lock()
-		delete(m.conns, conn)
-		m.lnMu.Unlock()
-	}()
-	for {
-		req, err := ReadFrame(conn)
-		if err != nil {
-			return
-		}
-		if err := WriteFrame(conn, m.Handle(req)); err != nil {
-			return
-		}
-	}
-}
-
-// Close stops the listener and all connections.
-func (m *Mux) Close() error {
-	m.lnMu.Lock()
-	m.closed = true
-	ln := m.listener
-	for c := range m.conns {
-		c.Close()
-	}
-	m.lnMu.Unlock()
-	if ln != nil {
-		ln.Close()
-	}
-	m.wg.Wait()
-	return nil
 }
 
 // BatchPoll reads power and applied limits for ids over a multiplexed

@@ -26,9 +26,99 @@ type NodeControl interface {
 	Health() Health
 }
 
+// frameListener is the TCP side ipmi.Server and ipmi.Mux share: accept,
+// track connections, answer each frame through handle until the peer
+// hangs up. The embedding type's constructor sets handle once.
+type frameListener struct {
+	handle func(Frame) Frame
+
+	mu       sync.Mutex
+	listener net.Listener
+	conns    map[net.Conn]struct{}
+	closed   bool
+	wg       sync.WaitGroup
+}
+
+// Listen starts accepting on addr (e.g. "127.0.0.1:0") and returns the
+// bound address. A closed listener refuses.
+func (l *frameListener) Listen(addr string) (string, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return "", err
+	}
+	l.mu.Lock()
+	if l.closed {
+		l.mu.Unlock()
+		ln.Close()
+		return "", errors.New("ipmi: server closed")
+	}
+	l.listener = ln
+	l.mu.Unlock()
+	l.wg.Add(1)
+	go l.acceptLoop(ln)
+	return ln.Addr().String(), nil
+}
+
+func (l *frameListener) acceptLoop(ln net.Listener) {
+	defer l.wg.Done()
+	for {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		l.mu.Lock()
+		if l.closed {
+			l.mu.Unlock()
+			conn.Close()
+			return
+		}
+		l.conns[conn] = struct{}{}
+		l.mu.Unlock()
+		l.wg.Add(1)
+		go l.serveConn(conn)
+	}
+}
+
+func (l *frameListener) serveConn(conn net.Conn) {
+	defer l.wg.Done()
+	defer func() {
+		conn.Close()
+		l.mu.Lock()
+		delete(l.conns, conn)
+		l.mu.Unlock()
+	}()
+	for {
+		req, err := ReadFrame(conn)
+		if err != nil {
+			return // EOF, malformed frame, or closed connection
+		}
+		if err := WriteFrame(conn, l.handle(req)); err != nil {
+			return
+		}
+	}
+}
+
+// Close stops the listener and all connections, waiting for handlers
+// to finish.
+func (l *frameListener) Close() error {
+	l.mu.Lock()
+	l.closed = true
+	ln := l.listener
+	for c := range l.conns {
+		c.Close()
+	}
+	l.mu.Unlock()
+	if ln != nil {
+		ln.Close()
+	}
+	l.wg.Wait()
+	return nil
+}
+
 // Server serves the BMC management endpoint over TCP (the BMC's
 // dedicated NIC in the paper's architecture).
 type Server struct {
+	frameListener
 	ctl NodeControl
 
 	// fence is the highest non-zero fencing epoch this endpoint has
@@ -39,77 +129,13 @@ type Server struct {
 	// the chaos harness can prove its single_writer invariant catches a
 	// BMC that forgets to fence (see chaos.Scenario.BreakFencing).
 	fencingOff atomic.Bool
-
-	mu       sync.Mutex
-	listener net.Listener
-	conns    map[net.Conn]struct{}
-	closed   bool
-	wg       sync.WaitGroup
 }
 
 // NewServer builds a server for ctl.
 func NewServer(ctl NodeControl) *Server {
-	return &Server{ctl: ctl, conns: make(map[net.Conn]struct{})}
-}
-
-// Listen starts accepting on addr (e.g. "127.0.0.1:0") and returns the
-// bound address.
-func (s *Server) Listen(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", err
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		ln.Close()
-		return "", errors.New("ipmi: server closed")
-	}
-	s.listener = ln
-	s.mu.Unlock()
-	s.wg.Add(1)
-	go s.acceptLoop(ln)
-	return ln.Addr().String(), nil
-}
-
-func (s *Server) acceptLoop(ln net.Listener) {
-	defer s.wg.Done()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go s.serveConn(conn)
-	}
-}
-
-func (s *Server) serveConn(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-	for {
-		req, err := ReadFrame(conn)
-		if err != nil {
-			return // EOF, malformed frame, or closed connection
-		}
-		resp := s.Handle(req)
-		if err := WriteFrame(conn, resp); err != nil {
-			return
-		}
-	}
+	s := &Server{ctl: ctl}
+	s.frameListener = frameListener{handle: s.Handle, conns: make(map[net.Conn]struct{})}
+	return s
 }
 
 // Handle processes one request frame and produces the response frame.
@@ -183,23 +209,6 @@ func (s *Server) FenceEpoch() uint64 { return s.fence.Load() }
 // SetFencingEnabled toggles stale-epoch rejection (default on). Only
 // the chaos harness's broken-guard self-test should ever turn it off.
 func (s *Server) SetFencingEnabled(on bool) { s.fencingOff.Store(!on) }
-
-// Close stops the listener and all connections, waiting for handlers
-// to finish.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	s.closed = true
-	ln := s.listener
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	if ln != nil {
-		ln.Close()
-	}
-	s.wg.Wait()
-	return nil
-}
 
 // Default client timeouts; see DialTimeout.
 const (

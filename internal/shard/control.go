@@ -12,15 +12,15 @@ import (
 const RoleAggregator = "aggregator"
 
 // NodeID derives the stable ring ID the control plane hashes a node
-// name to. Anything that registers nodes outside HandleControl (dcmd's
-// journal-recovery reconcile, tests) must use the same derivation or
-// the same node would route to a different leaf on re-registration.
+// name to. Anything that registers nodes outside HandleControl (Rebind's
+// re-routing of journal-only nodes, tests) must use the same derivation
+// or the same node would route to a different leaf on re-registration.
 func NodeID(name string) uint32 { return uint32(fnv64a(name)) }
 
 // HandleControl serves the dcmctl control-plane protocol for a sharded
 // daemon: per-node ops route to the owning leaf, fleet-wide ops fan
 // out across every attached leaf and merge, and the sharded-only
-// "shards" op reports the tree. Install it with dcm.Server.SetHandler.
+// "shards" op reports the tree. With Epoch it makes *Tree a dcm.Control.
 func (t *Tree) HandleControl(req dcm.Request) dcm.Response {
 	fail := func(err error) dcm.Response { return dcm.Response{Error: err.Error()} }
 	switch req.Op {

@@ -13,8 +13,8 @@ import (
 // The aggregator journals its shard map — membership, node identities,
 // ownership, epochs, budgets — as a single-frame snapshot rewritten
 // atomically on every mutation. A restarted aggregator restores the
-// map and resumes with the same ownership (Attach re-binds live leaf
-// managers; Seize expels the ones that died with it). The snapshot is
+// map and resumes with the same ownership (Rebind attaches the live leaf
+// managers and seizes the ones that died with it). The snapshot is
 // CRC-32-framed and canonically ordered, so decode∘encode is the
 // identity on the accepted set — the property FuzzAggregatorSnapshot
 // pins.
@@ -301,8 +301,9 @@ func LoadSnapshot(path string) (TreeState, error) {
 }
 
 // NewTreeFromState rebuilds an aggregator from a restored shard map.
-// Every leaf starts unattached (mgr nil): the caller re-binds the
-// managers that survived via Attach and expels the rest via Seize.
+// Every leaf starts unattached (mgr nil): the caller configures the
+// tree and then calls Rebind, which attaches the managers that survived
+// and seizes the rest.
 // Ownership, epochs and budgets resume exactly where the snapshot left
 // them — in particular the fencing epoch, so the restarted aggregator's
 // first handoff still outranks every pre-restart writer.

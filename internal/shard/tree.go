@@ -230,18 +230,75 @@ func (t *Tree) Seize(name string) (int, error) {
 	return moved, errors.Join(err, t.persist())
 }
 
+// Rebind re-binds a tree restored by NewTreeFromState to the leaf
+// managers that outlived the aggregator: the restart procedure, run by
+// dcmd (every leaf live) and by the chaos harness (the survivors live).
+// Members named in live are attached, in name order. Members absent
+// from it are seized — only once every survivor is attached, because a
+// seize hands the casualty's nodes to the survivors and can only fence
+// and register through leaves already bound. Last, a node a live
+// manager knows but the map does not (the map and the leaf journals
+// commit independently) is dropped from that manager and routed through
+// the ring by NodeID. Names in live the snapshot lacks are ignored.
+// Set BreakHandoff, BreakAggregator and SetTelemetry first: the seizes
+// emit EvHandoff.
+//
+// moved counts the nodes the seizes handed off. A leaf that will not
+// bind aborts; per-node registration, fencing and persist errors come
+// back joined while the tree stands.
+func (t *Tree) Rebind(live map[string]*dcm.Manager) (moved int, err error) {
+	var errs []error
+	var dead []string
+	for _, name := range t.Leaves() {
+		mgr, ok := live[name]
+		if !ok {
+			dead = append(dead, name)
+			continue
+		}
+		if err := t.Attach(name, mgr); err != nil {
+			if t.Leaf(name) == nil {
+				return 0, err
+			}
+			errs = append(errs, err)
+		}
+	}
+	for _, name := range dead {
+		n, err := t.Seize(name)
+		moved += n
+		errs = append(errs, err)
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, name := range t.memberNames() {
+		mgr := t.leaves[name].mgr
+		for _, st := range mgr.Nodes() {
+			if _, owned := t.owners[st.Name]; !owned {
+				_ = mgr.RemoveNode(st.Name)
+				errs = append(errs, t.route(NodeInfo{Name: st.Name, Addr: st.Addr, ID: NodeID(st.Name)}))
+			}
+		}
+	}
+	return moved, errors.Join(append(errs, t.persist())...)
+}
+
 // AddNode registers a node with the tree, routing it to its ring
 // owner.
 func (t *Tree) AddNode(name, addr string, id uint32) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if _, ok := t.nodes[name]; ok {
-		return fmt.Errorf("shard: node %q already registered", name)
+	if err := t.route(NodeInfo{Name: name, Addr: addr, ID: id}); err != nil {
+		return err
 	}
-	if len(t.leaves) == 0 {
-		return fmt.Errorf("shard: no member leaves")
+	return t.persist()
+}
+
+// route registers one node with its ring owner's manager and records
+// the ownership. Callers hold t.mu and persist.
+func (t *Tree) route(info NodeInfo) error {
+	if _, ok := t.nodes[info.Name]; ok {
+		return fmt.Errorf("shard: node %q already registered", info.Name)
 	}
-	owner, ok := t.ring.Owner(id)
+	owner, ok := t.ring.Owner(info.ID)
 	if !ok {
 		return fmt.Errorf("shard: no member leaves")
 	}
@@ -249,12 +306,12 @@ func (t *Tree) AddNode(name, addr string, id uint32) error {
 	if ls.mgr == nil {
 		return fmt.Errorf("shard: owner leaf %q not attached", owner)
 	}
-	if err := ls.mgr.AddNode(name, addr); err != nil {
+	if err := ls.mgr.AddNode(info.Name, info.Addr); err != nil {
 		return err
 	}
-	t.nodes[name] = NodeInfo{Name: name, Addr: addr, ID: id}
-	t.owners[name] = owner
-	return t.persist()
+	t.nodes[info.Name] = info
+	t.owners[info.Name] = owner
+	return nil
 }
 
 // AddNodes bulk-registers nodes, persisting the shard map once at the
@@ -268,22 +325,9 @@ func (t *Tree) AddNodes(infos []NodeInfo) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for _, info := range infos {
-		if _, ok := t.nodes[info.Name]; ok {
-			return errors.Join(fmt.Errorf("shard: node %q already registered", info.Name), t.persist())
-		}
-		owner, ok := t.ring.Owner(info.ID)
-		if !ok {
-			return errors.Join(fmt.Errorf("shard: no member leaves"), t.persist())
-		}
-		ls := t.leaves[owner]
-		if ls.mgr == nil {
-			return errors.Join(fmt.Errorf("shard: owner leaf %q not attached", owner), t.persist())
-		}
-		if err := ls.mgr.AddNode(info.Name, info.Addr); err != nil {
+		if err := t.route(info); err != nil {
 			return errors.Join(err, t.persist())
 		}
-		t.nodes[info.Name] = info
-		t.owners[info.Name] = owner
 	}
 	return t.persist()
 }

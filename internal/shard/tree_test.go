@@ -4,11 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
 	"nodecap/internal/dcm"
 	"nodecap/internal/ipmi"
+	"nodecap/internal/telemetry"
 )
 
 // env is one assembled two-level control plane over an in-process
@@ -560,6 +562,145 @@ func TestAggregatorRestartFromSnapshot(t *testing.T) {
 	}
 }
 
+// TestRebind drives the aggregator-restart procedure dcmd and the chaos
+// harness share through each of its branches.
+func TestRebind(t *testing.T) {
+	leaves := []string{"leaf-a", "leaf-b", "leaf-c"}
+	cases := []struct {
+		name string
+		// prepare wedges the managers apart from the snapshotted map and
+		// returns the live set handed to Rebind.
+		prepare   func(e *env) map[string]*dcm.Manager
+		wantErr   bool
+		wantMoved func(e *env) int
+		wantBumps uint64
+		check     func(t *testing.T, e *env, st TreeState)
+	}{
+		{
+			name:    "every leaf live",
+			prepare: func(e *env) map[string]*dcm.Manager { return e.mgrs },
+			check: func(t *testing.T, e *env, st TreeState) {
+				for _, n := range st.Nodes {
+					if owner, _ := e.tree.Owner(n.Name); owner != n.Owner {
+						t.Errorf("owner of %s = %q, snapshot says %q", n.Name, owner, n.Owner)
+					}
+				}
+			},
+		},
+		{
+			name: "member with no live manager is seized after the survivors attach",
+			prepare: func(e *env) map[string]*dcm.Manager {
+				return map[string]*dcm.Manager{"leaf-a": e.mgrs["leaf-a"], "leaf-b": e.mgrs["leaf-b"]}
+			},
+			wantMoved: func(e *env) int { return len(e.ownedBy("leaf-c")) },
+			wantBumps: 1,
+			check: func(t *testing.T, e *env, st TreeState) {
+				// A seize ahead of the attaches would have deferred the
+				// registrations with an error; none was reported, and every
+				// node is registered with the survivor that owns it.
+				if got := e.tree.Leaves(); len(got) != 2 || got[0] != "leaf-a" || got[1] != "leaf-b" {
+					t.Errorf("members after rebind = %v", got)
+				}
+			},
+		},
+		{
+			name: "map-owned node missing from its owner's manager",
+			prepare: func(e *env) map[string]*dcm.Manager {
+				owner, _ := e.tree.Owner("node-00")
+				if err := e.mgrs[owner].RemoveNode("node-00"); err != nil {
+					e.t.Fatal(err)
+				}
+				return e.mgrs
+			},
+		},
+		{
+			name: "node a live manager knows but the map does not",
+			prepare: func(e *env) map[string]*dcm.Manager {
+				e.nodes["stray"] = e.plant.addNode("10.0.9.9:623", NodeID("stray"), 80, 200, 120)
+				if err := e.mgrs["leaf-a"].AddNode("stray", "10.0.9.9:623"); err != nil {
+					e.t.Fatal(err)
+				}
+				return e.mgrs
+			},
+			check: func(t *testing.T, e *env, st TreeState) {
+				if _, ok := e.tree.Owner("stray"); !ok {
+					t.Error("journal-only node was not re-routed through the ring")
+				}
+			},
+		},
+		{
+			name: "live names a leaf the snapshot lacks",
+			prepare: func(e *env) map[string]*dcm.Manager {
+				live := map[string]*dcm.Manager{"leaf-z": newLeafMgr(e.plant, e.clock)}
+				for name, mgr := range e.mgrs {
+					live[name] = mgr
+				}
+				return live
+			},
+			check: func(t *testing.T, e *env, st TreeState) {
+				if got := e.tree.Leaves(); len(got) != len(leaves) {
+					t.Errorf("members after rebind = %v", got)
+				}
+			},
+		},
+		{
+			name: "bind failure aborts",
+			prepare: func(e *env) map[string]*dcm.Manager {
+				return map[string]*dcm.Manager{"leaf-a": nil, "leaf-b": e.mgrs["leaf-b"], "leaf-c": e.mgrs["leaf-c"]}
+			},
+			wantErr: true,
+			check: func(t *testing.T, e *env, st TreeState) {
+				for _, leaf := range leaves {
+					if e.tree.Leaf(leaf) != nil {
+						t.Errorf("%s attached after an aborted rebind", leaf)
+					}
+				}
+			},
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			e := newEnv(t, leaves, 9)
+			if _, err := e.tree.Rebalance(1500); err != nil {
+				t.Fatalf("rebalance: %v", err)
+			}
+			st := e.tree.State()
+			live := c.prepare(e)
+			var wantMoved int
+			if c.wantMoved != nil {
+				wantMoved = c.wantMoved(e)
+			}
+
+			restored, err := NewTreeFromState(st, &muxTransport{mux: e.plant.mux}, "")
+			if err != nil {
+				t.Fatalf("NewTreeFromState: %v", err)
+			}
+			trace := telemetry.NewTrace(64)
+			restored.SetTelemetry(trace)
+			moved, err := restored.Rebind(live)
+			if (err != nil) != c.wantErr {
+				t.Fatalf("Rebind error = %v, want error %v", err, c.wantErr)
+			}
+			if moved != wantMoved {
+				t.Errorf("Rebind moved %d nodes, want %d", moved, wantMoved)
+			}
+			if got := restored.Epoch() - st.Epoch; got != c.wantBumps {
+				t.Errorf("epoch advanced by %d, want %d", got, c.wantBumps)
+			}
+			if got := trace.Total(); got != uint64(wantMoved) {
+				t.Errorf("%d handoff events, want %d", got, wantMoved)
+			}
+			e.tree = restored
+			if !c.wantErr {
+				e.assertSingleOwner()
+			}
+			if c.check != nil {
+				c.check(t, e, st)
+			}
+		})
+	}
+}
+
 func TestSnapshotPersistAndLoad(t *testing.T) {
 	dir := t.TempDir()
 	path := SnapshotPathIn(dir)
@@ -658,5 +799,48 @@ func TestHandleControlRoutesAcrossLeaves(t *testing.T) {
 
 	if resp := e.tree.HandleControl(dcm.Request{Op: "no-such-op"}); resp.OK || resp.Error == "" {
 		t.Fatalf("unsupported op should fail: %+v", resp)
+	}
+}
+
+// TestServerRefusesStaleClientEpochOnTree is the sharded half of dcm's
+// TestServerHAFields: dcm.Server checks a mutating request's client
+// epoch ahead of Control.HandleControl, so a tree refuses what a flat
+// manager refuses.
+func TestServerRefusesStaleClientEpochOnTree(t *testing.T) {
+	e := newEnv(t, []string{"leaf-a", "leaf-b"}, 4)
+	srv := dcm.NewServer(e.tree)
+	cur := e.tree.Epoch()
+	add := func(name string) dcm.Request {
+		addr := name + ":623"
+		e.plant.addNode(addr, NodeID(name), 80, 200, 110)
+		return dcm.Request{Op: "add", Name: name, Addr: addr}
+	}
+	// Per op: the request a stale client sends, then an epochless and a
+	// current-epoch one.
+	for _, reqs := range [][3]dcm.Request{
+		{add("node-97"), add("node-98"), add("node-99")},
+		{{Op: "setcap", Name: "node-00", Cap: 130}, {Op: "setcap", Name: "node-00", Cap: 135}, {Op: "setcap", Name: "node-00", Cap: 140}},
+		{{Op: "budget", Budget: 600}, {Op: "budget", Budget: 650}, {Op: "budget", Budget: 700}},
+	} {
+		stale, legacy, current := reqs[0], reqs[1], reqs[2]
+		stale.Epoch, current.Epoch = cur+1, cur
+		if r := srv.Handle(stale); r.OK || !strings.Contains(r.Error, "stale client epoch") {
+			t.Errorf("stale-epoch %s = %+v", stale.Op, r)
+		}
+		if r := srv.Handle(legacy); !r.OK {
+			t.Errorf("epochless %s = %+v", legacy.Op, r)
+		}
+		if r := srv.Handle(current); !r.OK {
+			t.Errorf("current-epoch %s = %+v", current.Op, r)
+		}
+	}
+	if _, ok := e.tree.Owner("node-97"); ok {
+		t.Error("stale-epoch add reached the tree")
+	}
+	// Reads are never epoch-gated.
+	for _, op := range []string{"nodes", "shards", "leader"} {
+		if r := srv.Handle(dcm.Request{Op: op, Epoch: cur + 1}); !r.OK {
+			t.Errorf("stale-epoch %s refused: %+v", op, r)
+		}
 	}
 }
