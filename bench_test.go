@@ -373,6 +373,7 @@ func BenchmarkFutureWorkBurstyCap(b *testing.B) {
 func BenchmarkMachineOpThroughput(b *testing.B) {
 	m := machine.New(machine.Romley())
 	base := m.Alloc(1 << 22)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Load(base + uint64(i%65536)*64)
@@ -384,7 +385,7 @@ func BenchmarkMachineOpThroughput(b *testing.B) {
 // iteration, sharded one range per CPU. The custom metric is the
 // headline quantity (node-ticks per wall second); steady state must
 // stay allocation-free, which bench-smoke CI enforces via benchdiff
-// against the committed BENCH_8.json medians.
+// against the committed BENCH_20.json medians.
 func BenchmarkFleetTick(b *testing.B) {
 	const nodes = 10000
 	e := fleet.New(fleet.Config{Nodes: nodes, Seed: 1})

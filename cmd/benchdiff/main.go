@@ -4,7 +4,7 @@
 // -count=N series), and compares against the committed baseline in a
 // BENCH_*.json file.
 //
-//	go test -run '^$' -bench 'FleetTick|MachineOpThroughput' -count=5 . | benchdiff -baseline BENCH_8.json
+//	go test -run '^$' -bench 'FleetTick|MachineOpThroughput' -count=5 . | benchdiff -baseline BENCH_20.json
 //
 // Exit status: 0 when every baselined benchmark is within bounds,
 // 1 on a regression (median slower than baseline by more than
@@ -62,7 +62,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		baselinePath = fs.String("baseline", "BENCH_8.json", "baseline JSON file (benchdiff_baseline.benchmarks section)")
+		baselinePath = fs.String("baseline", "BENCH_20.json", "baseline JSON file (benchdiff_baseline.benchmarks section)")
 		input        = fs.String("input", "-", "benchmark output to check (- = stdin)")
 		maxRegress   = fs.Float64("max-regress", 0.15, "fail when median ns/op exceeds baseline by more than this fraction")
 	)

@@ -131,16 +131,16 @@ func TestInputFileFlag(t *testing.T) {
 	}
 }
 
-// TestRepoBaselineParses guards the committed BENCH_8.json: benchdiff
+// TestRepoBaselineParses guards the committed BENCH_20.json: benchdiff
 // must be able to load the real baseline it is wired to in CI.
 func TestRepoBaselineParses(t *testing.T) {
-	base, err := loadBaseline(filepath.Join("..", "..", "BENCH_8.json"))
+	base, err := loadBaseline(filepath.Join("..", "..", "BENCH_20.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"BenchmarkFleetTick", "BenchmarkMachineOpThroughput"} {
 		if _, ok := base[name]; !ok {
-			t.Errorf("BENCH_8.json baseline missing %s", name)
+			t.Errorf("BENCH_20.json baseline missing %s", name)
 		}
 	}
 }

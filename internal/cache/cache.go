@@ -11,6 +11,8 @@ package cache
 import (
 	"fmt"
 	"math/bits"
+
+	"nodecap/internal/lru"
 )
 
 // Config describes the geometry and timing of one cache level.
@@ -54,6 +56,9 @@ func (c Config) Sets() int {
 func (c Config) Validate() error {
 	if c.SizeBytes <= 0 || c.LineBytes <= 0 || c.Ways <= 0 {
 		return fmt.Errorf("cache %s: non-positive geometry %+v", c.Name, c)
+	}
+	if c.Ways > lru.MaxWays {
+		return fmt.Errorf("cache %s: %d ways exceeds the %d an LRU key can index", c.Name, c.Ways, lru.MaxWays)
 	}
 	if bits.OnesCount(uint(c.LineBytes)) != 1 {
 		return fmt.Errorf("cache %s: line size %d not a power of two", c.Name, c.LineBytes)
@@ -104,28 +109,26 @@ type AccessResult struct {
 // Cache is one level of a memory hierarchy. It tracks only tags and
 // metadata; data contents live in the workload's real Go memory.
 //
-// The line state is stored structure-of-arrays, flat and set-major
-// (set s owns index range [s*ways, (s+1)*ways)): the hit scan walks a
-// packed array of tag words and touches nothing else, so an 8-way set
-// costs one host cache line instead of the three an array-of-structs
-// layout spreads it over — the difference is the simulator's op
-// throughput, since every simulated access scans three cache levels.
+// All line state lives in one set-major slab: set s owns the 2*ways
+// words at lines[s*2*ways:], `ways` tag words followed by `ways` LRU
+// stamps, so one simulated access touches one contiguous run of host
+// memory — for the 20-way L3, five adjacent host lines instead of one
+// in each of four arrays, which matters because the outer levels'
+// metadata (5 MB for the L3) does not fit the host's own L2. A zeroed
+// slab is an empty cache, so New touches none of it.
 //
-// tags packs each way's tag and valid bit into one comparable word:
-// tag<<1|1 when valid, 0 when invalid, so one load-and-compare decides
-// a way. The packing is lossless for any address below 2^63 shifted
-// down by at least one line-offset or set-index bit — every geometry
-// this simulator builds (the machine lays its regions out below 2^31).
+// A tag word packs tag and valid bit into one comparable word, tag<<1|1
+// when valid and 0 when invalid, so one load-and-compare decides a way.
+// The packing is lossless for any address below 2^63 shifted down by
+// at least one line-offset or set-index bit — every geometry this
+// simulator builds (the machine lays its regions out below 2^31).
+//
+// A stamp is the line's last-use clock and dirty bit, 0 when invalid
+// (see package lru): a fill's victim is one branch-free minimum over
+// the active ways' stamps.
 type Cache struct {
-	cfg   Config
-	tags  []uint64 // tagv per way (tag<<1|1, 0 = invalid)
-	use   []uint64 // LRU clocks; a monotonic counter is exact for LRU
-	dirty []bool
-	// full marks sets whose active ways are all valid: their scans skip
-	// first-invalid tracking. A set earns its bit on the first miss that
-	// finds no invalid way and loses it whenever a line is dropped
-	// (Invalidate, Flush, way gating).
-	full       []bool
+	cfg        Config
+	lines      []uint64 // per set: ways tag words, then ways LRU stamps
 	setMask    uint64
 	lineShift  uint
 	tagShift   uint // set-index width; splits a block into set and tag
@@ -136,8 +139,10 @@ type Cache struct {
 	// mruIdx/mruBlk remember the last line that hit or filled: the MRU
 	// filter in front of the set scan. Stream-dominated workloads (the
 	// stride probe, SAR) touch the same line repeatedly, and a
-	// repeated-line hit skips the scan entirely. mruIdx is -1 when no
-	// resident line is cached.
+	// repeated-line hit skips the scan entirely. mruIdx indexes the
+	// line's tag word (its stamp sits ways further on). It is never
+	// reset: the filter compares that tag word, and a line that has been
+	// invalidated or gated off no longer matches.
 	mruIdx   int
 	mruBlk   uint64
 	useClock uint64
@@ -154,13 +159,9 @@ func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	n := cfg.Sets() * cfg.Ways
 	return &Cache{
 		cfg:        cfg,
-		tags:       make([]uint64, n),
-		use:        make([]uint64, n),
-		dirty:      make([]bool, n),
-		full:       make([]bool, cfg.Sets()),
+		lines:      make([]uint64, cfg.Sets()*2*cfg.Ways),
 		setMask:    uint64(cfg.Sets() - 1),
 		lineShift:  uint(bits.TrailingZeros(uint(cfg.LineBytes))),
 		tagShift:   uint(bits.Len64(uint64(cfg.Sets() - 1))),
@@ -168,7 +169,6 @@ func New(cfg Config) *Cache {
 		activeWays: cfg.Ways,
 		writeback:  cfg.WriteBack,
 		random:     cfg.Replacement == Random,
-		mruIdx:     -1,
 		rng:        0x243F6A8885A308D3, // fixed seed: deterministic runs
 	}
 }
@@ -236,57 +236,30 @@ func (c *Cache) AccessPacked(addr uint64, write bool) (hit bool, evictedAddr uin
 	c.useClock++
 	blk := addr >> c.lineShift
 	tagv := (blk>>c.tagShift)<<1 | 1
-	markDirty := write && c.writeback
+	// touch is the stamp of a line used now; one already dirty stays so.
+	touch := lru.Stamp(c.useClock)
+	if write && c.writeback {
+		touch |= lru.Dirty
+	}
 
 	// MRU filter: a repeated-line access skips the set scan.
-	if blk == c.mruBlk && c.mruIdx >= 0 {
-		if c.tags[c.mruIdx] == tagv {
-			c.stats.Hits++
-			c.use[c.mruIdx] = c.useClock
-			if markDirty {
-				c.dirty[c.mruIdx] = true
-			}
-			return true, 0, 0
-		}
+	if blk == c.mruBlk && c.lines[c.mruIdx] == tagv {
+		c.stats.Hits++
+		stamp := &c.lines[c.mruIdx+c.ways]
+		*stamp = touch | *stamp&lru.Dirty
+		return true, 0, 0
 	}
 
 	setIdx := blk & c.setMask
-	base := int(setIdx) * c.ways
-	tags := c.tags[base : base+c.activeWays]
-	inv := -1
-	if c.full[setIdx] {
-		// Steady state: every active way is valid, so the scan is a
-		// pure tag compare with no invalid-way bookkeeping.
-		for i := range tags {
-			if tags[i] == tagv {
-				c.stats.Hits++
-				c.use[base+i] = c.useClock
-				if markDirty {
-					c.dirty[base+i] = true
-				}
-				c.mruBlk, c.mruIdx = blk, base+i
-				return true, 0, 0
-			}
-		}
-	} else {
-		// Warm-up: one pass decides hit or miss and remembers the first
-		// invalid way so the fill below rarely needs a second scan.
-		for i := range tags {
-			if tags[i] == tagv {
-				c.stats.Hits++
-				c.use[base+i] = c.useClock
-				if markDirty {
-					c.dirty[base+i] = true
-				}
-				c.mruBlk, c.mruIdx = blk, base+i
-				return true, 0, 0
-			}
-			if inv < 0 && tags[i] == 0 {
-				inv = i
-			}
-		}
-		if inv < 0 {
-			c.full[setIdx] = true
+	base := int(setIdx) * 2 * c.ways
+	tags := c.lines[base : base+c.activeWays]
+	for i, t := range tags {
+		if t == tagv {
+			c.stats.Hits++
+			stamp := &c.lines[base+c.ways+i]
+			*stamp = touch | *stamp&lru.Dirty
+			c.mruBlk, c.mruIdx = blk, base+i
+			return true, 0, 0
 		}
 	}
 
@@ -300,40 +273,43 @@ func (c *Cache) AccessPacked(addr uint64, write bool) (hit bool, evictedAddr uin
 	}
 
 	// Fill: the first invalid way, else the policy's victim.
-	victim := inv
-	if victim < 0 {
-		if c.random {
-			c.rng ^= c.rng << 13
-			c.rng ^= c.rng >> 7
-			c.rng ^= c.rng << 17
-			victim = int(c.rng % uint64(len(tags)))
-		} else {
-			use := c.use[base : base+c.activeWays]
-			victim = 0
-			oldest := use[0]
-			for i := 1; i < len(use); i++ {
-				if use[i] < oldest {
-					oldest = use[i]
-					victim = i
-				}
-			}
-		}
+	stamps := c.lines[base+c.ways : base+c.ways+c.activeWays]
+	victim, stamp := lru.Split(lru.Oldest(stamps))
+	valid := stamp != 0 // a line is being replaced
+	if valid && c.random {
+		// No invalid way, so Random draws its own victim.
+		c.rng ^= c.rng << 13
+		c.rng ^= c.rng >> 7
+		c.rng ^= c.rng << 17
+		victim = int(c.rng % uint64(len(stamps)))
+		stamp = stamps[victim]
 	}
-	vi := base + victim
-	if old := c.tags[vi]; old != 0 {
-		evictedAddr = c.reconstruct(setIdx, old>>1)
+	if valid {
+		evictedAddr = c.reconstruct(setIdx, tags[victim]>>1)
 		evFlags = EvictedFlag
-		if c.dirty[vi] {
+		if stamp&lru.Dirty != 0 {
 			c.stats.Writebacks++
 			evFlags |= WritebackFlag
 		}
 	}
 	c.stats.Fills++
-	c.tags[vi] = tagv
-	c.dirty[vi] = markDirty
-	c.use[vi] = c.useClock
-	c.mruBlk, c.mruIdx = blk, vi
+	tags[victim], stamps[victim] = tagv, touch
+	c.mruBlk, c.mruIdx = blk, base+victim
 	return false, evictedAddr, evFlags
+}
+
+// find returns the index into lines of the tag word of the line
+// holding addr, searching the first n ways of its set, or -1.
+func (c *Cache) find(addr uint64, n int) int {
+	blk := addr >> c.lineShift
+	tagv := (blk>>c.tagShift)<<1 | 1
+	base := int(blk&c.setMask) * 2 * c.ways
+	for i, t := range c.lines[base : base+n] {
+		if t == tagv {
+			return base + i
+		}
+	}
+	return -1
 }
 
 // Update marks the line containing addr dirty if it is resident,
@@ -342,42 +318,50 @@ func (c *Cache) AccessPacked(addr uint64, write bool) (hit bool, evictedAddr uin
 // the line, and when it does not the write-back is simply forwarded
 // downward rather than allocating here.
 func (c *Cache) Update(addr uint64) bool {
-	blk := addr >> c.lineShift
-	tagv := (blk>>c.tagShift)<<1 | 1
-	base := int(blk&c.setMask) * c.ways
-	tags := c.tags[base : base+c.activeWays]
-	for i := range tags {
-		if tags[i] == tagv {
-			c.useClock++
-			c.use[base+i] = c.useClock
-			if c.cfg.WriteBack {
-				c.dirty[base+i] = true
-			}
-			return true
-		}
+	i := c.find(addr, c.activeWays)
+	if i < 0 {
+		return false
 	}
-	return false
+	c.useClock++
+	// Nothing to keep of the old stamp: a write-through cache holds no
+	// dirty line.
+	stamp := lru.Stamp(c.useClock)
+	if c.writeback {
+		stamp |= lru.Dirty
+	}
+	c.lines[i+c.ways] = stamp
+	return true
 }
 
 // Contains reports whether the line holding addr is resident. It does
 // not perturb LRU state or statistics; it exists for tests and for the
 // hierarchy's inclusion checks.
 func (c *Cache) Contains(addr uint64) bool {
-	blk := addr >> c.lineShift
-	tagv := (blk>>c.tagShift)<<1 | 1
-	base := int(blk&c.setMask) * c.ways
-	tags := c.tags[base : base+c.activeWays]
-	for i := range tags {
-		if tags[i] == tagv {
-			return true
-		}
-	}
-	return false
+	return c.find(addr, c.activeWays) >= 0
 }
 
 // reconstruct rebuilds a line-aligned address from set index and tag.
 func (c *Cache) reconstruct(setIdx, tag uint64) uint64 {
 	return (tag<<c.tagShift | setIdx) << c.lineShift
+}
+
+// drop invalidates ways from..to-1 of every set, appending the
+// addresses of the dirty lines among them to dirty, and reports how
+// many lines it dropped.
+func (c *Cache) drop(from, to int, dirty *[]uint64) (dropped uint64) {
+	for setIdx, base := uint64(0), 0; base < len(c.lines); setIdx, base = setIdx+1, base+2*c.ways {
+		for i := base + from; i < base+to; i++ {
+			if c.lines[i] == 0 {
+				continue
+			}
+			dropped++
+			if c.lines[i+c.ways]&lru.Dirty != 0 {
+				*dirty = append(*dirty, c.reconstruct(setIdx, c.lines[i]>>1))
+			}
+			c.lines[i], c.lines[i+c.ways] = 0, 0
+		}
+	}
+	return dropped
 }
 
 // SetActiveWays gates the cache down (or back up) to n powered ways,
@@ -392,51 +376,18 @@ func (c *Cache) SetActiveWays(n int) []uint64 {
 	if n > c.cfg.Ways {
 		n = c.cfg.Ways
 	}
-	if n != c.activeWays {
-		// Any associativity change invalidates the full-set bits: gating
-		// down drops lines below, and gating up adds empty ways.
-		for i := range c.full {
-			c.full[i] = false
-		}
-	}
-	if n >= c.activeWays {
-		c.activeWays = n
-		return nil
-	}
 	var dirty []uint64
-	nsets := len(c.tags) / c.ways
-	for setIdx := 0; setIdx < nsets; setIdx++ {
-		for w := n; w < c.activeWays; w++ {
-			i := setIdx*c.ways + w
-			if c.tags[i] != 0 {
-				c.stats.GateFlush++
-				if c.dirty[i] {
-					dirty = append(dirty, c.reconstruct(uint64(setIdx), c.tags[i]>>1))
-				}
-				c.tags[i] = 0
-				c.dirty[i] = false
-			}
-		}
+	if n < c.activeWays {
+		c.stats.GateFlush += c.drop(n, c.activeWays, &dirty)
 	}
 	c.activeWays = n
-	c.mruIdx = -1 // the cached line may just have been gated off
 	return dirty
 }
 
 // Flush invalidates every line, returning the addresses of dirty ones.
 func (c *Cache) Flush() []uint64 {
 	var dirty []uint64
-	for i := range c.tags {
-		if c.tags[i] != 0 && c.dirty[i] {
-			dirty = append(dirty, c.reconstruct(uint64(i/c.ways), c.tags[i]>>1))
-		}
-		c.tags[i] = 0
-		c.dirty[i] = false
-	}
-	for i := range c.full {
-		c.full[i] = false
-	}
-	c.mruIdx = -1
+	c.drop(0, c.ways, &dirty)
 	return dirty
 }
 
@@ -444,21 +395,11 @@ func (c *Cache) Flush() []uint64 {
 // whether it was dirty. The hierarchy uses it to maintain inclusion
 // when an outer level evicts.
 func (c *Cache) Invalidate(addr uint64) (wasDirty bool) {
-	blk := addr >> c.lineShift
-	tagv := (blk>>c.tagShift)<<1 | 1
-	base := int(blk&c.setMask) * c.ways
-	tags := c.tags[base : base+c.ways] // search gated ways too: they are invalid anyway
-	for i := range tags {
-		if tags[i] == tagv {
-			wasDirty = c.dirty[base+i]
-			tags[i] = 0
-			c.dirty[base+i] = false
-			c.full[blk&c.setMask] = false
-			if c.mruIdx == base+i {
-				c.mruIdx = -1
-			}
-			return wasDirty
-		}
+	i := c.find(addr, c.ways) // search gated ways too: they are invalid anyway
+	if i < 0 {
+		return false
 	}
-	return false
+	wasDirty = c.lines[i+c.ways]&lru.Dirty != 0
+	c.lines[i], c.lines[i+c.ways] = 0, 0
+	return wasDirty
 }

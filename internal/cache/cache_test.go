@@ -3,6 +3,8 @@ package cache
 import (
 	"math/rand"
 	"testing"
+
+	"nodecap/internal/lru"
 	"testing/quick"
 )
 
@@ -26,6 +28,10 @@ func TestConfigValidate(t *testing.T) {
 		{Name: "c", SizeBytes: 33 << 10, LineBytes: 64, Ways: 8}, // not divisible
 		{Name: "d", SizeBytes: 24 << 10, LineBytes: 64, Ways: 8}, // sets = 48, not pow2
 		{Name: "e", SizeBytes: 32 << 10, LineBytes: 64, Ways: -1},
+		{Name: "f", SizeBytes: 128 * 64, LineBytes: 64, Ways: 128}, // more ways than an LRU key indexes
+	}
+	if err := (Config{Name: "max", SizeBytes: lru.MaxWays * 64, LineBytes: 64, Ways: lru.MaxWays}).Validate(); err != nil {
+		t.Errorf("%d ways rejected: %v", lru.MaxWays, err)
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {

@@ -124,12 +124,23 @@ type SweepResult struct {
 // slot and each cap's trials reduce in trial order, so the result is
 // identical to the sequential schedule no matter how the goroutines
 // interleave.
+//
+// The workload input is built once per sweep where the workload allows
+// it: NewWorkload is called once up front, and if what it returns is a
+// machine.Forker every run takes a Fork of that one instance (Fork,
+// like NewWorkload, must then be safe for concurrent calls); otherwise
+// every run calls NewWorkload again.
 func (e Experiment) Run() (SweepResult, error) {
 	if err := e.defaults(); err != nil {
 		return SweepResult{}, err
 	}
 	var out SweepResult
-	out.Workload = e.NewWorkload().Name()
+	proto := e.NewWorkload()
+	out.Workload = proto.Name()
+	newRun := e.NewWorkload
+	if f, ok := proto.(machine.Forker); ok {
+		newRun = f.Fork
+	}
 
 	// Grid row 0 is the baseline (seed base 1, as the sequential
 	// schedule always had); row i+1 is Caps[i] (seed base i+2).
@@ -158,7 +169,7 @@ func (e Experiment) Run() (SweepResult, error) {
 		}
 		m := machine.New(cfg)
 		m.SetPolicy(capWatts)
-		runs[job] = m.RunWorkload(e.NewWorkload())
+		runs[job] = m.RunWorkload(newRun())
 		if e.Memo != nil {
 			e.Memo.put(key, runs[job])
 		}

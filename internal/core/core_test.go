@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"nodecap/internal/machine"
@@ -19,6 +20,36 @@ func (w *miniWork) Run(m *machine.Machine) {
 		if i%4 == 0 {
 			m.Store(base + uint64((i*8191)%(1<<20)))
 		}
+	}
+}
+
+// forkWork is miniWork as a machine.Forker: the load offsets are an
+// input table built once and shared, read-only, by every fork.
+type forkWork struct {
+	miniWork
+	offsets []uint32
+	forks   *atomic.Int64 // counts Fork calls across the family
+}
+
+func newForkWork(iters int) *forkWork {
+	w := &forkWork{miniWork: miniWork{iters: iters}, offsets: make([]uint32, 4096), forks: new(atomic.Int64)}
+	for i := range w.offsets {
+		w.offsets[i] = uint32(i*4099) % (1 << 20)
+	}
+	return w
+}
+
+func (w *forkWork) Fork() machine.Workload {
+	w.forks.Add(1)
+	f := *w
+	return &f
+}
+
+func (w *forkWork) Run(m *machine.Machine) {
+	base := m.Alloc(1 << 20)
+	for i := 0; i < w.iters; i++ {
+		m.Compute(30, 24)
+		m.Load(base + uint64(w.offsets[i%len(w.offsets)]))
 	}
 }
 
@@ -122,5 +153,44 @@ func TestTrialsAveraged(t *testing.T) {
 	}
 	if r.TimeStddev > 0.25*r.TimeSeconds {
 		t.Errorf("trial spread %.4f s too large vs mean %.4f s", r.TimeStddev, r.TimeSeconds)
+	}
+}
+
+// TestSweepBuildsForkerInputOnce: a sweep of a machine.Forker calls
+// NewWorkload once and forks that instance for every run; a sweep of a
+// plain Workload still builds one instance per run (plus the one that
+// names the sweep).
+func TestSweepBuildsForkerInputOnce(t *testing.T) {
+	const runs = (1 + 2) * 2 // baseline + 2 caps, 2 trials each
+	var built atomic.Int64
+
+	plain := miniExperiment([]float64{150, 130}, 2)
+	plain.NewWorkload = func() machine.Workload {
+		built.Add(1)
+		return &miniWork{iters: 20000}
+	}
+	if _, err := plain.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := built.Load(); got != 1+runs {
+		t.Errorf("plain workload: NewWorkload called %d times, want %d", got, 1+runs)
+	}
+
+	built.Store(0)
+	var proto *forkWork
+	forked := miniExperiment([]float64{150, 130}, 2)
+	forked.NewWorkload = func() machine.Workload {
+		built.Add(1)
+		proto = newForkWork(20000)
+		return proto
+	}
+	if _, err := forked.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := built.Load(); got != 1 {
+		t.Errorf("Forker: NewWorkload called %d times, want 1", got)
+	}
+	if got := proto.forks.Load(); got != runs {
+		t.Errorf("Forker: Fork called %d times, want %d (one per run)", got, runs)
 	}
 }

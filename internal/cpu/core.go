@@ -17,6 +17,9 @@ type Core struct {
 
 	curP int // index into pstates
 	curC int // index into cstates
+	// freqMHz is pstates[curP].FreqMHz, refreshed by SetPState: the
+	// accounting below reads it on every simulated operation.
+	freqMHz int
 
 	// Time-weighted frequency accumulation for the "Average
 	// Frequency" column of Table II.
@@ -42,7 +45,7 @@ func NewCore(id int, pstates PStateTable, cstates []CState) (*Core, error) {
 	if len(cstates) == 0 {
 		return nil, fmt.Errorf("cpu: core %d: no C-states", id)
 	}
-	return &Core{id: id, pstates: pstates, cstates: cstates}, nil
+	return &Core{id: id, pstates: pstates, cstates: cstates, freqMHz: pstates[0].FreqMHz}, nil
 }
 
 // MustCore is NewCore for static configurations.
@@ -63,6 +66,9 @@ func (c *Core) PStates() PStateTable { return c.pstates }
 // PState reports the current operating point.
 func (c *Core) PState() PState { return c.pstates[c.curP] }
 
+// FreqMHz reports the current operating point's frequency.
+func (c *Core) FreqMHz() int { return c.freqMHz }
+
 // PStateIndex reports the current P-state index.
 func (c *Core) PStateIndex() int { return c.curP }
 
@@ -80,6 +86,7 @@ func (c *Core) SetPState(i int) simtime.Duration {
 		return 0
 	}
 	c.curP = i
+	c.freqMHz = c.pstates[i].FreqMHz
 	c.transitions++
 	return 10 * simtime.Microsecond
 }
@@ -113,7 +120,7 @@ func (c *Core) Wake() simtime.Duration {
 // cycles advance and the time-weighted frequency average includes it.
 func (c *Core) AccountBusy(d simtime.Duration) {
 	c.busyTime += d
-	f := c.PState().FreqMHz
+	f := c.freqMHz
 	c.freqTimeProduct += float64(f) * float64(d)
 	c.Cycles += uint64(d.CyclesAt(f))
 }
@@ -124,7 +131,7 @@ func (c *Core) AccountBusy(d simtime.Duration) {
 // treats stalled time as low-activity.
 func (c *Core) AccountStall(d simtime.Duration) {
 	c.stallTime += d
-	f := c.PState().FreqMHz
+	f := c.freqMHz
 	c.freqTimeProduct += float64(f) * float64(d)
 	c.Cycles += uint64(d.CyclesAt(f))
 }
@@ -139,7 +146,7 @@ func (c *Core) StallTime() simtime.Duration { return c.stallTime }
 func (c *Core) AverageFreqMHz() float64 {
 	total := c.busyTime + c.stallTime
 	if total == 0 {
-		return float64(c.PState().FreqMHz)
+		return float64(c.freqMHz)
 	}
 	return c.freqTimeProduct / float64(total)
 }

@@ -84,6 +84,7 @@ type DRAM struct {
 	cfg      Config
 	gate     GateConfig
 	openRows []int64 // per-bank open row, -1 when none
+	rowShift uint    // log2(RowBytes): an address's row is a shift away
 	stats    Stats
 }
 
@@ -92,7 +93,8 @@ func New(cfg Config) *DRAM {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	d := &DRAM{cfg: cfg, gate: Ungated, openRows: make([]int64, cfg.Banks)}
+	d := &DRAM{cfg: cfg, gate: Ungated, openRows: make([]int64, cfg.Banks),
+		rowShift: uint(bits.TrailingZeros(uint(cfg.RowBytes)))}
 	for i := range d.openRows {
 		d.openRows[i] = -1
 	}
@@ -146,8 +148,8 @@ func (d *DRAM) Access(now simtime.Duration, addr uint64, write bool) simtime.Dur
 		d.stats.GateStallTime += stall
 	}
 
-	row := int64(addr / uint64(d.cfg.RowBytes))
-	bank := int(uint(row) & uint(d.cfg.Banks-1))
+	row := int64(addr >> d.rowShift)
+	bank := int(uint(row) & uint(len(d.openRows)-1))
 	var lat float64
 	if d.openRows[bank] == row {
 		d.stats.RowHits++

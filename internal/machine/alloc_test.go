@@ -25,3 +25,27 @@ func TestLoadSteadyStateZeroAlloc(t *testing.T) {
 		t.Errorf("Machine.Load allocates %.1f times per op in steady state, want 0", allocs)
 	}
 }
+
+// TestPeriodicEventsZeroAlloc pins the meter and BMC events at zero
+// allocations per firing: each re-arms its one Event from its own
+// callback. Nearly all of a sweep's allocations used to be the fresh
+// closure and Event every firing built.
+func TestPeriodicEventsZeroAlloc(t *testing.T) {
+	m := New(Romley())
+	if err := m.SetPolicy(140); err != nil { // capped: the firmware-overhead path runs too
+		t.Fatal(err)
+	}
+	period := m.Config().BMC.ControlPeriod
+	// Grow the meter's sample slice past what the measured window
+	// appends, then empty it keeping the capacity.
+	m.AdvanceIdle(2000 * period)
+	m.Meter().Reset()
+	ticks := m.BMC().Stats().Ticks
+	allocs := testing.AllocsPerRun(5, func() { m.AdvanceIdle(100 * period) })
+	if fired := m.BMC().Stats().Ticks - ticks; fired < 600 {
+		t.Fatalf("only %d control ticks fired in the measured window, want 600", fired)
+	}
+	if allocs != 0 {
+		t.Errorf("100 idle control periods allocate %.0f times, want 0", allocs)
+	}
+}

@@ -124,6 +124,9 @@ type Machine struct {
 	events    *simtime.EventQueue
 	nextEvent simtime.Duration
 	hasEvent  bool
+	// The two periodic events, created once and re-armed from their own
+	// callbacks so that a firing allocates nothing.
+	meterEvent, bmcEvent *simtime.Event
 
 	core  *cpu.Core
 	hier  *mem.Hierarchy
@@ -152,6 +155,12 @@ type Machine struct {
 	// Hot-path constants hoisted out of cfg at construction.
 	fastestMHz  int
 	specLineOff uint64
+	// specInc is the speculative-access accumulator's per-memop
+	// increment at frequency specFreq, refreshed when the P-state moves.
+	specInc  float64
+	specFreq int
+	// cyc turns Compute's cycle counts into time without a divide.
+	cyc simtime.CycleTable
 
 	smmSeq uint64
 }
@@ -200,8 +209,8 @@ func New(cfg Config) *Machine {
 	m.clock.Advance(simtime.Duration(cfg.Seed%97) * 731 * simtime.Nanosecond)
 	m.fetchSeq = cfg.Seed * 1021
 	m.smmSeq = cfg.Seed * 2053
-	m.scheduleMeter(m.clock.Now() + m.cfg.MeterInterval)
-	m.scheduleBMC(m.clock.Now() + m.cfg.BMC.ControlPeriod)
+	m.meterEvent = m.events.Schedule(m.clock.Now()+m.cfg.MeterInterval, m.meterTick)
+	m.bmcEvent = m.events.Schedule(m.clock.Now()+m.cfg.BMC.ControlPeriod, m.bmcTick)
 	m.refreshNextEvent()
 	return m
 }
@@ -290,7 +299,7 @@ func (m *Machine) SetCodeFootprint(pages int) {
 }
 
 // freq reports the current core frequency in MHz.
-func (m *Machine) freq() int { return m.core.PState().FreqMHz }
+func (m *Machine) freq() int { return m.core.FreqMHz() }
 
 // TraceOpKind labels one logical workload operation.
 type TraceOpKind byte
@@ -321,8 +330,7 @@ func (m *Machine) Compute(cycles int64, instrs uint64) {
 		m.cfg.OpTrace(TraceOp{Kind: TraceCompute, Cycles: cycles, Instrs: instrs})
 	}
 	m.drainPendingStall()
-	d := simtime.Cycles(cycles, m.freq())
-	m.advanceBusy(d)
+	m.advanceBusy(m.cyc.Cycles(cycles, m.freq()))
 	m.core.InstructionsCommitted += instrs
 	m.core.InstructionsExecuted += instrs
 	m.fetchForInstrs(instrs)
@@ -369,7 +377,11 @@ func (m *Machine) memop(addr uint64, kind mem.AccessKind) {
 
 	// Speculative work scales with frequency: a faster front end runs
 	// further ahead of a stalled retirement point.
-	m.specAcc += float64(freq) / float64(m.fastestMHz) / float64(m.cfg.SpecEvery)
+	if freq != m.specFreq {
+		m.specFreq = freq
+		m.specInc = float64(freq) / float64(m.fastestMHz) / float64(m.cfg.SpecEvery)
+	}
+	m.specAcc += m.specInc
 	if m.specAcc >= 1 {
 		m.specAcc--
 		specAddr := addr + m.specLineOff
@@ -385,6 +397,14 @@ func (m *Machine) memop(addr uint64, kind mem.AccessKind) {
 // front end runs ahead of retirement); misses stall.
 func (m *Machine) fetchForInstrs(n uint64) {
 	m.ifetchDown -= int(n)
+	if m.ifetchDown <= 0 {
+		m.issueFetches()
+	}
+}
+
+// issueFetches is the part of fetchForInstrs kept out of line so that
+// its countdown inlines into every operation.
+func (m *Machine) issueFetches() {
 	for m.ifetchDown <= 0 {
 		m.ifetchDown += m.cfg.IFetchEvery
 		addr := m.nextFetchAddr()
@@ -414,16 +434,16 @@ func (m *Machine) nextFetchAddr() uint64 {
 		page := (h >> 33) % farCodePages
 		return codeRegionBase + uint64(4096*4096) + page*4096
 	}
-	hot := 4
-	if m.codePages < hot {
-		hot = m.codePages
-	}
+	const hot = 4 // pages in the hot loop, when the footprint has that many
 	var page uint64
-	if seq%5 == 0 && m.codePages > hot {
+	switch {
+	case m.codePages <= hot:
+		page = seq % uint64(m.codePages)
+	case seq%5 == 0:
 		// Cold fetch: cycle the whole footprint.
 		page = (seq / 5) % uint64(m.codePages)
-	} else {
-		page = seq % uint64(hot)
+	default:
+		page = seq % hot
 	}
 	// Vary the line within the page so the L1I sees realistic traffic.
 	line := (seq * 13) % 64
@@ -446,10 +466,7 @@ func (m *Machine) advanceBusy(d simtime.Duration) {
 	if m.clockDuty > 0 && m.clockDuty < 1 {
 		// Clock modulation: for every duty-cycle's worth of progress
 		// the clock is gated for the complementary fraction.
-		gap := simtime.Duration(float64(d) * (1 - m.clockDuty) / m.clockDuty)
-		m.clock.Advance(gap)
-		m.core.AccountStall(gap)
-		m.accStall += gap
+		m.advanceStall(simtime.Duration(float64(d) * (1 - m.clockDuty) / m.clockDuty))
 	}
 }
 
@@ -461,9 +478,14 @@ func (m *Machine) advanceStall(d simtime.Duration) {
 
 // runDueEvents fires any periodic events the clock has passed.
 func (m *Machine) runDueEvents() {
-	if !m.hasEvent || m.clock.Now() < m.nextEvent {
-		return
+	if m.hasEvent && m.clock.Now() >= m.nextEvent {
+		m.fireDueEvents()
 	}
+}
+
+// fireDueEvents is the part of runDueEvents kept out of line so that
+// its test inlines into every operation.
+func (m *Machine) fireDueEvents() {
 	m.events.RunUntil(m.clock.Now())
 	m.refreshNextEvent()
 }
@@ -494,26 +516,24 @@ func (m *Machine) AdvanceIdle(d simtime.Duration) {
 
 // --- periodic events ---
 
-func (m *Machine) scheduleMeter(at simtime.Duration) {
-	m.events.Schedule(at, func(now simtime.Duration) {
-		m.updatePower(now)
-		m.meter.Record(now, m.curPower)
-		m.scheduleMeter(now + m.cfg.MeterInterval)
-	})
+// meterTick samples the wall meter and re-arms itself.
+func (m *Machine) meterTick(now simtime.Duration) {
+	m.updatePower(now)
+	m.meter.Record(now, m.curPower)
+	m.events.Rearm(m.meterEvent, now+m.cfg.MeterInterval)
 }
 
-func (m *Machine) scheduleBMC(at simtime.Duration) {
-	m.events.Schedule(at, func(now simtime.Duration) {
-		m.updatePower(now)
-		m.ctrl.Tick()
-		if m.ctrl.Policy().Enabled {
-			m.firmwareOverhead(now)
-		}
-		if m.cfg.ControlHook != nil {
-			m.cfg.ControlHook(m)
-		}
-		m.scheduleBMC(now + m.cfg.BMC.ControlPeriod)
-	})
+// bmcTick runs one control period and re-arms itself.
+func (m *Machine) bmcTick(now simtime.Duration) {
+	m.updatePower(now)
+	m.ctrl.Tick()
+	if m.ctrl.Policy().Enabled {
+		m.firmwareOverhead(now)
+	}
+	if m.cfg.ControlHook != nil {
+		m.cfg.ControlHook(m)
+	}
+	m.events.Rearm(m.bmcEvent, now+m.cfg.BMC.ControlPeriod)
 }
 
 // updatePower recomputes the node power from activity since the last

@@ -18,6 +18,18 @@ type Workload interface {
 	Run(m *Machine)
 }
 
+// Forker is a Workload whose input is expensive to build and safe to
+// share. Fork returns a fresh runnable instance over the receiver's
+// input — sharing what Run only reads, copying what it writes — so a
+// sweep synthesizes its scene or radar returns once, not once per run.
+// The receiver is a prototype that has not itself been run; Fork may
+// be called on it from several goroutines at once, and the instances
+// it returns run concurrently with one another.
+type Forker interface {
+	Workload
+	Fork() Workload
+}
+
 // RunResult carries every metric the paper reports for one run.
 type RunResult struct {
 	Workload string
@@ -41,7 +53,7 @@ type RunResult struct {
 // (letting the controller settle against idle power), then the
 // application runs while the meter and counters record.
 func (m *Machine) RunWorkload(w Workload) RunResult {
-	// Idle lead-in: two control periods, as between real trials.
+	// Idle lead-in: four control periods, as between real trials.
 	m.AdvanceIdle(4 * m.cfg.BMC.ControlPeriod)
 
 	m.SetCodeFootprint(w.CodePages())

@@ -122,6 +122,9 @@ type Hierarchy struct {
 	l1iHit, l1dHit, l2Hit, l3Hit int64
 	itlbMiss, dtlbMiss           int64
 	lineBytes                    uint64
+	// cyc turns an access's on-chip cycle count into time without the
+	// divide simtime.Cycles pays.
+	cyc simtime.CycleTable
 
 	dramBytes uint64 // traffic accumulator for bandwidth utilization
 }
@@ -191,7 +194,7 @@ func (h *Hierarchy) Access(now simtime.Duration, freqMHz int, addr uint64, kind 
 	}
 	if hit1 {
 		res.Level = LevelL1
-		res.Latency = simtime.Cycles(cycles, freqMHz)
+		res.Latency = h.cyc.Cycles(cycles, freqMHz)
 		return res
 	}
 
@@ -202,7 +205,7 @@ func (h *Hierarchy) Access(now simtime.Duration, freqMHz int, addr uint64, kind 
 	}
 	if hit2 {
 		res.Level = LevelL2
-		res.Latency = simtime.Cycles(cycles, freqMHz)
+		res.Latency = h.cyc.Cycles(cycles, freqMHz)
 		return res
 	}
 
@@ -216,13 +219,13 @@ func (h *Hierarchy) Access(now simtime.Duration, freqMHz int, addr uint64, kind 
 	}
 	if hit3 {
 		res.Level = LevelL3
-		res.Latency = simtime.Cycles(cycles, freqMHz)
+		res.Latency = h.cyc.Cycles(cycles, freqMHz)
 		return res
 	}
 
 	// Miss to memory: line fill on the critical path.
 	res.Level = LevelMemory
-	onChip := simtime.Cycles(cycles, freqMHz)
+	onChip := h.cyc.Cycles(cycles, freqMHz)
 	dramLat := h.ram.Access(now+onChip, addr, false)
 	h.dramBytes += h.lineBytes
 	res.Latency = onChip + dramLat

@@ -26,10 +26,19 @@ func NewEventQueue() *EventQueue { return &EventQueue{} }
 
 // Schedule enqueues fn to run at time at.
 func (q *EventQueue) Schedule(at Duration, fn func(now Duration)) *Event {
-	e := &Event{At: at, Fn: fn, seq: q.seq}
+	e := &Event{Fn: fn}
+	q.Rearm(e, at)
+	return e
+}
+
+// Rearm enqueues e, which must not be pending, to fire again at time
+// at. It takes its place in the FIFO tie-break exactly as a freshly
+// scheduled event would, so a periodic event can re-arm itself from
+// its own callback without allocating.
+func (q *EventQueue) Rearm(e *Event, at Duration) {
+	e.At, e.seq = at, q.seq
 	q.seq++
 	heap.Push(&q.h, e)
-	return e
 }
 
 // Len reports the number of pending events.

@@ -105,6 +105,41 @@ func Cycles(n int64, freqMHz int) Duration {
 	return Duration(float64(n)*1e6/float64(freqMHz) + 0.5)
 }
 
+// CycleTable is Cycles without the floating-point divide: it holds
+// Cycles(n, f) for every n below 64 — which covers every on-chip
+// latency the simulator charges per access — at the one frequency f
+// last asked for, and rebuilds itself when the frequency changes (a
+// P-state transition, at most once per control period). A lookup is
+// two compares and a load, and the value is Cycles' own, bit for bit.
+// The zero value is ready to use.
+type CycleTable struct {
+	freqMHz int
+	d       [64]Duration // d[n] = Cycles(n, freqMHz)
+}
+
+// Cycles returns Cycles(n, freqMHz).
+func (t *CycleTable) Cycles(n int64, freqMHz int) Duration {
+	if freqMHz == t.freqMHz && uint64(n) < uint64(len(t.d)) {
+		return t.d[n]
+	}
+	return t.slow(n, freqMHz)
+}
+
+// slow is the part of Cycles kept out of line so that the lookup
+// above inlines into the access path: retabulate for a new frequency,
+// or compute a count too large for the table directly.
+//
+//go:noinline
+func (t *CycleTable) slow(n int64, freqMHz int) Duration {
+	if freqMHz != t.freqMHz {
+		t.freqMHz = freqMHz
+		for i := range t.d {
+			t.d[i] = Cycles(int64(i), freqMHz)
+		}
+	}
+	return Cycles(n, freqMHz)
+}
+
 // Clock is a monotonically advancing virtual clock.
 type Clock struct {
 	now Duration

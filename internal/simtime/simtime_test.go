@@ -1,6 +1,7 @@
 package simtime
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -254,5 +255,68 @@ func TestEventQueueHeapProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestEventQueueRearm: two periodic events that re-arm themselves from
+// their own callbacks interleave exactly as two chains of fresh
+// Schedule calls do — including at instants where both fall due, where
+// the one armed first fires first — and re-arming allocates nothing.
+func TestEventQueueRearm(t *testing.T) {
+	type firing struct {
+		who string
+		at  Duration
+	}
+	run := func(rearm bool) []firing {
+		q := NewEventQueue()
+		var got []firing
+		var a, b *Event
+		var tickA, tickB func(Duration)
+		again := func(e **Event, at Duration, fn func(Duration)) {
+			if rearm {
+				q.Rearm(*e, at)
+			} else {
+				*e = q.Schedule(at, fn)
+			}
+		}
+		tickA = func(now Duration) { got = append(got, firing{"a", now}); again(&a, now+20, tickA) }
+		tickB = func(now Duration) { got = append(got, firing{"b", now}); again(&b, now+50, tickB) }
+		a = q.Schedule(20, tickA)
+		b = q.Schedule(50, tickB)
+		q.RunUntil(400) // they coincide at 100, 200, 300, 400
+		return got
+	}
+	fresh, rearmed := run(false), run(true)
+	if len(fresh) != 28 || !slices.Equal(fresh, rearmed) {
+		t.Fatalf("re-armed events fired\n%v\nfresh events fired\n%v", rearmed, fresh)
+	}
+
+	q := NewEventQueue()
+	var e *Event
+	e = q.Schedule(1, func(now Duration) { q.Rearm(e, now+1) })
+	q.RunUntil(10)
+	if allocs := testing.AllocsPerRun(100, func() { q.RunUntil(e.At + 10) }); allocs != 0 {
+		t.Errorf("a self-re-arming event allocates %.0f times per 10 firings, want 0", allocs)
+	}
+}
+
+// TestCycleTableMatchesCycles: the table returns Cycles' own value for
+// every count, tabulated or not, across frequency changes back and
+// forth, from the zero value.
+func TestCycleTableMatchesCycles(t *testing.T) {
+	var tab CycleTable
+	for _, f := range []int{0, 2700, 1200, 2700, 2700, 1300, -5, 1200} {
+		for n := int64(-2); n < 200; n++ {
+			if got, want := tab.Cycles(n, f), Cycles(n, f); got != want {
+				t.Fatalf("CycleTable.Cycles(%d, %d) = %d, Cycles = %d", n, f, got, want)
+			}
+		}
+		// And again in the order the access path asks: one count, many
+		// frequencies.
+		for _, g := range []int{f, 2200, f, 2100} {
+			if got, want := tab.Cycles(53, g), Cycles(53, g); got != want {
+				t.Fatalf("CycleTable.Cycles(53, %d) = %d, Cycles = %d", g, got, want)
+			}
+		}
 	}
 }

@@ -11,6 +11,8 @@ package tlb
 import (
 	"fmt"
 	"math/bits"
+
+	"nodecap/internal/lru"
 )
 
 // Config describes a TLB's geometry.
@@ -32,6 +34,9 @@ func (c Config) Sets() int { return c.Entries / c.Ways }
 func (c Config) Validate() error {
 	if c.Entries <= 0 || c.Ways <= 0 || c.PageBytes <= 0 {
 		return fmt.Errorf("tlb %s: non-positive geometry %+v", c.Name, c)
+	}
+	if c.Ways > lru.MaxWays {
+		return fmt.Errorf("tlb %s: %d ways exceeds the %d an LRU key can index", c.Name, c.Ways, lru.MaxWays)
 	}
 	if c.Entries%c.Ways != 0 {
 		return fmt.Errorf("tlb %s: entries %d not divisible by ways %d", c.Name, c.Entries, c.Ways)
@@ -65,14 +70,15 @@ func (s Stats) MissRate() float64 {
 // identity-mapped (the simulator has no real page tables); only the
 // hit/miss behaviour and its cost matter to the study.
 //
-// Entry state is stored structure-of-arrays, flat and set-major, the
-// same layout the cache uses: the lookup scan walks a packed array of
-// tag words (vpn-tag<<1|1 when valid, 0 when invalid) and decides each
-// way with a single load-and-compare.
+// Entry state lives in one set-major slab laid out as the cache's is:
+// set s owns the 2*ways words at entries[s*2*ways:], `ways` tag words
+// (vpn-tag<<1|1 when valid, 0 when invalid, so a single
+// load-and-compare decides a way) followed by `ways` LRU stamps (see
+// package lru; translations are clean, so the dirty bit stays 0). A
+// zeroed slab is an empty TLB.
 type TLB struct {
 	cfg        Config
-	tags       []uint64 // tagv per way (tag<<1|1, 0 = invalid)
-	use        []uint64 // LRU clocks
+	entries    []uint64 // per set: ways tag words, then ways LRU stamps
 	setMask    uint64
 	pageShift  uint
 	tagShift   uint // set-index width; splits a vpn into set and tag
@@ -80,8 +86,10 @@ type TLB struct {
 	activeWays int
 	// mruIdx/mruVpn remember the last translation that hit: repeated
 	// same-page accesses (any streaming workload touches a page ~64
-	// line-accesses in a row) skip the set scan. mruIdx is -1 when no
-	// resident entry is cached.
+	// line-accesses in a row) skip the set scan. mruIdx indexes the
+	// entry's tag word (its stamp sits ways further on). It is never
+	// reset: the filter compares that tag word, and an entry that has
+	// been flushed or gated off no longer matches.
 	mruIdx   int
 	mruVpn   uint64
 	useClock uint64
@@ -94,18 +102,29 @@ func New(cfg Config) *TLB {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	n := cfg.Sets() * cfg.Ways
 	return &TLB{
 		cfg:        cfg,
-		tags:       make([]uint64, n),
-		use:        make([]uint64, n),
+		entries:    make([]uint64, cfg.Sets()*2*cfg.Ways),
 		setMask:    uint64(cfg.Sets() - 1),
 		pageShift:  uint(bits.TrailingZeros(uint(cfg.PageBytes))),
 		tagShift:   uint(bits.Len64(uint64(cfg.Sets() - 1))),
 		ways:       cfg.Ways,
 		activeWays: cfg.Ways,
-		mruIdx:     -1,
 	}
+}
+
+// clear invalidates ways from..Ways-1 of every set, reporting how many
+// held a translation.
+func (t *TLB) clear(from int) (dropped uint64) {
+	for base := 0; base < len(t.entries); base += 2 * t.ways {
+		for i := base + from; i < base+t.ways; i++ {
+			if t.entries[i] != 0 {
+				dropped++
+			}
+			t.entries[i], t.entries[i+t.ways] = 0, 0
+		}
+	}
+	return dropped
 }
 
 // Config returns the TLB geometry.
@@ -127,37 +146,30 @@ func (t *TLB) Lookup(addr uint64) bool {
 	t.useClock++
 	vpn := addr >> t.pageShift
 	tagv := (vpn>>t.tagShift)<<1 | 1
+	touch := lru.Stamp(t.useClock)
 
 	// MRU filter: a repeated-page access skips the set scan.
-	if vpn == t.mruVpn && t.mruIdx >= 0 && t.tags[t.mruIdx] == tagv {
+	if vpn == t.mruVpn && t.entries[t.mruIdx] == tagv {
 		t.stats.Hits++
-		t.use[t.mruIdx] = t.useClock
+		t.entries[t.mruIdx+t.ways] = touch
 		return true
 	}
 
-	base := int(vpn&t.setMask) * t.ways
-	set := t.tags[base : base+t.activeWays]
-	for i := range set {
-		if set[i] == tagv {
+	base := int(vpn&t.setMask) * 2 * t.ways
+	tags := t.entries[base : base+t.activeWays]
+	for i, tg := range tags {
+		if tg == tagv {
 			t.stats.Hits++
-			t.use[base+i] = t.useClock
+			t.entries[base+t.ways+i] = touch
 			t.mruVpn, t.mruIdx = vpn, base+i
 			return true
 		}
 	}
 	t.stats.Misses++
-	victim := 0
-	for i := range set {
-		if set[i] == 0 {
-			victim = i
-			break
-		}
-		if t.use[base+i] < t.use[base+victim] {
-			victim = i
-		}
-	}
-	set[victim] = tagv
-	t.use[base+victim] = t.useClock
+	// Install over the first invalid way, else the least recently used.
+	stamps := t.entries[base+t.ways : base+t.ways+t.activeWays]
+	victim, _ := lru.Split(lru.Oldest(stamps))
+	tags[victim], stamps[victim] = tagv, touch
 	t.mruVpn, t.mruIdx = vpn, base+victim
 	return false
 }
@@ -173,27 +185,14 @@ func (t *TLB) SetActiveWays(n int) {
 		n = t.cfg.Ways
 	}
 	if n < t.activeWays {
-		nsets := len(t.tags) / t.ways
-		for setIdx := 0; setIdx < nsets; setIdx++ {
-			for w := n; w < t.activeWays; w++ {
-				if idx := setIdx*t.ways + w; t.tags[idx] != 0 {
-					t.stats.GateDrop++
-					t.tags[idx] = 0
-				}
-			}
-		}
-		t.mruIdx = -1 // the cached translation may just have been gated off
+		// Ways at and above the old activeWays are already invalid.
+		t.stats.GateDrop += t.clear(n)
 	}
 	t.activeWays = n
 }
 
 // Flush invalidates all entries (e.g., on a context switch).
-func (t *TLB) Flush() {
-	for i := range t.tags {
-		t.tags[i] = 0
-	}
-	t.mruIdx = -1
-}
+func (t *TLB) Flush() { t.clear(0) }
 
 // Reach reports the bytes of address space covered by a fully
 // populated TLB at the current gating level.

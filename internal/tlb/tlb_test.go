@@ -3,6 +3,8 @@ package tlb
 import (
 	"testing"
 	"testing/quick"
+
+	"nodecap/internal/lru"
 )
 
 func small() *TLB {
@@ -17,9 +19,13 @@ func TestValidate(t *testing.T) {
 	}
 	bad := []Config{
 		{Name: "a", Entries: 0, Ways: 4, PageBytes: 4096},
-		{Name: "b", Entries: 63, Ways: 4, PageBytes: 4096}, // not divisible
-		{Name: "c", Entries: 24, Ways: 4, PageBytes: 4096}, // sets = 6
-		{Name: "d", Entries: 64, Ways: 4, PageBytes: 5000}, // page not pow2
+		{Name: "b", Entries: 63, Ways: 4, PageBytes: 4096},    // not divisible
+		{Name: "c", Entries: 24, Ways: 4, PageBytes: 4096},    // sets = 6
+		{Name: "d", Entries: 64, Ways: 4, PageBytes: 5000},    // page not pow2
+		{Name: "e", Entries: 128, Ways: 128, PageBytes: 4096}, // more ways than an LRU key indexes
+	}
+	if err := (Config{Name: "max", Entries: lru.MaxWays, Ways: lru.MaxWays, PageBytes: 4096}).Validate(); err != nil {
+		t.Errorf("%d ways rejected: %v", lru.MaxWays, err)
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {

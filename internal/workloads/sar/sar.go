@@ -104,6 +104,18 @@ func New(cfg Config) *Workload {
 	return w
 }
 
+// Fork implements machine.Forker: a fresh instance over a copy of the
+// radar returns (noise removal filters them in place) and the same
+// scene.
+func (w *Workload) Fork() machine.Workload {
+	f := *w
+	f.data = make([]float64, len(w.data))
+	copy(f.data, w.data)
+	f.image = make([]float64, len(w.image))
+	f.work = make([]float64, len(w.work))
+	return &f
+}
+
 // Name implements machine.Workload.
 func (w *Workload) Name() string { return "SIRE/RSM" }
 

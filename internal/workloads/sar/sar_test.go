@@ -1,7 +1,10 @@
 package sar
 
 import (
+	"fmt"
 	"math"
+	"slices"
+	"sync"
 	"testing"
 
 	"nodecap/internal/machine"
@@ -147,5 +150,53 @@ func TestGoldenImageChecksum(t *testing.T) {
 	}
 	if sum == 0 {
 		t.Error("empty image")
+	}
+}
+
+// TestForkRunsIdentically pins machine.Forker's contract: a fork of a
+// prototype runs bit for bit like a freshly built instance, running a
+// fork leaves the prototype's radar returns unfiltered (a later fork
+// still matches), and forks of one prototype run concurrently without
+// sharing anything they write (the race detector checks that half).
+func TestForkRunsIdentically(t *testing.T) {
+	cfg := SmallConfig()
+	run := func(w machine.Workload) (machine.RunResult, []float64) {
+		mcfg := machine.Romley()
+		mcfg.Seed = 5
+		m := machine.New(mcfg)
+		m.SetPolicy(130)
+		res := m.RunWorkload(w)
+		return res, w.(*Workload).Image()
+	}
+	wantRes, wantImage := run(New(cfg))
+
+	proto := New(cfg)
+	check := func(name string, res machine.RunResult, image []float64) {
+		t.Helper()
+		if res != wantRes {
+			t.Errorf("%s: result %+v, fresh instance %+v", name, res, wantRes)
+		}
+		if !slices.Equal(image, wantImage) {
+			t.Errorf("%s: image differs from a fresh instance's", name)
+		}
+	}
+	res, image := run(proto.Fork())
+	check("first fork", res, image)
+
+	var wg sync.WaitGroup
+	var got [2]struct {
+		res   machine.RunResult
+		image []float64
+	}
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i].res, got[i].image = run(proto.Fork())
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		check(fmt.Sprintf("concurrent fork %d", i), got[i].res, got[i].image)
 	}
 }

@@ -101,6 +101,12 @@ func New(cfg Config) *Workload {
 	return w
 }
 
+// Fork implements machine.Forker: a fresh matcher over the same scene,
+// which Run only reads, starting from the same annealing seed.
+func (w *Workload) Fork() machine.Workload {
+	return &Workload{cfg: w.cfg, scene: w.scene, disp: make([]int32, len(w.disp)), rng: w.rng}
+}
+
 // NewScene synthesizes a problem instance without binding it to a
 // sequential workload.
 func NewScene(cfg Config) *Scene {
@@ -320,7 +326,6 @@ func (w *Workload) propose(m *machine.Machine, x, y int, cur int32) int32 {
 // residual, and a Potts smoothness term over the 4-neighbourhood.
 func (w *Workload) energyDelta(m *machine.Machine, x, y int, cur, prop int32) float64 {
 	c := w.cfg
-	idx := y*c.Width + x
 	dE := w.dataCost(m, x, y, prop) - w.dataCost(m, x, y, cur)
 	for _, o := range [4][2]int{{-1, 0}, {1, 0}, {0, -1}, {0, 1}} {
 		xx, yy := x+o[0], y+o[1]
@@ -336,7 +341,6 @@ func (w *Workload) energyDelta(m *machine.Machine, x, y int, cur, prop int32) fl
 			dE -= c.Lambda
 		}
 	}
-	_ = idx
 	return dE
 }
 

@@ -1,6 +1,9 @@
 package stereo
 
 import (
+	"fmt"
+	"slices"
+	"sync"
 	"testing"
 
 	"nodecap/internal/machine"
@@ -167,5 +170,53 @@ func TestGoldenDisparityChecksum(t *testing.T) {
 	}
 	if a == 0 {
 		t.Error("all-zero disparity field")
+	}
+}
+
+// TestForkRunsIdentically pins machine.Forker's contract: a fork of a
+// prototype runs bit for bit like a freshly built instance, running a
+// fork leaves the prototype untouched (a later fork still matches),
+// and forks of one prototype run concurrently without sharing
+// anything they write (the race detector checks that half).
+func TestForkRunsIdentically(t *testing.T) {
+	cfg := SmallConfig()
+	run := func(w machine.Workload) (machine.RunResult, []int32) {
+		mcfg := machine.Romley()
+		mcfg.Seed = 5
+		m := machine.New(mcfg)
+		m.SetPolicy(130)
+		res := m.RunWorkload(w)
+		return res, w.(*Workload).Disparity()
+	}
+	wantRes, wantDisp := run(New(cfg))
+
+	proto := New(cfg)
+	check := func(name string, res machine.RunResult, disp []int32) {
+		t.Helper()
+		if res != wantRes {
+			t.Errorf("%s: result %+v, fresh instance %+v", name, res, wantRes)
+		}
+		if !slices.Equal(disp, wantDisp) {
+			t.Errorf("%s: disparity field differs from a fresh instance's", name)
+		}
+	}
+	res, disp := run(proto.Fork())
+	check("first fork", res, disp)
+
+	var wg sync.WaitGroup
+	var got [2]struct {
+		res  machine.RunResult
+		disp []int32
+	}
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i].res, got[i].disp = run(proto.Fork())
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		check(fmt.Sprintf("concurrent fork %d", i), got[i].res, got[i].disp)
 	}
 }
