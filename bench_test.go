@@ -312,9 +312,11 @@ func BenchmarkFutureWorkMulticore(b *testing.B) {
 	wcfg.RSMIterations = 1
 	wcfg.ImageSize = 48
 	runMC := func(cores int, cap float64) multicore.Result {
-		m := multicore.New(multicore.DefaultConfig(cores))
+		cfg := machine.Romley()
+		cfg.Cores = cores
+		m := machine.New(cfg)
 		m.SetPolicy(cap)
-		return m.Run(parallel.NewSAR(wcfg))
+		return multicore.Run(m, parallel.NewSAR(wcfg))
 	}
 	var one, four, fourCap multicore.Result
 	for i := 0; i < b.N; i++ {

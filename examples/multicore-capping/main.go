@@ -14,6 +14,7 @@ package main
 import (
 	"fmt"
 
+	"nodecap/internal/machine"
 	"nodecap/internal/multicore"
 	"nodecap/internal/workloads/parallel"
 	"nodecap/internal/workloads/sar"
@@ -35,9 +36,11 @@ func main() {
 
 	for _, cores := range []int{1, 2, 4, 8} {
 		for _, cap := range []float64{0, capWatts} {
-			m := multicore.New(multicore.DefaultConfig(cores))
+			cfg := machine.Romley()
+			cfg.Cores = cores
+			m := machine.New(cfg)
 			m.SetPolicy(cap)
-			res := m.Run(parallel.NewSAR(wcfg))
+			res := multicore.Run(m, parallel.NewSAR(wcfg))
 
 			label := "none"
 			if cap > 0 {

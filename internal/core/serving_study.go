@@ -77,6 +77,13 @@ type ServingOutcome struct {
 	FloorHolds  uint64
 	FloorBreaks uint64
 	BatchSteals uint64
+	// GatingLevel is where the run left the package-wide sub-DVFS
+	// ladder, which gates the shared L3 and memory controller; the DRAM
+	// fields count the accesses that arrived in the duty-cycled
+	// controller's off window and the time they waited there.
+	GatingLevel       int
+	DRAMGateStalls    uint64
+	DRAMGateStallTime simtime.Duration
 }
 
 // ServingPoint pairs the two policies at one cap.
@@ -92,43 +99,41 @@ func RunServingStudy(cfg ServingStudyConfig) ([]ServingPoint, error) {
 	if err := cfg.defaults(); err != nil {
 		return nil, err
 	}
+	fair := cfg.Base
+	fair.Cores = cfg.Cores
+	prio := fair
+	prio.HighPriorityCores = cfg.ServingCores
+	prio.ServingFloorPState = cfg.ServingFloorPState
 	out := make([]ServingPoint, 0, len(cfg.Caps))
 	for _, cap := range cfg.Caps {
-		pt := ServingPoint{CapWatts: cap}
-		pt.Fair = runServingOnce(multicore.Config{
-			Cores: cfg.Cores,
-			Base:  cfg.Base,
-		}, cfg.Workload, cap, cfg.SLO)
-		pt.Priority = runServingOnce(multicore.Config{
-			Cores:              cfg.Cores,
-			HighPriorityCores:  cfg.ServingCores,
-			ServingFloorPState: cfg.ServingFloorPState,
-			Base:               cfg.Base,
-		}, cfg.Workload, cap, cfg.SLO)
-		out = append(out, pt)
+		out = append(out, ServingPoint{
+			CapWatts: cap,
+			Fair:     runServingOnce(fair, cfg.Workload, cap, cfg.SLO),
+			Priority: runServingOnce(prio, cfg.Workload, cap, cfg.SLO),
+		})
 	}
 	return out, nil
 }
 
-func runServingOnce(mcCfg multicore.Config, wCfg serving.Config, capWatts float64, slo simtime.Duration) ServingOutcome {
-	m := multicore.New(mcCfg)
+func runServingOnce(mCfg machine.Config, wCfg serving.Config, capWatts float64, slo simtime.Duration) ServingOutcome {
+	m := machine.New(mCfg)
 	if capWatts > 0 {
 		_ = m.SetPolicy(capWatts) // advisory ErrInfeasibleCap: still applied
 	}
 	w := serving.New(wCfg)
-	res := m.Run(w)
-	st := m.BMC().Stats()
+	res := multicore.Run(m, w)
+	st, ram := res.BMCStats, m.Hierarchy().DRAM().Stats()
 	o := ServingOutcome{
-		P99:            w.P99(),
-		BatchOps:       w.BatchOps(),
-		AvgPowerWatts:  res.AvgPowerWatts,
-		ServingFreqMHz: res.AvgFreqMHz,
-		FloorHolds:     st.FloorHolds,
-		FloorBreaks:    st.FloorBreaks,
-		BatchSteals:    st.BatchSteals,
-	}
-	if res.ServingAvgFreqMHz > 0 {
-		o.ServingFreqMHz = res.ServingAvgFreqMHz
+		P99:               w.P99(),
+		BatchOps:          w.BatchOps(),
+		AvgPowerWatts:     res.AvgPowerWatts,
+		ServingFreqMHz:    res.AvgFreqMHz, // core 0: the serving tier, or the whole package
+		FloorHolds:        st.FloorHolds,
+		FloorBreaks:       st.FloorBreaks,
+		BatchSteals:       st.BatchSteals,
+		GatingLevel:       res.FinalGatingLevel,
+		DRAMGateStalls:    ram.GateStalls,
+		DRAMGateStallTime: ram.GateStallTime,
 	}
 	o.SLOViolated = o.P99 > slo
 	return o

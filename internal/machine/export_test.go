@@ -10,7 +10,7 @@ import (
 // ladder levels on power alone.
 func powerStateForTest(m *Machine, g mem.GatedState) power.NodeState {
 	return power.NodeState{
-		FreqMHz:          m.freq(),
+		FreqMHz:          m.core.FreqMHz(),
 		VoltageMV:        m.core.PState().VoltageMV,
 		ActiveCores:      1,
 		Activity:         0.5,
@@ -19,6 +19,6 @@ func powerStateForTest(m *Machine, g mem.GatedState) power.NodeState {
 		L2WaysGated:      g.L2WaysGated,
 		L1WaysGated:      g.L1WaysGated,
 		TLBGatedFraction: g.TLBGatedFraction,
-		DRAMDuty:         m.dutyEquivalent(),
+		DRAMDuty:         dutyEquivalent(m.hier.DRAM().Gate()),
 	}
 }

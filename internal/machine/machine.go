@@ -8,9 +8,13 @@
 package machine
 
 import (
+	"fmt"
+	"math"
+
 	"nodecap/internal/bmc"
 	"nodecap/internal/counters"
 	"nodecap/internal/cpu"
+	"nodecap/internal/dram"
 	"nodecap/internal/mem"
 	"nodecap/internal/power"
 	"nodecap/internal/sensors"
@@ -88,6 +92,25 @@ type Config struct {
 	// enabling them is the "could the platform have honoured 120 W?"
 	// ablation.
 	TStates []float64
+
+	// Cores is the socket width. The paper pins its applications to one
+	// core, which is what Romley configures; wider nodes run one shard
+	// of a parallel workload per core (package multicore) over private
+	// L1/L2/TLBs and a shared L3 and DRAM channel. DVFS and the gating
+	// ladder stay package-wide unless HighPriorityCores splits them.
+	Cores int
+	// HighPriorityCores, when in (0, Cores), splits the socket into a
+	// latency-critical serving tier (cores [0, HighPriorityCores)) and
+	// a batch tier (the rest) with independent DVFS — the SST-BF
+	// deployment model. The BMC then escalates priority-aware: batch
+	// P-state and batch private gating first, serving tier held at
+	// ServingFloorPState until the cap is otherwise infeasible. Zero
+	// (or Cores) keeps the uniform package-wide plant.
+	HighPriorityCores int
+	// ServingFloorPState is the slowest P-state index the serving tier
+	// may be held at before the controller breaks the floor. Only
+	// meaningful with a serving tier.
+	ServingFloorPState int
 }
 
 // Romley returns the full configuration of the modelled S2R2 platform
@@ -95,6 +118,7 @@ type Config struct {
 // applications to a single core, which is what the machine executes).
 func Romley() Config {
 	return Config{
+		Cores:           1,
 		Hierarchy:       mem.DefaultConfig(),
 		Power:           power.DefaultParams(),
 		PStates:         cpu.SandyBridgePStates(),
@@ -117,50 +141,41 @@ const (
 	dataRegionBase = 1 << 30   // workload heap allocations
 )
 
-// Machine is one simulated node.
+// never is the time of an event that is not going to fire.
+const never = simtime.Duration(math.MaxInt64)
+
+// Machine is one simulated node. It embeds core 0's context, so on the
+// paper's one-core node the machine itself is the operation API; on a
+// wider node that is the core a plain Workload runs on while the rest
+// stay parked.
 type Machine struct {
-	cfg       Config
-	clock     *simtime.Clock
-	events    *simtime.EventQueue
-	nextEvent simtime.Duration
-	hasEvent  bool
+	*CoreHandle
+
+	cfg    Config
+	cores  []*CoreHandle
+	uncore *mem.Uncore
+	events *simtime.EventQueue
 	// The two periodic events, created once and re-armed from their own
 	// callbacks so that a firing allocates nothing.
 	meterEvent, bmcEvent *simtime.Event
 
-	core  *cpu.Core
-	hier  *mem.Hierarchy
 	meter *sensors.Meter
 	ctrl  *bmc.BMC
 
 	gatingLevel int
-	clockDuty   float64 // T-state duty; 0 or 1 = unmodulated
-	running     bool
+	// batchGatingLevel is the extra ladder position applied to batch
+	// cores' private structures only; a batch core's private level is
+	// the deeper of the two. Always 0 without a serving tier.
+	batchGatingLevel int
+	running          bool
 
-	// Power-window accumulators since the last power update.
-	accBusy, accStall simtime.Duration
-	lastPowerAt       simtime.Duration
-	curPower          float64
-	curActivity       float64
-	curMemUtil        float64
+	lastPowerAt simtime.Duration
+	curPower    float64
+	curActivity [2]float64 // per tier; a uniform node is tier 0
 
 	// Workload facilities.
-	allocNext    uint64
-	codePages    int
-	ifetchDown   int
-	fetchSeq     uint64
-	specAcc      float64
-	pendingStall simtime.Duration
-
-	// Hot-path constants hoisted out of cfg at construction.
-	fastestMHz  int
-	specLineOff uint64
-	// specInc is the speculative-access accumulator's per-memop
-	// increment at frequency specFreq, refreshed when the P-state moves.
-	specInc  float64
-	specFreq int
-	// cyc turns Compute's cycle counts into time without a divide.
-	cyc simtime.CycleTable
+	allocNext uint64
+	codePages int
 
 	smmSeq uint64
 }
@@ -176,6 +191,13 @@ func New(cfg Config) *Machine {
 	if cfg.MeterInterval <= 0 {
 		panic("machine: non-positive meter interval")
 	}
+	if cfg.Cores <= 0 {
+		panic("machine: non-positive core count")
+	}
+	if cfg.HighPriorityCores < 0 || cfg.HighPriorityCores > cfg.Cores {
+		panic(fmt.Sprintf("machine: %d high-priority cores outside [0, %d]",
+			cfg.HighPriorityCores, cfg.Cores))
+	}
 	if cfg.IFetchEvery <= 0 {
 		cfg.IFetchEvery = 12
 	}
@@ -183,19 +205,22 @@ func New(cfg Config) *Machine {
 		cfg.SpecEvery = 32
 	}
 	m := &Machine{
-		cfg:         cfg,
-		clock:       simtime.NewClock(),
-		events:      simtime.NewEventQueue(),
-		core:        cpu.MustCore(0, cfg.PStates, cfg.CStates),
-		hier:        mem.New(cfg.Hierarchy),
-		meter:       sensors.NewMeter(cfg.MeterNoiseWatts),
-		allocNext:   dataRegionBase,
-		codePages:   16,
-		ifetchDown:  cfg.IFetchEvery,
-		fastestMHz:  cfg.PStates.Fastest().FreqMHz,
-		specLineOff: uint64(cfg.Hierarchy.L1D.LineBytes),
+		cfg:       cfg,
+		uncore:    mem.NewUncore(cfg.Hierarchy),
+		events:    simtime.NewEventQueue(),
+		meter:     sensors.NewMeter(cfg.MeterNoiseWatts),
+		allocNext: dataRegionBase,
+		codePages: 16,
 	}
+	for id := 0; id < cfg.Cores; id++ {
+		m.cores = append(m.cores, newCoreHandle(m, id))
+	}
+	m.CoreHandle = m.cores[0]
+
 	var pl bmc.Plant = (*plant)(m)
+	if m.tiered() {
+		pl = priorityPlant{(*plant)(m)}
+	}
 	if cfg.WrapPlant != nil {
 		if wrapped := cfg.WrapPlant(pl); wrapped != nil {
 			pl = wrapped
@@ -205,24 +230,52 @@ func New(cfg Config) *Machine {
 	// The node draws idle power from the instant it exists; events
 	// will refine the estimate as soon as activity accumulates.
 	m.curPower = cfg.Power.NodeWatts(power.NodeState{DRAMDuty: 1})
-	// Perturb the run phase so repeated runs differ like real trials.
-	m.clock.Advance(simtime.Duration(cfg.Seed%97) * 731 * simtime.Nanosecond)
-	m.fetchSeq = cfg.Seed * 1021
 	m.smmSeq = cfg.Seed * 2053
-	m.meterEvent = m.events.Schedule(m.clock.Now()+m.cfg.MeterInterval, m.meterTick)
-	m.bmcEvent = m.events.Schedule(m.clock.Now()+m.cfg.BMC.ControlPeriod, m.bmcTick)
+	m.meterEvent = m.events.Schedule(m.Now()+m.cfg.MeterInterval, m.meterTick)
+	m.bmcEvent = m.events.Schedule(m.Now()+m.cfg.BMC.ControlPeriod, m.bmcTick)
 	m.refreshNextEvent()
 	return m
 }
 
-// Accessors used by the experiment layers.
-func (m *Machine) Now() simtime.Duration     { return m.clock.Now() }
-func (m *Machine) Core() *cpu.Core           { return m.core }
-func (m *Machine) Hierarchy() *mem.Hierarchy { return m.hier }
-func (m *Machine) Meter() *sensors.Meter     { return m.meter }
-func (m *Machine) BMC() *bmc.BMC             { return m.ctrl }
-func (m *Machine) Config() Config            { return m.cfg }
-func (m *Machine) GatingLevel() int          { return m.gatingLevel }
+// Accessors used by the experiment layers. Core and Hierarchy are
+// core 0's, promoted from the embedded handle.
+func (m *Machine) Meter() *sensors.Meter { return m.meter }
+func (m *Machine) BMC() *bmc.BMC         { return m.ctrl }
+func (m *Machine) Config() Config        { return m.cfg }
+func (m *Machine) GatingLevel() int      { return m.gatingLevel }
+
+// BatchGatingLevel reports the batch-only private-structure ladder
+// position; always 0 without a serving tier.
+func (m *Machine) BatchGatingLevel() int { return m.batchGatingLevel }
+
+// Cores returns every core's context, indexed by core id.
+func (m *Machine) Cores() []*CoreHandle { return m.cores }
+
+// Now reports node time: the furthest any core's clock has got.
+func (m *Machine) Now() simtime.Duration {
+	now := m.clock.Now()
+	for _, c := range m.cores[1:] {
+		if c.clock.Now() > now {
+			now = c.clock.Now()
+		}
+	}
+	return now
+}
+
+// tiered reports whether the socket is split into a serving and a
+// batch DVFS tier.
+func (m *Machine) tiered() bool {
+	return m.cfg.HighPriorityCores > 0 && m.cfg.HighPriorityCores < m.cfg.Cores
+}
+
+// tierOf reports core id's tier: 1 for the batch cores of a tiered
+// socket, 0 for everything else.
+func (m *Machine) tierOf(id int) int {
+	if m.tiered() && id >= m.cfg.HighPriorityCores {
+		return 1
+	}
+	return 0
+}
 
 // PowerWatts reports the node power computed at the most recent
 // control or meter event — the BMC-visible instantaneous reading.
@@ -235,37 +288,21 @@ func (m *Machine) PowerWatts() float64 { return m.curPower }
 func (m *Machine) SetBusy(busy bool) { m.running = busy }
 
 // CapFloorWatts estimates the lowest cap the platform can actually
-// track: the busy power at the slowest P-state with the gating ladder
+// track: every core busy at the slowest P-state with the gating ladder
 // fully escalated. Caps below this are accepted but overshoot, as the
 // paper's 120 W rows do; the BMC advertises it via GetCapabilities.
 func (m *Machine) CapFloorWatts() float64 {
 	deepest := m.cfg.Ladder[len(m.cfg.Ladder)-1]
-	hcfg := m.cfg.Hierarchy
-	ways := func(v, full int) int {
-		if v <= 0 {
-			return full
-		}
-		return v
-	}
-	duty := deepest.DRAMGate.OnFraction
-	if deepest.DRAMGate.Period == 0 {
-		duty = 1
-	}
-	if deepest.DRAMDuty > 0 {
-		duty = deepest.DRAMDuty
-	}
-	if scale := deepest.DRAMGate.LatencyScale; scale > 1 {
-		duty *= 0.6 + 0.4/scale
-	}
-	itlbFrac := 1 - float64(ways(deepest.ITLBWays, hcfg.ITLB.Ways))/float64(hcfg.ITLB.Ways)
-	dtlbFrac := 1 - float64(ways(deepest.DTLBWays, hcfg.DTLB.Ways))/float64(hcfg.DTLB.Ways)
+	g := deepest.Gated(m.cfg.Hierarchy)
+	n := len(m.cores)
 	slow := m.cfg.PStates.Slowest()
 	return m.cfg.Power.FloorWatts(slow.FreqMHz, slow.VoltageMV, power.NodeState{
-		L3WaysGated:      hcfg.L3.Ways - ways(deepest.L3Ways, hcfg.L3.Ways),
-		L2WaysGated:      hcfg.L2.Ways - ways(deepest.L2Ways, hcfg.L2.Ways),
-		L1WaysGated:      2 * (hcfg.L1D.Ways - ways(deepest.L1Ways, hcfg.L1D.Ways)),
-		TLBGatedFraction: (itlbFrac + dtlbFrac) / 2,
-		DRAMDuty:         duty,
+		ActiveCores:      n,
+		L3WaysGated:      g.L3WaysGated,
+		L2WaysGated:      n * g.L2WaysGated,
+		L1WaysGated:      n * g.L1WaysGated,
+		TLBGatedFraction: g.TLBGatedFraction,
+		DRAMDuty:         dutyEquivalent(deepest.Gate()),
 	})
 }
 
@@ -280,7 +317,8 @@ func (m *Machine) SetPolicy(capWatts float64) error {
 
 // Alloc reserves size bytes of simulated address space, page-aligned,
 // and returns the base address. Data contents live in the workload's
-// own Go slices; Alloc only lays out the simulated addresses.
+// own Go slices; Alloc only lays out the simulated addresses, which
+// every core shares.
 func (m *Machine) Alloc(size int) uint64 {
 	base := m.allocNext
 	pages := uint64(size+4095) / 4096
@@ -297,9 +335,6 @@ func (m *Machine) SetCodeFootprint(pages int) {
 	}
 	m.codePages = pages
 }
-
-// freq reports the current core frequency in MHz.
-func (m *Machine) freq() int { return m.core.FreqMHz() }
 
 // TraceOpKind labels one logical workload operation.
 type TraceOpKind byte
@@ -319,199 +354,65 @@ type TraceOp struct {
 	Instrs uint64 // compute
 }
 
-// Compute executes instrs committed instructions taking cycles core
-// cycles of pure execution (no memory operands beyond L1-resident
-// state folded into the cycle count).
-func (m *Machine) Compute(cycles int64, instrs uint64) {
-	if cycles <= 0 {
-		cycles = 1
+// fireDueEvents fires the periodic events every running core's clock
+// has passed. It is the part of a core's runDueEvents kept out of line
+// so that its test inlines into every operation.
+func (m *Machine) fireDueEvents() {
+	horizon := never
+	for _, c := range m.cores {
+		if !c.parked && c.clock.Now() < horizon {
+			horizon = c.clock.Now()
+		}
 	}
-	if m.cfg.OpTrace != nil {
-		m.cfg.OpTrace(TraceOp{Kind: TraceCompute, Cycles: cycles, Instrs: instrs})
+	// With every core parked the run is over; what is still due waits
+	// for whoever advances the node next.
+	if horizon != never {
+		m.events.RunUntil(horizon)
 	}
-	m.drainPendingStall()
-	m.advanceBusy(m.cyc.Cycles(cycles, m.freq()))
-	m.core.InstructionsCommitted += instrs
-	m.core.InstructionsExecuted += instrs
-	m.fetchForInstrs(instrs)
-	m.runDueEvents()
+	m.refreshNextEvent()
 }
 
-// Load performs one committed data read at addr.
-func (m *Machine) Load(addr uint64) {
-	if m.cfg.OpTrace != nil {
-		m.cfg.OpTrace(TraceOp{Kind: TraceLoad, Addr: addr})
+// refreshNextEvent re-arms every core's event test. A core already
+// past the next event does not test for it again: the event fires when
+// the last running core behind it crosses, or parks.
+func (m *Machine) refreshNextEvent() {
+	at, ok := m.events.PeekTime()
+	if !ok {
+		at = never
 	}
-	m.memop(addr, mem.Load)
-}
-
-// Store performs one committed data write at addr.
-func (m *Machine) Store(addr uint64) {
-	if m.cfg.OpTrace != nil {
-		m.cfg.OpTrace(TraceOp{Kind: TraceStore, Addr: addr})
-	}
-	m.memop(addr, mem.Store)
-}
-
-func (m *Machine) memop(addr uint64, kind mem.AccessKind) {
-	m.drainPendingStall()
-	m.fetchForInstrs(1)
-
-	freq := m.freq()
-	r := m.hier.Access(m.clock.Now(), freq, addr, kind)
-	if r.Level <= mem.LevelL3 {
-		// On-chip hits: the out-of-order engine overlaps them with
-		// useful work, so they count as busy (high-activity) time.
-		m.advanceBusy(r.Latency)
-	} else {
-		m.advanceStall(r.Latency)
-	}
-
-	m.core.InstructionsCommitted++
-	m.core.InstructionsExecuted++
-	if kind == mem.Store {
-		m.core.StoresExecuted++
-	} else {
-		m.core.LoadsExecuted++
-	}
-
-	// Speculative work scales with frequency: a faster front end runs
-	// further ahead of a stalled retirement point.
-	if freq != m.specFreq {
-		m.specFreq = freq
-		m.specInc = float64(freq) / float64(m.fastestMHz) / float64(m.cfg.SpecEvery)
-	}
-	m.specAcc += m.specInc
-	if m.specAcc >= 1 {
-		m.specAcc--
-		specAddr := addr + m.specLineOff
-		m.hier.Access(m.clock.Now(), freq, specAddr, mem.Load)
-		m.core.InstructionsExecuted++
-		m.core.LoadsExecuted++
-	}
-	m.runDueEvents()
-}
-
-// fetchForInstrs issues the synthesized instruction fetches implied by
-// committing n instructions. Fetches that hit the L1I are free (the
-// front end runs ahead of retirement); misses stall.
-func (m *Machine) fetchForInstrs(n uint64) {
-	m.ifetchDown -= int(n)
-	if m.ifetchDown <= 0 {
-		m.issueFetches()
-	}
-}
-
-// issueFetches is the part of fetchForInstrs kept out of line so that
-// its countdown inlines into every operation.
-func (m *Machine) issueFetches() {
-	for m.ifetchDown <= 0 {
-		m.ifetchDown += m.cfg.IFetchEvery
-		addr := m.nextFetchAddr()
-		r := m.hier.Access(m.clock.Now(), m.freq(), addr, mem.IFetch)
-		if r.Level != mem.LevelL1 {
-			m.advanceStall(r.Latency)
+	for _, c := range m.cores {
+		c.nextEvent = at
+		if c.clock.Now() >= at {
+			c.nextEvent = never
 		}
 	}
 }
 
-// farCodePages models the long tail of rarely executed code — shared
-// libraries, error paths, OS-visible helpers — that keeps a real
-// process's baseline iTLB miss count small but non-zero (the paper's
-// baselines run tens of thousands of iTLB misses over billions of
-// instructions).
-const farCodePages = 512
-
-// nextFetchAddr walks the workload's code footprint: most fetches spin
-// in a small hot loop, a steady trickle covers the full footprint
-// (helpers, branches taken occasionally), and a rare tail reaches the
-// far pages.
-func (m *Machine) nextFetchAddr() uint64 {
-	m.fetchSeq++
-	seq := m.fetchSeq
-	if seq%499 == 0 {
-		h := seq * 0x9E3779B97F4A7C15
-		page := (h >> 33) % farCodePages
-		return codeRegionBase + uint64(4096*4096) + page*4096
-	}
-	const hot = 4 // pages in the hot loop, when the footprint has that many
-	var page uint64
-	switch {
-	case m.codePages <= hot:
-		page = seq % uint64(m.codePages)
-	case seq%5 == 0:
-		// Cold fetch: cycle the whole footprint.
-		page = (seq / 5) % uint64(m.codePages)
-	default:
-		page = seq % hot
-	}
-	// Vary the line within the page so the L1I sees realistic traffic.
-	line := (seq * 13) % 64
-	return codeRegionBase + page*4096 + line*64
-}
-
-// drainPendingStall applies stall time posted by firmware events.
-func (m *Machine) drainPendingStall() {
-	if m.pendingStall > 0 {
-		d := m.pendingStall
-		m.pendingStall = 0
-		m.advanceStall(d)
-	}
-}
-
-func (m *Machine) advanceBusy(d simtime.Duration) {
-	m.clock.Advance(d)
-	m.core.AccountBusy(d)
-	m.accBusy += d
-	if m.clockDuty > 0 && m.clockDuty < 1 {
-		// Clock modulation: for every duty-cycle's worth of progress
-		// the clock is gated for the complementary fraction.
-		m.advanceStall(simtime.Duration(float64(d) * (1 - m.clockDuty) / m.clockDuty))
-	}
-}
-
-func (m *Machine) advanceStall(d simtime.Duration) {
-	m.clock.Advance(d)
-	m.core.AccountStall(d)
-	m.accStall += d
-}
-
-// runDueEvents fires any periodic events the clock has passed.
-func (m *Machine) runDueEvents() {
-	if m.hasEvent && m.clock.Now() >= m.nextEvent {
-		m.fireDueEvents()
-	}
-}
-
-// fireDueEvents is the part of runDueEvents kept out of line so that
-// its test inlines into every operation.
-func (m *Machine) fireDueEvents() {
-	m.events.RunUntil(m.clock.Now())
-	m.refreshNextEvent()
-}
-
-func (m *Machine) refreshNextEvent() {
-	m.nextEvent, m.hasEvent = m.events.PeekTime()
-}
-
-// AdvanceIdle advances simulated time with the core idle (deep
+// AdvanceIdle advances simulated time with the node idle (deep
 // C-state), still firing control and meter events. The experiment
 // layer uses it between runs and the stride probe uses it to settle
 // the controller.
 func (m *Machine) AdvanceIdle(d simtime.Duration) {
-	end := m.clock.Now() + d
+	end := m.Now() + d
 	m.core.EnterCState(6)
 	for {
 		at, ok := m.events.PeekTime()
 		if !ok || at > end {
 			break
 		}
-		m.clock.AdvanceTo(at)
+		m.advanceTo(at)
 		m.events.RunUntil(at)
 	}
-	m.clock.AdvanceTo(end)
+	m.advanceTo(end)
 	m.refreshNextEvent()
 	m.core.Wake()
+}
+
+// advanceTo brings every core's clock up to t.
+func (m *Machine) advanceTo(t simtime.Duration) {
+	for _, c := range m.cores {
+		c.clock.AdvanceTo(t)
+	}
 }
 
 // --- periodic events ---
@@ -536,53 +437,72 @@ func (m *Machine) bmcTick(now simtime.Duration) {
 	m.events.Rearm(m.bmcEvent, now+m.cfg.BMC.ControlPeriod)
 }
 
-// updatePower recomputes the node power from activity since the last
-// update.
+// updatePower recomputes the node power from every core's activity
+// since the last update. A uniform node is priced as one tier, a split
+// socket as two.
 func (m *Machine) updatePower(now simtime.Duration) {
 	dt := now - m.lastPowerAt
 	if dt <= 0 {
 		return
 	}
-	window := m.accBusy + m.accStall
-	if window > 0 {
-		m.curActivity = float64(m.accBusy) / float64(window)
-	} else if !m.running {
-		m.curActivity = 0
-	}
-	bytes := m.hier.TakeDRAMBytes()
-	m.curMemUtil = float64(bytes) / (dt.Seconds() * m.cfg.Hierarchy.PeakBytesPerSec)
-	if m.curMemUtil > 1 {
-		m.curMemUtil = 1
-	}
-	m.accBusy, m.accStall = 0, 0
 	m.lastPowerAt = now
 
-	active := 0
-	if m.running && m.core.CState().Index == 0 {
-		active = 1
+	var busy, stall, idle [2]simtime.Duration
+	var tiers [2]power.TierState
+	for _, c := range m.cores {
+		t := m.tierOf(c.id)
+		busy[t] += c.accBusy
+		stall[t] += c.accStall
+		idle[t] += c.accIdle
+		c.accBusy, c.accStall, c.accIdle = 0, 0, 0
+		if m.running && c.core.CState().Index == 0 {
+			tiers[t].ActiveCores++
+		}
 	}
-	g := m.hier.Gated()
-	st := power.NodeState{
-		FreqMHz:          m.freq(),
-		VoltageMV:        m.core.PState().VoltageMV,
-		ActiveCores:      active,
-		Activity:         m.curActivity,
-		MemUtil:          m.curMemUtil,
+	n := 1
+	if m.tiered() {
+		n = 2
+	}
+	for t := 0; t < n; t++ {
+		c0 := busy[t] + stall[t]
+		if c0 > 0 {
+			m.curActivity[t] = float64(busy[t]) / float64(c0)
+		} else if !m.running {
+			m.curActivity[t] = 0
+		}
+		ps := m.cores[t*m.cfg.HighPriorityCores].core.PState() // the tier's first core
+		tiers[t].FreqMHz, tiers[t].VoltageMV = ps.FreqMHz, ps.VoltageMV
+		tiers[t].Activity = m.curActivity[t]
+		// DutyCycle is the C0 fraction of the tier's time: cores asleep
+		// between open-loop arrivals burn neither dynamic power nor
+		// active leakage. A tier with no accounted time is taken as
+		// fully in C0.
+		tiers[t].DutyCycle = 1
+		if c0+idle[t] > 0 {
+			tiers[t].DutyCycle = float64(c0) / float64(c0+idle[t])
+		}
+	}
+	memUtil := float64(m.uncore.TakeDRAMBytes()) /
+		(dt.Seconds() * m.cfg.Hierarchy.PeakBytesPerSec * float64(len(m.cores)))
+	if memUtil > 1 {
+		memUtil = 1
+	}
+	g := m.uncore.Gated()
+	m.curPower = m.cfg.Power.NodeWattsTiered(power.NodeState{
+		MemUtil:          memUtil,
 		L3WaysGated:      g.L3WaysGated,
 		L2WaysGated:      g.L2WaysGated,
 		L1WaysGated:      g.L1WaysGated,
 		TLBGatedFraction: g.TLBGatedFraction,
-		DRAMDuty:         m.dutyEquivalent(),
-		ClockDuty:        m.clockDuty,
-	}
-	m.curPower = m.cfg.Power.NodeWatts(st)
+		DRAMDuty:         dutyEquivalent(m.hier.DRAM().Gate()),
+		ClockDuty:        m.clockDuty, // package-wide: core 0's copy is every core's
+	}, tiers[:n])
 }
 
 // dutyEquivalent folds duty cycling and latency scaling into the power
 // model's single DRAM-duty input: both reduce memory-interface power,
 // duty cycling proportionally and down-clocking more weakly.
-func (m *Machine) dutyEquivalent() float64 {
-	gate := m.hier.DRAM().Gate()
+func dutyEquivalent(gate dram.GateConfig) float64 {
 	duty := gate.OnFraction
 	if gate.LatencyScale > 1 {
 		duty *= 0.6 + 0.4/gate.LatencyScale
@@ -590,52 +510,53 @@ func (m *Machine) dutyEquivalent() float64 {
 	return duty
 }
 
-// firmwareOverhead injects the SMM handler's footprint: a brief core
-// stall plus instruction and data traffic in the firmware region.
-// Under deep capping the handler runs just as often per wall second
-// but vastly more often per unit of workload progress, which is how a
-// fixed overhead turns into the TLB-miss amplification of Table II.
+// firmwareOverhead injects the SMM handler's footprint: instruction
+// and data traffic in the firmware region on core 0, where the handler
+// runs, and a brief stall on every running core, which all rendezvous
+// in SMM for it. Under deep capping the handler runs just as often per
+// wall second but vastly more often per unit of workload progress,
+// which is how a fixed overhead turns into the TLB-miss amplification
+// of Table II. Nothing waits for the handler's own loads (the cores pay
+// StallPerTick instead), hence mem.Spec.
 func (m *Machine) firmwareOverhead(now simtime.Duration) {
 	s := m.cfg.SMM
 	if s.FetchesPerTick <= 0 && s.LoadsPerTick <= 0 {
 		return
 	}
+	freq := m.core.FreqMHz()
 	for i := 0; i < s.FetchesPerTick; i++ {
 		m.smmSeq++
 		page := m.smmSeq % uint64(max(1, s.CodePages))
 		line := (m.smmSeq * 7) % 64
-		m.hier.Access(now, m.freq(), smmRegionBase+page*4096+line*64, mem.IFetch)
+		m.hier.Access(now, freq, smmRegionBase+page*4096+line*64, mem.IFetch)
 	}
 	for i := 0; i < s.LoadsPerTick; i++ {
 		m.smmSeq++
 		page := m.smmSeq % uint64(max(1, s.DataPages))
-		m.hier.Access(now, m.freq(), smmRegionBase+(64<<12)+page*4096+(m.smmSeq%64)*64, mem.Load)
+		m.hier.Access(now, freq, smmRegionBase+(64<<12)+page*4096+(m.smmSeq%64)*64, mem.Spec)
 	}
-	m.pendingStall += s.StallPerTick
+	for _, c := range m.cores {
+		c.postStall(s.StallPerTick)
+	}
 }
 
-// CounterSnapshot implements counters.Source.
+// CounterSnapshot implements counters.Source: private counters summed
+// over the cores, the shared L3's once.
 func (m *Machine) CounterSnapshot() counters.Snapshot {
-	return counters.Snapshot{
-		L1DMisses:             m.hier.L1D().Stats().Misses,
-		L1IMisses:             m.hier.L1I().Stats().Misses,
-		L2Misses:              m.hier.L2().Stats().Misses,
-		L3Misses:              m.hier.L3().Stats().Misses,
-		DTLBMisses:            m.hier.DTLB().Stats().Misses,
-		ITLBMisses:            m.hier.ITLB().Stats().Misses,
-		InstructionsCommitted: m.core.InstructionsCommitted,
-		InstructionsIssued:    m.core.InstructionsExecuted,
-		Loads:                 m.core.LoadsExecuted,
-		Stores:                m.core.StoresExecuted,
-		Cycles:                m.core.Cycles,
+	s := counters.Snapshot{L3Misses: m.hier.L3().Stats().Misses}
+	for _, c := range m.cores {
+		s.L1DMisses += c.hier.L1D().Stats().Misses
+		s.L1IMisses += c.hier.L1I().Stats().Misses
+		s.L2Misses += c.hier.L2().Stats().Misses
+		s.DTLBMisses += c.hier.DTLB().Stats().Misses
+		s.ITLBMisses += c.hier.ITLB().Stats().Misses
+		s.InstructionsCommitted += c.core.InstructionsCommitted
+		s.InstructionsIssued += c.core.InstructionsExecuted
+		s.Loads += c.core.LoadsExecuted
+		s.Stores += c.core.StoresExecuted
+		s.Cycles += c.core.Cycles
 	}
+	return s
 }
 
 var _ counters.Source = (*Machine)(nil)
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

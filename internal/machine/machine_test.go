@@ -439,3 +439,31 @@ func TestDeepMemoryGatingLadderShape(t *testing.T) {
 		t.Error("deep ladder period not longer")
 	}
 }
+
+// TestSerialWorkloadOnWideNode runs a plain Workload on a four-core
+// node: it executes on core 0 exactly as on the paper's one-core node —
+// same time, same counters, the same draw but for the wider socket's
+// lower bandwidth utilization — while the other cores stay parked,
+// hold back no event and book no time.
+func TestSerialWorkloadOnWideNode(t *testing.T) {
+	wide := Romley()
+	wide.Cores = 4
+	m := New(wide)
+	got := m.RunWorkload(&computeWork{iters: 60000})
+	want := capped(t, &computeWork{iters: 60000}, 0, 0)
+
+	if got.BMCStats.Ticks == 0 || got.BMCStats.Ticks != want.BMCStats.Ticks {
+		t.Errorf("control ticks = %d on four cores, %d on one", got.BMCStats.Ticks, want.BMCStats.Ticks)
+	}
+	if got.ExecTime != want.ExecTime || got.Counters != want.Counters || got.AvgFreqMHz != want.AvgFreqMHz {
+		t.Errorf("one thread on four cores ran differently from one core:\n got %+v\nwant %+v", got, want)
+	}
+	if d := got.AvgPowerWatts - want.AvgPowerWatts; d > 0 || d < -0.5 {
+		t.Errorf("parked cores changed the draw: %.3f W against %.3f W", got.AvgPowerWatts, want.AvgPowerWatts)
+	}
+	for _, c := range m.Cores()[1:] {
+		if !c.Parked() || c.Core().BusyTime() != 0 || c.Core().StallTime() != 0 {
+			t.Errorf("core %d took part in a serial run", c.ID())
+		}
+	}
+}

@@ -36,12 +36,12 @@ type RunResult struct {
 	// CapWatts is the enforced cap; 0 means uncapped baseline.
 	CapWatts float64
 
-	ExecTime      simtime.Duration
+	ExecTime      simtime.Duration // wall time: the slowest core's
 	AvgPowerWatts float64
 	EnergyJoules  float64
 	AvgFreqMHz    float64
 
-	Counters counters.Snapshot
+	Counters counters.Snapshot // summed over the cores; L3 shared
 	BMCStats bmc.Stats
 	// FinalGatingLevel is the ladder position when the run finished.
 	FinalGatingLevel int
@@ -51,18 +51,23 @@ type RunResult struct {
 // returns the measured metrics. The sequence mirrors the study's
 // procedure: the policy is already enforced, the node idles briefly
 // (letting the controller settle against idle power), then the
-// application runs while the meter and counters record.
+// application runs while the meter and counters record. w runs on
+// core 0; a workload that spreads over the other cores (package
+// multicore) unparks them itself and parks each as it finishes.
 func (m *Machine) RunWorkload(w Workload) RunResult {
+	m.Unpark(m.Now()) // core 0, wherever an earlier parallel run left it
 	// Idle lead-in: four control periods, as between real trials.
 	m.AdvanceIdle(4 * m.cfg.BMC.ControlPeriod)
 
 	m.SetCodeFootprint(w.CodePages())
 	m.meter.Reset()
-	m.hier.ResetStats()
-	m.core.ResetCounters()
+	m.uncore.ResetStats()
+	for _, c := range m.cores {
+		c.core.ResetCounters()
+	}
 	m.ctrl.ResetStats()
 
-	start := m.clock.Now()
+	start := m.Now()
 	m.updatePower(start)
 	m.meter.Record(start, m.curPower)
 	m.running = true
@@ -70,7 +75,7 @@ func (m *Machine) RunWorkload(w Workload) RunResult {
 	w.Run(m)
 	m.drainPendingStall()
 
-	end := m.clock.Now()
+	end := m.Now()
 	m.running = false
 	m.updatePower(end)
 	m.meter.Record(end, m.curPower)

@@ -20,13 +20,17 @@ import (
 	"nodecap/internal/tlb"
 )
 
-// AccessKind distinguishes the three ways the core touches memory.
+// AccessKind distinguishes the ways the core touches memory.
 type AccessKind int
 
 const (
 	Load AccessKind = iota
 	Store
 	IFetch
+	// Spec is a data read nothing waits for: the front end's run-ahead
+	// next-line load, the firmware handler's data touches. It is a Load
+	// in every respect but one — see the channel rule at Uncore.fill.
+	Spec
 )
 
 func (k AccessKind) String() string {
@@ -37,6 +41,8 @@ func (k AccessKind) String() string {
 		return "store"
 	case IFetch:
 		return "ifetch"
+	case Spec:
+		return "spec"
 	default:
 		return fmt.Sprintf("AccessKind(%d)", int(k))
 	}
@@ -75,7 +81,8 @@ type Config struct {
 	// PeakBytesPerSec is the single-core effective memory bandwidth
 	// used to convert DRAM traffic into the power model's utilization
 	// input. The simulator serializes misses, so this is the
-	// serialized-stream rate, not the platform's peak.
+	// serialized-stream rate, not the platform's peak; a socket's is
+	// this times its core count.
 	PeakBytesPerSec float64
 }
 
@@ -106,53 +113,83 @@ type Result struct {
 	TLBMiss bool
 }
 
-// Hierarchy is one core's memory system.
+// Uncore is what the cores of one socket share: the inclusive L3, the
+// DRAM behind it with its one channel, and the traffic accumulator the
+// power model reads. Cores join it through Attach.
+type Uncore struct {
+	cfg   Config
+	l3    *cache.Cache
+	ram   *dram.DRAM
+	cores []*Hierarchy
+
+	lineBytes uint64
+	dramBytes uint64 // traffic accumulator for bandwidth utilization
+	// busyUntil is when the DRAM channel is next free; see fill.
+	busyUntil simtime.Duration
+}
+
+// Hierarchy is one core's memory system: its private L1I/L1D/L2 and
+// TLBs in front of the socket's shared Uncore.
 type Hierarchy struct {
-	cfg  Config
+	u    *Uncore
 	l1i  *cache.Cache
 	l1d  *cache.Cache
 	l2   *cache.Cache
-	l3   *cache.Cache
 	itlb *tlb.TLB
 	dtlb *tlb.TLB
-	ram  *dram.DRAM
+	// The shared levels, held here as well so the walk reaches them
+	// without a load through u.
+	l3  *cache.Cache
+	ram *dram.DRAM
 
 	// Per-access constants hoisted out of cfg so the hot path loads
 	// scalars instead of walking nested config structs.
 	l1iHit, l1dHit, l2Hit, l3Hit int64
 	itlbMiss, dtlbMiss           int64
-	lineBytes                    uint64
 	// cyc turns an access's on-chip cycle count into time without the
 	// divide simtime.Cycles pays.
 	cyc simtime.CycleTable
-
-	dramBytes uint64 // traffic accumulator for bandwidth utilization
 }
 
-// New assembles a hierarchy; the component constructors panic on
-// invalid static geometry.
-func New(cfg Config) *Hierarchy {
+// NewUncore assembles a socket's shared levels with no core attached;
+// the component constructors panic on invalid static geometry.
+func NewUncore(cfg Config) *Uncore {
 	if cfg.PeakBytesPerSec <= 0 {
 		cfg.PeakBytesPerSec = DefaultConfig().PeakBytesPerSec
 	}
-	return &Hierarchy{
+	return &Uncore{
 		cfg:       cfg,
-		l1i:       cache.New(cfg.L1I),
-		l1d:       cache.New(cfg.L1D),
-		l2:        cache.New(cfg.L2),
 		l3:        cache.New(cfg.L3),
-		itlb:      tlb.New(cfg.ITLB),
-		dtlb:      tlb.New(cfg.DTLB),
 		ram:       dram.New(cfg.DRAM),
-		l1iHit:    int64(cfg.L1I.HitLatencyCycles),
-		l1dHit:    int64(cfg.L1D.HitLatencyCycles),
-		l2Hit:     int64(cfg.L2.HitLatencyCycles),
-		l3Hit:     int64(cfg.L3.HitLatencyCycles),
-		itlbMiss:  int64(cfg.ITLB.MissPenaltyCycles),
-		dtlbMiss:  int64(cfg.DTLB.MissPenaltyCycles),
 		lineBytes: uint64(cfg.L3.LineBytes),
 	}
 }
+
+// Attach adds one core to the socket and returns its hierarchy.
+func (u *Uncore) Attach() *Hierarchy {
+	cfg := &u.cfg
+	h := &Hierarchy{
+		u:        u,
+		l1i:      cache.New(cfg.L1I),
+		l1d:      cache.New(cfg.L1D),
+		l2:       cache.New(cfg.L2),
+		itlb:     tlb.New(cfg.ITLB),
+		dtlb:     tlb.New(cfg.DTLB),
+		l3:       u.l3,
+		ram:      u.ram,
+		l1iHit:   int64(cfg.L1I.HitLatencyCycles),
+		l1dHit:   int64(cfg.L1D.HitLatencyCycles),
+		l2Hit:    int64(cfg.L2.HitLatencyCycles),
+		l3Hit:    int64(cfg.L3.HitLatencyCycles),
+		itlbMiss: int64(cfg.ITLB.MissPenaltyCycles),
+		dtlbMiss: int64(cfg.DTLB.MissPenaltyCycles),
+	}
+	u.cores = append(u.cores, h)
+	return h
+}
+
+// New assembles a one-core socket and returns the core's hierarchy.
+func New(cfg Config) *Hierarchy { return NewUncore(cfg).Attach() }
 
 // Component accessors, used by the BMC's gating ladder and by tests.
 func (h *Hierarchy) L1I() *cache.Cache { return h.l1i }
@@ -162,7 +199,10 @@ func (h *Hierarchy) L3() *cache.Cache  { return h.l3 }
 func (h *Hierarchy) ITLB() *tlb.TLB    { return h.itlb }
 func (h *Hierarchy) DTLB() *tlb.TLB    { return h.dtlb }
 func (h *Hierarchy) DRAM() *dram.DRAM  { return h.ram }
-func (h *Hierarchy) Config() Config    { return h.cfg }
+func (h *Hierarchy) Config() Config    { return h.u.cfg }
+
+// Uncore returns the socket this core is attached to.
+func (h *Hierarchy) Uncore() *Uncore { return h.u }
 
 // Access times one memory access beginning at absolute time now with
 // the core running at freqMHz. It updates all level statistics,
@@ -212,9 +252,9 @@ func (h *Hierarchy) Access(now simtime.Duration, freqMHz int, addr uint64, kind 
 	cycles += h.l3Hit
 	hit3, ev3, fl3 := h.l3.AccessPacked(addr, write)
 	if fl3&cache.EvictedFlag != 0 {
-		h.backInvalidate(now, ev3)
+		h.u.backInvalidate(now, ev3)
 		if fl3&cache.WritebackFlag != 0 {
-			h.dramWrite(now, ev3)
+			h.u.dramWrite(now, ev3)
 		}
 	}
 	if hit3 {
@@ -226,10 +266,44 @@ func (h *Hierarchy) Access(now simtime.Duration, freqMHz int, addr uint64, kind 
 	// Miss to memory: line fill on the critical path.
 	res.Level = LevelMemory
 	onChip := h.cyc.Cycles(cycles, freqMHz)
-	dramLat := h.ram.Access(now+onChip, addr, false)
-	h.dramBytes += h.lineBytes
-	res.Latency = onChip + dramLat
+	res.Latency = onChip + h.u.fill(now+onChip, addr, kind)
 	return res
+}
+
+// fill times the line fill of an L3 miss that reaches memory at time at.
+//
+// Channel rule: only demand data fills — the loads and stores a core
+// blocks on — wait for the shared DRAM channel and reserve it.
+// Speculative and instruction fills, like posted write-backs, touch
+// row-buffer state and count traffic but neither queue nor reserve.
+// The reason is the model, not the hardware: busyUntil is one scalar
+// and cores' clocks run microseconds apart (a shard's step is ~6 µs),
+// so a fill its issuer never waits for would park the channel in the
+// future of every core whose clock is behind. Measured when the walks
+// merged: with speculative fills reserving, parallel SIRE/RSM fell
+// from 3.73x to 2.39x on 4 cores; with instruction fills, a serving
+// core's p99 at 160 W rose from 10.8 µs to 1.38 ms.
+//
+// One core cannot see the channel: it blocks on a demand fill for the
+// whole latency and the channel is held for less, so its next fill
+// always finds the channel free. Only another core's can be queued.
+func (u *Uncore) fill(at simtime.Duration, addr uint64, kind AccessKind) simtime.Duration {
+	u.dramBytes += u.lineBytes
+	if kind > Store {
+		return u.ram.Access(at, addr, false)
+	}
+	start := at
+	if u.busyUntil > start {
+		start = u.busyUntil
+	}
+	lat := u.ram.Access(start, addr, false)
+	// The channel is held for the data transfer (64 B at ~6.4 GB/s
+	// effective: ~10 ns), not the whole access latency.
+	u.busyUntil = start + lat - 40*simtime.Nanosecond
+	if u.busyUntil < start {
+		u.busyUntil = start + 10*simtime.Nanosecond
+	}
+	return start - at + lat
 }
 
 // writeback pushes a dirty line from level (1 = L1D, 2 = L2) downward.
@@ -244,57 +318,37 @@ func (h *Hierarchy) writeback(now simtime.Duration, fromLevel int, addr uint64) 
 	if h.l3.Update(addr) {
 		return
 	}
-	h.dramWrite(now, addr)
+	h.u.dramWrite(now, addr)
 }
 
 // dramWrite posts one line write to memory (row-buffer state and
 // counters only; posted writes are not on the load critical path).
-func (h *Hierarchy) dramWrite(now simtime.Duration, addr uint64) {
-	h.ram.Access(now, addr, true)
-	h.dramBytes += h.lineBytes
+func (u *Uncore) dramWrite(now simtime.Duration, addr uint64) {
+	u.ram.Access(now, addr, true)
+	u.dramBytes += u.lineBytes
 }
 
 // backInvalidate enforces L3 inclusion: a line evicted from L3 may not
-// survive in the inner levels. Dirty inner copies are written to
+// survive in any core's inner levels. A dirty inner copy is written to
 // memory.
-func (h *Hierarchy) backInvalidate(now simtime.Duration, addr uint64) {
-	dirty := h.l1d.Invalidate(addr)
-	h.l1i.Invalidate(addr)
-	if h.l2.Invalidate(addr) {
-		dirty = true
+func (u *Uncore) backInvalidate(now simtime.Duration, addr uint64) {
+	dirty := false
+	for _, h := range u.cores {
+		if h.l1d.Invalidate(addr) {
+			dirty = true
+		}
+		h.l1i.Invalidate(addr)
+		if h.l2.Invalidate(addr) {
+			dirty = true
+		}
 	}
 	if dirty {
-		h.dramWrite(now, addr)
-	}
-}
-
-// gateCache gates a cache level down to n ways, writing the flushed
-// dirty lines to memory and enforcing inclusion for L3 shrinks.
-func (h *Hierarchy) gateCache(now simtime.Duration, c *cache.Cache, n int, isL3 bool) {
-	for _, addr := range c.SetActiveWays(n) {
-		h.dramWrite(now, addr)
-	}
-	if isL3 && n < c.Config().Ways {
-		// Inclusion after an L3 shrink: anything no longer in L3 must
-		// leave the inner levels. Flushing the inner levels entirely is
-		// the simple, conservative hardware response.
-		for _, a := range h.l1d.Flush() {
-			if h.l2.Update(a) || h.l3.Update(a) {
-				continue
-			}
-			h.dramWrite(now, a)
-		}
-		h.l1i.Flush()
-		for _, a := range h.l2.Flush() {
-			if h.l3.Update(a) {
-				continue
-			}
-			h.dramWrite(now, a)
-		}
+		u.dramWrite(now, addr)
 	}
 }
 
 // Gating is the hierarchy's power-gating posture, set by the BMC.
+// Zero-valued fields mean "fully powered".
 type Gating struct {
 	L1Ways   int // per L1 cache; 0 means "all ways"
 	L2Ways   int
@@ -305,22 +359,16 @@ type Gating struct {
 	DRAMGate dram.GateConfig // full gate config; Duty overrides OnFraction if set
 }
 
-// ApplyGating reconfigures the hierarchy to the posture g at time now.
-// Zero-valued fields mean "fully powered".
-func (h *Hierarchy) ApplyGating(now simtime.Duration, g Gating) {
-	or := func(v, full int) int {
-		if v <= 0 {
-			return full
-		}
-		return v
+// ways resolves a Gating field against the structure's full width.
+func ways(v, full int) int {
+	if v <= 0 {
+		return full
 	}
-	h.gateCache(now, h.l1d, or(g.L1Ways, h.cfg.L1D.Ways), false)
-	h.gateCache(now, h.l1i, or(g.L1Ways, h.cfg.L1I.Ways), false)
-	h.gateCache(now, h.l2, or(g.L2Ways, h.cfg.L2.Ways), false)
-	h.gateCache(now, h.l3, or(g.L3Ways, h.cfg.L3.Ways), true)
-	h.itlb.SetActiveWays(or(g.ITLBWays, h.cfg.ITLB.Ways))
-	h.dtlb.SetActiveWays(or(g.DTLBWays, h.cfg.DTLB.Ways))
+	return v
+}
 
+// Gate resolves the posture's memory-controller gating level.
+func (g Gating) Gate() dram.GateConfig {
 	gate := g.DRAMGate
 	if gate.Period == 0 {
 		gate = dram.Ungated
@@ -328,7 +376,55 @@ func (h *Hierarchy) ApplyGating(now simtime.Duration, g Gating) {
 	if g.DRAMDuty > 0 {
 		gate.OnFraction = g.DRAMDuty
 	}
-	h.ram.SetGate(gate)
+	return gate
+}
+
+// gateCache gates a cache level down to n ways, writing the flushed
+// dirty lines to memory.
+func (u *Uncore) gateCache(now simtime.Duration, c *cache.Cache, n int) {
+	for _, addr := range c.SetActiveWays(n) {
+		u.dramWrite(now, addr)
+	}
+}
+
+// ApplyPrivateGating reconfigures this core's L1s, L2 and TLBs to the
+// posture g at time now.
+func (h *Hierarchy) ApplyPrivateGating(now simtime.Duration, g Gating) {
+	cfg := &h.u.cfg
+	h.u.gateCache(now, h.l1d, ways(g.L1Ways, cfg.L1D.Ways))
+	h.u.gateCache(now, h.l1i, ways(g.L1Ways, cfg.L1I.Ways))
+	h.u.gateCache(now, h.l2, ways(g.L2Ways, cfg.L2.Ways))
+	h.itlb.SetActiveWays(ways(g.ITLBWays, cfg.ITLB.Ways))
+	h.dtlb.SetActiveWays(ways(g.DTLBWays, cfg.DTLB.Ways))
+}
+
+// ApplyGating reconfigures the shared L3 and the memory controller to
+// the posture g at time now. A posture is applied private levels
+// first, then here.
+func (u *Uncore) ApplyGating(now simtime.Duration, g Gating) {
+	n := ways(g.L3Ways, u.cfg.L3.Ways)
+	u.gateCache(now, u.l3, n)
+	if n < u.cfg.L3.Ways {
+		// Inclusion after an L3 shrink: anything no longer in L3 must
+		// leave the inner levels. Flushing every core's inner levels
+		// entirely is the simple, conservative hardware response.
+		for _, h := range u.cores {
+			for _, a := range h.l1d.Flush() {
+				if h.l2.Update(a) || u.l3.Update(a) {
+					continue
+				}
+				u.dramWrite(now, a)
+			}
+			h.l1i.Flush()
+			for _, a := range h.l2.Flush() {
+				if u.l3.Update(a) {
+					continue
+				}
+				u.dramWrite(now, a)
+			}
+		}
+	}
+	u.ram.SetGate(g.Gate())
 }
 
 // GatedState summarizes the posture for the power model.
@@ -340,37 +436,70 @@ type GatedState struct {
 	DRAMDuty         float64
 }
 
-// Gated reports the current gating posture.
+// Gated reports the posture of this core's private levels and of the
+// shared levels behind them.
 func (h *Hierarchy) Gated() GatedState {
-	itlbFrac := 1 - float64(h.itlb.ActiveWays())/float64(h.cfg.ITLB.Ways)
-	dtlbFrac := 1 - float64(h.dtlb.ActiveWays())/float64(h.cfg.DTLB.Ways)
+	cfg := &h.u.cfg
+	itlbFrac := 1 - float64(h.itlb.ActiveWays())/float64(cfg.ITLB.Ways)
+	dtlbFrac := 1 - float64(h.dtlb.ActiveWays())/float64(cfg.DTLB.Ways)
 	return GatedState{
-		L1WaysGated:      (h.cfg.L1D.Ways - h.l1d.ActiveWays()) + (h.cfg.L1I.Ways - h.l1i.ActiveWays()),
-		L2WaysGated:      h.cfg.L2.Ways - h.l2.ActiveWays(),
-		L3WaysGated:      h.cfg.L3.Ways - h.l3.ActiveWays(),
+		L1WaysGated:      (cfg.L1D.Ways - h.l1d.ActiveWays()) + (cfg.L1I.Ways - h.l1i.ActiveWays()),
+		L2WaysGated:      cfg.L2.Ways - h.l2.ActiveWays(),
+		L3WaysGated:      cfg.L3.Ways - h.l3.ActiveWays(),
 		TLBGatedFraction: (itlbFrac + dtlbFrac) / 2,
 		DRAMDuty:         h.ram.Gate().OnFraction,
 	}
 }
 
-// TakeDRAMBytes returns and resets the DRAM traffic accumulator; the
-// machine divides by the elapsed interval to obtain bandwidth
-// utilization for the power model.
-func (h *Hierarchy) TakeDRAMBytes() uint64 {
-	b := h.dramBytes
-	h.dramBytes = 0
+// Gated reports the whole socket's posture: private ways summed over
+// the cores, the TLB fraction averaged over them, the shared levels
+// once.
+func (u *Uncore) Gated() GatedState {
+	var g GatedState
+	for _, h := range u.cores {
+		c := h.Gated()
+		g.L1WaysGated += c.L1WaysGated
+		g.L2WaysGated += c.L2WaysGated
+		g.TLBGatedFraction += c.TLBGatedFraction
+		g.L3WaysGated, g.DRAMDuty = c.L3WaysGated, c.DRAMDuty
+	}
+	g.TLBGatedFraction /= float64(len(u.cores))
+	return g
+}
+
+// Gated reports the posture g would put one core of geometry cfg in.
+func (g Gating) Gated(cfg Config) GatedState {
+	itlbFrac := 1 - float64(ways(g.ITLBWays, cfg.ITLB.Ways))/float64(cfg.ITLB.Ways)
+	dtlbFrac := 1 - float64(ways(g.DTLBWays, cfg.DTLB.Ways))/float64(cfg.DTLB.Ways)
+	return GatedState{
+		L1WaysGated:      (cfg.L1D.Ways - ways(g.L1Ways, cfg.L1D.Ways)) + (cfg.L1I.Ways - ways(g.L1Ways, cfg.L1I.Ways)),
+		L2WaysGated:      cfg.L2.Ways - ways(g.L2Ways, cfg.L2.Ways),
+		L3WaysGated:      cfg.L3.Ways - ways(g.L3Ways, cfg.L3.Ways),
+		TLBGatedFraction: (itlbFrac + dtlbFrac) / 2,
+		DRAMDuty:         g.Gate().OnFraction,
+	}
+}
+
+// TakeDRAMBytes returns and resets the socket's DRAM traffic
+// accumulator; the machine divides by the elapsed interval to obtain
+// bandwidth utilization for the power model.
+func (u *Uncore) TakeDRAMBytes() uint64 {
+	b := u.dramBytes
+	u.dramBytes = 0
 	return b
 }
 
 // ResetStats clears every component's counters (a PAPI reset), leaving
 // contents and gating intact.
-func (h *Hierarchy) ResetStats() {
-	h.l1i.ResetStats()
-	h.l1d.ResetStats()
-	h.l2.ResetStats()
-	h.l3.ResetStats()
-	h.itlb.ResetStats()
-	h.dtlb.ResetStats()
-	h.ram.ResetStats()
-	h.dramBytes = 0
+func (u *Uncore) ResetStats() {
+	for _, h := range u.cores {
+		h.l1i.ResetStats()
+		h.l1d.ResetStats()
+		h.l2.ResetStats()
+		h.itlb.ResetStats()
+		h.dtlb.ResetStats()
+	}
+	u.l3.ResetStats()
+	u.ram.ResetStats()
+	u.dramBytes = 0
 }

@@ -62,8 +62,9 @@ func TestAccessLatenciesMatchStrideProbe(t *testing.T) {
 		t.Errorf("L2 hit: level=%v lat=%.2fns, want ~3.5ns", r.Level, r.Latency.Nanos())
 	}
 
-	// Memory access (cold line far away).
-	r = h.Access(0, freq, 1<<30, Load)
+	// Memory access (cold line far away), issued once the ten fills
+	// above — all started at time zero — have left the DRAM channel.
+	r = h.Access(simtime.Microsecond, freq, 1<<30, Load)
 	if r.Level != LevelMemory || !within(r.Latency, 55, 95) {
 		t.Errorf("memory: level=%v lat=%.2fns, want ~60-90ns", r.Level, r.Latency.Nanos())
 	}
@@ -180,9 +181,16 @@ func TestInclusionBackInvalidate(t *testing.T) {
 	}
 }
 
+// applyGating puts a one-core socket in posture g: the core's private
+// levels, then the shared ones.
+func applyGating(h *Hierarchy, now simtime.Duration, g Gating) {
+	h.ApplyPrivateGating(now, g)
+	h.Uncore().ApplyGating(now, g)
+}
+
 func TestApplyGatingAndGatedState(t *testing.T) {
 	h := New(DefaultConfig())
-	h.ApplyGating(0, Gating{L1Ways: 4, L2Ways: 2, L3Ways: 4, ITLBWays: 1, DTLBWays: 2, DRAMDuty: 0.5})
+	applyGating(h, 0, Gating{L1Ways: 4, L2Ways: 2, L3Ways: 4, ITLBWays: 1, DTLBWays: 2, DRAMDuty: 0.5})
 	g := h.Gated()
 	if g.L1WaysGated != 8 { // (8-4) on each of L1I and L1D
 		t.Errorf("L1WaysGated = %d", g.L1WaysGated)
@@ -198,7 +206,7 @@ func TestApplyGatingAndGatedState(t *testing.T) {
 		t.Errorf("TLBGatedFraction = %v", g.TLBGatedFraction)
 	}
 	// Ungate everything.
-	h.ApplyGating(0, Gating{})
+	applyGating(h, 0, Gating{})
 	g = h.Gated()
 	if g.L1WaysGated != 0 || g.L2WaysGated != 0 || g.L3WaysGated != 0 || g.DRAMDuty != 1 {
 		t.Errorf("ungated state = %+v", g)
@@ -208,7 +216,7 @@ func TestApplyGatingAndGatedState(t *testing.T) {
 func TestGatingL3FlushesInnerLevels(t *testing.T) {
 	h := New(DefaultConfig())
 	h.Access(0, freq, 0x1000, Load)
-	h.ApplyGating(0, Gating{L3Ways: 4})
+	applyGating(h, 0, Gating{L3Ways: 4})
 	if h.L1D().Contains(0x1000) || h.L2().Contains(0x1000) {
 		t.Error("inner levels retain lines after L3 gating flush")
 	}
@@ -216,7 +224,7 @@ func TestGatingL3FlushesInnerLevels(t *testing.T) {
 
 func TestDRAMDutyGatingSlowsMisses(t *testing.T) {
 	h := New(DefaultConfig())
-	h.ApplyGating(0, Gating{DRAMDuty: 0.05, DRAMGate: h.DRAM().Gate()})
+	applyGating(h, 0, Gating{DRAMDuty: 0.05, DRAMGate: h.DRAM().Gate()})
 	var total simtime.Duration
 	n := 40
 	for i := 0; i < n; i++ {
@@ -233,10 +241,10 @@ func TestDRAMDutyGatingSlowsMisses(t *testing.T) {
 func TestTakeDRAMBytes(t *testing.T) {
 	h := New(DefaultConfig())
 	h.Access(0, freq, 1<<30, Load)
-	if got := h.TakeDRAMBytes(); got != 64 {
+	if got := h.Uncore().TakeDRAMBytes(); got != 64 {
 		t.Errorf("TakeDRAMBytes = %d, want 64", got)
 	}
-	if got := h.TakeDRAMBytes(); got != 0 {
+	if got := h.Uncore().TakeDRAMBytes(); got != 0 {
 		t.Errorf("second TakeDRAMBytes = %d, want 0", got)
 	}
 }
@@ -245,7 +253,7 @@ func TestResetStats(t *testing.T) {
 	h := New(DefaultConfig())
 	h.Access(0, freq, 0x1000, Load)
 	h.Access(0, freq, 0x1000, IFetch)
-	h.ResetStats()
+	h.Uncore().ResetStats()
 	if h.L1D().Stats().Accesses != 0 || h.L1I().Stats().Accesses != 0 ||
 		h.DTLB().Stats().Accesses != 0 || h.DRAM().Stats().Reads != 0 {
 		t.Error("stats survive ResetStats")
@@ -299,7 +307,7 @@ func TestGatingFlushWritesDirtyLines(t *testing.T) {
 		h.Access(0, freq, uint64(i)<<20, Store)
 	}
 	before := h.DRAM().Stats().Writes
-	h.ApplyGating(0, Gating{L3Ways: 1})
+	applyGating(h, 0, Gating{L3Ways: 1})
 	if got := h.DRAM().Stats().Writes; got <= before {
 		t.Errorf("gating flush produced no DRAM writes (before %d, after %d)", before, got)
 	}
@@ -355,4 +363,49 @@ func TestDirtyL2WritebackReachesL3(t *testing.T) {
 		t.Error("dirty line lost to memory instead of L3")
 	}
 	_ = writesBefore
+}
+
+// TestSocketSharesUncoreAcrossCores checks what two cores attached to
+// one uncore share and what they do not: a line one core fetched hits
+// the other's L3 lookup, an L3 eviction back-invalidates it from both
+// cores' private levels, an L3 shrink flushes both, and the socket's
+// posture sums private ways over the cores while counting L3 once.
+func TestSocketSharesUncoreAcrossCores(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.L3.SizeBytes = 8 << 10 // 2-way, 64 sets: set stride 4 KiB
+	cfg.L3.Ways = 2
+	u := NewUncore(cfg)
+	a, b := u.Attach(), u.Attach()
+	if a.L3() != b.L3() || a.DRAM() != b.DRAM() || a.L2() == b.L2() {
+		t.Fatal("cores must share L3 and DRAM and own their L2")
+	}
+
+	const x, y, z = uint64(0), uint64(4096), uint64(8192) // one L3 set
+	a.Access(0, freq, x, Store)
+	if r := b.Access(0, freq, x, Load); r.Level != LevelL3 {
+		t.Errorf("core b found core a's line at %v, want L3", r.Level)
+	}
+	writes := u.ram.Stats().Writes
+	b.Access(0, freq, y, Load)
+	b.Access(0, freq, z, Load) // evicts x from L3
+	if a.L1D().Contains(x) || a.L2().Contains(x) || b.L1D().Contains(x) || b.L2().Contains(x) {
+		t.Error("inclusion violated: x survives in a private level after its L3 eviction")
+	}
+	if u.ram.Stats().Writes == writes {
+		t.Error("core a's dirty copy of x was dropped without a write to memory")
+	}
+
+	a.Access(0, freq, x, Load)
+	a.ApplyPrivateGating(0, Gating{L2Ways: 2})
+	u.ApplyGating(0, Gating{L3Ways: 1})
+	if a.L1D().Contains(x) || b.L1D().Contains(z) {
+		t.Error("an L3 shrink left lines in a core's L1D")
+	}
+	g := u.Gated()
+	if g.L2WaysGated != 6 || g.L3WaysGated != 1 || b.Gated().L2WaysGated != 0 {
+		t.Errorf("socket posture = %+v, want core a's 6 gated L2 ways and the L3's 1", g)
+	}
+	if want := (Gating{L2Ways: 2, L3Ways: 1}).Gated(cfg); a.Gated() != want {
+		t.Errorf("core a reports %+v, the posture alone predicts %+v", a.Gated(), want)
+	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"nodecap/internal/core"
+	"nodecap/internal/machine"
 	"nodecap/internal/multicore"
 	"nodecap/internal/simtime"
 	"nodecap/internal/workloads/parallel"
@@ -21,9 +22,11 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/*.golden from th
 // runNode executes w on a fresh uniform node of the given width under
 // capW (0 = uncapped) and renders every number the run produced.
 func runNode(out *bytes.Buffer, name string, cores int, capW float64, w multicore.Workload) {
-	m := multicore.New(multicore.DefaultConfig(cores))
+	cfg := machine.Romley()
+	cfg.Cores = cores
+	m := machine.New(cfg)
 	_ = m.SetPolicy(capW) // the advisory infeasible-cap error is not a failure
-	r := m.Run(w)
+	r := multicore.Run(m, w)
 
 	fmt.Fprintf(out, "# %s\n", name)
 	fmt.Fprintf(out, "run workload=%q cap=%b exec=%d power=%b energy=%b freq=%b serving=%b batch=%b gating=%d batchgating=%d\n",
@@ -34,9 +37,9 @@ func runNode(out *bytes.Buffer, name string, cores int, capW float64, w multicor
 	for _, b := range r.PerCoreBusy {
 		fmt.Fprintf(out, " %d", int64(b))
 	}
-	fmt.Fprintf(out, "\nbmc %+v\n", m.BMC().Stats())
-	fmt.Fprintf(out, "l3 %+v\n", m.L3().Stats())
-	d := m.DRAM().Stats()
+	fmt.Fprintf(out, "\nbmc %+v\n", r.BMCStats)
+	fmt.Fprintf(out, "l3 %+v\n", m.Hierarchy().L3().Stats())
+	d := m.Hierarchy().DRAM().Stats()
 	fmt.Fprintf(out, "dram reads=%d writes=%d rowhits=%d rowmisses=%d gatestalls=%d gatestallps=%d\n",
 		d.Reads, d.Writes, d.RowHits, d.RowMisses, d.GateStalls, int64(d.GateStallTime))
 }
@@ -81,9 +84,10 @@ func goldenFiles() map[string]func(out *bytes.Buffer) {
 					policy string
 					core.ServingOutcome
 				}{{"fair", p.Fair}, {"priority", p.Priority}} {
-					fmt.Fprintf(out, "cap=%.0f %s p99=%d violated=%v batchops=%d power=%b servingfreq=%b holds=%d breaks=%d steals=%d\n",
+					fmt.Fprintf(out, "cap=%.0f %s p99=%d violated=%v batchops=%d power=%b servingfreq=%b holds=%d breaks=%d steals=%d gating=%d gatestalls=%d gatestallps=%d\n",
 						p.CapWatts, o.policy, int64(o.P99), o.SLOViolated, o.BatchOps, o.AvgPowerWatts,
-						o.ServingFreqMHz, o.FloorHolds, o.FloorBreaks, o.BatchSteals)
+						o.ServingFreqMHz, o.FloorHolds, o.FloorBreaks, o.BatchSteals,
+						o.GatingLevel, o.DRAMGateStalls, int64(o.DRAMGateStallTime))
 				}
 			}
 		},

@@ -2,67 +2,31 @@
 // work: "explore how multi-core applications are affected by power
 // capping".
 //
-// It simulates several cores executing shards of one parallel workload
-// under a single node power cap. Each core owns private L1I/L1D/L2
-// caches and TLBs; all cores share the 20 MB L3, and DRAM is a shared
-// channel with occupancy, so co-running shards contend the way threads
-// on the real part do. DVFS is package-level (one PLL for the socket,
-// as on Sandy Bridge): the BMC's P-state decision applies to every
-// core, and the gating ladder gates the shared structures once.
+// It runs one shard of a parallel workload on each core of a
+// machine.Machine under the node's single power cap. The node itself —
+// private L1/L2/TLBs per core, the shared L3 and DRAM channel,
+// package-level DVFS and gating, the power model and the control loop
+// — is package machine's; what lives here is the parallel-workload
+// contract and the scheduler that interleaves its shards.
 //
-// The engine always advances the runnable core with the earliest local
-// clock, so shared-resource timestamps (DRAM occupancy, control
-// events) observe a globally monotonic time.
+// The scheduler always advances the running core with the earliest
+// local clock, so shared-resource timestamps (DRAM occupancy, control
+// events) observe a near-monotonic global time.
 package multicore
 
 import (
 	"fmt"
 
-	"nodecap/internal/bmc"
-	"nodecap/internal/cache"
-	"nodecap/internal/counters"
-	"nodecap/internal/dram"
 	"nodecap/internal/machine"
-	"nodecap/internal/power"
-	"nodecap/internal/sensors"
 	"nodecap/internal/simtime"
 )
 
-// Config assembles a multi-core machine. Geometry and calibration are
-// borrowed from the single-core machine configuration.
-type Config struct {
-	Cores int
-
-	// HighPriorityCores, when in (0, Cores), splits the socket into a
-	// latency-critical serving tier (cores [0, HighPriorityCores)) and
-	// a batch tier (the rest) with independent DVFS — the SST-BF
-	// deployment model. The BMC then escalates priority-aware: batch
-	// P-state and batch private gating first, serving tier held at
-	// ServingFloorPState until the cap is otherwise infeasible. Zero
-	// (or Cores) keeps the uniform package-wide plant.
-	HighPriorityCores int
-	// ServingFloorPState is the slowest P-state index the serving tier
-	// may be held at before the controller breaks the floor. Only
-	// meaningful in priority mode.
-	ServingFloorPState int
-
-	Base machine.Config
-}
-
-// DefaultConfig returns the paper platform's socket with the given
-// core count (the study's board has 2 x 8 cores; one socket is the
-// capping domain here).
-func DefaultConfig(cores int) Config {
-	return Config{Cores: cores, Base: machine.Romley()}
-}
-
 // Shard is one core's portion of a parallel workload: a resumable
 // iterator. Step issues a small batch of operations (an inner-loop
-// iteration) against its core handle and reports whether more work
-// remains. Steps on different shards interleave in simulated-time
-// order.
+// iteration) against its core and reports whether more work remains.
+// Steps on different shards interleave in simulated-time order.
 type Shard interface {
-	Step(c *CoreHandle) bool
+	Step(c *machine.CoreHandle) bool
 }
 
 // Workload is a parallel program: it splits itself into one shard per
@@ -75,136 +39,11 @@ type Workload interface {
 	Shards(cores int, alloc func(size int) uint64) []Shard
 }
 
-// Machine is the multi-core node.
-type Machine struct {
-	cfg Config
-
-	cores  []*CoreHandle
-	shards []Shard
-
-	l3  *cache.Cache
-	ram *dram.DRAM
-	// ramBusyUntil serializes DRAM data transfers: a second in-flight
-	// miss waits for the channel, the contention mechanism that limits
-	// parallel speedup for memory-bound shards.
-	ramBusyUntil simtime.Duration
-	dramBytes    uint64
-
-	meter *sensors.Meter
-	ctrl  *bmc.BMC
-
-	gatingLevel int
-	// batchGatingLevel is the extra ladder position applied to batch
-	// cores' private structures only (priority mode); a batch core's
-	// effective private level is max(gatingLevel, batchGatingLevel).
-	batchGatingLevel int
-	running          bool
-	codePages        int
-
-	events    *simtime.EventQueue
-	nextEvent simtime.Duration
-	hasEvent  bool
-	lastPower simtime.Duration
-	curPower  float64
-
-	allocNext uint64
-}
-
-// New builds a multi-core machine; invalid static configuration
-// panics.
-func New(cfg Config) *Machine {
-	if cfg.Cores <= 0 {
-		panic("multicore: non-positive core count")
-	}
-	if cfg.HighPriorityCores < 0 || cfg.HighPriorityCores > cfg.Cores {
-		panic(fmt.Sprintf("multicore: %d high-priority cores outside [0, %d]",
-			cfg.HighPriorityCores, cfg.Cores))
-	}
-	if err := cfg.Base.Power.Validate(); err != nil {
-		panic(err)
-	}
-	m := &Machine{
-		cfg:       cfg,
-		l3:        cache.New(cfg.Base.Hierarchy.L3),
-		ram:       dram.New(cfg.Base.Hierarchy.DRAM),
-		meter:     sensors.NewMeter(cfg.Base.MeterNoiseWatts),
-		events:    simtime.NewEventQueue(),
-		allocNext: 1 << 30,
-		codePages: 16,
-	}
-	for i := 0; i < cfg.Cores; i++ {
-		m.cores = append(m.cores, m.newCoreHandle(i))
-	}
-	if m.priorityMode() {
-		m.ctrl = bmc.New(cfg.Base.BMC, &mcPriorityPlant{(*mcPlant)(m)})
-	} else {
-		m.ctrl = bmc.New(cfg.Base.BMC, (*mcPlant)(m))
-	}
-	m.curPower = cfg.Base.Power.NodeWatts(power.NodeState{DRAMDuty: 1})
-	m.scheduleMeter(cfg.Base.MeterInterval)
-	m.scheduleBMC(cfg.Base.BMC.ControlPeriod)
-	m.refreshNextEvent()
-	return m
-}
-
-// Meter returns the wall power meter.
-func (m *Machine) Meter() *sensors.Meter { return m.meter }
-
-// BMC returns the capping controller.
-func (m *Machine) BMC() *bmc.BMC { return m.ctrl }
-
-// GatingLevel reports the sub-DVFS ladder position (shared
-// structures; every core's private structures in uniform mode).
-func (m *Machine) GatingLevel() int { return m.gatingLevel }
-
-// BatchGatingLevel reports the batch-only private-structure ladder
-// position; always 0 outside priority mode.
-func (m *Machine) BatchGatingLevel() int { return m.batchGatingLevel }
-
-// priorityMode reports whether the socket is split into serving and
-// batch DVFS tiers.
-func (m *Machine) priorityMode() bool {
-	return m.cfg.HighPriorityCores > 0 && m.cfg.HighPriorityCores < m.cfg.Cores
-}
-
-// isBatchCore reports whether core id belongs to the batch tier.
-func (m *Machine) isBatchCore(id int) bool {
-	return m.priorityMode() && id >= m.cfg.HighPriorityCores
-}
-
-// Cores reports the core count.
-func (m *Machine) Cores() int { return m.cfg.Cores }
-
-// L3 exposes the shared last-level cache (tests, examples).
-func (m *Machine) L3() *cache.Cache { return m.l3 }
-
-// DRAM exposes the shared memory model.
-func (m *Machine) DRAM() *dram.DRAM { return m.ram }
-
-// SetPolicy installs the node cap (0 disables). The error is advisory
-// (bmc.ErrInfeasibleCap); the policy is applied regardless.
-func (m *Machine) SetPolicy(capWatts float64) error {
-	return m.ctrl.SetPolicy(bmc.Policy{Enabled: capWatts > 0, CapWatts: capWatts})
-}
-
-// Alloc reserves simulated address space (shared among shards).
-func (m *Machine) Alloc(size int) uint64 {
-	base := m.allocNext
-	pages := uint64(size+4095) / 4096
-	m.allocNext += (pages + 1) * 4096
-	return base
-}
-
-// Result carries one parallel run's metrics.
+// Result carries one parallel run's metrics: the node's, plus what
+// only a multi-core run has.
 type Result struct {
-	Workload      string
-	CapWatts      float64
-	ExecTime      simtime.Duration // wall time: slowest core
-	AvgPowerWatts float64
-	EnergyJoules  float64
-	AvgFreqMHz    float64
-	Counters      counters.Snapshot // summed over cores; L3 shared
-	PerCoreBusy   []simtime.Duration
+	machine.RunResult
+	PerCoreBusy []simtime.Duration
 
 	// Per-tier busy-time-weighted average frequencies; zero unless the
 	// machine was built with HighPriorityCores in (0, Cores).
@@ -221,119 +60,53 @@ func (r Result) SpeedupOver(single Result) float64 {
 	return single.ExecTime.Seconds() / r.ExecTime.Seconds()
 }
 
-// Run executes w across the configured cores to completion.
-func (m *Machine) Run(w Workload) Result {
-	m.codePages = w.CodePages()
-	m.shards = w.Shards(m.cfg.Cores, m.Alloc)
-	if len(m.shards) != m.cfg.Cores {
+// Run executes w across all of m's cores to completion.
+func Run(m *machine.Machine, w Workload) Result {
+	cores := m.Cores()
+	shards := w.Shards(len(cores), m.Alloc)
+	if len(shards) != len(cores) {
 		panic(fmt.Sprintf("multicore: workload produced %d shards for %d cores",
-			len(m.shards), m.cfg.Cores))
+			len(shards), len(cores)))
 	}
-	m.running = true
-	start := m.minClock()
-	m.meter.Reset()
-	m.meter.Record(start, m.curPower)
-
-	active := m.cfg.Cores
-	for active > 0 {
-		c := m.earliestRunnable()
-		if !m.shards[c.id].Step(c) {
-			c.done = true
-			c.core.EnterCState(6)
-			active--
-			// A finished core's clock must not hold back event
-			// processing: pin it forward as the others proceed.
-		}
-		m.runDueEvents(m.minRunnableClock())
+	res := Result{RunResult: m.RunWorkload(schedule{w, shards})}
+	for _, c := range cores {
+		res.PerCoreBusy = append(res.PerCoreBusy, c.Core().BusyTime())
 	}
-	end := m.maxClock()
-	m.running = false
-	m.updatePower(end)
-	m.meter.Record(end, m.curPower)
-
-	res := Result{
-		Workload:      w.Name(),
-		CapWatts:      m.ctrl.Policy().CapWatts,
-		ExecTime:      end - start,
-		AvgPowerWatts: m.meter.AverageWatts(),
-		EnergyJoules:  m.meter.EnergyJoules(),
-		AvgFreqMHz:    m.cores[0].core.AverageFreqMHz(),
+	if hp := m.Config().HighPriorityCores; hp > 0 && hp < len(cores) {
+		res.ServingAvgFreqMHz = cores[0].Core().AverageFreqMHz()
+		res.BatchAvgFreqMHz = cores[hp].Core().AverageFreqMHz()
 	}
-	if m.priorityMode() {
-		res.ServingAvgFreqMHz = m.cores[0].core.AverageFreqMHz()
-		res.BatchAvgFreqMHz = m.cores[m.cfg.HighPriorityCores].core.AverageFreqMHz()
-	}
-	for _, c := range m.cores {
-		res.PerCoreBusy = append(res.PerCoreBusy, c.core.BusyTime())
-		res.Counters = sumSnapshots(res.Counters, m.coreSnapshot(c))
-	}
-	res.Counters.L3Misses = m.l3.Stats().Misses
 	return res
 }
 
-// earliestRunnable picks the not-done core with the smallest clock.
-// Run guarantees at least one exists.
-func (m *Machine) earliestRunnable() *CoreHandle {
-	var best *CoreHandle
-	for _, c := range m.cores {
-		if c.done {
-			continue
-		}
-		if best == nil || c.clock < best.clock {
-			best = c
-		}
-	}
-	return best
+// schedule is a parallel workload as the machine runs it: one
+// machine.Workload whose Run interleaves the shards.
+type schedule struct {
+	Workload
+	shards []Shard
 }
 
-// minRunnableClock is the time horizon events may fire up to.
-func (m *Machine) minRunnableClock() simtime.Duration {
-	var min simtime.Duration
-	found := false
-	for _, c := range m.cores {
-		if c.done {
-			continue
-		}
-		if !found || c.clock < min {
-			min, found = c.clock, true
-		}
+// Run steps the shards in earliest-clock order until every one has
+// finished.
+func (s schedule) Run(m *machine.Machine) {
+	cores := m.Cores()
+	start := m.Now()
+	for i, c := range cores {
+		// Stagger start phases slightly so cores do not step in lockstep.
+		c.Unpark(start + simtime.Duration(i)*137*simtime.Nanosecond)
 	}
-	if !found {
-		return m.maxClock()
-	}
-	return min
-}
-
-func (m *Machine) minClock() simtime.Duration {
-	min := m.cores[0].clock
-	for _, c := range m.cores[1:] {
-		if c.clock < min {
-			min = c.clock
+	for {
+		var next *machine.CoreHandle
+		for _, c := range cores {
+			if !c.Parked() && (next == nil || c.Now() < next.Now()) {
+				next = c
+			}
+		}
+		if next == nil {
+			return
+		}
+		if !s.shards[next.ID()].Step(next) {
+			next.Park()
 		}
 	}
-	return min
-}
-
-func (m *Machine) maxClock() simtime.Duration {
-	max := m.cores[0].clock
-	for _, c := range m.cores[1:] {
-		if c.clock > max {
-			max = c.clock
-		}
-	}
-	return max
-}
-
-func sumSnapshots(a, b counters.Snapshot) counters.Snapshot {
-	a.L1DMisses += b.L1DMisses
-	a.L1IMisses += b.L1IMisses
-	a.L2Misses += b.L2Misses
-	a.DTLBMisses += b.DTLBMisses
-	a.ITLBMisses += b.ITLBMisses
-	a.InstructionsCommitted += b.InstructionsCommitted
-	a.InstructionsIssued += b.InstructionsIssued
-	a.Loads += b.Loads
-	a.Stores += b.Stores
-	a.Cycles += b.Cycles
-	return a
 }

@@ -3,6 +3,7 @@ package multicore
 import (
 	"testing"
 
+	"nodecap/internal/bmc"
 	"nodecap/internal/machine"
 	"nodecap/internal/simtime"
 )
@@ -32,7 +33,7 @@ type spinShard struct {
 	i    int
 }
 
-func (s *spinShard) Step(c *CoreHandle) bool {
+func (s *spinShard) Step(c *machine.CoreHandle) bool {
 	if s.left <= 0 {
 		return false
 	}
@@ -67,7 +68,7 @@ type streamShard struct {
 	idx, end int
 }
 
-func (s *streamShard) Step(c *CoreHandle) bool {
+func (s *streamShard) Step(c *machine.CoreHandle) bool {
 	if s.idx >= s.end {
 		return false
 	}
@@ -79,11 +80,18 @@ func (s *streamShard) Step(c *CoreHandle) bool {
 	return s.idx < s.end
 }
 
+// romley is the paper's platform widened to cores cores.
+func romley(cores int) machine.Config {
+	cfg := machine.Romley()
+	cfg.Cores = cores
+	return cfg
+}
+
 func run(t *testing.T, cores int, w Workload, capWatts float64) Result {
 	t.Helper()
-	m := New(DefaultConfig(cores))
+	m := machine.New(romley(cores))
 	m.SetPolicy(capWatts)
-	return m.Run(w)
+	return Run(m, w)
 }
 
 func TestSingleCoreMatchesShape(t *testing.T) {
@@ -150,60 +158,147 @@ func TestCapThrottlesHarderWithMoreCores(t *testing.T) {
 }
 
 func TestPackageDVFSAppliesToAllCores(t *testing.T) {
-	m := New(DefaultConfig(4))
-	p := (*mcPlant)(m)
+	// The plant as the BMC sees it, captured on its way in.
+	var p bmc.Plant
+	cfg := romley(4)
+	cfg.WrapPlant = func(inner bmc.Plant) bmc.Plant { p = inner; return inner }
+	m := machine.New(cfg)
 	p.SetPState(10)
-	for i, c := range m.cores {
-		if c.core.PStateIndex() != 10 {
-			t.Errorf("core %d P-state = %d", i, c.core.PStateIndex())
+	for i, c := range m.Cores() {
+		if c.Core().PStateIndex() != 10 {
+			t.Errorf("core %d P-state = %d", i, c.Core().PStateIndex())
 		}
 	}
 }
 
 func TestGatingAppliesToSharedAndPrivate(t *testing.T) {
-	m := New(DefaultConfig(2))
-	p := (*mcPlant)(m)
-	p.SetGatingLevel(5)
-	if m.l3.ActiveWays() != 4 {
-		t.Errorf("shared L3 ways = %d, want 4", m.l3.ActiveWays())
+	m := machine.New(romley(2))
+	l3 := m.Hierarchy().L3()
+	m.ForceGatingLevel(5)
+	if l3.ActiveWays() != 4 {
+		t.Errorf("shared L3 ways = %d, want 4", l3.ActiveWays())
 	}
-	for i, c := range m.cores {
-		if c.l2.ActiveWays() != 2 {
-			t.Errorf("core %d L2 ways = %d, want 2", i, c.l2.ActiveWays())
+	for i, c := range m.Cores() {
+		if c.Hierarchy().L3() != l3 {
+			t.Errorf("core %d has its own L3", i)
 		}
-		if c.itlb.ActiveWays() != 1 {
-			t.Errorf("core %d ITLB ways = %d", i, c.itlb.ActiveWays())
+		if c.Hierarchy().L2().ActiveWays() != 2 {
+			t.Errorf("core %d L2 ways = %d, want 2", i, c.Hierarchy().L2().ActiveWays())
+		}
+		if c.Hierarchy().ITLB().ActiveWays() != 1 {
+			t.Errorf("core %d ITLB ways = %d", i, c.Hierarchy().ITLB().ActiveWays())
 		}
 	}
-	p.SetGatingLevel(0)
-	if m.l3.ActiveWays() != 20 {
-		t.Errorf("L3 not ungated: %d ways", m.l3.ActiveWays())
+	m.ForceGatingLevel(0)
+	if l3.ActiveWays() != 20 {
+		t.Errorf("L3 not ungated: %d ways", l3.ActiveWays())
 	}
 }
 
 func TestSharedL3Visible(t *testing.T) {
 	// A line loaded by core 0 must hit in L3 when core 1 misses its
 	// private levels.
-	m := New(DefaultConfig(2))
-	w := &spinWork{iters: 1}
-	_ = w
-	c0, c1 := m.cores[0], m.cores[1]
+	m := machine.New(romley(2))
+	c0, c1 := m.Cores()[0], m.Cores()[1]
+	l3 := m.Hierarchy().L3()
 	addr := uint64(1 << 31)
 	c0.Load(addr)
-	before := m.l3.Stats().Misses
+	before := l3.Stats().Misses
 	c1.Load(addr)
-	if m.l3.Stats().Misses != before {
+	if l3.Stats().Misses != before {
 		t.Error("core 1 missed L3 on a line core 0 fetched")
 	}
 }
 
+// coldMiss is the latency of a demand load that misses the DTLB and
+// every cache level and opens a new DRAM row with the channel free:
+// the first load of a node with nothing else on it.
+func coldMiss() simtime.Duration {
+	return timedLoad(machine.New(romley(1)).CoreHandle, 1<<31)
+}
+
+// timedLoad reports how long one load took on c's clock.
+func timedLoad(c *machine.CoreHandle, addr uint64) simtime.Duration {
+	t := c.Now()
+	c.Load(addr)
+	return c.Now() - t
+}
+
+// TestDRAMChannelSerializes pins the contended half of the
+// channel rule: two cores missing to DRAM at the same instant take
+// turns, and the second waits out the first's hold on the channel —
+// its access less the 40 ns that overlap the next one.
 func TestDRAMChannelSerializes(t *testing.T) {
-	m := New(DefaultConfig(2))
-	// Two reads at the same instant: the second must queue.
-	l1 := m.dramRead(0, 0)
-	l2 := m.dramRead(0, 1<<26)
-	if l2 <= l1/2 {
-		t.Errorf("concurrent DRAM reads did not serialize: %v then %v", l1, l2)
+	cfg := romley(2)
+	m := machine.New(cfg)
+	c0, c1 := m.Cores()[0], m.Cores()[1]
+	if c0.Now() != c1.Now() {
+		t.Fatalf("cores start at %v and %v, want the same instant", c0.Now(), c1.Now())
+	}
+	first := timedLoad(c0, 1<<31)
+	second := timedLoad(c1, 1<<31+1<<26) // another row of another bank
+	if first != coldMiss() {
+		t.Errorf("first miss took %v, want the uncontended %v", first, coldMiss())
+	}
+	hold := simtime.FromNanos(cfg.Hierarchy.DRAM.RowMissNanos) - 40*simtime.Nanosecond
+	if second-first != hold {
+		t.Errorf("second miss took %v, %v longer than the first; want %v longer", second, second-first, hold)
+	}
+}
+
+// TestOnlyDemandMissesHoldTheChannel pins the converse: a core whose
+// DRAM traffic is all speculative fills, instruction fills and posted
+// write-backs — however much of it, stamped however far into another
+// core's future — does not lengthen that core's demand miss.
+func TestOnlyDemandMissesHoldTheChannel(t *testing.T) {
+	cfg := romley(2)
+	cfg.Ladder = machine.GatingLadder{{}, {L1Ways: 1}} // level 1 flushes L1D ways 1-7
+	m := machine.New(cfg)
+	c0, c1 := m.Cores()[0], m.Cores()[1]
+	ram := m.Hierarchy().DRAM()
+
+	// Core 0 dirties 31 even lines of one page and a line that shares
+	// an L1D set with the first — demand fills, long before the
+	// measurement.
+	const lines = 31 // coprime with SpecEvery, so run-ahead visits every odd line
+	base := m.Alloc(2 << 12)
+	for i := uint64(0); i < lines; i++ {
+		c0.Store(base + i*128)
+	}
+	c0.Store(base + 4096)
+	const at = simtime.Millisecond
+	c0.Sleep(at - c0.Now())
+	c1.Sleep(at - c1.Now())
+
+	// From the measurement instant on, core 0 only re-reads its resident
+	// lines: every data access hits the L1D, so what reaches DRAM is the
+	// run-ahead loads of the cold odd lines, the fetches of cold code,
+	// and then the dirty line the L1D shrink flushes.
+	l1d := c0.Hierarchy().L1D()
+	ramBefore, missBefore, loadsBefore := ram.Stats(), l1d.Stats().ReadMisses, c0.Core().LoadsExecuted
+	const passes = 64
+	for n := 0; n < passes; n++ {
+		for i := uint64(0); i < lines; i++ {
+			c0.Load(base + i*128)
+		}
+	}
+	specLoads := c0.Core().LoadsExecuted - loadsBefore - passes*lines
+	specMisses := l1d.Stats().ReadMisses - missBefore
+	m.ForceGatingLevel(1)
+	ramAfter := ram.Stats()
+	if specMisses < 16 || ramAfter.Reads-ramBefore.Reads < specMisses+16 || ramAfter.Writes == ramBefore.Writes {
+		t.Fatalf("core 0 put %d reads (%d speculative) and %d writes on DRAM; the test needs speculative fills, instruction fills and a write-back",
+			ramAfter.Reads-ramBefore.Reads, specMisses, ramAfter.Writes-ramBefore.Writes)
+	}
+	if specMisses > specLoads {
+		t.Fatalf("core 0's L1D saw %d read misses from %d speculative loads: a demand load missed", specMisses, specLoads)
+	}
+	if c0.Now() <= at+simtime.Microsecond {
+		t.Fatalf("core 0 only reached %v; its traffic should run well past %v", c0.Now(), at)
+	}
+
+	if got := timedLoad(c1, 1<<31); got != coldMiss() {
+		t.Errorf("core 1's demand miss took %v behind core 0's non-demand traffic, want the uncontended %v", got, coldMiss())
 	}
 }
 
@@ -213,8 +308,7 @@ func TestRunPanicsOnShardMismatch(t *testing.T) {
 			t.Error("no panic on shard mismatch")
 		}
 	}()
-	m := New(DefaultConfig(2))
-	m.Run(badWorkload{})
+	Run(machine.New(romley(2)), badWorkload{})
 }
 
 type badWorkload struct{}
@@ -229,13 +323,13 @@ func TestNewRejectsBadConfig(t *testing.T) {
 			t.Error("no panic on zero cores")
 		}
 	}()
-	New(Config{Cores: 0, Base: machine.Romley()})
+	machine.New(romley(0))
 }
 
 func TestEventsAdvanceWithCores(t *testing.T) {
-	m := New(DefaultConfig(2))
+	m := machine.New(romley(2))
 	m.SetPolicy(150)
-	m.Run(&spinWork{iters: 100000})
+	Run(m, &spinWork{iters: 100000})
 	if m.BMC().Stats().Ticks == 0 {
 		t.Error("no BMC ticks during multi-core run")
 	}

@@ -150,41 +150,6 @@ func (b Breakdown) Total() float64 {
 	return b.Idle + b.CoreDynamic + b.CoreLeak + b.Uncore + b.DRAM - b.GateSavings
 }
 
-// Breakdown evaluates the model for state s.
-func (p Params) Breakdown(s NodeState) Breakdown {
-	b := Breakdown{Idle: p.IdleWatts}
-	if s.ActiveCores <= 0 {
-		return b
-	}
-	act := clamp01(s.Activity)
-	dvfs := p.DVFSFactor(s.FreqMHz, s.VoltageMV)
-	b.CoreDynamic = p.CoreDynamicWatts * dvfs *
-		(p.StallDynFraction + (1-p.StallDynFraction)*act) * float64(s.ActiveCores)
-	if s.ClockDuty > 0 && s.ClockDuty < 1 {
-		b.CoreDynamic *= s.ClockDuty + (1-s.ClockDuty)*p.ClockModFloorFraction
-	}
-	b.CoreLeak = p.CoreActiveLeakWatts * float64(s.ActiveCores)
-	fr := float64(s.FreqMHz) / float64(p.RefFreqMHz)
-	b.Uncore = p.UncoreWatts * (p.UncoreFloorFraction + (1-p.UncoreFloorFraction)*fr)
-	b.DRAM = p.DRAMActiveWatts * clamp01(s.MemUtil)
-
-	duty := s.DRAMDuty
-	if duty <= 0 || duty > 1 {
-		duty = 1
-	}
-	b.GateSavings = p.L3WayLeakWatts*float64(s.L3WaysGated) +
-		p.L2WayLeakWatts*float64(s.L2WaysGated) +
-		p.L1WayLeakWatts*float64(s.L1WaysGated) +
-		p.TLBGateWatts*clamp01(s.TLBGatedFraction) +
-		p.DRAMDutySaveWatts*(1-duty)
-	return b
-}
-
-// NodeWatts evaluates the total node power for state s.
-func (p Params) NodeWatts(s NodeState) float64 {
-	return p.Breakdown(s).Total()
-}
-
 // TierState describes one DVFS tier of a mixed-frequency node: a group
 // of cores sharing an operating point (the SST-BF deployment model,
 // where latency-critical cores run a different P-state than batch
@@ -203,30 +168,21 @@ type TierState struct {
 	DutyCycle float64
 }
 
-// NodeWattsTiered evaluates node power when cores are split across
-// DVFS tiers. Core dynamic power and active leakage are summed per
-// tier; the uncore clock tracks the fastest tier (the ring runs at the
-// highest core clock); everything else — idle floor, DRAM, gating
-// savings — comes from s, whose FreqMHz/ActiveCores/Activity fields
-// are ignored. With no tiers it degenerates to NodeWatts(s).
-func (p Params) NodeWattsTiered(s NodeState, tiers []TierState) float64 {
-	if len(tiers) == 0 {
-		return p.NodeWatts(s)
-	}
-	base := s
-	base.ActiveCores = 0 // idle + DRAM + gating only
-	b := Breakdown{Idle: p.IdleWatts}
-	b.DRAM = p.DRAMActiveWatts * clamp01(s.MemUtil)
-	duty := s.DRAMDuty
-	if duty <= 0 || duty > 1 {
-		duty = 1
-	}
-	b.GateSavings = p.L3WayLeakWatts*float64(s.L3WaysGated) +
-		p.L2WayLeakWatts*float64(s.L2WaysGated) +
-		p.L1WayLeakWatts*float64(s.L1WaysGated) +
-		p.TLBGateWatts*clamp01(s.TLBGatedFraction) +
-		p.DRAMDutySaveWatts*(1-duty)
+// Breakdown evaluates the model for state s: a node whose cores all
+// share s's operating point is one tier.
+func (p Params) Breakdown(s NodeState) Breakdown {
+	tier := [1]TierState{{FreqMHz: s.FreqMHz, VoltageMV: s.VoltageMV,
+		ActiveCores: s.ActiveCores, Activity: s.Activity}}
+	return p.breakdown(s, tier[:])
+}
 
+// breakdown is the one pricing function. Core dynamic power and active
+// leakage are summed per tier; the uncore clock tracks the fastest
+// tier (the ring runs at the highest core clock); DRAM and gating
+// savings come from s, whose FreqMHz/VoltageMV/ActiveCores/Activity
+// fields are not read. A node with no core in C0 draws IdleWatts.
+func (p Params) breakdown(s NodeState, tiers []TierState) Breakdown {
+	b := Breakdown{Idle: p.IdleWatts}
 	fastest := 0
 	anyActive := false
 	for _, t := range tiers {
@@ -252,11 +208,36 @@ func (p Params) NodeWattsTiered(s NodeState, tiers []TierState) float64 {
 		b.CoreLeak += p.CoreActiveLeakWatts * float64(t.ActiveCores) * duty
 	}
 	if !anyActive {
-		return b.Idle // all cores idle: match NodeWatts' early return
+		return b
 	}
 	fr := float64(fastest) / float64(p.RefFreqMHz)
 	b.Uncore = p.UncoreWatts * (p.UncoreFloorFraction + (1-p.UncoreFloorFraction)*fr)
-	return b.Total()
+	b.DRAM = p.DRAMActiveWatts * clamp01(s.MemUtil)
+
+	duty := s.DRAMDuty
+	if duty <= 0 || duty > 1 {
+		duty = 1
+	}
+	b.GateSavings = p.L3WayLeakWatts*float64(s.L3WaysGated) +
+		p.L2WayLeakWatts*float64(s.L2WaysGated) +
+		p.L1WayLeakWatts*float64(s.L1WaysGated) +
+		p.TLBGateWatts*clamp01(s.TLBGatedFraction) +
+		p.DRAMDutySaveWatts*(1-duty)
+	return b
+}
+
+// NodeWatts evaluates the total node power for state s.
+func (p Params) NodeWatts(s NodeState) float64 {
+	return p.Breakdown(s).Total()
+}
+
+// NodeWattsTiered evaluates node power when cores are split across
+// DVFS tiers; with no tiers it is NodeWatts(s).
+func (p Params) NodeWattsTiered(s NodeState, tiers []TierState) float64 {
+	if len(tiers) == 0 {
+		return p.NodeWatts(s)
+	}
+	return p.breakdown(s, tiers).Total()
 }
 
 // FloorWatts reports the minimum busy power reachable with every
@@ -267,7 +248,9 @@ func (p Params) FloorWatts(slowestFreqMHz, slowestVoltageMV int, maxGate NodeSta
 	s := maxGate
 	s.FreqMHz = slowestFreqMHz
 	s.VoltageMV = slowestVoltageMV
-	s.ActiveCores = 1
+	if s.ActiveCores < 1 {
+		s.ActiveCores = 1
+	}
 	s.Activity = 0
 	s.MemUtil = 0
 	return p.NodeWatts(s)

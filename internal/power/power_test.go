@@ -1,6 +1,8 @@
 package power
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -200,5 +202,119 @@ func TestClampingOfBadInputs(t *testing.T) {
 	wantMax := p.NodeWatts(busyState(2700, 1100, 1, 0))
 	if w != wantMax {
 		t.Errorf("clamped power = %v, want %v", w, wantMax)
+	}
+}
+
+// parentNodeWatts and parentNodeWattsTiered are the two pricing
+// formulas as they stood before they were folded into one breakdown:
+// the reference TestOnePricingFunctionBitEqual compares against.
+func parentNodeWatts(p Params, s NodeState) float64 {
+	b := Breakdown{Idle: p.IdleWatts}
+	if s.ActiveCores <= 0 {
+		return b.Total()
+	}
+	act := clamp01(s.Activity)
+	dvfs := p.DVFSFactor(s.FreqMHz, s.VoltageMV)
+	b.CoreDynamic = p.CoreDynamicWatts * dvfs *
+		(p.StallDynFraction + (1-p.StallDynFraction)*act) * float64(s.ActiveCores)
+	if s.ClockDuty > 0 && s.ClockDuty < 1 {
+		b.CoreDynamic *= s.ClockDuty + (1-s.ClockDuty)*p.ClockModFloorFraction
+	}
+	b.CoreLeak = p.CoreActiveLeakWatts * float64(s.ActiveCores)
+	fr := float64(s.FreqMHz) / float64(p.RefFreqMHz)
+	b.Uncore = p.UncoreWatts * (p.UncoreFloorFraction + (1-p.UncoreFloorFraction)*fr)
+	b.DRAM = p.DRAMActiveWatts * clamp01(s.MemUtil)
+	duty := s.DRAMDuty
+	if duty <= 0 || duty > 1 {
+		duty = 1
+	}
+	b.GateSavings = p.L3WayLeakWatts*float64(s.L3WaysGated) +
+		p.L2WayLeakWatts*float64(s.L2WaysGated) +
+		p.L1WayLeakWatts*float64(s.L1WaysGated) +
+		p.TLBGateWatts*clamp01(s.TLBGatedFraction) +
+		p.DRAMDutySaveWatts*(1-duty)
+	return b.Total()
+}
+
+func parentNodeWattsTiered(p Params, s NodeState, tiers []TierState) float64 {
+	b := Breakdown{Idle: p.IdleWatts}
+	b.DRAM = p.DRAMActiveWatts * clamp01(s.MemUtil)
+	duty := s.DRAMDuty
+	if duty <= 0 || duty > 1 {
+		duty = 1
+	}
+	b.GateSavings = p.L3WayLeakWatts*float64(s.L3WaysGated) +
+		p.L2WayLeakWatts*float64(s.L2WaysGated) +
+		p.L1WayLeakWatts*float64(s.L1WaysGated) +
+		p.TLBGateWatts*clamp01(s.TLBGatedFraction) +
+		p.DRAMDutySaveWatts*(1-duty)
+	fastest := 0
+	anyActive := false
+	for _, t := range tiers {
+		if t.ActiveCores <= 0 {
+			continue
+		}
+		anyActive = true
+		if t.FreqMHz > fastest {
+			fastest = t.FreqMHz
+		}
+		act := clamp01(t.Activity)
+		duty := t.DutyCycle
+		if duty <= 0 || duty > 1 {
+			duty = 1
+		}
+		dvfs := p.DVFSFactor(t.FreqMHz, t.VoltageMV)
+		dyn := p.CoreDynamicWatts * dvfs *
+			(p.StallDynFraction + (1-p.StallDynFraction)*act) * float64(t.ActiveCores) * duty
+		if s.ClockDuty > 0 && s.ClockDuty < 1 {
+			dyn *= s.ClockDuty + (1-s.ClockDuty)*p.ClockModFloorFraction
+		}
+		b.CoreDynamic += dyn
+		b.CoreLeak += p.CoreActiveLeakWatts * float64(t.ActiveCores) * duty
+	}
+	if !anyActive {
+		return b.Idle
+	}
+	fr := float64(fastest) / float64(p.RefFreqMHz)
+	b.Uncore = p.UncoreWatts * (p.UncoreFloorFraction + (1-p.UncoreFloorFraction)*fr)
+	return b.Total()
+}
+
+// TestOnePricingFunctionBitEqual is the licence for pricing every node
+// through one function: over seeded random states — operating points
+// on and off the table, zero to sixteen active cores, out-of-range
+// activities, duties and gated counts — NodeWatts, the same state
+// priced as one always-on tier, and a random two-tier split all equal
+// the formulas they replace to the last bit. The single-core goldens
+// depend on the first equality, the serving study on the third.
+func TestOnePricingFunctionBitEqual(t *testing.T) {
+	p := DefaultParams()
+	rng := rand.New(rand.NewSource(21))
+	unit := func() float64 { return rng.Float64()*1.4 - 0.2 } // spills past [0,1] on both sides
+	tier := func() TierState {
+		return TierState{FreqMHz: rng.Intn(3200), VoltageMV: 700 + rng.Intn(500),
+			ActiveCores: rng.Intn(10) - 1, Activity: unit(), DutyCycle: unit()}
+	}
+	for i := 0; i < 20000; i++ {
+		s := NodeState{
+			FreqMHz: rng.Intn(3200), VoltageMV: 700 + rng.Intn(500),
+			ActiveCores: rng.Intn(18) - 1, Activity: unit(), MemUtil: unit(),
+			L3WaysGated: rng.Intn(21), L2WaysGated: rng.Intn(65), L1WaysGated: rng.Intn(129),
+			TLBGatedFraction: unit(), DRAMDuty: unit(), ClockDuty: unit(),
+		}
+		want := parentNodeWatts(p, s)
+		if got := p.NodeWatts(s); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("state %d %+v: NodeWatts = %b, parent formula = %b", i, s, got, want)
+		}
+		one := []TierState{{FreqMHz: s.FreqMHz, VoltageMV: s.VoltageMV, ActiveCores: s.ActiveCores,
+			Activity: s.Activity, DutyCycle: 1}}
+		if got := p.NodeWattsTiered(s, one); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("state %d %+v: one duty-1 tier = %b, NodeWatts = %b", i, s, got, want)
+		}
+		two := []TierState{tier(), tier()}
+		want = parentNodeWattsTiered(p, s, two)
+		if got := p.NodeWattsTiered(s, two); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("state %d %+v tiers %+v: NodeWattsTiered = %b, parent formula = %b", i, s, two, got, want)
+		}
 	}
 }

@@ -11,14 +11,15 @@
 //     (each core burns cycles at the barrier until the last one
 //     arrives, as an OpenMP-style busy-wait does).
 //
-// Both produce one shard per core against the multicore engine's
-// CoreHandle API; data is shared, private caches contend in the shared
-// L3 and DRAM channel.
+// Both produce one shard per core against the machine's CoreHandle
+// API; data is shared, private caches contend in the shared L3 and
+// DRAM channel.
 package parallel
 
 import (
 	"math/bits"
 
+	"nodecap/internal/machine"
 	"nodecap/internal/multicore"
 	"nodecap/internal/workloads/stereo"
 )
@@ -120,7 +121,7 @@ func (sh *stereoShard) rand64() uint64 {
 }
 
 // Step implements multicore.Shard: one annealing proposal.
-func (sh *stereoShard) Step(c *multicore.CoreHandle) bool {
+func (sh *stereoShard) Step(c *machine.CoreHandle) bool {
 	if sh.remaining <= 0 {
 		return false
 	}
@@ -178,7 +179,7 @@ func (sh *stereoShard) Step(c *multicore.CoreHandle) bool {
 
 // propose mirrors the sequential annealer's Monte Carlo mixture:
 // uniform exploration, neighbour copying, local refinement.
-func (sh *stereoShard) propose(c *multicore.CoreHandle, x, y int, cur int32) int32 {
+func (sh *stereoShard) propose(c *machine.CoreHandle, x, y int, cur int32) int32 {
 	w := sh.w
 	cfg := w.cfg
 	r := sh.rand64()
@@ -205,7 +206,7 @@ func (sh *stereoShard) propose(c *multicore.CoreHandle, x, y int, cur int32) int
 	}
 }
 
-func (sh *stereoShard) dataCost(c *multicore.CoreHandle, x, y int, d int32) float64 {
+func (sh *stereoShard) dataCost(c *machine.CoreHandle, x, y int, d int32) float64 {
 	w := sh.w
 	cfg := w.cfg
 	idx := y*cfg.Width + x

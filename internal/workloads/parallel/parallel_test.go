@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"nodecap/internal/machine"
 	"nodecap/internal/multicore"
 	"nodecap/internal/workloads/sar"
 	"nodecap/internal/workloads/stereo"
@@ -25,13 +26,20 @@ func sarCfg() sar.Config {
 	return cfg
 }
 
+// run executes w on a fresh node of the given width under capWatts
+// (0 = uncapped).
+func run(cores int, capWatts float64, w multicore.Workload) multicore.Result {
+	cfg := machine.Romley()
+	cfg.Cores = cores
+	m := machine.New(cfg)
+	m.SetPolicy(capWatts)
+	return multicore.Run(m, w)
+}
+
 func runStereo(t *testing.T, cores int, capWatts float64) (*Stereo, multicore.Result) {
 	t.Helper()
 	w := NewStereo(stereoCfg())
-	m := multicore.New(multicore.DefaultConfig(cores))
-	m.SetPolicy(capWatts)
-	res := m.Run(w)
-	return w, res
+	return w, run(cores, capWatts, w)
 }
 
 func TestParallelStereoConverges(t *testing.T) {
@@ -89,8 +97,7 @@ func TestParallelStereoUnderCap(t *testing.T) {
 
 func TestParallelSARFormsImage(t *testing.T) {
 	w := NewSAR(sarCfg())
-	m := multicore.New(multicore.DefaultConfig(4))
-	res := m.Run(w)
+	res := run(4, 0, w)
 	if res.ExecTime <= 0 {
 		t.Fatal("no execution time")
 	}
@@ -114,8 +121,7 @@ func TestParallelSARBarrierOrdersPhases(t *testing.T) {
 	// core count.
 	image := func(cores int) []float64 {
 		w := NewSAR(sarCfg())
-		m := multicore.New(multicore.DefaultConfig(cores))
-		m.Run(w)
+		run(cores, 0, w)
 		return w.Image()
 	}
 	a, b := image(1), image(4)
@@ -128,9 +134,7 @@ func TestParallelSARBarrierOrdersPhases(t *testing.T) {
 
 func TestParallelSARSpeedup(t *testing.T) {
 	runN := func(cores int) multicore.Result {
-		w := NewSAR(sarCfg())
-		m := multicore.New(multicore.DefaultConfig(cores))
-		return m.Run(w)
+		return run(cores, 0, NewSAR(sarCfg()))
 	}
 	one := runN(1)
 	four := runN(4)
@@ -148,10 +152,7 @@ func TestCapCostsMoreTimeInParallel(t *testing.T) {
 	// multiple cores, and because N cores share one budget, a node cap
 	// that is mild for one core is severe for four.
 	runCap := func(capWatts float64) multicore.Result {
-		w := NewSAR(sarCfg())
-		m := multicore.New(multicore.DefaultConfig(4))
-		m.SetPolicy(capWatts)
-		return m.Run(w)
+		return run(4, capWatts, NewSAR(sarCfg()))
 	}
 	base := runCap(0)
 	capped := runCap(190)

@@ -3,6 +3,7 @@ package parallel
 import (
 	"math"
 
+	"nodecap/internal/machine"
 	"nodecap/internal/multicore"
 	"nodecap/internal/workloads/sar"
 )
@@ -129,7 +130,7 @@ type sarShard struct {
 }
 
 // Step implements multicore.Shard.
-func (sh *sarShard) Step(c *multicore.CoreHandle) bool {
+func (sh *sarShard) Step(c *machine.CoreHandle) bool {
 	w := sh.w
 	cfg := w.cfg
 	switch sh.phase {

@@ -17,6 +17,7 @@ import (
 	"math"
 	"sort"
 
+	"nodecap/internal/machine"
 	"nodecap/internal/multicore"
 	"nodecap/internal/simtime"
 )
@@ -142,24 +143,28 @@ func splitmix(s *uint64) uint64 {
 
 type servingShard struct {
 	w        *Workload
-	arrivals []simtime.Duration
+	arrivals []simtime.Duration // relative to the shard's first step
 	base     uint64
 	next     int
 	pos      uint64
+	t0       simtime.Duration
 }
 
 // Step services one request: sleep until its arrival if the queue is
 // empty, run the request body, and record arrival-to-completion
 // latency (queueing included — the open-loop tail the SLO watches).
-func (sh *servingShard) Step(c *multicore.CoreHandle) bool {
+func (sh *servingShard) Step(c *machine.CoreHandle) bool {
 	if sh.next >= len(sh.arrivals) {
 		sh.w.servingLive--
 		return false
 	}
-	t := sh.arrivals[sh.next]
+	if sh.next == 0 {
+		sh.t0 = c.Now()
+	}
+	t := sh.t0 + sh.arrivals[sh.next]
 	sh.next++
 	if c.Now() < t {
-		c.AdvanceIdle(t - c.Now())
+		c.Sleep(t - c.Now())
 	}
 	for i := 0; i < sh.w.cfg.RequestOps; i++ {
 		c.Compute(120, 96)
@@ -183,7 +188,7 @@ type batchShard struct {
 // Step grinds one batch slice; the shard retires once every serving
 // shard has drained its arrival process (best-effort work has no
 // completion target of its own).
-func (sh *batchShard) Step(c *multicore.CoreHandle) bool {
+func (sh *batchShard) Step(c *machine.CoreHandle) bool {
 	if sh.w.servingLive == 0 {
 		return false
 	}

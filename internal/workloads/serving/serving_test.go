@@ -16,11 +16,17 @@ func smallConfig() Config {
 	return cfg
 }
 
+// node is the paper's platform widened to cores cores.
+func node(cores int) *machine.Machine {
+	cfg := machine.Romley()
+	cfg.Cores = cores
+	return machine.New(cfg)
+}
+
 func runOnce(t *testing.T, cfg Config) (*Workload, multicore.Result) {
 	t.Helper()
-	m := multicore.New(multicore.Config{Cores: 2, Base: machine.Romley()})
 	w := New(cfg)
-	return w, m.Run(w)
+	return w, multicore.Run(node(2), w)
 }
 
 // TestServingDeterministic runs the same seed twice and expects
@@ -87,12 +93,11 @@ func TestPercentiles(t *testing.T) {
 func TestServingLatencyRisesWhenSlowed(t *testing.T) {
 	fast, _ := runOnce(t, smallConfig())
 
-	base := machine.Romley()
-	m := multicore.New(multicore.Config{Cores: 2, Base: base})
+	m := node(2)
 	// An aggressive cap drags the whole package down (fair share).
 	_ = m.SetPolicy(140)
 	slow := New(smallConfig())
-	m.Run(slow)
+	multicore.Run(m, slow)
 
 	if slow.P99() < 4*fast.P99() {
 		t.Fatalf("slowed p99 %v not clearly above full-speed p99 %v", slow.P99(), fast.P99())
@@ -123,8 +128,7 @@ func TestConfigValidation(t *testing.T) {
 				t.Error("single-core socket with one serving core did not panic")
 			}
 		}()
-		m := multicore.New(multicore.Config{Cores: 1, Base: machine.Romley()})
-		m.Run(New(smallConfig()))
+		multicore.Run(node(1), New(smallConfig()))
 	}()
 }
 
