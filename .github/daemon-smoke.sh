@@ -4,7 +4,8 @@
 # and drive every one through dcmctl. Tier-1 only ever calls start()
 # in-process; this is the check that the one start path still comes up
 # as a binary, serves, and exits 0 on SIGTERM in every shape, and that a
-# sharded daemon restarted on its state dir lists its fleet again.
+# sharded daemon restarted on its state dir lists its fleet again and
+# leaves each leaf's dir with a parseable snapshot and no stray temps.
 # Every wait is bounded; any failed assertion fails the script.
 set -euo pipefail
 
@@ -72,6 +73,10 @@ test "$(ctl "$CTL" budget 300 | grep -c '^leaf-0[01] .* W$')" -eq 2
 test "$(ctl "$CTL" shards | grep -c '^leaf-0[01] *true ')" -eq 2
 term "$pid"
 test -s "$STATE/sharded/shardmap.snap"
+# What a kill -9 mid-compaction strands; the restart must sweep it.
+for leaf in "$STATE"/sharded/leaf-0[01]; do
+	echo '{"nodes":{"half":' >"$leaf/snapshot-stale.tmp"
+done
 
 echo "== sharded, restarted on the same state dir"
 "$BIN/dcmd" -listen "$CTL" -shards 2 -state-dir "$STATE/sharded" $FAST &
@@ -79,6 +84,10 @@ pid=$!
 until_ok role_is "$CTL" aggregator
 lists_fleet "$CTL"
 term "$pid"
+for leaf in "$STATE"/sharded/leaf-0[01]; do
+	test -z "$(find "$leaf" -name '*.tmp')"
+	jq -e .nodes "$leaf/snapshot.json" >/dev/null
+done
 
 echo "== HA pair"
 "$BIN/dcmd" -listen "$CTL" -state-dir "$STATE/a" -replica-addr "$REPL" \

@@ -215,7 +215,11 @@ type Manager struct {
 
 	mu    sync.Mutex
 	nodes map[string]*managedNode
-	rng   *rand.Rand
+	// byName is nodes' values in name order, built by sortedLocked and
+	// dropped wherever nodes changes; never modified in place, so a
+	// sweep may keep reading it after releasing mu.
+	byName []*managedNode
+	rng    *rand.Rand
 
 	// HistoryLimit bounds per-node history length.
 	HistoryLimit int
@@ -361,6 +365,7 @@ func (m *Manager) AddNode(name, addr string) error {
 		},
 	}
 	m.nodes[name] = n
+	m.byName = nil
 	m.mu.Unlock()
 	m.updateFleetGauges()
 	return m.journalNode(store.OpAddNode, n)
@@ -375,6 +380,7 @@ func (m *Manager) RemoveNode(name string) error {
 	if ok {
 		n.removed = true
 		delete(m.nodes, name)
+		m.byName = nil
 	}
 	m.mu.Unlock()
 	if !ok {
@@ -396,15 +402,28 @@ func (m *Manager) RemoveNode(name string) error {
 	return jerr
 }
 
+// sortedLocked returns the registered nodes in name order, sorting only
+// when the set has changed since the last call. m.mu must be held.
+func (m *Manager) sortedLocked() []*managedNode {
+	if m.byName == nil && len(m.nodes) > 0 {
+		m.byName = make([]*managedNode, 0, len(m.nodes))
+		for _, n := range m.nodes {
+			m.byName = append(m.byName, n)
+		}
+		sort.Slice(m.byName, func(i, j int) bool { return m.byName[i].name < m.byName[j].name })
+	}
+	return m.byName
+}
+
 // Nodes lists statuses sorted by name.
 func (m *Manager) Nodes() []NodeStatus {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]NodeStatus, 0, len(m.nodes))
-	for _, n := range m.nodes {
-		out = append(out, n.status)
+	nodes := m.sortedLocked()
+	out := make([]NodeStatus, len(nodes))
+	for i, n := range nodes {
+		out[i] = n.status
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
@@ -776,10 +795,11 @@ func (m *Manager) capPushFailed(name string, capWatts float64, err error) {
 func (m *Manager) Poll() {
 	start := m.wallNow()
 	m.mu.Lock()
-	nodes := make([]*managedNode, 0, len(m.nodes))
-	for _, n := range m.nodes {
-		nodes = append(nodes, n)
-	}
+	// Sweep in name order so the decision-trace events a sequential
+	// sweep (PollConcurrency=1, as the chaos harness runs) appends are
+	// deterministic run-to-run; with a concurrent pool the order is
+	// merely a stable starting schedule.
+	nodes := m.sortedLocked()
 	workers := m.PollConcurrency
 	budget := m.PollBudget
 	shed := m.shedLevel
@@ -788,11 +808,6 @@ func (m *Manager) Poll() {
 	if workers <= 0 {
 		workers = DefaultPollConcurrency
 	}
-	// Sweep in name order so the decision-trace events a sequential
-	// sweep (PollConcurrency=1, as the chaos harness runs) appends are
-	// deterministic run-to-run; with a concurrent pool the order is
-	// merely a stable starting schedule.
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].name < nodes[j].name })
 
 	pool.ForEach(len(nodes), workers, func(i int) { m.pollNode(nodes[i], shed) })
 	elapsed := m.wallNow().Sub(start)
@@ -1049,6 +1064,7 @@ func (m *Manager) shutdown(crash bool) {
 	m.mu.Lock()
 	nodes := m.nodes
 	m.nodes = make(map[string]*managedNode)
+	m.byName = nil
 	for _, n := range nodes {
 		n.removed = true
 	}

@@ -52,6 +52,7 @@ func (m *Manager) OpenStateDir(dir string) error {
 		}
 		m.nodes[name] = n
 	}
+	m.byName = nil
 	m.mu.Unlock()
 	return nil
 }

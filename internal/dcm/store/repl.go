@@ -62,11 +62,11 @@ type ReplFrame struct {
 
 // EncodeReplFrame formats f with the journal's crc32 line framing.
 func EncodeReplFrame(f ReplFrame) ([]byte, error) {
-	payload, err := json.Marshal(f)
+	b, err := appendReplFrame(append(make([]byte, 0, 256), lineHeader...), &f)
 	if err != nil {
 		return nil, fmt.Errorf("store: encoding repl frame: %w", err)
 	}
-	return frameLine(payload), nil
+	return sealLine(b), nil
 }
 
 // DecodeReplFrame parses one framed replication line (without or with
@@ -136,15 +136,11 @@ func (s *Store) Seq() uint64 {
 	return s.seq
 }
 
-// replSinceLocked returns the applied records after cursor, or ok
-// false when the cursor is outside the retained window (ahead of seq,
-// or evicted from the ring) and the session must fall back to a
-// snapshot.
-func (s *Store) replSinceLocked(cursor uint64) ([]Record, bool) {
-	if cursor > s.seq || cursor < s.recentFirst {
-		return nil, false
-	}
-	return s.recent[cursor-s.recentFirst:], true
+// replRetainsLocked reports whether every record after cursor is still
+// in the ring; false (cursor ahead of seq, or evicted) means the
+// session must fall back to a snapshot.
+func (s *Store) replRetainsLocked(cursor uint64) bool {
+	return cursor <= s.seq && s.seq-cursor <= ReplRetain
 }
 
 // ResetTo atomically replaces the store's state with a replicated
@@ -196,7 +192,7 @@ func (f *Feed) Pending(max int) ([]ReplFrame, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !f.synced {
-		if s.gen != 0 && f.claimGen == s.gen && f.claimSeq <= s.seq && f.claimSeq >= s.recentFirst {
+		if s.gen != 0 && f.claimGen == s.gen && s.replRetainsLocked(f.claimSeq) {
 			f.cursor = f.claimSeq
 		} else {
 			f.synced = true
@@ -204,19 +200,16 @@ func (f *Feed) Pending(max int) ([]ReplFrame, error) {
 		}
 		f.synced = true
 	}
-	recs, ok := s.replSinceLocked(f.cursor)
-	if !ok {
+	if !s.replRetainsLocked(f.cursor) {
 		return []ReplFrame{f.snapLocked()}, nil
 	}
-	if len(recs) > max {
-		recs = recs[:max]
+	n := min(s.seq-f.cursor, uint64(max))
+	frames := make([]ReplFrame, 0, n)
+	for q := f.cursor + 1; q <= f.cursor+n; q++ {
+		r := s.recent[(q-1)%ReplRetain]
+		frames = append(frames, ReplFrame{Kind: ReplRec, Gen: s.gen, Seq: q, Rec: &r})
 	}
-	frames := make([]ReplFrame, 0, len(recs))
-	for i := range recs {
-		r := recs[i]
-		frames = append(frames, ReplFrame{Kind: ReplRec, Gen: s.gen, Seq: f.cursor + uint64(i) + 1, Rec: &r})
-	}
-	f.cursor += uint64(len(recs))
+	f.cursor += n
 	return frames, nil
 }
 
@@ -341,7 +334,7 @@ func (r *Replica) saveMetaLocked() {
 		return
 	}
 	dir := filepath.Dir(r.metaPath)
-	tmp, err := os.CreateTemp(dir, "replica-*.tmp")
+	tmp, err := os.CreateTemp(dir, replicaTmp)
 	if err != nil {
 		return
 	}

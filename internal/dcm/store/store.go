@@ -7,16 +7,18 @@
 //
 // The design is the classic snapshot-plus-journal pair:
 //
-//   - snapshot.json holds a full State, written atomically (temp file
-//     in the same directory, fsync, rename, directory fsync).
+//   - snapshot.json holds a full State as compact JSON with sorted
+//     node names, written atomically (temp file in the same directory,
+//     fsync, rename, directory fsync).
 //   - journal.log is append-only; each line is a crc32-prefixed JSON
 //     record, fsync'd per append. Replay tolerates a torn or corrupt
 //     tail — the signature of a crash mid-append — by truncating the
 //     journal at the first bad line and keeping everything before it.
 //
 // Apply mutates the in-memory State and journals the mutation; once
-// the journal grows past SnapshotEvery records it is folded into a
-// fresh snapshot and truncated.
+// the journal holds as many records as the state has nodes (and at
+// least SnapshotEvery) it is folded into a fresh snapshot and
+// truncated, so an append costs O(1) amortised at any fleet size.
 package store
 
 import (
@@ -38,7 +40,14 @@ const (
 	journalFile     = "journal.log"
 	incarnationFile = "incarnation"
 
-	// DefaultSnapshotEvery is the journal length (in records) that
+	// Temp files the dir's atomic writes go through on their way to a
+	// rename, as os.CreateTemp patterns; Open globs the same patterns to
+	// remove the ones a crash stranded.
+	snapshotTmp    = "snapshot-*.tmp"
+	incarnationTmp = "incarnation-*.tmp"
+	replicaTmp     = "replica-*.tmp"
+
+	// DefaultSnapshotEvery is the shortest journal (in records) that
 	// triggers automatic compaction.
 	DefaultSnapshotEvery = 256
 )
@@ -115,17 +124,34 @@ func (s *State) apply(r Record) {
 	}
 }
 
+// journalWriter is what the store asks of its journal: an *os.File opened
+// O_APPEND, or in tests a writer that fails mid-line.
+type journalWriter interface {
+	Write([]byte) (int, error)
+	Sync() error
+	Truncate(size int64) error
+	Seek(offset int64, whence int) (int64, error)
+	Close() error
+}
+
 // Store is a crash-safe State holder. Safe for concurrent use.
 type Store struct {
-	// SnapshotEvery is the journal length that triggers automatic
-	// compaction on Apply; ≤ 0 means DefaultSnapshotEvery.
+	// SnapshotEvery is the shortest journal that triggers automatic
+	// compaction on Apply (see compactAtLocked); ≤ 0 means
+	// DefaultSnapshotEvery.
 	SnapshotEvery int
 
-	mu       sync.Mutex
-	dir      string
-	state    State
-	journal  *os.File
-	pending  int // records in the journal since the last snapshot
+	mu         sync.Mutex
+	dir        string
+	state      State
+	journal    journalWriter
+	journalLen int64  // bytes of whole, acknowledged lines in the journal
+	line       []byte // Apply's encode buffer, reused across appends
+	pending    int    // records in the journal since the last snapshot
+	// failed is set when a failed append could not be rolled back: the
+	// journal may end in a torn line that would swallow every later
+	// record on replay, so Apply refuses from then on.
+	failed   error
 	closed   bool
 	nosync   bool // SetSync(false): skip the per-record fsync
 	replayed int  // journal records recovered by Open (tests)
@@ -137,11 +163,13 @@ type Store struct {
 	// Replication source state (see repl.go): gen identifies this
 	// store incarnation, seq counts records applied in it, and recent
 	// retains the tail of applied records so a reconnecting standby can
-	// resume from its cursor instead of taking a full snapshot.
-	gen         uint64
-	seq         uint64
-	recent      []Record // records (recentFirst, seq], oldest first
-	recentFirst uint64
+	// resume from its cursor instead of taking a full snapshot. recent is
+	// a ring addressed by sequence number — record q lives in slot
+	// (q-1) % ReplRetain, so the window is always (seq-ReplRetain, seq] —
+	// that grows to ReplRetain slots as the first records arrive.
+	gen    uint64
+	seq    uint64
+	recent []Record
 
 	// Telemetry sinks (SetTelemetry); nil-safe when unwired.
 	appends     *telemetry.Counter
@@ -177,6 +205,16 @@ func Open(dir string) (*Store, error) {
 		}
 	} else if !os.IsNotExist(err) {
 		return nil, fmt.Errorf("store: %w", err)
+	}
+
+	// A kill between CreateTemp and Rename strands a (state-sized) temp
+	// file no later run would touch. Best-effort: a stale temp that
+	// cannot be removed is clutter, not a reason to stay down.
+	for _, pat := range []string{snapshotTmp, incarnationTmp, replicaTmp} {
+		stale, _ := filepath.Glob(filepath.Join(dir, pat))
+		for _, path := range stale {
+			os.Remove(path)
+		}
 	}
 
 	inc, err := bumpIncarnation(dir)
@@ -215,7 +253,7 @@ func bumpIncarnation(dir string) (uint64, error) {
 		return 0, fmt.Errorf("store: %w", err)
 	}
 	n++
-	tmp, err := os.CreateTemp(dir, "incarnation-*.tmp")
+	tmp, err := os.CreateTemp(dir, incarnationTmp)
 	if err != nil {
 		return 0, fmt.Errorf("store: %w", err)
 	}
@@ -286,13 +324,8 @@ func (s *Store) replayJournal() error {
 			return fmt.Errorf("store: truncating torn journal: %w", err)
 		}
 	}
+	s.journalLen = good
 	return nil
-}
-
-// frameLine wraps a JSON payload as "crc32hex payloadJSON\n" — the
-// framing shared by journal records and replication frames.
-func frameLine(payload []byte) []byte {
-	return []byte(fmt.Sprintf("%08x %s\n", crc32.ChecksumIEEE(payload), payload))
 }
 
 // unframeLine verifies a framed line's checksum and returns its JSON
@@ -310,15 +343,6 @@ func unframeLine(line string) ([]byte, bool) {
 		return nil, false
 	}
 	return []byte(payload), true
-}
-
-// encodeLine formats r as "crc32hex payloadJSON".
-func encodeLine(r Record) ([]byte, error) {
-	payload, err := json.Marshal(r)
-	if err != nil {
-		return nil, err
-	}
-	return frameLine(payload), nil
 }
 
 // decodeLine parses one journal line, verifying its checksum.
@@ -363,45 +387,71 @@ func (s *Store) SetSync(on bool) {
 }
 
 // Apply folds r into the state and journals it durably (fsync before
-// returning). Past SnapshotEvery journal records it compacts.
+// returning). Once the journal is compactAtLocked records long it
+// compacts.
 func (s *Store) Apply(r Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return fmt.Errorf("store: closed")
 	}
-	line, err := encodeLine(r)
+	if s.failed != nil {
+		return s.failed
+	}
+	line, err := appendRecord(append(s.line[:0], lineHeader...), &r)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
+	line = sealLine(line)
+	s.line = line // keep the (possibly regrown) buffer for the next append
 	if _, err := s.journal.Write(line); err != nil {
-		return fmt.Errorf("store: journal append: %w", err)
+		return s.rollbackLocked(fmt.Errorf("store: journal append: %w", err))
 	}
 	if !s.nosync {
 		if err := s.journal.Sync(); err != nil {
-			return fmt.Errorf("store: journal sync: %w", err)
+			return s.rollbackLocked(fmt.Errorf("store: journal sync: %w", err))
 		}
 	}
+	s.journalLen += int64(len(line))
 	s.state.apply(r)
 	s.pending++
 	s.appends.Inc()
-	s.seq++
-	s.recent = append(s.recent, r)
-	if len(s.recent) > ReplRetain {
-		drop := len(s.recent) - ReplRetain
-		s.recent = append(s.recent[:0], s.recent[drop:]...)
-		s.recentFirst += uint64(drop)
+	if len(s.recent) < ReplRetain {
+		s.recent = append(s.recent, r)
+	} else {
+		s.recent[s.seq%ReplRetain] = r
 	}
+	s.seq++
+	if s.pending >= s.compactAtLocked() {
+		return s.compactLocked()
+	}
+	return nil
+}
+
+// compactAtLocked is the journal length at which Apply compacts: a
+// rewrite is due once the log is as large as the state it rewrites,
+// and never sooner than SnapshotEvery records. A budget change over N
+// nodes therefore pays one O(N) snapshot, not N/SnapshotEvery of them
+// — amortised O(1) per record at any fleet size — while a crash still
+// replays at most this many records.
+func (s *Store) compactAtLocked() int {
 	every := s.SnapshotEvery
 	if every <= 0 {
 		every = DefaultSnapshotEvery
 	}
-	if s.pending >= every {
-		if err := s.compactLocked(); err != nil {
-			return err
-		}
+	return max(every, len(s.state.Nodes))
+}
+
+// rollbackLocked undoes a failed append by cutting the journal back to
+// its last whole line, so the next append cannot concatenate onto a
+// partial one — a joined line fails its checksum, and replay would drop
+// it and every acknowledged record after it. If the cut fails too the
+// store is marked failed. Returns cause either way.
+func (s *Store) rollbackLocked(cause error) error {
+	if err := s.journal.Truncate(s.journalLen); err != nil {
+		s.failed = fmt.Errorf("store: journal unusable: %w; rolling that back: %v", cause, err)
 	}
-	return nil
+	return cause
 }
 
 // Compact folds the journal into a fresh snapshot and truncates it.
@@ -414,12 +464,15 @@ func (s *Store) Compact() error {
 	return s.compactLocked()
 }
 
+// compactLocked writes the snapshot from a buffer it allocates and
+// drops: nothing state-sized is retained between compactions.
 func (s *Store) compactLocked() error {
-	b, err := json.MarshalIndent(s.state, "", "  ")
+	// ~140 bytes encode a typical node; a low guess costs one regrowth.
+	b, err := appendState(make([]byte, 0, 256+160*len(s.state.Nodes)), &s.state)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	tmp, err := os.CreateTemp(s.dir, "snapshot-*.tmp")
+	tmp, err := os.CreateTemp(s.dir, snapshotTmp)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
@@ -444,6 +497,7 @@ func (s *Store) compactLocked() error {
 	if err := s.journal.Truncate(0); err != nil {
 		return fmt.Errorf("store: truncating journal: %w", err)
 	}
+	s.journalLen = 0
 	if _, err := s.journal.Seek(0, 0); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
