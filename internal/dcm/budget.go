@@ -79,13 +79,8 @@ func (m *Manager) AllocateBudgetWeighted(budgetWatts float64, names []string, we
 		}
 		stale := !n.status.Reachable &&
 			(n.status.LastOKAt.IsZero() || now.Sub(n.status.LastOKAt) > staleAfter)
-		want := n.status.Last.AverageWatts
-		if want <= 0 {
-			want = n.status.MaxCapWatts
-		}
-		want *= 1.05 // headroom so a fitting node is not throttled
 		d := demand{
-			name: name, want: want,
+			name: name, want: n.demandWatts(),
 			min: n.status.MinCapWatts, max: n.status.MaxCapWatts,
 			weight: tierWeight(n.status.Tier),
 		}
@@ -103,6 +98,33 @@ func (m *Manager) AllocateBudgetWeighted(budgetWatts float64, names []string, we
 	}
 	m.mu.Unlock()
 	return waterfill(budgetWatts, demands)
+}
+
+// demandWatts is the per-node demand rule the waterfill and the budget
+// cascade share: the recent average power plus 5 % headroom, so a
+// fitting node is not throttled, or the platform maximum while the node
+// has no sample. Callers hold m.mu.
+func (n *managedNode) demandWatts() float64 {
+	want := n.status.Last.AverageWatts
+	if want <= 0 {
+		want = n.status.MaxCapWatts
+	}
+	return want * 1.05
+}
+
+// DemandSummary sums the registered nodes' platform minimums, demands
+// (demandWatts, floored at the node's minimum) and platform maximums,
+// in name order so the sums repeat bit for bit — what a budget cascade
+// needs from a leaf, without copying the fleet as Nodes does.
+func (m *Manager) DemandSummary() (minWatts, wantWatts, maxWatts float64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, n := range m.sortedLocked() {
+		minWatts += n.status.MinCapWatts
+		maxWatts += n.status.MaxCapWatts
+		wantWatts += max(n.demandWatts(), n.status.MinCapWatts)
+	}
+	return minWatts, wantWatts, maxWatts
 }
 
 // ApplyBudget allocates and pushes the resulting caps. A failed push

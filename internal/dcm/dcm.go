@@ -166,7 +166,7 @@ type managedNode struct {
 	bmc        BMC           // nil while disconnected
 	removed    bool
 	status     NodeStatus
-	history    []Sample
+	history    history
 	nextRetry  time.Time
 
 	// capMu serializes priority-lane cap pushes (fresh connections that
@@ -221,8 +221,13 @@ type Manager struct {
 	byName []*managedNode
 	rng    *rand.Rand
 
-	// HistoryLimit bounds per-node history length.
+	// HistoryLimit bounds per-node history length; zero or less keeps
+	// no history (NodeStatus.Last is kept regardless). A limit lowered
+	// between polls trims each node on its next sample.
 	HistoryLimit int
+	// historySamples counts the samples retained across all nodes, for
+	// the dcm_history_samples gauge. Guarded by mu.
+	historySamples int
 
 	// PollConcurrency bounds how many nodes one Poll sweep samples in
 	// parallel (default DefaultPollConcurrency).
@@ -381,6 +386,7 @@ func (m *Manager) RemoveNode(name string) error {
 		n.removed = true
 		delete(m.nodes, name)
 		m.byName = nil
+		m.historySamples -= n.history.n
 	}
 	m.mu.Unlock()
 	if !ok {
@@ -934,10 +940,7 @@ func (m *Manager) pollNode(n *managedNode, shed int) {
 		if shed < 1 {
 			// History enrichment is the first work a brownout sheds;
 			// the live sample above is always kept.
-			n.history = append(n.history, s)
-			if len(n.history) > m.HistoryLimit {
-				n.history = n.history[len(n.history)-m.HistoryLimit:]
-			}
+			m.historySamples += n.history.push(s, m.HistoryLimit)
 		}
 	}
 	m.mu.Unlock()
@@ -997,9 +1000,7 @@ func (m *Manager) History(name string) ([]Sample, error) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]Sample, len(n.history))
-	copy(out, n.history)
-	return out, nil
+	return n.history.samples(), nil
 }
 
 // StartPolling polls every interval until StopPolling.
@@ -1065,6 +1066,7 @@ func (m *Manager) shutdown(crash bool) {
 	nodes := m.nodes
 	m.nodes = make(map[string]*managedNode)
 	m.byName = nil
+	m.historySamples = 0
 	for _, n := range nodes {
 		n.removed = true
 	}

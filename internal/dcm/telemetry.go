@@ -37,8 +37,9 @@ type managerTelemetry struct {
 	hedges        *telemetry.Counter
 	lanePushes    *telemetry.Counter
 
-	nodes     *telemetry.Gauge
-	reachable *telemetry.Gauge
+	nodes          *telemetry.Gauge
+	reachable      *telemetry.Gauge
+	historySamples *telemetry.Gauge
 
 	pollSeconds     *telemetry.Histogram
 	exchangeSeconds *telemetry.Histogram
@@ -72,6 +73,7 @@ func (m *Manager) SetTelemetry(reg *telemetry.Registry, tr *telemetry.Trace) {
 		lanePushes:      reg.Counter("dcm_lane_pushes_total"),
 		nodes:           reg.Gauge("dcm_nodes"),
 		reachable:       reg.Gauge("dcm_nodes_reachable"),
+		historySamples:  reg.Gauge("dcm_history_samples"),
 		pollSeconds:     reg.Histogram("dcm_poll_seconds", telemetry.DefSecondsBuckets),
 		exchangeSeconds: reg.Histogram("dcm_exchange_seconds", exchangeBuckets),
 	}
@@ -102,19 +104,21 @@ func (m *Manager) TraceEvents(since uint64, node string, limit int) []telemetry.
 	return tr.Since(since, node, limit)
 }
 
-// updateFleetGauges refreshes the node-count gauges. Callers must NOT
-// hold m.mu.
+// updateFleetGauges refreshes the node-count gauges and the retained
+// history size (32 bytes a sample; see history). Callers must NOT hold
+// m.mu.
 func (m *Manager) updateFleetGauges() {
 	m.mu.Lock()
-	total := len(m.nodes)
+	total, retained := len(m.nodes), m.historySamples
 	var up int
 	for _, n := range m.nodes {
 		if n.status.Reachable {
 			up++
 		}
 	}
-	nodes, reach := m.tel.nodes, m.tel.reachable
+	tel := m.tel
 	m.mu.Unlock()
-	nodes.Set(float64(total))
-	reach.Set(float64(up))
+	tel.nodes.Set(float64(total))
+	tel.reachable.Set(float64(up))
+	tel.historySamples.Set(float64(retained))
 }

@@ -70,9 +70,10 @@ type BatchSetResult struct {
 	CC byte
 }
 
-// sealBatch appends the CRC-32 trailer over everything written so far.
-func sealBatch(b []byte) []byte {
-	return binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+// sealBatch appends the CRC-32 trailer over the batch payload that
+// starts at b[start].
+func sealBatch(b []byte, start int) []byte {
+	return binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(b[start:]))
 }
 
 // openBatch validates the count byte, the exact entry length and the
@@ -98,12 +99,16 @@ func EncodeBatchPollRequest(ids []uint32) ([]byte, error) {
 	if err := checkBatchLen(len(ids), batchPollReqEntry); err != nil {
 		return nil, err
 	}
-	b := make([]byte, 0, 1+len(ids)*batchPollReqEntry+4)
+	return appendBatchPollRequest(make([]byte, 0, batchOverhead+len(ids)*batchPollReqEntry), ids), nil
+}
+
+func appendBatchPollRequest(b []byte, ids []uint32) []byte {
+	start := len(b)
 	b = append(b, byte(len(ids)))
 	for _, id := range ids {
 		b = binary.BigEndian.AppendUint32(b, id)
 	}
-	return sealBatch(b), nil
+	return sealBatch(b, start)
 }
 
 // DecodeBatchPollRequest unpacks a BatchPoll request.
@@ -126,21 +131,18 @@ func EncodeBatchPollResponse(results []BatchPollResult) ([]byte, error) {
 	if err := checkBatchLen(len(results), batchPollRespEntry); err != nil {
 		return nil, err
 	}
-	b := make([]byte, 0, 1+len(results)*batchPollRespEntry+4)
+	return appendBatchPollResponse(make([]byte, 0, batchOverhead+len(results)*batchPollRespEntry), results), nil
+}
+
+func appendBatchPollResponse(b []byte, results []BatchPollResult) []byte {
+	start := len(b)
 	b = append(b, byte(len(results)))
 	for _, r := range results {
-		b = binary.BigEndian.AppendUint32(b, r.ID)
-		b = append(b, r.CC)
-		var e [17]byte
-		putWatts(e[0:], r.Reading.CurrentWatts)
-		putWatts(e[4:], r.Reading.AverageWatts)
-		if r.Limit.Enabled {
-			e[8] = 1
-		}
-		putWatts(e[9:], r.Limit.CapWatts)
-		b = append(b, e[:13]...)
+		b = append(binary.BigEndian.AppendUint32(b, r.ID), r.CC)
+		b = appendPowerReading(b, r.Reading)
+		b = appendWatts(append(b, flagByte(r.Limit.Enabled)), r.Limit.CapWatts)
 	}
-	return sealBatch(b), nil
+	return sealBatch(b, start)
 }
 
 // DecodeBatchPollResponse unpacks a BatchPoll response.
@@ -171,21 +173,17 @@ func EncodeBatchSetRequest(entries []BatchSetEntry) ([]byte, error) {
 	if err := checkBatchLen(len(entries), batchSetReqEntry); err != nil {
 		return nil, err
 	}
-	b := make([]byte, 0, 1+len(entries)*batchSetReqEntry+4)
+	return appendBatchSetRequest(make([]byte, 0, batchOverhead+len(entries)*batchSetReqEntry), entries), nil
+}
+
+func appendBatchSetRequest(b []byte, entries []BatchSetEntry) []byte {
+	start := len(b)
 	b = append(b, byte(len(entries)))
 	for _, e := range entries {
-		b = binary.BigEndian.AppendUint32(b, e.ID)
-		if e.Limit.Enabled {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
-		var w [4]byte
-		putWatts(w[:], e.Limit.CapWatts)
-		b = append(b, w[:]...)
-		b = binary.BigEndian.AppendUint64(b, e.Limit.Epoch)
+		b = append(binary.BigEndian.AppendUint32(b, e.ID), flagByte(e.Limit.Enabled))
+		b = binary.BigEndian.AppendUint64(appendWatts(b, e.Limit.CapWatts), e.Limit.Epoch)
 	}
-	return sealBatch(b), nil
+	return sealBatch(b, start)
 }
 
 // DecodeBatchSetRequest unpacks a BatchSet request.
@@ -215,13 +213,16 @@ func EncodeBatchSetResponse(results []BatchSetResult) ([]byte, error) {
 	if err := checkBatchLen(len(results), batchSetRespEntry); err != nil {
 		return nil, err
 	}
-	b := make([]byte, 0, 1+len(results)*batchSetRespEntry+4)
+	return appendBatchSetResponse(make([]byte, 0, batchOverhead+len(results)*batchSetRespEntry), results), nil
+}
+
+func appendBatchSetResponse(b []byte, results []BatchSetResult) []byte {
+	start := len(b)
 	b = append(b, byte(len(results)))
 	for _, r := range results {
-		b = binary.BigEndian.AppendUint32(b, r.ID)
-		b = append(b, r.CC)
+		b = append(binary.BigEndian.AppendUint32(b, r.ID), r.CC)
 	}
-	return sealBatch(b), nil
+	return sealBatch(b, start)
 }
 
 // DecodeBatchSetResponse unpacks a BatchSet response.
@@ -260,7 +261,7 @@ type Mux struct {
 // NewMux builds an empty multiplexer.
 func NewMux() *Mux {
 	m := &Mux{nodes: make(map[uint32]*Server)}
-	m.frameListener = frameListener{handle: m.Handle, conns: make(map[net.Conn]struct{})}
+	m.frameListener = frameListener{respond: m.respond, conns: make(map[net.Conn]struct{})}
 	return m
 }
 
@@ -291,47 +292,43 @@ func (m *Mux) node(id uint32) *Server {
 // rejected: a multiplexed connection has no single implied node to
 // route them to.
 func (m *Mux) Handle(req Frame) Frame {
-	resp := Frame{Seq: req.Seq, NetFn: NetFnOEMResponse, Cmd: req.Cmd}
-	fail := func(cc byte) Frame {
-		resp.Payload = []byte{cc}
-		return resp
+	return Frame{
+		Seq: req.Seq, NetFn: NetFnOEMResponse, Cmd: req.Cmd,
+		Payload: m.respond(make([]byte, 0, MaxPayload), req),
 	}
+}
+
+// respond appends req's response payload to dst (see
+// frameListener.respond). A request may carry more entries than one
+// response frame can answer; that is refused as invalid data.
+func (m *Mux) respond(dst []byte, req Frame) []byte {
 	if req.NetFn != NetFnOEM {
-		return fail(CCInvalidCommand)
+		return append(dst, CCInvalidCommand)
 	}
 	switch req.Cmd {
 	case CmdBatchPoll:
 		ids, err := DecodeBatchPollRequest(req.Payload)
-		if err != nil {
-			return fail(CCInvalidData)
+		if err != nil || checkBatchLen(len(ids), batchPollRespEntry) != nil {
+			return append(dst, CCInvalidData)
 		}
 		results := make([]BatchPollResult, len(ids))
 		for i, id := range ids {
 			results[i] = m.pollOne(req.Seq, id)
 		}
-		b, err := EncodeBatchPollResponse(results)
-		if err != nil {
-			return fail(CCInvalidData)
-		}
-		resp.Payload = append([]byte{CCOK}, b...)
+		return appendBatchPollResponse(append(dst, CCOK), results)
 	case CmdBatchSet:
 		entries, err := DecodeBatchSetRequest(req.Payload)
 		if err != nil {
-			return fail(CCInvalidData)
+			return append(dst, CCInvalidData)
 		}
 		results := make([]BatchSetResult, len(entries))
 		for i, e := range entries {
 			results[i] = BatchSetResult{ID: e.ID, CC: m.setOne(req.Seq, e)}
 		}
-		b, err := EncodeBatchSetResponse(results)
-		if err != nil {
-			return fail(CCInvalidData)
-		}
-		resp.Payload = append([]byte{CCOK}, b...)
+		return appendBatchSetResponse(append(dst, CCOK), results)
 	default:
-		return fail(CCInvalidCommand)
+		return append(dst, CCInvalidCommand)
 	}
-	return resp
 }
 
 // pollOne reads one node's power and applied limit through its own
@@ -343,23 +340,24 @@ func (m *Mux) pollOne(seq uint32, id uint32) BatchPollResult {
 		r.CC = CCNotPresent
 		return r
 	}
-	pr := srv.Handle(Frame{Seq: seq, NetFn: NetFnOEM, Cmd: CmdGetPowerReading})
-	if cc := ccOf(pr); cc != CCOK {
-		r.CC = cc
+	var buf [16]byte // holds either response payload
+	pr := srv.respond(buf[:0], Frame{Seq: seq, NetFn: NetFnOEM, Cmd: CmdGetPowerReading})
+	if pr[0] != CCOK {
+		r.CC = pr[0]
 		return r
 	}
-	reading, err := DecodePowerReading(pr.Payload[1:])
+	reading, err := DecodePowerReading(pr[1:])
 	if err != nil {
 		r.CC = CCUnspecified
 		return r
 	}
 	r.Reading = reading
-	pl := srv.Handle(Frame{Seq: seq, NetFn: NetFnOEM, Cmd: CmdGetPowerLimit})
-	if cc := ccOf(pl); cc != CCOK {
-		r.CC = cc
+	pl := srv.respond(buf[:0], Frame{Seq: seq, NetFn: NetFnOEM, Cmd: CmdGetPowerLimit})
+	if pl[0] != CCOK {
+		r.CC = pl[0]
 		return r
 	}
-	lim, err := DecodePowerLimit(pl.Payload[1:])
+	lim, err := DecodePowerLimit(pl[1:])
 	if err != nil {
 		r.CC = CCUnspecified
 		return r
@@ -377,18 +375,34 @@ func (m *Mux) setOne(seq uint32, e BatchSetEntry) byte {
 	if srv == nil {
 		return CCNotPresent
 	}
-	return ccOf(srv.Handle(Frame{
+	var req, resp [16]byte
+	return srv.respond(resp[:0], Frame{
 		Seq: seq, NetFn: NetFnOEM, Cmd: CmdSetPowerLimit,
-		Payload: EncodePowerLimit(e.Limit),
-	}))
+		Payload: appendPowerLimit(req[:0], e.Limit),
+	})[0]
 }
 
-// ccOf extracts a response frame's completion code.
-func ccOf(f Frame) byte {
-	if len(f.Payload) < 1 {
-		return CCUnspecified
+// batchExchange sends one batch frame — build appends its payload to
+// the request — and decodes the response's want results before
+// releasing c.mu (see Client's buffer-ownership rule). A malformed
+// response poisons the stream: the frame was aligned but its content
+// cannot be trusted.
+func batchExchange[R any](c *Client, cmd uint8, want int, build func([]byte) []byte, decode func([]byte) ([]R, error)) ([]R, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	b, err := c.exchange(build(c.request(cmd)))
+	if err != nil {
+		return nil, err
 	}
-	return f.Payload[0]
+	results, err := decode(b)
+	if err == nil && len(results) != want {
+		err = fmt.Errorf("ipmi: batch command %#x returned %d results for %d entries", cmd, len(results), want)
+	}
+	if err != nil {
+		c.broken = true
+		return nil, err
+	}
+	return results, nil
 }
 
 // BatchPoll reads power and applied limits for ids over a multiplexed
@@ -397,24 +411,14 @@ func ccOf(f Frame) byte {
 func (c *Client) BatchPoll(ids []uint32) ([]BatchPollResult, error) {
 	out := make([]BatchPollResult, 0, len(ids))
 	for len(ids) > 0 {
-		n := min(len(ids), MaxBatchEntries)
-		payload, err := EncodeBatchPollRequest(ids[:n])
+		chunk := ids[:min(len(ids), MaxBatchEntries)]
+		results, err := batchExchange(c, CmdBatchPoll, len(chunk),
+			func(b []byte) []byte { return appendBatchPollRequest(b, chunk) }, DecodeBatchPollResponse)
 		if err != nil {
 			return nil, err
-		}
-		b, err := c.call(CmdBatchPoll, payload)
-		if err != nil {
-			return nil, err
-		}
-		results, err := DecodeBatchPollResponse(b)
-		if err != nil {
-			return nil, c.markBroken(err)
-		}
-		if len(results) != n {
-			return nil, c.markBroken(fmt.Errorf("ipmi: batch poll returned %d results for %d ids", len(results), n))
 		}
 		out = append(out, results...)
-		ids = ids[n:]
+		ids = ids[len(chunk):]
 	}
 	return out, nil
 }
@@ -425,33 +429,14 @@ func (c *Client) BatchPoll(ids []uint32) ([]BatchPollResult, error) {
 func (c *Client) BatchSet(entries []BatchSetEntry) ([]BatchSetResult, error) {
 	out := make([]BatchSetResult, 0, len(entries))
 	for len(entries) > 0 {
-		n := min(len(entries), MaxBatchEntries)
-		payload, err := EncodeBatchSetRequest(entries[:n])
+		chunk := entries[:min(len(entries), MaxBatchEntries)]
+		results, err := batchExchange(c, CmdBatchSet, len(chunk),
+			func(b []byte) []byte { return appendBatchSetRequest(b, chunk) }, DecodeBatchSetResponse)
 		if err != nil {
 			return nil, err
-		}
-		b, err := c.call(CmdBatchSet, payload)
-		if err != nil {
-			return nil, err
-		}
-		results, err := DecodeBatchSetResponse(b)
-		if err != nil {
-			return nil, c.markBroken(err)
-		}
-		if len(results) != n {
-			return nil, c.markBroken(fmt.Errorf("ipmi: batch set returned %d results for %d entries", len(results), n))
 		}
 		out = append(out, results...)
-		entries = entries[n:]
+		entries = entries[len(chunk):]
 	}
 	return out, nil
-}
-
-// markBroken poisons the stream after a malformed batch response: the
-// frame was aligned but its content cannot be trusted.
-func (c *Client) markBroken(err error) error {
-	c.mu.Lock()
-	c.broken = true
-	c.mu.Unlock()
-	return err
 }

@@ -68,58 +68,69 @@ type Frame struct {
 // header layout: magic(2) version(1) seq(4) netfn(1) cmd(1) len(2).
 const headerLen = 11
 
-// checksum computes the two's-complement checksum IPMI uses: the sum
-// of all bytes plus the checksum equals zero mod 256.
-func checksum(parts ...[]byte) byte {
+// maxFrameLen is the longest frame on the wire: header, a MaxPayload
+// payload and the checksum byte.
+const maxFrameLen = headerLen + MaxPayload + 1
+
+// sum adds b's bytes mod 256. IPMI's two's-complement checksum makes
+// the sum over a whole frame, checksum byte included, zero.
+func sum(b []byte) byte {
 	var s byte
-	for _, p := range parts {
-		for _, b := range p {
-			s += b
-		}
+	for _, c := range b {
+		s += c
 	}
-	return byte(-int8(s))
+	return s
+}
+
+// beginFrame appends a frame header to b with the payload length left
+// zero: the caller appends the payload, then sealFrame fills the length
+// in. b must be empty, so the header sits at b[0].
+func beginFrame(b []byte, seq uint32, netFn, cmd uint8) []byte {
+	b = append(b, magic0, magic1, version)
+	b = binary.BigEndian.AppendUint32(b, seq)
+	return append(b, netFn, cmd, 0, 0)
+}
+
+// sealFrame completes the frame begun at b[0]: it writes the payload
+// length into the header and appends the checksum.
+func sealFrame(b []byte) ([]byte, error) {
+	plen := len(b) - headerLen
+	if plen > MaxPayload {
+		return nil, fmt.Errorf("ipmi: payload %d exceeds max %d", plen, MaxPayload)
+	}
+	binary.BigEndian.PutUint16(b[9:], uint16(plen))
+	return append(b, -sum(b)), nil
 }
 
 // Marshal encodes f for the wire.
 func (f Frame) Marshal() ([]byte, error) {
-	if len(f.Payload) > MaxPayload {
-		return nil, fmt.Errorf("ipmi: payload %d exceeds max %d", len(f.Payload), MaxPayload)
-	}
-	buf := make([]byte, headerLen+len(f.Payload)+1)
-	buf[0], buf[1], buf[2] = magic0, magic1, version
-	binary.BigEndian.PutUint32(buf[3:], f.Seq)
-	buf[7] = f.NetFn
-	buf[8] = f.Cmd
-	binary.BigEndian.PutUint16(buf[9:], uint16(len(f.Payload)))
-	copy(buf[headerLen:], f.Payload)
-	buf[len(buf)-1] = checksum(buf[:len(buf)-1])
-	return buf, nil
+	b := make([]byte, 0, headerLen+len(f.Payload)+1)
+	return sealFrame(append(beginFrame(b, f.Seq, f.NetFn, f.Cmd), f.Payload...))
 }
 
-// ReadFrame decodes one frame from r, verifying magic, version, bounds
-// and checksum.
-func ReadFrame(r io.Reader) (Frame, error) {
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Frame{}, err
-	}
+// payloadLen validates a frame header — magic, version and the payload
+// bound — and returns the payload length it announces.
+func payloadLen(hdr []byte) (int, error) {
 	if hdr[0] != magic0 || hdr[1] != magic1 {
-		return Frame{}, fmt.Errorf("ipmi: bad magic %#x %#x", hdr[0], hdr[1])
+		return 0, fmt.Errorf("ipmi: bad magic %#x %#x", hdr[0], hdr[1])
 	}
 	if hdr[2] != version {
-		return Frame{}, fmt.Errorf("ipmi: unsupported version %d", hdr[2])
+		return 0, fmt.Errorf("ipmi: unsupported version %d", hdr[2])
 	}
 	plen := binary.BigEndian.Uint16(hdr[9:])
 	if plen > MaxPayload {
-		return Frame{}, fmt.Errorf("ipmi: payload length %d exceeds max", plen)
+		return 0, fmt.Errorf("ipmi: payload length %d exceeds max", plen)
 	}
-	body := make([]byte, int(plen)+1)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return Frame{}, err
-	}
-	sum := checksum(hdr[:], body[:plen])
-	if body[plen] != sum {
-		return Frame{}, fmt.Errorf("ipmi: checksum mismatch: got %#x want %#x", body[plen], sum)
+	return int(plen), nil
+}
+
+// openFrame verifies the checksum that ends body (payload, then the
+// checksum byte) against the already validated header and returns the
+// frame, its Payload aliasing body.
+func openFrame(hdr, body []byte) (Frame, error) {
+	plen := len(body) - 1
+	if s := sum(hdr) + sum(body); s != 0 {
+		return Frame{}, fmt.Errorf("ipmi: checksum mismatch: got %#x want %#x", body[plen], body[plen]-s)
 	}
 	return Frame{
 		Seq:     binary.BigEndian.Uint32(hdr[3:]),
@@ -127,6 +138,26 @@ func ReadFrame(r io.Reader) (Frame, error) {
 		Cmd:     hdr[8],
 		Payload: body[:plen:plen],
 	}, nil
+}
+
+// ReadFrame decodes one frame from r, verifying magic, version, bounds
+// and checksum. It reads exactly the frame's bytes and the frame owns
+// its payload; connection ends that read frame after frame use a
+// frameReader instead.
+func ReadFrame(r io.Reader) (Frame, error) {
+	var hdr [headerLen]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return Frame{}, err
+	}
+	plen, err := payloadLen(hdr[:])
+	if err != nil {
+		return Frame{}, err
+	}
+	body := make([]byte, plen+1)
+	if _, err := io.ReadFull(r, body); err != nil {
+		return Frame{}, err
+	}
+	return openFrame(hdr[:], body)
 }
 
 // WriteFrame encodes and writes f to w.
@@ -139,12 +170,67 @@ func WriteFrame(w io.Writer, f Frame) error {
 	return err
 }
 
+// frameReader reads frames in place from one connection end through a
+// buffer it owns. The buffer starts at inlineFrameLen, which holds every
+// single-node frame, so an ordinary frame costs one Read; a larger
+// (batch) frame grows it once to maxFrameLen. The zero value is ready.
+type frameReader struct {
+	buf  []byte
+	r, w int // buf[r:w] is read from the connection but not yet consumed
+}
+
+// inlineFrameLen is a frameReader's first buffer: the largest
+// single-node frame — a 14-byte SetPowerLimit response — is 26 bytes.
+const inlineFrameLen = 32
+
+// next returns the connection's next frame. Its Payload aliases the
+// reader's buffer and is valid only until the following call. Bytes
+// read past the frame's end are kept for that call.
+func (fr *frameReader) next(src io.Reader) (Frame, error) {
+	need := headerLen
+	for {
+		if have := fr.buf[fr.r:fr.w]; len(have) >= headerLen {
+			plen, err := payloadLen(have)
+			if err != nil {
+				return Frame{}, err
+			}
+			need = headerLen + plen + 1
+			if len(have) >= need {
+				fr.r += need
+				return openFrame(have[:headerLen], have[headerLen:need])
+			}
+		}
+		switch {
+		case fr.r == fr.w:
+			fr.r, fr.w = 0, 0
+		case fr.r+need > len(fr.buf):
+			fr.w = copy(fr.buf, fr.buf[fr.r:fr.w])
+			fr.r = 0
+		}
+		if need > len(fr.buf) {
+			size := inlineFrameLen
+			if need > size {
+				size = maxFrameLen
+			}
+			fr.buf = append(make([]byte, 0, size), fr.buf[:fr.w]...)[:size]
+		}
+		n, err := src.Read(fr.buf[fr.w:])
+		fr.w += n
+		if err != nil && fr.w-fr.r < need {
+			if err == io.EOF && fr.w > fr.r {
+				err = io.ErrUnexpectedEOF
+			}
+			return Frame{}, err
+		}
+	}
+}
+
 // --- payload codecs -------------------------------------------------
 
 // Watts are carried as centiwatts in a uint32, IPMI style (no floats
 // on the wire).
-func putWatts(b []byte, w float64) {
-	binary.BigEndian.PutUint32(b, uint32(w*100+0.5))
+func appendWatts(b []byte, w float64) []byte {
+	return binary.BigEndian.AppendUint32(b, uint32(w*100+0.5))
 }
 
 func getWatts(b []byte) float64 {
@@ -161,14 +247,12 @@ type DeviceInfo struct {
 }
 
 // EncodeDeviceInfo packs a GetDeviceID response payload.
-func EncodeDeviceInfo(d DeviceInfo) []byte {
-	b := make([]byte, 9)
-	b[0] = d.DeviceID
-	b[1] = d.FirmwareMajor
-	b[2] = d.FirmwareMinor
-	binary.BigEndian.PutUint32(b[3:], d.ManufacturerID)
-	binary.BigEndian.PutUint16(b[7:], d.ProductID)
-	return b
+func EncodeDeviceInfo(d DeviceInfo) []byte { return appendDeviceInfo(make([]byte, 0, 9), d) }
+
+func appendDeviceInfo(b []byte, d DeviceInfo) []byte {
+	b = append(b, d.DeviceID, d.FirmwareMajor, d.FirmwareMinor)
+	b = binary.BigEndian.AppendUint32(b, d.ManufacturerID)
+	return binary.BigEndian.AppendUint16(b, d.ProductID)
 }
 
 // DecodeDeviceInfo unpacks a GetDeviceID response payload.
@@ -192,11 +276,10 @@ type PowerReading struct {
 }
 
 // EncodePowerReading packs a power reading.
-func EncodePowerReading(p PowerReading) []byte {
-	b := make([]byte, 8)
-	putWatts(b[0:], p.CurrentWatts)
-	putWatts(b[4:], p.AverageWatts)
-	return b
+func EncodePowerReading(p PowerReading) []byte { return appendPowerReading(make([]byte, 0, 8), p) }
+
+func appendPowerReading(b []byte, p PowerReading) []byte {
+	return appendWatts(appendWatts(b, p.CurrentWatts), p.AverageWatts)
 }
 
 // DecodePowerReading unpacks a power reading.
@@ -226,15 +309,23 @@ func EncodePowerLimit(p PowerLimit) []byte {
 	if p.Epoch > 0 {
 		n = 13
 	}
-	b := make([]byte, n)
-	if p.Enabled {
-		b[0] = 1
-	}
-	putWatts(b[1:], p.CapWatts)
+	return appendPowerLimit(make([]byte, 0, n), p)
+}
+
+func appendPowerLimit(b []byte, p PowerLimit) []byte {
+	b = appendWatts(append(b, flagByte(p.Enabled)), p.CapWatts)
 	if p.Epoch > 0 {
-		binary.BigEndian.PutUint64(b[5:], p.Epoch)
+		b = binary.BigEndian.AppendUint64(b, p.Epoch)
 	}
 	return b
+}
+
+// flagByte is a boolean's wire form.
+func flagByte(on bool) byte {
+	if on {
+		return 1
+	}
+	return 0
 }
 
 // DecodePowerLimit unpacks a power limit. The epoch is optional: a
@@ -259,12 +350,10 @@ type PStateInfo struct {
 }
 
 // EncodePStateInfo packs P-state information.
-func EncodePStateInfo(p PStateInfo) []byte {
-	b := make([]byte, 4)
-	b[0] = p.Index
-	b[1] = p.Count
-	binary.BigEndian.PutUint16(b[2:], p.FreqMHz)
-	return b
+func EncodePStateInfo(p PStateInfo) []byte { return appendPStateInfo(make([]byte, 0, 4), p) }
+
+func appendPStateInfo(b []byte, p PStateInfo) []byte {
+	return binary.BigEndian.AppendUint16(append(b, p.Index, p.Count), p.FreqMHz)
 }
 
 // DecodePStateInfo unpacks P-state information.
@@ -291,12 +380,10 @@ const (
 )
 
 // EncodeCapabilities packs a capability range: min(4) max(4) tier(1).
-func EncodeCapabilities(c Capabilities) []byte {
-	b := make([]byte, 9)
-	putWatts(b[0:], c.MinCapWatts)
-	putWatts(b[4:], c.MaxCapWatts)
-	b[8] = c.Tier
-	return b
+func EncodeCapabilities(c Capabilities) []byte { return appendCapabilities(make([]byte, 0, 9), c) }
+
+func appendCapabilities(b []byte, c Capabilities) []byte {
+	return append(appendWatts(appendWatts(b, c.MinCapWatts), c.MaxCapWatts), c.Tier)
 }
 
 // DecodeCapabilities unpacks a capability range. The tier byte is
@@ -328,16 +415,17 @@ const (
 )
 
 // EncodeHealth packs a health report: flags(1) sensorFaults(4).
-func EncodeHealth(h Health) []byte {
-	b := make([]byte, 5)
+func EncodeHealth(h Health) []byte { return appendHealth(make([]byte, 0, 5), h) }
+
+func appendHealth(b []byte, h Health) []byte {
+	var flags byte
 	if h.FailSafe {
-		b[0] |= healthFailSafe
+		flags |= healthFailSafe
 	}
 	if h.InfeasibleCap {
-		b[0] |= healthInfeasibleCap
+		flags |= healthInfeasibleCap
 	}
-	binary.BigEndian.PutUint32(b[1:], h.SensorFaults)
-	return b
+	return binary.BigEndian.AppendUint32(append(b, flags), h.SensorFaults)
 }
 
 // DecodeHealth unpacks a health report.

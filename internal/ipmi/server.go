@@ -27,10 +27,13 @@ type NodeControl interface {
 }
 
 // frameListener is the TCP side ipmi.Server and ipmi.Mux share: accept,
-// track connections, answer each frame through handle until the peer
-// hangs up. The embedding type's constructor sets handle once.
+// track connections, answer each frame through respond until the peer
+// hangs up. The embedding type's constructor sets respond once.
 type frameListener struct {
-	handle func(Frame) Frame
+	// respond appends req's response payload, completion code first, to
+	// dst. req.Payload aliases the connection's read buffer, so respond
+	// must not keep it.
+	respond func(dst []byte, req Frame) []byte
 
 	mu       sync.Mutex
 	listener net.Listener
@@ -87,12 +90,20 @@ func (l *frameListener) serveConn(conn net.Conn) {
 		delete(l.conns, conn)
 		l.mu.Unlock()
 	}()
+	// Both buffers belong to this connection end: a request is answered
+	// in place before the next one is read over it.
+	var rd frameReader
+	out := make([]byte, 0, inlineFrameLen)
 	for {
-		req, err := ReadFrame(conn)
+		req, err := rd.next(conn)
 		if err != nil {
 			return // EOF, malformed frame, or closed connection
 		}
-		if err := WriteFrame(conn, l.handle(req)); err != nil {
+		out, err = sealFrame(l.respond(beginFrame(out[:0], req.Seq, NetFnOEMResponse, req.Cmd), req))
+		if err != nil {
+			return
+		}
+		if _, err := conn.Write(out); err != nil {
 			return
 		}
 	}
@@ -134,7 +145,7 @@ type Server struct {
 // NewServer builds a server for ctl.
 func NewServer(ctl NodeControl) *Server {
 	s := &Server{ctl: ctl}
-	s.frameListener = frameListener{handle: s.Handle, conns: make(map[net.Conn]struct{})}
+	s.frameListener = frameListener{respond: s.respond, conns: make(map[net.Conn]struct{})}
 	return s
 }
 
@@ -142,45 +153,50 @@ func NewServer(ctl NodeControl) *Server {
 // Exposed so in-process tests can exercise the dispatch table without
 // sockets.
 func (s *Server) Handle(req Frame) Frame {
-	resp := Frame{Seq: req.Seq, NetFn: NetFnOEMResponse, Cmd: req.Cmd}
-	fail := func(cc byte) Frame {
-		resp.Payload = []byte{cc}
-		return resp
+	// 16 bytes hold the longest response payload (completion code and a
+	// fenced power limit, 14), so the payload is the one allocation.
+	return Frame{
+		Seq: req.Seq, NetFn: NetFnOEMResponse, Cmd: req.Cmd,
+		Payload: s.respond(make([]byte, 0, 16), req),
 	}
+}
+
+// respond is the dispatch table: it appends req's response payload to
+// dst (see frameListener.respond).
+func (s *Server) respond(dst []byte, req Frame) []byte {
 	if req.NetFn != NetFnOEM {
-		return fail(CCInvalidCommand)
+		return append(dst, CCInvalidCommand)
 	}
 	switch req.Cmd {
 	case CmdGetDeviceID:
-		resp.Payload = append([]byte{CCOK}, EncodeDeviceInfo(s.ctl.DeviceInfo())...)
+		return appendDeviceInfo(append(dst, CCOK), s.ctl.DeviceInfo())
 	case CmdGetPowerReading:
-		resp.Payload = append([]byte{CCOK}, EncodePowerReading(s.ctl.PowerReading())...)
+		return appendPowerReading(append(dst, CCOK), s.ctl.PowerReading())
 	case CmdSetPowerLimit:
 		lim, err := DecodePowerLimit(req.Payload)
 		if err != nil {
-			return fail(CCInvalidData)
+			return append(dst, CCInvalidData)
 		}
 		if !s.admitEpoch(lim.Epoch) {
-			return fail(CCStaleEpoch)
+			return append(dst, CCStaleEpoch)
 		}
 		if err := s.ctl.SetPowerLimit(lim); err != nil {
-			return fail(CCUnspecified)
+			return append(dst, CCUnspecified)
 		}
-		resp.Payload = []byte{CCOK}
+		return append(dst, CCOK)
 	case CmdGetPowerLimit:
-		resp.Payload = append([]byte{CCOK}, EncodePowerLimit(s.ctl.PowerLimit())...)
+		return appendPowerLimit(append(dst, CCOK), s.ctl.PowerLimit())
 	case CmdGetPStateInfo:
-		resp.Payload = append([]byte{CCOK}, EncodePStateInfo(s.ctl.PStateInfo())...)
+		return appendPStateInfo(append(dst, CCOK), s.ctl.PStateInfo())
 	case CmdGetGatingLevel:
-		resp.Payload = []byte{CCOK, byte(s.ctl.GatingLevel())}
+		return append(dst, CCOK, byte(s.ctl.GatingLevel()))
 	case CmdGetCapabilities:
-		resp.Payload = append([]byte{CCOK}, EncodeCapabilities(s.ctl.Capabilities())...)
+		return appendCapabilities(append(dst, CCOK), s.ctl.Capabilities())
 	case CmdGetHealth:
-		resp.Payload = append([]byte{CCOK}, EncodeHealth(s.ctl.Health())...)
+		return appendHealth(append(dst, CCOK), s.ctl.Health())
 	default:
-		return fail(CCInvalidCommand)
+		return append(dst, CCInvalidCommand)
 	}
-	return resp
 }
 
 // admitEpoch applies the fencing rule for one SetPowerLimit push and
@@ -227,6 +243,12 @@ var ErrBroken = errors.New("ipmi: connection broken by earlier I/O failure")
 var ErrStaleEpoch = errors.New("ipmi: power limit rejected: stale fencing epoch")
 
 // Client is a DCM-side connection to one BMC.
+//
+// Buffer ownership: the client builds every request in req and parses
+// every response in place from rd's buffer, both owned by whoever holds
+// mu. A response payload is therefore valid only until the next
+// exchange on the connection, and every method decodes it before it
+// releases mu.
 type Client struct {
 	mu         sync.Mutex
 	conn       net.Conn
@@ -234,6 +256,8 @@ type Client struct {
 	reqTimeout time.Duration
 	broken     bool
 	closed     atomic.Bool
+	req        []byte
+	rd         frameReader
 
 	// Wire-level telemetry (SetCounters); nil-safe, so an unwired
 	// client pays one predictable no-op per exchange.
@@ -255,13 +279,17 @@ func DialTimeout(addr string, connectTimeout, requestTimeout time.Duration) (*Cl
 	if err != nil {
 		return nil, err
 	}
-	return &Client{conn: conn, reqTimeout: requestTimeout}, nil
+	c := NewClientConn(conn)
+	c.reqTimeout = requestTimeout
+	return c, nil
 }
 
 // NewClientConn wraps an existing connection (e.g. a net.Pipe end in
 // tests, or a fault-injecting wrapper). No request timeout is set;
 // use SetRequestTimeout to bound exchanges.
-func NewClientConn(conn net.Conn) *Client { return &Client{conn: conn} }
+func NewClientConn(conn net.Conn) *Client {
+	return &Client{conn: conn, req: make([]byte, 0, inlineFrameLen)}
+}
 
 // SetRequestTimeout bounds each request/response exchange; zero
 // disables the bound.
@@ -292,20 +320,28 @@ func (c *Client) Close() error {
 	return c.conn.Close()
 }
 
-// call performs one request/response exchange.
-func (c *Client) call(cmd uint8, payload []byte) ([]byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// request starts the next request frame in the client's own buffer
+// and returns it for the caller to append the payload to and hand to
+// exchange. c.mu must be held.
+func (c *Client) request(cmd uint8) []byte {
+	c.seq++
+	return beginFrame(c.req[:0], c.seq, NetFnOEM, cmd)
+}
+
+// exchange sends the request begun by request and returns the response
+// payload after its completion code. The payload aliases the read
+// buffer: decode it before releasing c.mu, which must be held.
+func (c *Client) exchange(req []byte) ([]byte, error) {
 	c.mRequests.Inc()
-	b, err := c.exchangeLocked(cmd, payload)
+	b, err := c.roundTrip(req)
 	if err != nil {
 		c.mFailures.Inc()
 	}
 	return b, err
 }
 
-// exchangeLocked is call's body; c.mu must be held.
-func (c *Client) exchangeLocked(cmd uint8, payload []byte) ([]byte, error) {
+// roundTrip is exchange's body.
+func (c *Client) roundTrip(req []byte) ([]byte, error) {
 	if c.broken || c.closed.Load() {
 		// A Close that lands between call and lock acquisition must read
 		// as the deliberate teardown it is, not a fresh socket error.
@@ -316,20 +352,23 @@ func (c *Client) exchangeLocked(cmd uint8, payload []byte) ([]byte, error) {
 		c.conn.SetDeadline(time.Now().Add(c.reqTimeout))
 		defer c.conn.SetDeadline(time.Time{})
 	}
-	c.seq++
-	req := Frame{Seq: c.seq, NetFn: NetFnOEM, Cmd: cmd, Payload: payload}
-	if err := WriteFrame(c.conn, req); err != nil {
-		return nil, c.brokenErr(err)
-	}
-	resp, err := ReadFrame(c.conn)
+	req, err := sealFrame(req)
 	if err != nil {
 		return nil, c.brokenErr(err)
 	}
-	if resp.Seq != req.Seq {
-		c.broken = true
-		return nil, fmt.Errorf("ipmi: sequence mismatch: sent %d got %d", req.Seq, resp.Seq)
+	c.req = req // keep the buffer a batch request grew
+	if _, err := c.conn.Write(req); err != nil {
+		return nil, c.brokenErr(err)
 	}
-	if resp.NetFn != NetFnOEMResponse || resp.Cmd != cmd {
+	resp, err := c.rd.next(c.conn)
+	if err != nil {
+		return nil, c.brokenErr(err)
+	}
+	if resp.Seq != c.seq {
+		c.broken = true
+		return nil, fmt.Errorf("ipmi: sequence mismatch: sent %d got %d", c.seq, resp.Seq)
+	}
+	if cmd := req[8]; resp.NetFn != NetFnOEMResponse || resp.Cmd != cmd {
 		c.broken = true
 		return nil, fmt.Errorf("ipmi: mismatched response netfn=%#x cmd=%#x", resp.NetFn, resp.Cmd)
 	}
@@ -361,74 +400,63 @@ func (c *Client) brokenErr(err error) error {
 	return err
 }
 
+// query runs one payload-less command and decodes its response before
+// releasing c.mu (see Client's buffer-ownership rule).
+func query[T any](c *Client, cmd uint8, decode func([]byte) (T, error)) (T, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	b, err := c.exchange(c.request(cmd))
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return decode(b)
+}
+
 // GetDeviceID fetches the node's identity.
 func (c *Client) GetDeviceID() (DeviceInfo, error) {
-	b, err := c.call(CmdGetDeviceID, nil)
-	if err != nil {
-		return DeviceInfo{}, err
-	}
-	return DecodeDeviceInfo(b)
+	return query(c, CmdGetDeviceID, DecodeDeviceInfo)
 }
 
 // GetPowerReading fetches current and windowed-average power.
 func (c *Client) GetPowerReading() (PowerReading, error) {
-	b, err := c.call(CmdGetPowerReading, nil)
-	if err != nil {
-		return PowerReading{}, err
-	}
-	return DecodePowerReading(b)
+	return query(c, CmdGetPowerReading, DecodePowerReading)
 }
 
 // SetPowerLimit pushes a capping policy to the BMC.
 func (c *Client) SetPowerLimit(lim PowerLimit) error {
-	_, err := c.call(CmdSetPowerLimit, EncodePowerLimit(lim))
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, err := c.exchange(appendPowerLimit(c.request(CmdSetPowerLimit), lim))
 	return err
 }
 
 // GetPowerLimit fetches the active policy.
 func (c *Client) GetPowerLimit() (PowerLimit, error) {
-	b, err := c.call(CmdGetPowerLimit, nil)
-	if err != nil {
-		return PowerLimit{}, err
-	}
-	return DecodePowerLimit(b)
+	return query(c, CmdGetPowerLimit, DecodePowerLimit)
 }
 
 // GetPStateInfo fetches DVFS state.
 func (c *Client) GetPStateInfo() (PStateInfo, error) {
-	b, err := c.call(CmdGetPStateInfo, nil)
-	if err != nil {
-		return PStateInfo{}, err
-	}
-	return DecodePStateInfo(b)
+	return query(c, CmdGetPStateInfo, DecodePStateInfo)
 }
 
 // GetGatingLevel fetches the sub-DVFS gating ladder position.
 func (c *Client) GetGatingLevel() (int, error) {
-	b, err := c.call(CmdGetGatingLevel, nil)
-	if err != nil {
-		return 0, err
-	}
-	if len(b) != 1 {
-		return 0, fmt.Errorf("ipmi: gating payload length %d", len(b))
-	}
-	return int(b[0]), nil
+	return query(c, CmdGetGatingLevel, func(b []byte) (int, error) {
+		if len(b) != 1 {
+			return 0, fmt.Errorf("ipmi: gating payload length %d", len(b))
+		}
+		return int(b[0]), nil
+	})
 }
 
 // GetCapabilities fetches the platform's cap range.
 func (c *Client) GetCapabilities() (Capabilities, error) {
-	b, err := c.call(CmdGetCapabilities, nil)
-	if err != nil {
-		return Capabilities{}, err
-	}
-	return DecodeCapabilities(b)
+	return query(c, CmdGetCapabilities, DecodeCapabilities)
 }
 
 // GetHealth fetches the BMC's defensive-controller status.
 func (c *Client) GetHealth() (Health, error) {
-	b, err := c.call(CmdGetHealth, nil)
-	if err != nil {
-		return Health{}, err
-	}
-	return DecodeHealth(b)
+	return query(c, CmdGetHealth, DecodeHealth)
 }

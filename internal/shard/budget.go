@@ -3,7 +3,6 @@ package shard
 import (
 	"errors"
 
-	"nodecap/internal/dcm"
 	"nodecap/internal/telemetry"
 )
 
@@ -170,27 +169,6 @@ func cascade(budget float64, leaves []demandSummary) []float64 {
 	return grants
 }
 
-// leafSummary aggregates one attached leaf's demand from its manager's
-// node view, mirroring dcm.AllocateBudget's per-node demand shape
-// (recent average + 5% headroom, platform max when no sample yet).
-func leafSummary(mgr *dcm.Manager) demandSummary {
-	var s demandSummary
-	for _, n := range mgr.Nodes() {
-		s.min += n.MinCapWatts
-		s.max += n.MaxCapWatts
-		want := n.Last.AverageWatts
-		if want <= 0 {
-			want = n.MaxCapWatts
-		}
-		want *= 1.05
-		if want < n.MinCapWatts {
-			want = n.MinCapWatts
-		}
-		s.want += want
-	}
-	return s
-}
-
 // Rebalance cascades budget down the tree and applies each attached
 // leaf's grant through its manager. Leaves whose grant shrinks (at or
 // below their current enabled desired sum) apply before leaves whose
@@ -218,7 +196,9 @@ func (t *Tree) Rebalance(budget float64) (CascadeResult, error) {
 		if ls.mgr == nil {
 			continue
 		}
-		members = append(members, member{ls: ls, sum: leafSummary(ls.mgr)})
+		var sum demandSummary
+		sum.min, sum.want, sum.max = ls.mgr.DemandSummary()
+		members = append(members, member{ls: ls, sum: sum})
 	}
 	if len(members) == 0 {
 		t.budget, t.infeasible = budget, false

@@ -75,14 +75,25 @@ func EncodeSnapshot(st TreeState) ([]byte, error) {
 	sort.Slice(leaves, func(i, j int) bool { return leaves[i].Name < leaves[j].Name })
 	nodes := append([]NodeRecord(nil), st.Nodes...)
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i].Name < nodes[j].Name })
-	if len(leaves) > math.MaxUint16 {
-		return nil, fmt.Errorf("shard: %d leaves exceed snapshot format", len(leaves))
+	return appendSnapshot(nil, st,
+		len(leaves), func(i int) LeafRecord { return leaves[i] },
+		len(nodes), func(i int) NodeRecord { return nodes[i] })
+}
+
+// appendSnapshot appends the snapshot frame for st's scalar fields and
+// the records leaf and node yield, which must come in name order; st's
+// own Leaves and Nodes are not read. It is the format's one encoder:
+// EncodeSnapshot feeds it sorted copies, Tree.persist its maps.
+func appendSnapshot(b []byte, st TreeState, nLeaves int, leaf func(int) LeafRecord, nNodes int, node func(int) NodeRecord) ([]byte, error) {
+	if nLeaves > math.MaxUint16 {
+		return nil, fmt.Errorf("shard: %d leaves exceed snapshot format", nLeaves)
 	}
-	if len(nodes) > math.MaxUint32 {
-		return nil, fmt.Errorf("shard: %d nodes exceed snapshot format", len(nodes))
+	if nNodes > math.MaxUint32 {
+		return nil, fmt.Errorf("shard: %d nodes exceed snapshot format", nNodes)
 	}
 
-	b := append([]byte(nil), snapMagic...)
+	start := len(b)
+	b = append(b, snapMagic...)
 	b = append(b, snapVersion)
 	b = binary.BigEndian.AppendUint64(b, st.Seed)
 	b = binary.BigEndian.AppendUint32(b, uint32(st.Vnodes))
@@ -95,9 +106,10 @@ func EncodeSnapshot(st TreeState) ([]byte, error) {
 	}
 	b = append(b, flags)
 
-	b = binary.BigEndian.AppendUint16(b, uint16(len(leaves)))
+	b = binary.BigEndian.AppendUint16(b, uint16(nLeaves))
 	var err error
-	for _, l := range leaves {
+	for i := 0; i < nLeaves; i++ {
+		l := leaf(i)
 		if b, err = appendString(b, l.Name); err != nil {
 			return nil, err
 		}
@@ -108,8 +120,9 @@ func EncodeSnapshot(st TreeState) ([]byte, error) {
 		}
 		b = append(b, lf)
 	}
-	b = binary.BigEndian.AppendUint32(b, uint32(len(nodes)))
-	for _, n := range nodes {
+	b = binary.BigEndian.AppendUint32(b, uint32(nNodes))
+	for i := 0; i < nNodes; i++ {
+		n := node(i)
 		if b, err = appendString(b, n.Name); err != nil {
 			return nil, err
 		}
@@ -121,7 +134,7 @@ func EncodeSnapshot(st TreeState) ([]byte, error) {
 		}
 		b = binary.BigEndian.AppendUint32(b, n.ID)
 	}
-	return binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(b)), nil
+	return binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(b[start:])), nil
 }
 
 // snapReader walks an encoded snapshot with bounds checking.
@@ -242,9 +255,9 @@ func DecodeSnapshot(b []byte) (TreeState, error) {
 	return st, nil
 }
 
-// state builds the persistable view. Callers hold t.mu.
-func (t *Tree) state() TreeState {
-	st := TreeState{
+// scalars is the shard map's fixed-size part. Callers hold t.mu.
+func (t *Tree) scalars() TreeState {
+	return TreeState{
 		Seed:       t.seed,
 		Vnodes:     t.vnodes,
 		Epoch:      t.epoch,
@@ -252,38 +265,54 @@ func (t *Tree) state() TreeState {
 		Budget:     t.budget,
 		Infeasible: t.infeasible,
 	}
-	for _, name := range t.memberNames() {
-		ls := t.leaves[name]
-		st.Leaves = append(st.Leaves, LeafRecord{
-			Name: name, Budget: ls.budget, Infeasible: ls.infeasible,
-		})
-	}
-	for _, name := range t.nodeNames() {
-		info := t.nodes[name]
-		st.Nodes = append(st.Nodes, NodeRecord{
-			Name: name, Addr: info.Addr, Owner: t.owners[name], ID: info.ID,
-		})
-	}
-	return st
+}
+
+func (t *Tree) leafRecord(name string) LeafRecord {
+	ls := t.leaves[name]
+	return LeafRecord{Name: name, Budget: ls.budget, Infeasible: ls.infeasible}
+}
+
+func (t *Tree) nodeRecord(name string) NodeRecord {
+	info := t.nodes[name]
+	return NodeRecord{Name: name, Addr: info.Addr, Owner: t.owners[name], ID: info.ID}
 }
 
 // State exposes the current shard map (for status surfaces and tests).
 func (t *Tree) State() TreeState {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.state()
+	st := t.scalars()
+	for _, name := range t.memberNames() {
+		st.Leaves = append(st.Leaves, t.leafRecord(name))
+	}
+	for _, name := range t.nodeNames() {
+		st.Nodes = append(st.Nodes, t.nodeRecord(name))
+	}
+	return st
 }
 
-// persist rewrites the snapshot atomically (write-temp + rename).
-// Callers hold t.mu; a "" snapPath disables persistence.
+// encode packs the shard map straight from the tree into b: the bytes
+// EncodeSnapshot(t.State()) gives, without building the state. Callers
+// hold t.mu.
+func (t *Tree) encode(b []byte) ([]byte, error) {
+	leaves, nodes := t.memberNames(), t.nodeNames()
+	return appendSnapshot(b, t.scalars(),
+		len(leaves), func(i int) LeafRecord { return t.leafRecord(leaves[i]) },
+		len(nodes), func(i int) NodeRecord { return t.nodeRecord(nodes[i]) })
+}
+
+// persist rewrites the snapshot atomically (write-temp + rename), from
+// a buffer the tree keeps between mutations. Callers hold t.mu; a ""
+// snapPath disables persistence.
 func (t *Tree) persist() error {
 	if t.snapPath == "" {
 		return nil
 	}
-	b, err := EncodeSnapshot(t.state())
+	b, err := t.encode(t.snapBuf[:0])
 	if err != nil {
 		return err
 	}
+	t.snapBuf = b
 	tmp := t.snapPath + ".tmp"
 	if err := os.WriteFile(tmp, b, 0o644); err != nil {
 		return err

@@ -73,6 +73,12 @@ type Tree struct {
 	leaves map[string]*leafState
 	nodes  map[string]NodeInfo
 	owners map[string]string // node name -> leaf name
+	// byName is nodes' keys in name order, built by nodeNames and dropped
+	// wherever nodes changes; never modified in place.
+	byName []string
+	// snapBuf is the last encoded snapshot, kept so that persist reuses
+	// its storage.
+	snapBuf []byte
 
 	epoch      uint64 // fencing epoch; bumped once per migration batch
 	rebalances uint64
@@ -130,14 +136,18 @@ func (t *Tree) memberNames() []string {
 	return names
 }
 
-// nodeNames reports the sorted node names. Callers hold t.mu.
+// nodeNames reports the sorted node names, sorting only when the set
+// has changed since the last call. Callers hold t.mu and must not
+// modify the result.
 func (t *Tree) nodeNames() []string {
-	names := make([]string, 0, len(t.nodes))
-	for name := range t.nodes {
-		names = append(names, name)
+	if t.byName == nil && len(t.nodes) > 0 {
+		t.byName = make([]string, 0, len(t.nodes))
+		for name := range t.nodes {
+			t.byName = append(t.byName, name)
+		}
+		sort.Strings(t.byName)
 	}
-	sort.Strings(names)
-	return names
+	return t.byName
 }
 
 // AddLeaf admits a leaf manager into the tree and migrates the nodes
@@ -311,6 +321,7 @@ func (t *Tree) route(info NodeInfo) error {
 	}
 	t.nodes[info.Name] = info
 	t.owners[info.Name] = owner
+	t.byName = nil
 	return nil
 }
 
@@ -344,6 +355,7 @@ func (t *Tree) RemoveNode(name string) error {
 	}
 	delete(t.nodes, name)
 	delete(t.owners, name)
+	t.byName = nil
 	return t.persist()
 }
 
