@@ -148,6 +148,9 @@ type Cache struct {
 	useClock uint64
 	rng      uint64 // Random replacement state
 	stats    Stats
+	// flushed is the scratch SetActiveWays and Flush report dirty
+	// addresses in, so a gating move allocates nothing once it has grown.
+	flushed []uint64
 }
 
 // New builds a cache from cfg, panicking on invalid geometry: every
@@ -155,13 +158,30 @@ type Cache struct {
 // programming error, not a runtime condition. The set mask, line
 // shift, and tag shift are precomputed here so the per-access path
 // never re-derives geometry.
-func New(cfg Config) *Cache {
+func New(cfg Config) *Cache { return Recycle(cfg, nil) }
+
+// Recycle is New over the storage of old, a cache nobody will use
+// again (nil: there is none). When old's slab has the length cfg needs
+// the new cache takes it, zeroed — an empty cache, exactly what New
+// allocates — together with the flush scratch; every other field is
+// built from cfg alone, so nothing of old's contents, gating, clock or
+// counters carries over. old is left without a slab.
+func Recycle(cfg Config, old *Cache) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
+	var lines, flushed []uint64
+	if n := cfg.Sets() * 2 * cfg.Ways; old != nil && len(old.lines) == n {
+		lines, flushed = old.lines, old.flushed
+		old.lines, old.flushed = nil, nil
+		clear(lines)
+	} else {
+		lines = make([]uint64, n)
+	}
 	return &Cache{
 		cfg:        cfg,
-		lines:      make([]uint64, cfg.Sets()*2*cfg.Ways),
+		lines:      lines,
+		flushed:    flushed,
 		setMask:    uint64(cfg.Sets() - 1),
 		lineShift:  uint(bits.TrailingZeros(uint(cfg.LineBytes))),
 		tagShift:   uint(bits.Len64(uint64(cfg.Sets() - 1))),
@@ -345,10 +365,11 @@ func (c *Cache) reconstruct(setIdx, tag uint64) uint64 {
 	return (tag<<c.tagShift | setIdx) << c.lineShift
 }
 
-// drop invalidates ways from..to-1 of every set, appending the
-// addresses of the dirty lines among them to dirty, and reports how
-// many lines it dropped.
-func (c *Cache) drop(from, to int, dirty *[]uint64) (dropped uint64) {
+// drop invalidates ways from..to-1 of every set, leaving the addresses
+// of the dirty lines among them in c.flushed, and reports how many
+// lines it dropped.
+func (c *Cache) drop(from, to int) (dropped uint64) {
+	c.flushed = c.flushed[:0]
 	for setIdx, base := uint64(0), 0; base < len(c.lines); setIdx, base = setIdx+1, base+2*c.ways {
 		for i := base + from; i < base+to; i++ {
 			if c.lines[i] == 0 {
@@ -356,7 +377,7 @@ func (c *Cache) drop(from, to int, dirty *[]uint64) (dropped uint64) {
 			}
 			dropped++
 			if c.lines[i+c.ways]&lru.Dirty != 0 {
-				*dirty = append(*dirty, c.reconstruct(setIdx, c.lines[i]>>1))
+				c.flushed = append(c.flushed, c.reconstruct(setIdx, c.lines[i]>>1))
 			}
 			c.lines[i], c.lines[i+c.ways] = 0, 0
 		}
@@ -368,7 +389,8 @@ func (c *Cache) drop(from, to int, dirty *[]uint64) (dropped uint64) {
 // clamped to [1, cfg.Ways]. Lines resident in ways being powered off
 // are flushed; the addresses of dirty ones are returned so the caller
 // can charge write-back traffic. Re-enabling ways returns nil: the
-// re-powered ways come up invalid.
+// re-powered ways come up invalid. The returned slice is this cache's
+// scratch, valid until the next SetActiveWays or Flush on this cache.
 func (c *Cache) SetActiveWays(n int) []uint64 {
 	if n < 1 {
 		n = 1
@@ -376,19 +398,21 @@ func (c *Cache) SetActiveWays(n int) []uint64 {
 	if n > c.cfg.Ways {
 		n = c.cfg.Ways
 	}
-	var dirty []uint64
-	if n < c.activeWays {
-		c.stats.GateFlush += c.drop(n, c.activeWays, &dirty)
+	if n >= c.activeWays {
+		c.activeWays = n
+		return nil
 	}
+	c.stats.GateFlush += c.drop(n, c.activeWays)
 	c.activeWays = n
-	return dirty
+	return c.flushed
 }
 
-// Flush invalidates every line, returning the addresses of dirty ones.
+// Flush invalidates every line, returning the addresses of dirty ones
+// in the same scratch, valid until the next SetActiveWays or Flush on
+// this cache.
 func (c *Cache) Flush() []uint64 {
-	var dirty []uint64
-	c.drop(0, c.ways, &dirty)
-	return dirty
+	c.drop(0, c.ways)
+	return c.flushed
 }
 
 // Invalidate drops the line containing addr if resident, reporting

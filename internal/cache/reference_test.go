@@ -188,10 +188,12 @@ func (h hex) String() string { return fmt.Sprintf("%#x", uint64(h)) }
 // disagreement. The address pool is a little over twice the set's
 // associativity per set, so hits, fills, evictions and re-fills of
 // invalidated ways all occur; every eighth address has bits 40..50 of
-// its tag set so wide tags are exercised too.
-func againstReference(data []byte) error {
+// its tag set so wide tags are exercised too. The real cache is built
+// over old (nil: fresh) and returned as the stream left it, so that a
+// second stream can run on a cache recycled from the first's.
+func againstReference(data []byte, old *Cache) (*Cache, error) {
 	if len(data) < 4 {
-		return nil
+		return nil, nil
 	}
 	sets := 1 << (data[0] % 4)  // 1, 2, 4, 8
 	ways := 1 + int(data[1])%20 // 1..20
@@ -204,7 +206,7 @@ func againstReference(data []byte) error {
 	if data[2]&2 != 0 {
 		cfg.Replacement = Random
 	}
-	c, r := New(cfg), newRefCache(cfg)
+	c, r := Recycle(cfg, old), newRefCache(cfg)
 	tags := uint64(2*ways + 3)
 
 	ops := data[3:]
@@ -246,13 +248,13 @@ func againstReference(data []byte) error {
 			got, want = append([]uint64{}, c.Flush()...), append([]uint64{}, r.flush()...)
 		}
 		if !reflect.DeepEqual(got, want) {
-			return fmt.Errorf("%+v op %d %s(%v) = %v, reference %v", cfg, i/3, what, arg, got, want)
+			return nil, fmt.Errorf("%+v op %d %s(%v) = %v, reference %v", cfg, i/3, what, arg, got, want)
 		}
 		if c.Stats() != r.stats {
-			return fmt.Errorf("%+v op %d %s(%v): stats %+v, reference %+v", cfg, i/3, what, arg, c.Stats(), r.stats)
+			return nil, fmt.Errorf("%+v op %d %s(%v): stats %+v, reference %+v", cfg, i/3, what, arg, c.Stats(), r.stats)
 		}
 		if c.ActiveWays() != r.active {
-			return fmt.Errorf("%+v op %d %s(%v): active ways %d, reference %d", cfg, i/3, what, arg, c.ActiveWays(), r.active)
+			return nil, fmt.Errorf("%+v op %d %s(%v): active ways %d, reference %d", cfg, i/3, what, arg, c.ActiveWays(), r.active)
 		}
 	}
 	// Residency, line by line, over the whole pool.
@@ -261,18 +263,20 @@ func againstReference(data []byte) error {
 			for _, t := range []uint64{tag, tag | 0x7FF<<40} {
 				addr := (t*uint64(sets) + set) * line
 				if c.Contains(addr) != r.contains(addr) {
-					return fmt.Errorf("%+v: final Contains(%#x) = %v, reference %v", cfg, addr, c.Contains(addr), r.contains(addr))
+					return nil, fmt.Errorf("%+v: final Contains(%#x) = %v, reference %v", cfg, addr, c.Contains(addr), r.contains(addr))
 				}
 			}
 		}
 	}
-	return nil
+	return c, nil
 }
 
 // TestAgainstReference runs seeded random op mixes — reads, writes,
 // Update, Invalidate, Contains, way gating down/up/clamped, Flush —
 // over 1–8 sets x 1–20 (and lru.MaxWays) ways, LRU and Random, write-back
-// and write-through, against the naive reference model.
+// and write-through, against the naive reference model; then a second
+// mix over the same geometry on a cache recycled from the one the first
+// left dirty, gated and mid-clock, which must behave as a new one.
 func TestAgainstReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	for round := 0; round < 400; round++ {
@@ -281,13 +285,22 @@ func TestAgainstReference(t *testing.T) {
 		if round%50 == 49 {
 			data[1] = 255
 		}
-		if err := againstReference(data); err != nil {
+		c, err := againstReference(data, nil)
+		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
+		}
+		rng.Read(data[3:])
+		if _, err := againstReference(data, c); err != nil {
+			t.Fatalf("round %d, recycled: %v", round, err)
+		}
+		if c.lines != nil {
+			t.Fatalf("round %d: the recycled cache kept its slab", round)
 		}
 	}
 }
 
-// FuzzCacheAgainstReference is the same driver under the fuzzer.
+// FuzzCacheAgainstReference is the same driver under the fuzzer: each
+// input fresh, then once more over the cache that run left behind.
 func FuzzCacheAgainstReference(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 8; i++ {
@@ -297,8 +310,12 @@ func FuzzCacheAgainstReference(f *testing.F) {
 	}
 	f.Add([]byte{3, 19, 1, 0, 1, 2, 14, 6, 0, 16, 1, 2, 14, 31, 0, 15, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if err := againstReference(data); err != nil {
+		c, err := againstReference(data, nil)
+		if err != nil {
 			t.Fatal(err)
+		}
+		if _, err := againstReference(data, c); err != nil {
+			t.Fatalf("recycled: %v", err)
 		}
 	})
 }

@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"nodecap/internal/machine"
 	"nodecap/internal/pool"
@@ -130,6 +131,12 @@ type SweepResult struct {
 // machine.Forker every run takes a Fork of that one instance (Fork,
 // like NewWorkload, must then be safe for concurrent calls); otherwise
 // every run calls NewWorkload again.
+//
+// The machines' large buffers are built once per worker: a run's
+// machine is recycled from one an earlier run has finished with
+// (machine.Recycle), so a sweep allocates at most Parallelism sets of
+// cache slabs however long its grid. The list of finished machines is
+// a local of this call: nothing outlives Run.
 func (e Experiment) Run() (SweepResult, error) {
 	if err := e.defaults(); err != nil {
 		return SweepResult{}, err
@@ -146,6 +153,10 @@ func (e Experiment) Run() (SweepResult, error) {
 	// schedule always had); row i+1 is Caps[i] (seed base i+2).
 	rows := 1 + len(e.Caps)
 	runs := make([]machine.RunResult, rows*e.Trials)
+	var (
+		mu       sync.Mutex
+		finished []*machine.Machine
+	)
 	pool.ForEach(len(runs), e.Parallelism, func(job int) {
 		row, trial := job/e.Trials, job%e.Trials
 		var capWatts float64
@@ -167,9 +178,18 @@ func (e Experiment) Run() (SweepResult, error) {
 				return
 			}
 		}
-		m := machine.New(cfg)
+		var old *machine.Machine
+		mu.Lock()
+		if n := len(finished); n > 0 {
+			old, finished = finished[n-1], finished[:n-1]
+		}
+		mu.Unlock()
+		m := machine.Recycle(cfg, old)
 		m.SetPolicy(capWatts)
 		runs[job] = m.RunWorkload(newRun())
+		mu.Lock()
+		finished = append(finished, m)
+		mu.Unlock()
 		if e.Memo != nil {
 			e.Memo.put(key, runs[job])
 		}

@@ -228,6 +228,11 @@ type Manager struct {
 	// historySamples counts the samples retained across all nodes, for
 	// the dcm_history_samples gauge. Guarded by mu.
 	historySamples int
+	// reachable counts the registered nodes whose status is Reachable,
+	// for the dcm_nodes_reachable gauge: kept in step by AddNode,
+	// RemoveNode and setReachable so the gauges never walk the node map.
+	// Guarded by mu.
+	reachable int
 
 	// PollConcurrency bounds how many nodes one Poll sweep samples in
 	// parallel (default DefaultPollConcurrency).
@@ -370,6 +375,7 @@ func (m *Manager) AddNode(name, addr string) error {
 		},
 	}
 	m.nodes[name] = n
+	m.reachable++
 	m.byName = nil
 	m.mu.Unlock()
 	m.updateFleetGauges()
@@ -383,6 +389,9 @@ func (m *Manager) RemoveNode(name string) error {
 	m.mu.Lock()
 	n, ok := m.nodes[name]
 	if ok {
+		if n.status.Reachable {
+			m.reachable--
+		}
 		n.removed = true
 		delete(m.nodes, name)
 		m.byName = nil
@@ -490,7 +499,7 @@ func (m *Manager) backoff(failures int) time.Duration {
 func (m *Manager) recordFailure(n *managedNode, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	n.status.Reachable = false
+	m.setReachable(n, false)
 	n.status.ConsecFailures++
 	n.status.LastError = err.Error()
 	now := m.wallNow()
@@ -504,10 +513,23 @@ func (m *Manager) recordFailure(n *managedNode, err error) {
 	m.brkOnFailure(n, now, err)
 }
 
+// setReachable flips n's reachability, keeping m.reachable in step. A
+// removed node has already left the count. Callers hold m.mu.
+func (m *Manager) setReachable(n *managedNode, up bool) {
+	if n.status.Reachable != up && !n.removed {
+		if up {
+			m.reachable++
+		} else {
+			m.reachable--
+		}
+	}
+	n.status.Reachable = up
+}
+
 // recordSuccess clears the failure state after a good exchange.
 // Callers hold m.mu.
 func (m *Manager) recordSuccess(n *managedNode) {
-	n.status.Reachable = true
+	m.setReachable(n, true)
 	n.status.ConsecFailures = 0
 	n.status.LastError = ""
 	n.status.LastOKAt = m.wallNow()
@@ -1066,7 +1088,7 @@ func (m *Manager) shutdown(crash bool) {
 	nodes := m.nodes
 	m.nodes = make(map[string]*managedNode)
 	m.byName = nil
-	m.historySamples = 0
+	m.historySamples, m.reachable = 0, 0
 	for _, n := range nodes {
 		n.removed = true
 	}

@@ -109,13 +109,7 @@ func (m *Manager) TraceEvents(since uint64, node string, limit int) []telemetry.
 // m.mu.
 func (m *Manager) updateFleetGauges() {
 	m.mu.Lock()
-	total, retained := len(m.nodes), m.historySamples
-	var up int
-	for _, n := range m.nodes {
-		if n.status.Reachable {
-			up++
-		}
-	}
+	total, up, retained := len(m.nodes), m.reachable, m.historySamples
 	tel := m.tel
 	m.mu.Unlock()
 	tel.nodes.Set(float64(total))

@@ -49,13 +49,15 @@ type CoreHandle struct {
 	cyc simtime.CycleTable
 }
 
-func newCoreHandle(m *Machine, id int) *CoreHandle {
+// newCoreHandle builds core id of m, its hierarchy over the slabs of
+// oldHier when that is not nil (see Recycle).
+func newCoreHandle(m *Machine, id int, oldHier *mem.Hierarchy) *CoreHandle {
 	cfg := &m.cfg
 	c := &CoreHandle{
 		m:           m,
 		id:          id,
 		core:        cpu.MustCore(id, cfg.PStates, cfg.CStates),
-		hier:        m.uncore.Attach(),
+		hier:        m.uncore.Attach(oldHier),
 		nextEvent:   never,
 		ifetchDown:  cfg.IFetchEvery,
 		ifetchEvery: cfg.IFetchEvery,

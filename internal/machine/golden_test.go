@@ -94,6 +94,37 @@ func render(w *bytes.Buffer, name string, r machine.RunResult, m *machine.Machin
 // change that moves one hit/miss decision, one LRU victim or one float
 // rounding anywhere on the path fails here.
 func TestRunGolden(t *testing.T) {
+	runGolden(t, func(*testing.T) *machine.Machine { return nil })
+}
+
+// TestRunGoldenRecycled runs the same grid with every machine built
+// over the buffers of the one before it, against the same files: a
+// recycled machine must not differ from a fresh one in any counter.
+// Each file's chain starts from a machine a 120 W Random-L2 run left
+// with ways gated and lines dirty; within a
+// file each cap's machine is built over the previous cap's, the
+// variants' Random-L2 machine over the T-state run's.
+func TestRunGoldenRecycled(t *testing.T) {
+	if *updateGolden {
+		t.Skip("the goldens are recorded on fresh machines")
+	}
+	runGolden(t, func(t *testing.T) *machine.Machine {
+		cases := goldenFiles()["variants"]
+		c := cases[len(cases)-1]
+		m := machine.New(c.cfg)
+		_ = m.SetPolicy(c.capW)
+		if r := m.RunWorkload(c.mk()); r.FinalGatingLevel == 0 {
+			t.Fatal("the donor run ended ungated")
+		}
+		return m
+	})
+}
+
+// runGolden runs every golden file's cases in order and compares what
+// they render with the file. Each machine is built over the previous
+// one of its file, the first over donor's; a nil donor means fresh
+// machines throughout.
+func runGolden(t *testing.T, donor func(t *testing.T) *machine.Machine) {
 	for file, cases := range goldenFiles() {
 		t.Run(file, func(t *testing.T) {
 			if testing.Short() && (file == "stereo_bench" || file == "sire_bench") {
@@ -101,12 +132,16 @@ func TestRunGolden(t *testing.T) {
 			}
 			t.Parallel()
 			var got bytes.Buffer
+			prev := donor(t)
 			for _, c := range cases {
-				m := machine.New(c.cfg)
+				m := machine.Recycle(c.cfg, prev)
 				// The advisory error of an infeasible cap is part of
 				// the 120 W rows, not a failure.
 				_ = m.SetPolicy(c.capW)
 				render(&got, c.name, m.RunWorkload(c.mk()), m)
+				if prev != nil {
+					prev = m
+				}
 			}
 			path := filepath.Join("testdata", "run_"+file+".golden")
 			if *updateGolden {

@@ -152,27 +152,39 @@ type Hierarchy struct {
 }
 
 // NewUncore assembles a socket's shared levels with no core attached;
-// the component constructors panic on invalid static geometry.
-func NewUncore(cfg Config) *Uncore {
+// the component constructors panic on invalid static geometry. old,
+// when not nil, is the uncore of a socket nobody will use again: the L3
+// is built over its slab (cache.Recycle), and nothing else of it is
+// read.
+func NewUncore(cfg Config, old *Uncore) *Uncore {
 	if cfg.PeakBytesPerSec <= 0 {
 		cfg.PeakBytesPerSec = DefaultConfig().PeakBytesPerSec
 	}
+	if old == nil {
+		old = &Uncore{}
+	}
 	return &Uncore{
 		cfg:       cfg,
-		l3:        cache.New(cfg.L3),
+		l3:        cache.Recycle(cfg.L3, old.l3),
 		ram:       dram.New(cfg.DRAM),
 		lineBytes: uint64(cfg.L3.LineBytes),
 	}
 }
 
-// Attach adds one core to the socket and returns its hierarchy.
-func (u *Uncore) Attach() *Hierarchy {
+// Attach adds one core to the socket and returns its hierarchy, built
+// over the cache slabs of old — a core of the socket NewUncore recycled
+// — when that is not nil. The TLBs are a few hundred words and always
+// fresh.
+func (u *Uncore) Attach(old *Hierarchy) *Hierarchy {
 	cfg := &u.cfg
+	if old == nil {
+		old = &Hierarchy{}
+	}
 	h := &Hierarchy{
 		u:        u,
-		l1i:      cache.New(cfg.L1I),
-		l1d:      cache.New(cfg.L1D),
-		l2:       cache.New(cfg.L2),
+		l1i:      cache.Recycle(cfg.L1I, old.l1i),
+		l1d:      cache.Recycle(cfg.L1D, old.l1d),
+		l2:       cache.Recycle(cfg.L2, old.l2),
 		itlb:     tlb.New(cfg.ITLB),
 		dtlb:     tlb.New(cfg.DTLB),
 		l3:       u.l3,
@@ -189,7 +201,7 @@ func (u *Uncore) Attach() *Hierarchy {
 }
 
 // New assembles a one-core socket and returns the core's hierarchy.
-func New(cfg Config) *Hierarchy { return NewUncore(cfg).Attach() }
+func New(cfg Config) *Hierarchy { return NewUncore(cfg, nil).Attach(nil) }
 
 // Component accessors, used by the BMC's gating ladder and by tests.
 func (h *Hierarchy) L1I() *cache.Cache { return h.l1i }
@@ -380,7 +392,8 @@ func (g Gating) Gate() dram.GateConfig {
 }
 
 // gateCache gates a cache level down to n ways, writing the flushed
-// dirty lines to memory.
+// dirty lines to memory (which touches no cache, so c's flush scratch
+// stays valid through the walk).
 func (u *Uncore) gateCache(now simtime.Duration, c *cache.Cache, n int) {
 	for _, addr := range c.SetActiveWays(n) {
 		u.dramWrite(now, addr)
@@ -409,6 +422,10 @@ func (u *Uncore) ApplyGating(now simtime.Duration, g Gating) {
 		// leave the inner levels. Flushing every core's inner levels
 		// entirely is the simple, conservative hardware response.
 		for _, h := range u.cores {
+			// Each walk is over the flushed cache's own scratch, valid
+			// until that cache is flushed or gated again: the loop
+			// bodies only Update the outer levels and write to memory,
+			// and l2.Flush comes after the l1d walk has finished.
 			for _, a := range h.l1d.Flush() {
 				if h.l2.Update(a) || u.l3.Update(a) {
 					continue

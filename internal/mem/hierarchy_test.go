@@ -374,8 +374,8 @@ func TestSocketSharesUncoreAcrossCores(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.L3.SizeBytes = 8 << 10 // 2-way, 64 sets: set stride 4 KiB
 	cfg.L3.Ways = 2
-	u := NewUncore(cfg)
-	a, b := u.Attach(), u.Attach()
+	u := NewUncore(cfg, nil)
+	a, b := u.Attach(nil), u.Attach(nil)
 	if a.L3() != b.L3() || a.DRAM() != b.DRAM() || a.L2() == b.L2() {
 		t.Fatal("cores must share L3 and DRAM and own their L2")
 	}

@@ -33,6 +33,10 @@ type Options struct {
 	Tier uint8
 }
 
+// powerWindow is the span PowerReading's average covers, and so all an
+// idle node's meter has to remember.
+const powerWindow = 10 * simtime.Millisecond
+
 // Agent hosts one machine.
 type Agent struct {
 	opts Options
@@ -41,6 +45,8 @@ type Agent struct {
 	mu       sync.Mutex
 	lastRun  *machine.RunResult
 	runCount int
+
+	trimAt int // meter length at which idleSlice next trims; loop's own
 
 	stop chan struct{}
 	done chan struct{}
@@ -89,10 +95,22 @@ func (a *Agent) loop(m *machine.Machine) {
 			a.mu.Unlock()
 			continue
 		}
-		m.AdvanceIdle(a.opts.IdleSlice)
+		a.idleSlice(m)
 		if a.opts.Throttle > 0 {
 			time.Sleep(a.opts.Throttle)
 		}
+	}
+}
+
+// idleSlice advances the idle node by one slice. RunWorkload resets the
+// meter but an idle node never runs one, so its meter is trimmed to
+// powerWindow here — each time it has doubled, which amortises the
+// copying over the slices in between.
+func (a *Agent) idleSlice(m *machine.Machine) {
+	m.AdvanceIdle(a.opts.IdleSlice)
+	if meter := m.Meter(); meter.Len() >= a.trimAt {
+		meter.Trim(powerWindow)
+		a.trimAt = max(1024, 2*meter.Len())
 	}
 }
 
@@ -165,13 +183,18 @@ func (a *Agent) DeviceInfo() ipmi.DeviceInfo {
 // PowerReading reports the node's current and recent-average power.
 func (a *Agent) PowerReading() ipmi.PowerReading {
 	var out ipmi.PowerReading
-	a.Do(func(m *machine.Machine) {
-		out.CurrentWatts = m.PowerWatts()
-		out.AverageWatts = m.Meter().WindowAverageWatts(10 * simtime.Millisecond)
-		if out.AverageWatts == 0 {
-			out.AverageWatts = out.CurrentWatts
-		}
-	})
+	a.Do(func(m *machine.Machine) { out = powerReading(m) })
+	return out
+}
+
+func powerReading(m *machine.Machine) ipmi.PowerReading {
+	out := ipmi.PowerReading{
+		CurrentWatts: m.PowerWatts(),
+		AverageWatts: m.Meter().WindowAverageWatts(powerWindow),
+	}
+	if out.AverageWatts == 0 {
+		out.AverageWatts = out.CurrentWatts
+	}
 	return out
 }
 

@@ -7,6 +7,7 @@ import (
 	"nodecap/internal/dcm"
 	"nodecap/internal/ipmi"
 	"nodecap/internal/machine"
+	"nodecap/internal/simtime"
 )
 
 // tinyWork is a short busy loop so looped runs complete quickly.
@@ -185,5 +186,36 @@ func TestStopIdempotent(t *testing.T) {
 	case <-done:
 	case <-time.After(2 * time.Second):
 		t.Fatal("Do after Stop hangs")
+	}
+}
+
+// TestIdleMeterStaysBounded: an idle node's meter used to gain a sample
+// per 50 µs of simulated time for as long as the daemon lived. Ten
+// thousand idle slices through the agent's idle step must leave it
+// holding a few windows' worth, while every power reading along the
+// way equals, to the bit, that of a node whose meter forgot nothing.
+func TestIdleMeterStaysBounded(t *testing.T) {
+	a := &Agent{opts: Options{IdleSlice: simtime.Millisecond}}
+	trimmed, full := machine.New(machine.Romley()), machine.New(machine.Romley())
+	for _, m := range []*machine.Machine{trimmed, full} {
+		if err := m.SetPolicy(140); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var longest int
+	for slice := 0; slice < 10000; slice++ {
+		a.idleSlice(trimmed)
+		full.AdvanceIdle(a.opts.IdleSlice)
+		longest = max(longest, trimmed.Meter().Len())
+		if got, want := powerReading(trimmed), powerReading(full); got != want {
+			t.Fatalf("slice %d: reading %+v from the trimmed meter, %+v from the full one", slice, got, want)
+		}
+	}
+	perWindow := int(powerWindow / machine.Romley().MeterInterval)
+	if limit := 1024 + 2*perWindow; longest > limit {
+		t.Errorf("meter reached %d samples over 10 000 idle slices, want at most %d (%d a window)", longest, limit, perWindow)
+	}
+	if n := full.Meter().Len(); n < 100*perWindow {
+		t.Fatalf("the untrimmed meter holds only %d samples: the test never filled a window", n)
 	}
 }

@@ -34,6 +34,13 @@ func NewMeter(noiseWatts float64) *Meter {
 	return &Meter{NoiseWatts: noiseWatts}
 }
 
+// TakeBuffer moves old's sample buffer, emptied, into m, so that a
+// meter replacing a finished one does not grow a buffer of its own from
+// nothing. old is left with no samples.
+func (m *Meter) TakeBuffer(old *Meter) {
+	m.samples, old.samples = old.samples[:0], nil
+}
+
 // Record appends a reading taken at time at. The stored reading is
 // clamped at 0 W: pseudo-noise on a near-idle reading can swing below
 // zero, and a negative wall sample would poison trapezoidal energy.
@@ -89,12 +96,7 @@ func (m *Meter) WindowAverageWatts(window simtime.Duration) float64 {
 	if len(m.samples) == 0 {
 		return 0
 	}
-	cutoff := m.samples[len(m.samples)-1].At - window
-	start := len(m.samples) - 1
-	for start > 0 && m.samples[start-1].At >= cutoff {
-		start--
-	}
-	w := m.samples[start:]
+	w := m.samples[m.windowStart(window):]
 	if len(w) < 2 {
 		return w[len(w)-1].Watts
 	}
@@ -111,6 +113,26 @@ func (m *Meter) WindowAverageWatts(window simtime.Duration) float64 {
 		joules += dt * (w[i].Watts + w[i-1].Watts) / 2
 	}
 	return joules / span.Seconds()
+}
+
+// windowStart is the index of the oldest sample within window of the
+// latest one. The meter must hold a sample.
+func (m *Meter) windowStart(window simtime.Duration) int {
+	cutoff := m.samples[len(m.samples)-1].At - window
+	start := len(m.samples) - 1
+	for start > 0 && m.samples[start-1].At >= cutoff {
+		start--
+	}
+	return start
+}
+
+// Trim discards every sample WindowAverageWatts(window) does not read:
+// those more than window older than the latest. A long-lived idle node
+// calls it now and then so its meter does not grow without bound.
+func (m *Meter) Trim(window simtime.Duration) {
+	if len(m.samples) > 0 {
+		m.samples = m.samples[:copy(m.samples, m.samples[m.windowStart(window):])]
+	}
 }
 
 // EnergyJoules integrates the samples trapezoidally, the way the

@@ -197,3 +197,44 @@ func TestAverageWithinSampleRange(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestTrimKeepsTheWindow: Trim drops exactly the samples the window
+// average never reads — the one sitting on the cutoff stays — so the
+// average is the same float before and after, at every window length.
+func TestTrimKeepsTheWindow(t *testing.T) {
+	NewMeter(0).Trim(simtime.Second) // nothing to trim: no panic
+	for window := simtime.Duration(0); window <= 12*simtime.Second; window += simtime.Second / 2 {
+		m := NewMeter(0.8)
+		for i := 0; i < 10; i++ {
+			m.Record(simtime.Duration(i)*simtime.Second, 100+float64(i*i))
+		}
+		want := m.WindowAverageWatts(window)
+		m.Trim(window)
+		if got := m.WindowAverageWatts(window); got != want {
+			t.Errorf("window %v: average %v after Trim, %v before", window, got, want)
+		}
+		if wantLen := min(10, int(window/simtime.Second)+1); m.Len() != wantLen {
+			t.Errorf("window %v: %d samples left, want %d", window, m.Len(), wantLen)
+		}
+	}
+}
+
+// TestTakeBuffer: the taker starts empty on the giver's storage, and the
+// giver forgets it, so the two never share samples.
+func TestTakeBuffer(t *testing.T) {
+	old, m := NewMeter(0), NewMeter(0)
+	for i := 0; i < 100; i++ {
+		old.Record(simtime.Duration(i), 150)
+	}
+	m.TakeBuffer(old)
+	if m.Len() != 0 || old.Len() != 0 {
+		t.Fatalf("after TakeBuffer: taker holds %d samples, giver %d, want 0 and 0", m.Len(), old.Len())
+	}
+	if allocs := testing.AllocsPerRun(1, func() { m.Record(0, 150) }); allocs != 0 {
+		t.Errorf("recording into a taken buffer allocates %v times", allocs)
+	}
+	old.Record(5, 99)
+	if s, _ := m.Last(); s.Watts != 150 {
+		t.Errorf("the giver's next sample landed in the taker: %+v", s)
+	}
+}

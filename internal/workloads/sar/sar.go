@@ -22,6 +22,7 @@ package sar
 
 import (
 	"math"
+	"sync"
 
 	"nodecap/internal/machine"
 )
@@ -82,9 +83,13 @@ func SmallConfig() Config {
 type Workload struct {
 	cfg Config
 
-	data  []float64 // raw (then denoised) returns, apertures x samples
-	image []float64 // final RSM image, ImageSize x ImageSize
-	work  []float64 // per-iteration backprojection scratch
+	// data is the radar returns, apertures x samples: raw as
+	// synthesized, filtered once denoised has fired. Every fork of one
+	// prototype shares both and only reads data after that.
+	data     []float64
+	denoised *sync.Once
+	image    []float64 // final RSM image, ImageSize x ImageSize
+	work     []float64 // per-iteration backprojection scratch
 
 	dataBase, imageBase, workBase uint64
 
@@ -99,18 +104,16 @@ type target struct {
 
 // New builds the workload and synthesizes its radar returns.
 func New(cfg Config) *Workload {
-	w := &Workload{cfg: cfg, rng: cfg.Seed*2654435761 + 1}
+	w := &Workload{cfg: cfg, rng: cfg.Seed*2654435761 + 1, denoised: new(sync.Once)}
 	w.synthesize()
 	return w
 }
 
-// Fork implements machine.Forker: a fresh instance over a copy of the
-// radar returns (noise removal filters them in place) and the same
-// scene.
+// Fork implements machine.Forker: a fresh instance over the same radar
+// returns and scene. The filtered returns are a pure function of the
+// input, so whichever instance runs first filters them, once, for all.
 func (w *Workload) Fork() machine.Workload {
 	f := *w
-	f.data = make([]float64, len(w.data))
-	copy(f.data, w.data)
 	f.image = make([]float64, len(w.image))
 	f.work = make([]float64, len(w.work))
 	return &f
@@ -213,16 +216,32 @@ func (w *Workload) Run(m *machine.Machine) {
 
 // removeNoise streams the full data array NoisePasses times applying a
 // three-tap filter in place — the too-big-for-cache loop the paper
-// calls out.
+// calls out. The machine sees every pass of every run, operation for
+// operation; the arithmetic, whose result no operation depends on,
+// happens the first time only (denoise).
 func (w *Workload) removeNoise(m *machine.Machine) {
+	w.denoised.Do(w.denoise)
+	n := len(w.data)
+	for pass := 0; pass < w.cfg.NoisePasses; pass++ {
+		m.Load(w.dataBase)
+		for i := 0; i < n; i++ {
+			if i+1 < n {
+				m.Load(w.dataBase + uint64(i+1)*8)
+			}
+			m.Store(w.dataBase + uint64(i)*8)
+			m.Compute(7, 6)
+		}
+	}
+}
+
+// denoise is the filter removeNoise models, applied to the returns.
+func (w *Workload) denoise() {
 	n := len(w.data)
 	for pass := 0; pass < w.cfg.NoisePasses; pass++ {
 		prev, cur := 0.0, w.data[0]
-		m.Load(w.dataBase)
 		for i := 0; i < n; i++ {
 			next := 0.0
 			if i+1 < n {
-				m.Load(w.dataBase + uint64(i+1)*8)
 				next = w.data[i+1]
 			}
 			filtered := 0.25*prev + 0.5*cur + 0.25*next
@@ -230,10 +249,8 @@ func (w *Workload) removeNoise(m *machine.Machine) {
 			if math.Abs(filtered) < 0.05 {
 				filtered = 0
 			}
-			m.Store(w.dataBase + uint64(i)*8)
 			prev, cur = cur, next
 			w.data[i] = filtered
-			m.Compute(7, 6)
 		}
 	}
 }

@@ -1,7 +1,9 @@
 package sar
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"slices"
 	"sync"
@@ -154,10 +156,11 @@ func TestGoldenImageChecksum(t *testing.T) {
 }
 
 // TestForkRunsIdentically pins machine.Forker's contract: a fork of a
-// prototype runs bit for bit like a freshly built instance, running a
-// fork leaves the prototype's radar returns unfiltered (a later fork
-// still matches), and forks of one prototype run concurrently without
-// sharing anything they write (the race detector checks that half).
+// prototype runs bit for bit like a freshly built instance, so does a
+// later fork and so does the prototype itself, and forks of one
+// prototype run concurrently — the first to get there filters the
+// shared returns, the rest wait and then only read them (the race
+// detector checks that half).
 func TestForkRunsIdentically(t *testing.T) {
 	cfg := SmallConfig()
 	run := func(w machine.Workload) (machine.RunResult, []float64) {
@@ -180,9 +183,8 @@ func TestForkRunsIdentically(t *testing.T) {
 			t.Errorf("%s: image differs from a fresh instance's", name)
 		}
 	}
-	res, image := run(proto.Fork())
-	check("first fork", res, image)
 
+	// Concurrent forks first, while the returns are still raw.
 	var wg sync.WaitGroup
 	var got [2]struct {
 		res   machine.RunResult
@@ -198,5 +200,45 @@ func TestForkRunsIdentically(t *testing.T) {
 	wg.Wait()
 	for i := range got {
 		check(fmt.Sprintf("concurrent fork %d", i), got[i].res, got[i].image)
+	}
+
+	res, image := run(proto.Fork())
+	check("later fork", res, image)
+	res, image = run(proto)
+	check("the prototype itself", res, image)
+}
+
+// filteredDigest hashes the bit patterns of w's returns.
+func filteredDigest(w *Workload) string {
+	h := fnv.New64a()
+	var b [8]byte
+	var sum float64
+	for _, v := range w.data {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
+		sum += v
+	}
+	return fmt.Sprintf("fnv=%#x sum=%b", h.Sum64(), sum)
+}
+
+// TestFilteredReturnsMatchRecorded pins the arithmetic removeNoise no
+// longer repeats: the filtered array, for one noise pass and for two,
+// against digests recorded when every run still filtered its own copy
+// in step with the operation stream — and still the same after three
+// more runs over the same returns, which therefore filtered nothing.
+func TestFilteredReturnsMatchRecorded(t *testing.T) {
+	for passes, want := range map[int]string{
+		1: "fnv=0xe1ead1125513f16 sum=6372610624581594p-46",
+		2: "fnv=0xe28cf4ac97eea797 sum=6277265053169335p-46",
+	} {
+		cfg := SmallConfig()
+		cfg.NoisePasses = passes
+		proto := New(cfg)
+		for i, w := range []machine.Workload{proto.Fork(), proto.Fork(), proto, proto.Fork()} {
+			machine.New(machine.Romley()).RunWorkload(w)
+			if got := filteredDigest(proto); got != want {
+				t.Fatalf("%d passes, after run %d: filtered returns %s, recorded %s", passes, i, got, want)
+			}
+		}
 	}
 }
