@@ -251,9 +251,9 @@ type Health struct {
 }
 
 // BMC is the controller instance for one node: the kernel.go law
-// adapted to a Plant. It reads the sensor, runs Step, asks the plant
-// for the one move Step decided and mirrors what happened into the
-// fleet counters and the decision trace.
+// adapted to a Plant. It reads the sensor, runs one period of Run,
+// asks the plant for the one move Run decided and mirrors what
+// happened into the fleet counters and the decision trace.
 type BMC struct {
 	cfg    Config
 	env    Envelope
@@ -391,7 +391,8 @@ func (b *BMC) Tick() {
 		w = b.plant.PowerWatts()
 	}
 	at := Pos{PState: int32(b.plant.PStateIndex()), Gating: int32(b.plant.GatingLevel())}
-	to, ev := Step(&b.cfg, &b.env, b.policy.CapWatts, &b.st, &b.stats, at, w, delivered, b.tiers != nil)
+	src := Source{Watts: w, Delivered: delivered}
+	to, ev, _ := Run(&b.cfg, &b.env, b.policy.CapWatts, &b.st, &b.stats, at, &src, 1, b.tiers != nil)
 	// Cap best effort: request only the move the law decided. What the
 	// plant actually applied is read back at the next tick.
 	if to.PState != at.PState {

@@ -15,7 +15,7 @@ type Pos struct {
 
 // Envelope is what the law knows about the plant it drives, together
 // with the tuning that depends on it, resolved once per controller so
-// Step resolves nothing per tick.
+// Run resolves nothing per period.
 type Envelope struct {
 	Slowest       int32   // slowest P-state index
 	MaxGating     int32   // deepest gating-ladder level
@@ -70,7 +70,7 @@ func (st *State) Health(stats *Stats) Health {
 	return Health{FailSafe: st.FailSafe, SensorFaults: stats.SensorFaults, InfeasibleCap: st.Infeasible}
 }
 
-// Events is what a Step or an Install did beyond moving the plant: the
+// Events is what a Run or an Install did beyond moving the plant: the
 // transitions an adapter mirrors into fleet counters and the decision
 // trace, and the actuations only the adapter can perform.
 type Events uint8
@@ -80,8 +80,8 @@ const (
 	EnteredFailSafe                    // the fault watchdog tripped
 	LeftFailSafe                       // recovery completed, or a changed policy overrode the clamp
 	Restore                            // Install: policy disabled — return the plant to P0, ungated
-	ClampTiers                         // tiered Step: hold the fail-safe floor tier by tier
-	ActTiers                           // tiered Step: run the tier ladder on st.Smoothed
+	ClampTiers                         // tiered Run: hold the fail-safe floor tier by tier
+	ActTiers                           // tiered Run: run the tier ladder on st.Smoothed
 )
 
 // Install replaces policy cur with next. Re-pushing the policy already
@@ -115,127 +115,191 @@ func Install(env *Envelope, st *State, cur, next Policy) Events {
 	return ev
 }
 
-// Step runs one control period of an enabled policy capping at capW:
-// it vets the reading (w, delivered), advances the fail-safe state
-// machine, folds a trusted reading into the EWMA and moves the plant
-// one rung — P-states down proportionally to the excess, then up the
-// gating ladder, then pinned at the floor; back down the ladder
-// eagerly and up the P-states only past a solid margin. It returns the
-// position the plant should take and what happened on the way.
-//
-// For a tiered plant the position is not the law's to move: Step stops
-// short of the uniform ladder and returns ClampTiers or ActTiers for
-// the adapter's tier ladder to act on.
-//
-// Step is deliberately ONE out-of-line call that leaves Stats.Ticks to
-// its caller: it is far past the inliner's budget, and in the fleet
-// engine's ~9 ns loop the shape of the call is what it costs. One call,
-// with the every-tick counters added once per batch by the caller,
-// matches the hand-inlined port it replaced; bumping them here per tick
-// costs +11 %, and two calls (vet, then ladder, so the tiered path could
-// share the first) +27-30 %. The measurements are in DESIGN.md §11.
-func Step(cfg *Config, env *Envelope, capW float64, st *State, stats *Stats,
-	pos Pos, w float64, delivered, tiered bool) (Pos, Events) {
-	var ev Events
-	if !vet(cfg, env, st, w, delivered) {
-		// Never actuate — in particular never step up — on data the
-		// controller cannot trust.
-		stats.SensorFaults++
-		ev = SensorFault
-		st.SaneTicks = 0
-		st.BadTicks++
-		if k := cfg.FaultToleranceTicks; k > 0 && !st.FailSafe && int(st.BadTicks) >= k {
-			st.FailSafe = true
-			st.HaveEWMA = false
-			stats.FailSafeEntries++
-			ev |= EnteredFailSafe
-		}
-		if !st.FailSafe {
-			return pos, ev
-		}
-		stats.FailSafeTicks++
-		return hold(env, stats, pos, tiered, ev)
-	}
-	st.BadTicks = 0
-	if st.FailSafe {
-		stats.FailSafeTicks++
-		st.SaneTicks++
-		if int(st.SaneTicks) < max(cfg.RecoveryTicks, 1) {
-			return hold(env, stats, pos, tiered, ev)
-		}
-		// Enough consecutive sane readings: resume control with a fresh
-		// EWMA so stale pre-fault history cannot drive the first step.
-		st.FailSafe = false
-		st.SaneTicks = 0
-		st.HaveEWMA = false
-		ev = LeftFailSafe
-	}
-
-	if !st.HaveEWMA {
-		st.Smoothed = w
-		st.HaveEWMA = true
-	} else {
-		a := cfg.Smoothing
-		st.Smoothed = a*w + (1-a)*st.Smoothed
-	}
-	sm := st.Smoothed
-	if sm > capW {
-		stats.OverCapTicks++
-	}
-	if tiered {
-		return pos, ev | ActTiers
-	}
-
-	target := capW - cfg.GuardBandWatts
-	switch {
-	case sm > target:
-		// Too hot: slow down (proportionally to the excess), then gate.
-		switch {
-		case pos.PState < env.Slowest:
-			pos.PState = min(pos.PState+cfg.descent(sm-target, env.Slowest), env.Slowest)
-			stats.StepsDown++
-		case pos.Gating < env.MaxGating:
-			pos.Gating++
-			stats.GateEscalate++
-		default:
-			// Fully escalated and still above target: the cap is below
-			// the platform's floor (the paper's 120 W rows).
-			stats.AtFloorTicks++
-		}
-	case pos.Gating > 0:
-		// At or under target. Ungating is cheap headroom-wise and hugely
-		// valuable performance-wise, so it triggers on a small
-		// undershoot; speeding the clock back up waits for a solid
-		// margin.
-		if sm < target-cfg.GateRelaxHysteresisWatts {
-			pos.Gating--
-			stats.GateRelax++
-		}
-	case sm < target-cfg.HysteresisWatts && pos.PState > 0:
-		pos.PState--
-		stats.StepsUp++
-	}
-	return pos, ev
+// Linear is an analytic plant: P0Watts at full speed, less
+// WattsPerPState per P-state and WattsPerGate per gating level, read
+// through a sensor with uniform ±NoiseWatts noise.
+type Linear struct {
+	P0Watts, WattsPerPState, WattsPerGate, NoiseWatts float64
 }
 
-// vet judges one reading and maintains the stuck-at tracker. Dropouts
-// do not advance the tracker — a frozen sensor is one that keeps
-// *delivering* the same number.
-func vet(cfg *Config, env *Envelope, st *State, w float64, delivered bool) bool {
-	if !delivered {
-		return false
-	}
-	if cfg.StuckSensorTicks > 0 {
-		if st.HaveRaw && w == st.LastRaw {
-			st.StuckRun++
+// Watts is the plant's true draw at pos.
+func (l *Linear) Watts(pos Pos) float64 {
+	return l.P0Watts - l.WattsPerPState*float64(pos.PState) - l.WattsPerGate*float64(pos.Gating)
+}
+
+// Source is where Run reads power: Plant through the SplitMix64 noise
+// stream whose state is Noise, one draw per period; or, when Plant is
+// nil, the given reading (Watts, Delivered) in every period.
+type Source struct {
+	Plant     *Linear
+	Noise     uint64
+	Watts     float64
+	Delivered bool
+}
+
+// NoiseStream is the initial state of noise stream i under seed. The
+// multipliers are odd constants chosen to decorrelate adjacent streams;
+// the finalizer then whitens the combination. A stream is a pure
+// function of (seed, i, draw count), so any shard can draw stream i's
+// next value without observing any other.
+func NoiseStream(seed int64, i int) uint64 {
+	return splitmix(uint64(seed)*splitmixGamma + uint64(i)*0xd1342543de82ef95 + 1)
+}
+
+const splitmixGamma = 0x9e3779b97f4a7c15
+
+// splitmix finalizes a SplitMix64 state word into an output word.
+func splitmix(z uint64) uint64 {
+	z ^= z >> 30
+	z *= 0xbf58476d1ce4e5b9
+	z ^= z >> 27
+	z *= 0x94d049bb133111eb
+	z ^= z >> 31
+	return z
+}
+
+// Run runs up to n control periods of an enabled policy capping at
+// capW, reading src each period. A period vets the reading, advances
+// the fail-safe state machine, folds a trusted reading into the EWMA
+// and moves the plant one rung — P-states down proportionally to the
+// excess, then up the gating ladder, then pinned at the floor; back
+// down the ladder eagerly and up the P-states only past a solid margin.
+// Run stops after the first period that raises any event, so its
+// caller mirrors every event in order; it returns the position the
+// plant should take, that period's events and how many periods ran.
+//
+// For a tiered plant the position is not the law's to move: a period
+// stops short of the uniform ladder and returns ClampTiers or ActTiers
+// for the adapter's tier ladder to act on.
+//
+// The law owns its loop because a call per period is what a period
+// cost: Go's register ABI has no callee-saved registers, so an
+// out-of-line call per node-tick spilled and reloaded every live value
+// of the fleet engine's loop and round-tripped the EWMA through memory.
+// Here the EWMA and the noise word live in locals and are written back
+// on exit. The rarely-moving run counters and flags stay in st: held
+// in locals too, they crowded the loop out of registers (slower at
+// every batch size). Stats.Ticks is left to the caller. The
+// measurements are in DESIGN.md §11.
+func Run(cfg *Config, env *Envelope, capW float64, st *State, stats *Stats,
+	pos Pos, src *Source, n int, tiered bool) (Pos, Events, int) {
+	lin, noise := src.Plant, src.Noise
+	w, delivered := src.Watts, src.Delivered || lin != nil
+	sm := st.Smoothed
+	target := capW - cfg.GuardBandWatts
+
+	// ev is one period's events and out the stopping period's: no event
+	// word rides round the loop.
+	var out Events
+	ran := 0
+	for ran < n {
+		ran++
+		var ev Events
+		if lin != nil {
+			noise += splitmixGamma
+			f := float64(splitmix(noise)>>11) / (1 << 53)
+			w = lin.Watts(pos) + (f*2-1)*lin.NoiseWatts
+		}
+		// Vet the reading. Dropouts do not advance the stuck-at tracker:
+		// a frozen sensor is one that keeps *delivering* the same number.
+		if delivered {
+			if cfg.StuckSensorTicks > 0 {
+				if st.HaveRaw && w == st.LastRaw {
+					st.StuckRun++
+				} else {
+					st.StuckRun = 0
+				}
+			}
+			st.LastRaw, st.HaveRaw = w, true
+		}
+		if !delivered || !(w >= env.MinWatts && w <= env.MaxWatts) ||
+			cfg.StuckSensorTicks > 0 && int(st.StuckRun) >= cfg.StuckSensorTicks {
+			// Never actuate — in particular never step up — on data the
+			// controller cannot trust.
+			stats.SensorFaults++
+			ev = SensorFault
+			st.SaneTicks = 0
+			st.BadTicks++
+			if k := cfg.FaultToleranceTicks; k > 0 && !st.FailSafe && int(st.BadTicks) >= k {
+				st.FailSafe, st.HaveEWMA = true, false
+				stats.FailSafeEntries++
+				ev |= EnteredFailSafe
+			}
+			if st.FailSafe {
+				stats.FailSafeTicks++
+				pos, ev = hold(env, stats, pos, tiered, ev)
+			}
+			out = ev
+			break
+		}
+		st.BadTicks = 0
+		if st.FailSafe {
+			stats.FailSafeTicks++
+			st.SaneTicks++
+			if int(st.SaneTicks) < max(cfg.RecoveryTicks, 1) {
+				if pos, ev = hold(env, stats, pos, tiered, ev); ev != 0 {
+					out = ev
+					break
+				}
+				continue
+			}
+			// Enough consecutive sane readings: resume control with a
+			// fresh EWMA so stale pre-fault history cannot drive the
+			// first step.
+			st.FailSafe, st.SaneTicks, st.HaveEWMA = false, 0, false
+			ev = LeftFailSafe
+		}
+
+		if !st.HaveEWMA {
+			sm, st.HaveEWMA = w, true
 		} else {
-			st.StuckRun = 0
+			a := cfg.Smoothing
+			sm = a*w + (1-a)*sm
+		}
+		if sm > capW {
+			stats.OverCapTicks++
+		}
+		if tiered {
+			out = ev | ActTiers
+			break
+		}
+
+		switch {
+		case sm > target:
+			// Too hot: slow down (proportionally to the excess), then gate.
+			switch {
+			case pos.PState < env.Slowest:
+				pos.PState = min(pos.PState+cfg.descent(sm-target, env.Slowest), env.Slowest)
+				stats.StepsDown++
+			case pos.Gating < env.MaxGating:
+				pos.Gating++
+				stats.GateEscalate++
+			default:
+				// Fully escalated and still above target: the cap is below
+				// the platform's floor (the paper's 120 W rows).
+				stats.AtFloorTicks++
+			}
+		case pos.Gating > 0:
+			// At or under target. Ungating is cheap headroom-wise and
+			// hugely valuable performance-wise, so it triggers on a small
+			// undershoot; speeding the clock back up waits for a solid
+			// margin.
+			if sm < target-cfg.GateRelaxHysteresisWatts {
+				pos.Gating--
+				stats.GateRelax++
+			}
+		case sm < target-cfg.HysteresisWatts && pos.PState > 0:
+			pos.PState--
+			stats.StepsUp++
+		}
+		if ev != 0 {
+			out = ev
+			break
 		}
 	}
-	st.LastRaw = w
-	st.HaveRaw = true
-	return w >= env.MinWatts && w <= env.MaxWatts &&
-		!(cfg.StuckSensorTicks > 0 && int(st.StuckRun) >= cfg.StuckSensorTicks)
+	st.Smoothed = sm
+	src.Noise = noise
+	return pos, out, ran
 }
 
 // hold enforces the fail-safe floor: the plant may be slower than the

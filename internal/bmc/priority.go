@@ -58,7 +58,7 @@ func (b *BMC) clampTierFailSafe() {
 }
 
 // tickPriority is the tier ladder: the priority-aware control decision
-// Tick runs when Step returns ActTiers, with the trusted reading
+// Tick runs when Run returns ActTiers, with the trusted reading
 // already folded into the smoothed estimate. One actuation per tick,
 // like the uniform ladder.
 //

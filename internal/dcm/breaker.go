@@ -1,6 +1,7 @@
 package dcm
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -402,9 +403,8 @@ func (e *p2Quantile) Value() float64 {
 		return 0
 	}
 	if e.n < 5 {
-		s := make([]float64, e.n)
-		copy(s, e.q[:e.n])
-		sort.Float64s(s)
+		s := e.q // sorted as a copy: Observe still fills q in arrival order
+		slices.Sort(s[:e.n])
 		p := e.p
 		if p <= 0 || p >= 1 {
 			p = 0.99

@@ -1,6 +1,7 @@
 package dcm
 
 import (
+	"sort"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -309,5 +310,33 @@ func TestP2Quantile(t *testing.T) {
 	}
 	if got := e.Value(); got != 30 {
 		t.Errorf("small-sample p99 = %v, want the max (30)", got)
+	}
+}
+
+// TestP2QuantileValueSmallSampleNoAlloc: below five samples Value
+// returns the exact order statistic without allocating — it is read on
+// every poll of a node's first exchanges — and the same number the
+// allocate-and-sort reading gave.
+func TestP2QuantileValueSmallSampleNoAlloc(t *testing.T) {
+	samples := []float64{30, 10, 20, 10, 5, 40}
+	for n := 0; n <= len(samples); n++ {
+		var e p2Quantile
+		for _, v := range samples[:n] {
+			e.Observe(v)
+		}
+		want := 0.0
+		if n > 0 && n < 5 {
+			s := append([]float64(nil), samples[:n]...)
+			sort.Float64s(s)
+			want = s[min(int(0.99*float64(n)), n-1)]
+		} else if n >= 5 {
+			want = e.q[2]
+		}
+		if got := e.Value(); got != want {
+			t.Errorf("n=%d: Value = %v, want %v", n, got, want)
+		}
+		if a := testing.AllocsPerRun(100, func() { e.Value() }); a != 0 {
+			t.Errorf("n=%d: Value allocates %.1f times per call, want 0", n, a)
+		}
 	}
 }

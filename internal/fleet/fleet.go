@@ -5,12 +5,14 @@
 // advanced by one cache-friendly pass per tick instead of one
 // heap-allocated object, mutex and *rand.Rand pointer chase per node.
 //
-// Every node runs the one control law in internal/bmc (bmc.Step and
+// Every node runs the one control law in internal/bmc (bmc.Run and
 // bmc.Install over per-node bmc.State and bmc.Stats records) — the
-// same calls bmc.BMC makes for a single Plant. What is the engine's own
-// is the plant and the sensor the scalar stack used to layer per node
-// (a faults.FaultyPlant over an analytic plant), with two deliberate
-// substitutions:
+// entries bmc.BMC uses for a single Plant. Run owns the loop: one call
+// advances a node through a batch's periods until an event, reading the
+// analytic plant (bmc.Linear) through the node's noise stream. What is
+// the engine's own is the sensor the scalar stack used to layer per
+// node (a faults.FaultyPlant over an analytic plant), with two
+// deliberate substitutions:
 //
 //   - Randomness is counter-based (SplitMix64 streams keyed per node)
 //     instead of math/rand: one uint64 of state per node, advanced in
@@ -102,10 +104,16 @@ func (p *Params) FloorWatts() float64 {
 }
 
 // TrueWatts is the analytic plant: a node's actual draw at P-state ps
-// and gating level gt. (Pointer receiver: called per node-tick, where
-// a value receiver's copy of Params cost the loop +35 %.)
+// and gating level gt.
 func (p *Params) TrueWatts(ps, gt int32) float64 {
-	return p.P0Watts - p.WattsPerPState*float64(ps) - p.WattsPerGate*float64(gt)
+	lin := p.linear()
+	return lin.Watts(bmc.Pos{PState: ps, Gating: gt})
+}
+
+// linear is the analytic plant the law reads every node through.
+func (p *Params) linear() bmc.Linear {
+	return bmc.Linear{P0Watts: p.P0Watts, WattsPerPState: p.WattsPerPState,
+		WattsPerGate: p.WattsPerGate, NoiseWatts: p.NoiseWatts}
 }
 
 // Envelope resolves what the control law needs to know about this
@@ -226,7 +234,7 @@ func New(cfg Config) *Engine {
 	}
 	for i := 0; i < n; i++ {
 		e.names[i] = fmt.Sprintf("%s%d", prefix, i)
-		e.noise[i] = noiseStreamKey(cfg.Seed, i)
+		e.noise[i] = bmc.NoiseStream(cfg.Seed, i)
 	}
 	e.workers = pool.Workers(cfg.Parallelism)
 	if e.workers > n {
@@ -298,74 +306,81 @@ func (e *Engine) Tick(n int) {
 	}
 }
 
-// stepRange advances nodes [lo, hi) by the current batch. The tick
-// loop is innermost per node, so one node's plant position stays in
-// registers for the batch; nodes never interact within a tick, so the
-// node-major order is unobservable.
+// stepRange advances nodes [lo, hi) by the current batch, node-major:
+// nodes never interact within a tick, so the order is unobservable.
 //
-// The loop holds only what is the engine's own: the noise draw, the
-// analytic plant's watts, the audit snapshots, the broken-floor quirk
-// and trace buffering. The law is the one bmc.Step call per node-tick;
-// the counters that advance on every tick whatever Step decides (Ticks,
-// sinceCapChange) are added once per batch after the inner loop — see
-// bmc.Step for why the loop has exactly this shape.
+// The law owns the loop: one bmc.Run call per node covers every period
+// of the batch but the last, resuming after each event it stops on,
+// and one more runs the last, which the audit's pre/post snapshots
+// bracket (at batch 1, the chaos harness's shape, that is the only
+// call). What is the engine's own is the audit snapshots, the
+// broken-floor quirk — which creeps between every two periods, so it
+// steps period by period — trace buffering, and the counters that
+// advance on every tick whatever the law decides (Ticks,
+// SinceCapChange), added once per batch. Snapshots and events go
+// straight to their slices, so little but the node's position is live
+// across the call: at batch 1 that is what keeps the call as cheap as
+// the per-tick one it replaced.
 func (e *Engine) stepRange(worker, lo, hi int) {
-	evs := e.shardEvents[worker][:0]
-	a, p, cfg, env := &e.a, &e.p, &e.p.BMC, &e.env
+	e.shardEvents[worker] = e.shardEvents[worker][:0]
+	a, cfg, env := &e.a, &e.p.BMC, &e.env
+	lin := e.p.linear()
 	batch := e.batch
 
+	var src bmc.Source
 	for i := lo; i < hi; i++ {
 		pos := bmc.Pos{PState: a.PState[i], Gating: a.Gating[i]}
 		st, stats := &e.state[i], &e.stats[i]
-		enabled := a.CapEnabled[i]
-		capW := a.CapWatts[i]
-		drop := a.Dropout[i]
-		rng := e.noise[i]
+		enabled, capW := a.CapEnabled[i], a.CapWatts[i]
+		src.Plant, src.Noise = &lin, e.noise[i]
+		if a.Dropout[i] {
+			src.Plant = nil // a storming sensor delivers nothing
+		}
 
-		var pre, post int32
-		var preFS, postFS bool
-
-		for t := 0; t < batch; t++ {
-			pre, preFS = pos.PState, st.FailSafe
+		for left := batch; left > 0; {
+			n := left - 1
+			last := n == 0 || e.breakFloor
+			if last {
+				n = 1
+				a.PrePState[i], a.PreFailSafe[i] = pos.PState, st.FailSafe
+			}
 			if enabled {
-				var w float64
-				if !drop {
-					rng += splitmixGamma
-					f := float64(splitmix(rng)>>11) / (1 << 53)
-					w = p.TrueWatts(pos.PState, pos.Gating) + (f*2-1)*p.NoiseWatts
-				}
 				var ev bmc.Events
-				pos, ev = bmc.Step(cfg, env, capW, st, stats, pos, w, !drop, false)
-				if ev != 0 {
-					if ev&bmc.SensorFault != 0 {
-						e.mSensorFaults.Inc()
-					}
-					if ev&bmc.EnteredFailSafe != 0 {
-						e.mFSEnters.Inc()
-						evs = append(evs, shardEvt{node: int32(i), kind: telemetry.EvFailSafeEnter})
-					}
-					if ev&bmc.LeftFailSafe != 0 {
-						e.mFSExits.Inc()
-						evs = append(evs, shardEvt{node: int32(i), kind: telemetry.EvFailSafeExit})
-					}
+				if pos, ev, n = bmc.Run(cfg, env, capW, st, stats, pos, &src, n, false); ev != 0 {
+					e.mirror(worker, i, ev)
 				}
 			}
-			if e.breakFloor && st.FailSafe && pos.PState > 0 {
-				// The "broken guard": the plant ignores the fail-safe
-				// clamp and creeps back toward full speed.
-				pos.PState--
+			left -= n
+			if last {
+				if e.breakFloor && st.FailSafe && pos.PState > 0 {
+					// The "broken guard": the plant ignores the fail-safe
+					// clamp and creeps back toward full speed.
+					pos.PState--
+				}
+				a.PostPState[i], a.PostFailSafe[i] = pos.PState, st.FailSafe
 			}
-			post, postFS = pos.PState, st.FailSafe
 		}
 		stats.Ticks += uint64(batch)
 		a.SinceCapChange[i] += int32(batch)
-
 		a.PState[i], a.Gating[i] = pos.PState, pos.Gating
-		e.noise[i] = rng
-		a.PrePState[i], a.PostPState[i] = pre, post
-		a.PreFailSafe[i], a.PostFailSafe[i] = preFS, postFS
+		e.noise[i] = src.Noise
 	}
-	e.shardEvents[worker] = evs
+}
+
+// mirror surfaces node i's law events in the fleet counters and buffers
+// its trace events for the post-barrier merge.
+func (e *Engine) mirror(worker, i int, ev bmc.Events) {
+	if ev&bmc.SensorFault != 0 {
+		e.mSensorFaults.Inc()
+	}
+	if ev&bmc.EnteredFailSafe != 0 {
+		e.mFSEnters.Inc()
+		e.shardEvents[worker] = append(e.shardEvents[worker], shardEvt{node: int32(i), kind: telemetry.EvFailSafeEnter})
+	}
+	if ev&bmc.LeftFailSafe != 0 {
+		e.mFSExits.Inc()
+		e.shardEvents[worker] = append(e.shardEvents[worker], shardEvt{node: int32(i), kind: telemetry.EvFailSafeExit})
+	}
 }
 
 // PushPolicy installs a capping policy on node i through bmc.Install —

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"nodecap/internal/bmc"
@@ -32,9 +33,16 @@ func (r *refPlant) trueWatts() float64 {
 	return r.p.P0Watts - r.p.WattsPerPState*float64(r.pstate) - r.p.WattsPerGate*float64(r.gating)
 }
 
+// PowerWatts draws the reference sensor's noise with its own copy of
+// the SplitMix64 step, so the engine's draw (bmc.Run over bmc.Linear)
+// is checked against an independent one.
 func (r *refPlant) PowerWatts() float64 {
-	r.rng += splitmixGamma
-	f := float64(splitmix(r.rng)>>11) / (1 << 53)
+	r.rng += 0x9e3779b97f4a7c15
+	z := r.rng
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	z ^= z >> 31
+	f := float64(z>>11) / (1 << 53)
 	return r.trueWatts() + (f*2-1)*r.p.NoiseWatts
 }
 
@@ -84,7 +92,7 @@ type refNode struct {
 }
 
 func newRefNode(i int, seed int64, p Params, breakFloor bool) *refNode {
-	plant := &refPlant{p: p, rng: noiseStreamKey(seed, i)}
+	plant := &refPlant{p: p, rng: bmc.NoiseStream(seed, i)}
 	return &refNode{plant: plant, ctl: bmc.New(p.BMC, plant), breakFloor: breakFloor}
 }
 
@@ -199,11 +207,14 @@ func randomParams(rng *rand.Rand) Params {
 // disables, broken-floor fleets, and random batch sizes at random
 // parallelism — each driven through both the engine and per-node
 // reference objects layered on the real bmc.BMC, comparing every
-// observable field (rendered with %b floats, so equality is bit-exact)
-// after every operation. Both sides run the one law in bmc/kernel.go,
-// so what this guards is the two adapters around it: when the noise is
-// drawn, how the envelope is resolved, what a policy install touches,
-// where the per-batch counters land and what the audit snapshots see.
+// observable field (rendered with %b floats, so equality is bit-exact),
+// the decision trace and the three fleet counters after every
+// operation. About one batch in eight is 200-1 500 ticks long, so the
+// engine's bmc.Run calls stop on events mid-batch and resume. Both
+// sides run the one law in bmc/kernel.go, so what this guards is the
+// two adapters around it: when the noise is drawn, how the envelope is
+// resolved, what a policy install touches, where the per-batch counters
+// land, what the audit snapshots see and in what order events surface.
 func TestEngineMatchesLegacyStepping(t *testing.T) {
 	scenarios := 1000
 	if testing.Short() {
@@ -220,9 +231,15 @@ func TestEngineMatchesLegacyStepping(t *testing.T) {
 
 		e := New(Config{Nodes: nodes, Seed: seed, Params: params, BreakFailSafeFloor: breakFloor, Parallelism: par})
 		defer e.Close()
+		eReg, eTr := telemetry.NewRegistry(), telemetry.NewTrace(1<<14)
+		eTr.SetWallClock(nil)
+		e.SetTelemetry(eReg, eTr)
+		rReg, rTr := telemetry.NewRegistry(), telemetry.NewTrace(1<<14)
+		rTr.SetWallClock(nil)
 		ref := make([]*refNode, nodes)
 		for i := range ref {
 			ref[i] = newRefNode(i, seed, params, breakFloor)
+			ref[i].ctl.SetTelemetry(rReg, rTr, e.Name(i))
 		}
 
 		ops := 30 + rng.Intn(70)
@@ -230,6 +247,9 @@ func TestEngineMatchesLegacyStepping(t *testing.T) {
 			switch k := rng.Intn(10); {
 			case k < 5: // advance a batch of ticks
 				batch := 1 + rng.Intn(12)
+				if rng.Intn(8) == 0 {
+					batch = 200 + rng.Intn(1301)
+				}
 				e.Tick(batch)
 				// The reference steps node-major like the engine; nodes
 				// are independent, so per-node order is unobservable.
@@ -255,6 +275,14 @@ func TestEngineMatchesLegacyStepping(t *testing.T) {
 			if got != want {
 				t.Fatalf("scenario %d (nodes=%d seed=%d par=%d breakFloor=%v tuning=%+v) diverged after op %d:\nengine:\n%s\nreference:\n%s",
 					sc, nodes, seed, par, breakFloor, params.BMC, op, got, want)
+			}
+			for _, name := range []string{"bmc_sensor_faults_total", "bmc_failsafe_entries_total", "bmc_failsafe_exits_total"} {
+				if g, w := eReg.Counter(name).Value(), rReg.Counter(name).Value(); g != w {
+					t.Fatalf("scenario %d op %d: counter %s = %d, reference %d", sc, op, name, g, w)
+				}
+			}
+			if g, w := eTr.Tail(1<<14, ""), rTr.Tail(1<<14, ""); !slices.Equal(g, w) {
+				t.Fatalf("scenario %d op %d: trace diverged:\nengine:    %+v\nreference: %+v", sc, op, g, w)
 			}
 		}
 		e.Close()
@@ -405,19 +433,45 @@ func TestEpochFencing(t *testing.T) {
 	}
 }
 
+// BenchmarkEngineTick times one 10 000-node fleet tick (ns/op): one
+// long batch at parallelism 1 and NumCPU, one tick per call (the chaos
+// harness's shape, where each node makes a single bmc.Run call per
+// tick), and a sensor storm on every 8th node, whose law raises an
+// event every period.
 func BenchmarkEngineTick(b *testing.B) {
-	for _, par := range []int{1, runtime.NumCPU()} {
-		b.Run(fmt.Sprintf("par=%d", par), func(b *testing.B) {
+	type shape struct {
+		name      string
+		par       int
+		batched   bool
+		stormEach int
+	}
+	shapes := []shape{
+		{"par=1", 1, true, 0},
+		{fmt.Sprintf("par=%d", runtime.NumCPU()), runtime.NumCPU(), true, 0},
+		{"batch=1", 1, false, 0},
+		{"storm", 1, true, 8},
+	}
+	for _, sh := range shapes {
+		b.Run(sh.name, func(b *testing.B) {
 			const nodes = 10000
-			e := New(Config{Nodes: nodes, Seed: 1, Parallelism: par})
+			e := New(Config{Nodes: nodes, Seed: 1, Parallelism: sh.par})
 			defer e.Close()
 			for i := 0; i < nodes; i++ {
 				e.PushPolicy(i, true, 140, 1)
+				if sh.stormEach > 0 && i%sh.stormEach == 0 {
+					e.SetDropout(i, true)
+				}
 			}
 			e.Tick(5)
 			b.ReportAllocs()
 			b.ResetTimer()
-			e.Tick(b.N)
+			if sh.batched {
+				e.Tick(b.N)
+			} else {
+				for n := 0; n < b.N; n++ {
+					e.Tick(1)
+				}
+			}
 			b.ReportMetric(float64(nodes)*float64(b.N)/b.Elapsed().Seconds(), "node-ticks/s")
 		})
 	}
