@@ -241,26 +241,40 @@ func contains(s, sub string) bool {
 }
 
 // TestBrokenGuardVerdictDeterministic: even failing verdicts — trace
-// windows included — replay bit-identically, so one (scenario, seed)
+// windows and the recovered-state dumps of recovery/convergence
+// violations included — replay bit-identically, so one (scenario, seed)
 // pair is a complete bug report.
 func TestBrokenGuardVerdictDeterministic(t *testing.T) {
-	run := func() Verdict {
-		s, err := Build("sensor-storm", 3, 1200, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.BreakFailSafeFloor = true
-		s.StateDir = t.TempDir()
-		v, err := Run(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return v
+	cases := []struct {
+		scenario     string
+		seed         int64
+		nodes, ticks int
+		sabotage     func(*Scenario)
+	}{
+		{"sensor-storm", 3, 5, 1200, func(s *Scenario) { s.BreakFailSafeFloor = true }},
+		{"failover-kill", 1, 5, 1200, func(s *Scenario) { s.BreakReplication = true }},
 	}
-	j1, _ := json.Marshal(run())
-	j2, _ := json.Marshal(run())
-	if string(j1) != string(j2) {
-		t.Fatalf("failing verdicts diverge:\n%s\n%s", j1, j2)
+	for _, c := range cases {
+		run := func() []byte {
+			s, err := Build(c.scenario, c.seed, c.ticks, c.nodes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.sabotage(&s)
+			s.StateDir = t.TempDir()
+			v, err := Run(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v.Pass {
+				t.Fatalf("%s: sabotaged run passed", c.scenario)
+			}
+			j, _ := json.Marshal(v)
+			return j
+		}
+		if j1, j2 := run(), run(); string(j1) != string(j2) {
+			t.Fatalf("%s: failing verdicts diverge:\n%s\n%s", c.scenario, j1, j2)
+		}
 	}
 }
 
