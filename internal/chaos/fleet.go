@@ -2,7 +2,6 @@ package chaos
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"os"
 	"sort"
@@ -15,6 +14,7 @@ import (
 	"nodecap/internal/faults"
 	"nodecap/internal/fleet"
 	"nodecap/internal/ipmi"
+	"nodecap/internal/shard"
 	"nodecap/internal/telemetry"
 )
 
@@ -29,9 +29,10 @@ const (
 // Fleet is the simulated data center a scenario runs against: the
 // batch simulation engine holding every node's plant and BMC state as
 // structure-of-arrays slices (internal/fleet), the per-node IPMI
-// management surface layered on top of it, the (possibly crashed)
-// manager, and the shadow model of every journaled operation used by
-// the recovery-integrity check.
+// management surface layered on top of it, the control plane (leaves
+// of replicated managers, under a shard tree when sharded), and the
+// shadow model of every journaled operation used by the
+// recovery-integrity check.
 type Fleet struct {
 	scenario Scenario
 	dir      string
@@ -59,28 +60,39 @@ type Fleet struct {
 	flapFrom   []int
 	sampled    []bool
 
-	nameIdx map[string]int
+	nameIdx map[string]int // node index by name, and by address in wire mode
 
-	mgr        *dcm.Manager // nil while crashed
 	registered []bool
 	meta       []nodeMeta
 
-	// base and shadow are the independent model of the acting manager's
-	// durable state: base is the state its store held when it opened,
-	// shadow mirrors, in order, every record it journaled since. A torn
-	// cut trims the shadow's tail by exactly the lost line count. In HA
-	// mode the pair is re-anchored at every promotion, and shadow
-	// indices double as replication sequence numbers (the store's seq
-	// counts exactly the records applied since open).
+	// base and shadow are the independent model of the leader's
+	// durable state without a tree: base is the state its store held
+	// when it opened, shadow mirrors, in order, every record it
+	// journaled since. A torn cut trims the shadow's tail by exactly the
+	// lost line count. With HA the pair is re-anchored at every
+	// promotion, and shadow indices double as replication sequence
+	// numbers (the store's seq counts exactly the records applied since
+	// open). Tree leaves recover by rejoin, not replay, so a sharded run
+	// keeps no shadow.
 	base   store.State
 	shadow []store.Record
 
-	// ha is the primary/standby pair state; nil outside HA mode.
-	ha *haCluster
+	// leaves is the control plane (plane.go). tree, its batch mux and
+	// its snapshot path exist only when Scenario.Shards > 0.
+	leaves   []*leaf
+	tree     *shard.Tree
+	mux      *ipmi.Mux
+	snapPath string
 
-	// sh is the two-level sharded control plane; nil outside sharded
-	// mode (Scenario.Shards > 0). Mutually exclusive with ha and mgr.
-	sh *shardedCluster
+	// pushLog records every cap push a plant ADMITTED on a connection
+	// attributed to a tree leaf. The single_owner checker drains it each
+	// tick: an admitted push from a non-owner means a handoff left two
+	// writers actuating.
+	pushLog []ownedPush
+
+	// leaseNS backs the lease clock: tick × haLeaseTick, stored
+	// atomically because lease reads happen inside manager calls.
+	leaseNS int64
 
 	// Wire-mode plumbing.
 	transports []*faults.Transport
@@ -153,26 +165,14 @@ func newFleet(s Scenario, dir string) (*Fleet, error) {
 				return nil, fmt.Errorf("chaos: listening for node %d: %w", i, err)
 			}
 			f.wireAddrs[i] = addr
+			f.nameIdx[addr] = i
 			f.transports[i] = faults.New(faults.Profile{Seed: s.Seed + int64(i) + 1})
 		}
 	}
-	if s.HA {
-		if err := f.setupHA(); err != nil {
-			return nil, err
-		}
-		return f, nil
-	}
-	if s.Shards > 0 {
-		if err := f.setupSharded(); err != nil {
-			return nil, err
-		}
-		return f, nil
-	}
-	mgr, err := f.newManagerAt(f.dir)
-	if err != nil {
+	if err := f.setup(); err != nil {
+		f.stop()
 		return nil, err
 	}
-	f.mgr = mgr
 	return f, nil
 }
 
@@ -298,8 +298,8 @@ func (f *Fleet) simClock() time.Time {
 	return time.Unix(0, atomic.AddInt64(&f.clockNS, 1000))
 }
 
-// newManagerAt builds a manager wired to the fleet and attached to
-// the given state dir. Backoff and staleness windows are 1 ns:
+// newManager builds member m's manager, wired to the fleet and
+// attached to m's state dir. Backoff and staleness windows are 1 ns:
 // wall-clock gates always open by the next poll, and delays this
 // small skip the jitter draw, so the manager's rng never influences
 // the run. The manager's clock is the fleet's simClock, so no
@@ -308,14 +308,8 @@ func (f *Fleet) simClock() time.Time {
 // rereads the file rather than cutting power (the bytes on disk are
 // identical either way), and fleet-scale scenarios journal far too
 // many records to fsync each one inside the CI budget.
-func (f *Fleet) newManagerAt(dir string) (*dcm.Manager, error) {
-	return f.newManagerWith(dir, f.dialer())
-}
-
-// newManagerWith is newManagerAt with an explicit dialer — sharded
-// leaves dial through leaf-attributed links.
-func (f *Fleet) newManagerWith(dir string, dial dcm.Dialer) (*dcm.Manager, error) {
-	mgr := dcm.NewManager(dial)
+func (f *Fleet) newManager(m *member) (*dcm.Manager, error) {
+	mgr := dcm.NewManager(f.dialer(m.leaf))
 	mgr.RetryBaseDelay = time.Nanosecond
 	mgr.RetryMaxDelay = time.Nanosecond
 	mgr.StaleAfter = time.Nanosecond
@@ -348,37 +342,34 @@ func (f *Fleet) newManagerWith(dir string, dial dcm.Dialer) (*dcm.Manager, error
 		mgr.BreakerNeverProbes = true
 	}
 	mgr.SetTelemetry(f.reg, f.trace)
-	if err := mgr.OpenStateDir(dir); err != nil {
+	if err := mgr.OpenStateDir(f.stateDir(m)); err != nil {
 		return nil, fmt.Errorf("chaos: opening state dir: %w", err)
 	}
 	mgr.Store().SetSync(false)
 	return mgr, nil
 }
 
-func (f *Fleet) dialer() dcm.Dialer {
+// dialer dials nodes for a manager whose admitted pushes are
+// attributed to tree leaf index leaf (-1 without a tree).
+func (f *Fleet) dialer(leaf int) dcm.Dialer {
 	return func(addr string) (dcm.BMC, error) {
-		if f.scenario.Wire {
-			for i, wa := range f.wireAddrs {
-				if wa == addr {
-					conn, err := f.transports[i].Dial("tcp", addr, time.Second)
-					if err != nil {
-						return nil, err
-					}
-					c := ipmi.NewClientConn(conn)
-					c.SetRequestTimeout(250 * time.Millisecond)
-					return c, nil
-				}
-			}
-			return nil, fmt.Errorf("chaos: unknown address %q", addr)
-		}
 		i, ok := f.nameIdx[addr]
 		if !ok {
 			return nil, fmt.Errorf("chaos: unknown address %q", addr)
 		}
+		if f.scenario.Wire {
+			conn, err := f.transports[i].Dial("tcp", addr, time.Second)
+			if err != nil {
+				return nil, err
+			}
+			c := ipmi.NewClientConn(conn)
+			c.SetRequestTimeout(250 * time.Millisecond)
+			return c, nil
+		}
 		if down, _ := f.linkState(i); down {
 			return nil, errLinkDown
 		}
-		return &memLink{f: f, i: i, leaf: -1}, nil
+		return &memLink{f: f, i: i, leaf: leaf}, nil
 	}
 }
 
@@ -389,36 +380,42 @@ func (f *Fleet) nodeAddr(i int) string {
 	return f.name(i)
 }
 
-// addNode registers sim node i with the manager and mirrors the
-// journaled add record. In sharded mode the tree routes it to its
-// ring owner instead (no shadow model — leaf recovery is by rejoin,
-// not replay).
+// addNode registers sim node i with the leader and mirrors the
+// journaled add record; a tree routes it to its ring owner instead.
 func (f *Fleet) addNode(i int) error {
-	if f.sh != nil {
-		if err := f.sh.tree.AddNode(f.name(i), f.nodeAddr(i), uint32(i)); err != nil {
+	if f.tree != nil {
+		if err := f.tree.AddNode(f.name(i), f.nodeAddr(i), uint32(i)); err != nil {
 			return err
 		}
 		f.registered[i] = true
 		return nil
 	}
-	if f.mgr == nil {
-		return errors.New("chaos: manager crashed")
-	}
-	if err := f.mgr.AddNode(f.name(i), f.nodeAddr(i)); err != nil {
+	if err := f.leader().AddNode(f.name(i), f.nodeAddr(i)); err != nil {
 		return err
 	}
 	return f.mirrorAdds(i, i+1)
 }
 
-// registerAll registers the whole solo/HA fleet and mirrors it with one
-// Manager.Nodes() pass — a lookup per node copies and sorts the whole
-// fleet N times over.
+// registerAll registers the whole fleet: through the tree with one
+// snapshot persist, or with the leader and mirrored with one
+// Manager.Nodes() pass — a persist or a lookup per node costs the
+// whole fleet N times over.
 func (f *Fleet) registerAll() error {
-	if f.sh != nil {
-		return f.registerAllSharded()
+	if f.tree != nil {
+		infos := make([]shard.NodeInfo, f.scenario.Nodes)
+		for i := range infos {
+			infos[i] = shard.NodeInfo{Name: f.name(i), Addr: f.nodeAddr(i), ID: uint32(i)}
+		}
+		if err := f.tree.AddNodes(infos); err != nil {
+			return fmt.Errorf("chaos: registering sharded fleet: %w", err)
+		}
+		for i := range f.registered {
+			f.registered[i] = true
+		}
+		return nil
 	}
 	for i := 0; i < f.scenario.Nodes; i++ {
-		if err := f.mgr.AddNode(f.name(i), f.nodeAddr(i)); err != nil {
+		if err := f.leader().AddNode(f.name(i), f.nodeAddr(i)); err != nil {
 			return fmt.Errorf("chaos: registering node %d: %w", i, err)
 		}
 	}
@@ -430,7 +427,7 @@ func (f *Fleet) registerAll() error {
 // float round-trips through the wire codec cannot skew the shadow.
 func (f *Fleet) mirrorAdds(lo, hi int) error {
 	found := 0
-	for _, st := range f.mgr.Nodes() {
+	for _, st := range f.leader().Nodes() {
 		if i, ok := f.nameIdx[st.Name]; ok && i >= lo && i < hi {
 			f.meta[i] = nodeMeta{addr: st.Addr, min: st.MinCapWatts, max: st.MaxCapWatts}
 			found++
@@ -450,26 +447,24 @@ func (f *Fleet) mirrorAdds(lo, hi int) error {
 	return nil
 }
 
+// removeNode unregisters sim node i through the tree, or with the
+// leader while one leads, mirroring the journaled remove record.
 func (f *Fleet) removeNode(i int) error {
-	if f.sh != nil {
-		if !f.registered[i] {
-			return nil
-		}
-		if err := f.sh.tree.RemoveNode(f.name(i)); err != nil {
+	mgr, name := f.leader(), f.name(i)
+	if !f.registered[i] || (f.tree == nil && mgr == nil) {
+		return nil
+	}
+	if f.tree != nil {
+		if err := f.tree.RemoveNode(name); err != nil {
 			return err
 		}
-		f.registered[i] = false
-		return nil
-	}
-	if f.mgr == nil || !f.registered[i] {
-		return nil
-	}
-	name := f.name(i)
-	if err := f.mgr.RemoveNode(name); err != nil {
-		return err
+	} else {
+		if err := mgr.RemoveNode(name); err != nil {
+			return err
+		}
+		f.shadow = append(f.shadow, store.Record{Op: store.OpRemoveNode, Name: name})
 	}
 	f.registered[i] = false
-	f.shadow = append(f.shadow, store.Record{Op: store.OpRemoveNode, Name: name})
 	return nil
 }
 
@@ -531,203 +526,146 @@ func tearJournal(dir string, tornBytes int) (lost int, err error) {
 	return lost, nil
 }
 
-// crash kills the manager the hard way — no compaction — then tears
-// the journal tail, trimming the shadow by the lost record count.
-// Returns the number of journal records destroyed.
-func (f *Fleet) crash(tornBytes int) (lost int, err error) {
-	if f.mgr == nil {
-		return 0, nil
+// wireProfile installs fault profile p, seeded per node, on node i's
+// transport in wire mode; in-process links fault through setLink,
+// setLat and setFlap alone.
+func (f *Fleet) wireProfile(i int, p faults.Profile) {
+	if f.scenario.Wire {
+		p.Seed = f.scenario.Seed + int64(i) + 1
+		f.transports[i].SetProfile(p)
 	}
-	f.mgr.Crash()
-	f.mgr = nil
-	lost, err = tearJournal(f.dir, tornBytes)
-	if err != nil {
-		return 0, err
-	}
-	if lost > len(f.shadow) {
-		return 0, fmt.Errorf("chaos: torn cut lost %d records but shadow holds %d", lost, len(f.shadow))
-	}
-	f.shadow = f.shadow[:len(f.shadow)-lost]
-	return lost, nil
-}
-
-// restart reopens the state dir with a fresh manager and rebuilds the
-// registration map from what actually survived. It returns the
-// recovered state and the shadow's expectation for the
-// recovery-integrity check.
-func (f *Fleet) restart() (got, want store.State, err error) {
-	if f.mgr != nil {
-		return store.State{}, store.State{}, nil
-	}
-	mgr, err := f.newManagerAt(f.dir)
-	if err != nil {
-		return store.State{}, store.State{}, err
-	}
-	f.mgr = mgr
-	got, _ = mgr.StoreState()
-	want = store.ReplayFrom(f.base, f.shadow)
-	for i := range f.registered {
-		f.registered[i] = false
-	}
-	for i := range f.srvs {
-		if _, ok := got.Nodes[f.name(i)]; ok {
-			f.registered[i] = true
-		}
-	}
-	return got, want, nil
-}
-
-// tickNodes advances every sim node one control period in a single
-// batched engine pass. Nodes tick whether or not the manager is alive
-// (capping is out-of-band).
-func (f *Fleet) tickNodes() {
-	f.eng.Tick(1)
 }
 
 // applyEvent executes one scheduled event, updating verdict counters
 // and (for restarts) running the recovery-integrity check.
 func (f *Fleet) applyEvent(e Event, iv *invariants, v *Verdict) error {
+	var err error
 	switch e.Kind {
-	case EvPartition:
-		f.setLink(e.Node, true, false)
-		if f.scenario.Wire {
-			f.transports[e.Node].SetProfile(faults.Profile{
-				Seed: f.scenario.Seed + int64(e.Node) + 1, DialErrorProb: 1, DropWrites: true,
-			})
-		}
-	case EvPartitionAsym:
+	case EvPartition, EvPartitionAsym:
 		// Wire mode cannot lose only responses; degrade to symmetric.
-		f.setLink(e.Node, f.scenario.Wire, !f.scenario.Wire)
-		if f.scenario.Wire {
-			f.transports[e.Node].SetProfile(faults.Profile{
-				Seed: f.scenario.Seed + int64(e.Node) + 1, DialErrorProb: 1, DropWrites: true,
-			})
-		}
+		asym := e.Kind == EvPartitionAsym && !f.scenario.Wire
+		f.setLink(e.Node, !asym, asym)
+		f.wireProfile(e.Node, faults.Profile{DialErrorProb: 1, DropWrites: true})
 	case EvHeal:
 		f.setLink(e.Node, false, false)
-		if f.scenario.Wire {
-			f.transports[e.Node].SetProfile(faults.Profile{Seed: f.scenario.Seed + int64(e.Node) + 1})
-		}
+		f.wireProfile(e.Node, faults.Profile{})
 	case EvSlow:
 		f.setLat(e.Node, int64(e.LatencyUS)*1000)
-		if f.scenario.Wire {
-			lat := time.Duration(e.LatencyUS) * time.Microsecond
-			f.transports[e.Node].SetProfile(faults.Profile{
-				Seed:        f.scenario.Seed + int64(e.Node) + 1,
-				ReadLatency: lat, ReadJitter: lat / 2,
-			})
-		}
+		lat := time.Duration(e.LatencyUS) * time.Microsecond
+		f.wireProfile(e.Node, faults.Profile{ReadLatency: lat, ReadJitter: lat / 2})
 	case EvSlowHeal:
 		f.setLat(e.Node, 0)
-		if f.scenario.Wire {
-			f.transports[e.Node].SetProfile(faults.Profile{Seed: f.scenario.Seed + int64(e.Node) + 1})
-		}
+		f.wireProfile(e.Node, faults.Profile{})
 	case EvFlap:
 		f.setFlap(e.Node, e.Period, e.Tick)
-		if f.scenario.Wire {
-			f.transports[e.Node].SetProfile(faults.Profile{
-				Seed:       f.scenario.Seed + int64(e.Node) + 1,
-				FlapPeriod: time.Duration(e.Period) * 10 * time.Millisecond,
-				FlapDuty:   0.5,
-			})
-		}
+		f.wireProfile(e.Node, faults.Profile{FlapPeriod: time.Duration(e.Period) * 10 * time.Millisecond, FlapDuty: 0.5})
 	case EvFlapHeal:
 		f.setFlap(e.Node, 0, e.Tick)
-		if f.scenario.Wire {
-			f.transports[e.Node].SetProfile(faults.Profile{Seed: f.scenario.Seed + int64(e.Node) + 1})
-		}
+		f.wireProfile(e.Node, faults.Profile{})
 	case EvSensorStorm:
 		f.eng.SetDropout(e.Node, true)
 	case EvSensorHeal:
 		f.eng.SetDropout(e.Node, false)
 	case EvCrash:
-		if f.mgr == nil {
+		lf := f.leaves[0]
+		if lf.lead < 0 {
 			return nil
 		}
-		lost, err := f.crash(e.TornBytes)
+		lost, err := f.crash(lf, lf.lead, e.TornBytes)
 		if err != nil {
 			return err
 		}
+		if lost > len(f.shadow) {
+			return fmt.Errorf("chaos: torn cut lost %d records but shadow holds %d", lost, len(f.shadow))
+		}
+		f.shadow = f.shadow[:len(f.shadow)-lost]
 		v.Crashes++
 		v.LostRecords += lost
 	case EvRestart:
-		if f.mgr != nil {
+		// Reopen the state dir with a fresh manager, rebuild the
+		// registration map from what actually survived, and check it
+		// against the shadow's expectation.
+		lf := f.leaves[0]
+		if lf.lead >= 0 {
 			return nil
 		}
-		got, want, err := f.restart()
+		mgr, err := f.newManager(lf.members[0])
 		if err != nil {
 			return err
 		}
+		lf.members[0].mgr, lf.lead = mgr, 0
+		got, _ := mgr.StoreState()
+		f.setRegistered(got)
 		v.Restarts++
-		iv.checkRecovery(e.Tick, got, want)
+		iv.checkRecovered(e.Tick, InvRecoveryIntegrity, got, store.ReplayFrom(f.base, f.shadow))
 	case EvRemoveNode:
 		if err := f.removeNode(e.Node); err != nil {
 			return nil // unknown node after a rolled-back add; expected
 		}
 	case EvAddNode:
-		if (f.mgr == nil && f.sh == nil) || f.registered[e.Node] {
+		if (f.tree == nil && f.leader() == nil) || f.registered[e.Node] {
 			return nil
 		}
 		if err := f.addNode(e.Node); err != nil {
 			return nil // link down; the dial failing IS the chaos
 		}
 	case EvLeafIsolate:
-		if err := f.shardIsolate(e.Leaf, v); err != nil {
-			return err
-		}
+		err = f.leafIsolate(f.leaves[e.Leaf], v)
 	case EvLeafRejoin:
-		if err := f.shardRejoin(e.Leaf, v); err != nil {
-			return err
-		}
+		err = f.leafRejoin(f.leaves[e.Leaf], v)
 	case EvLeafCrash:
-		if err := f.shardCrash(e.Leaf, v); err != nil {
-			return err
-		}
+		err = f.leafCrash(f.leaves[e.Leaf], v)
 	case EvLeafRestart:
-		if err := f.shardRestart(e.Leaf, v); err != nil {
-			return err
-		}
+		err = f.leafRestart(f.leaves[e.Leaf], v)
 	case EvAggRestart:
-		if err := f.shardAggRestart(v); err != nil {
-			return err
-		}
+		err = f.aggRestart(v)
 	case EvKillPrimary:
-		if err := f.haKill(e, v); err != nil {
-			return err
-		}
+		err = f.killLeader(f.leaves[0], e.TornBytes, v)
 	case EvRevive:
-		if err := f.haRevive(v); err != nil {
-			return err
+		// Bring the first down member back as a fresh standby.
+		for _, m := range f.leaves[0].members {
+			if m.mgr == nil && m.st == nil {
+				if err := f.openStandby(m); err != nil {
+					return err
+				}
+				m.stalled = false
+				v.Restarts++
+				break
+			}
 		}
 	case EvLeaseStall:
-		if f.ha.leaderIdx >= 0 {
-			f.ha.members[f.ha.leaderIdx].stalled = true
+		if m := f.leaves[0].acting(); m != nil {
+			m.stalled = true
 		}
 	case EvReplDown:
-		f.ha.replDown = true
-		f.ha.feed = nil
+		f.leaves[0].replDown = true
+		f.leaves[0].feed = nil
 	case EvReplHeal:
-		f.ha.replDown = false
+		f.leaves[0].replDown = false
 	case EvReplTear:
-		f.ha.pendingTear = e.TornBytes
+		f.leaves[0].pendingTear = e.TornBytes
 	default:
-		return fmt.Errorf("chaos: unknown event kind %q", e.Kind)
+		err = fmt.Errorf("chaos: unknown event kind %q", e.Kind)
+	}
+	if err != nil {
+		return err
 	}
 	v.EventsApplied++
 	return nil
 }
 
-// stop releases fleet resources (managers, wire listeners, the
-// engine's tick shards).
+// stop releases fleet resources (every member's manager or store,
+// wire listeners, the engine's tick shards).
 func (f *Fleet) stop() {
-	if f.ha != nil {
-		f.ha.stop()
-		f.mgr = nil
-	} else if f.sh != nil {
-		f.sh.stop()
-	} else if f.mgr != nil {
-		f.mgr.Close()
-		f.mgr = nil
+	for _, lf := range f.leaves {
+		for _, m := range lf.members {
+			if m.mgr != nil {
+				m.mgr.Close()
+			}
+			if m.st != nil {
+				m.st.Close()
+			}
+		}
 	}
 	for _, srv := range f.srvs {
 		srv.Close()

@@ -1,18 +1,16 @@
-// HA drills: the chaos fleet can run the manager as a primary/standby
-// pair sharing a lease in the fleet's state dir, with the primary's
-// store streaming journal records to the standby's replica over the
-// pump-driven replication session. Everything is tick-synchronous —
-// the lease clock is derived from the tick counter, the replication
-// pump moves at most one batch per tick, and failover is a pure
-// function of the event schedule — so HA scenarios replay
-// bit-identically like the rest of the harness.
 package chaos
+
+// Replication inside a leaf: with HA the leaf's two members share a
+// lease in the fleet's state dir, and the leader's store streams
+// journal records to the standby's replica over the pump-driven
+// replication session. Everything is tick-synchronous — the lease clock
+// is derived from the tick counter, the pump moves at most one batch
+// per tick, and failover is a pure function of the event schedule — so
+// HA scenarios replay bit-identically like the rest of the harness.
 
 import (
 	"errors"
 	"fmt"
-	"path/filepath"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -34,187 +32,105 @@ const (
 	haPumpBatch = 32
 )
 
-// haMember is one of the two control-plane processes.
-type haMember struct {
-	id  string
-	dir string
-
-	// mgr and node are set while the member runs a manager: the acting
-	// leader, or a deposed duelist that does not yet know it lost.
-	mgr  *dcm.Manager
-	node *dcm.HANode
-
-	// st and rep are set while the member is a standby replica.
-	st  *store.Store
-	rep *store.Replica
-
-	// stalled stops the member's lease renewals (a paused leader);
-	// dead marks a killed process awaiting EvRevive.
-	stalled bool
-	dead    bool
-}
-
-// haCluster is the pair plus the shared lease and replication session.
-type haCluster struct {
-	f     *Fleet
-	lease *store.LeaseFile
-	ttl   time.Duration
-	// leaseNS backs the lease clock: tick × haLeaseTick, stored
-	// atomically because lease reads happen inside manager calls.
-	leaseNS int64
-
-	members   [2]*haMember
-	leaderIdx int // -1 while no member leads
-	// duelIdx is a deposed ex-leader still actuating on a stale epoch
-	// (-1 when none); the fence at the nodes must stop it.
-	duelIdx int
-
-	// feed is the primary-side replication session; nil forces a
-	// redial (fresh HELLO) on the next pump.
-	feed     *store.Feed
-	replDown bool
-	// pendingTear is the EvReplTear byte seed applied to the standby's
-	// journal at its next promotion.
-	pendingTear int
-}
-
 // leaseNow is the injectable clock for the shared lease: simulated
 // lease time, advanced once per tick — never the manager's simClock,
 // whose per-read advance would make lease expiry depend on call counts.
-func (a *haCluster) leaseNow() time.Time {
-	return time.Unix(0, atomic.LoadInt64(&a.leaseNS))
+func (f *Fleet) leaseNow() time.Time {
+	return time.Unix(0, atomic.LoadInt64(&f.leaseNS))
 }
 
-// standbyIdx returns the member currently holding a replica, or -1.
-func (a *haCluster) standbyIdx() int {
-	for i, m := range a.members {
-		if i != a.leaderIdx && m.rep != nil && !m.dead {
+// standby returns the index of lf's member holding a replica, or -1.
+func (lf *leaf) standby() int {
+	for i, m := range lf.members {
+		if i != lf.lead && m.rep != nil {
 			return i
 		}
 	}
 	return -1
 }
 
-// stop closes whatever each member still has open.
-func (a *haCluster) stop() {
-	for _, m := range a.members {
-		if m.mgr != nil {
-			m.mgr.Close()
-			m.mgr = nil
-		}
-		if m.st != nil {
-			m.st.Close()
-			m.st = nil
-		}
-	}
-}
-
-// setupHA builds the pair: member 0 acquires the lease and leads,
-// member 1 opens an empty store and replicates. Each member gets its
-// own state dir under the fleet's; the lease lives beside them,
-// reachable by both — the shared-filesystem deployment dcmd models.
-func (f *Fleet) setupHA() error {
-	a := &haCluster{f: f, duelIdx: -1, ttl: HALeaseTTLTicks * haLeaseTick}
-	a.lease = &store.LeaseFile{Path: store.LeasePath(f.dir), Clock: a.leaseNow}
-	for i := range a.members {
-		a.members[i] = &haMember{
-			id:  fmt.Sprintf("dcm-%d", i),
-			dir: filepath.Join(f.dir, fmt.Sprintf("m%d", i)),
-		}
-	}
-
-	m0 := a.members[0]
-	mgr, err := f.newManagerAt(m0.dir)
-	if err != nil {
-		return err
-	}
-	node := &dcm.HANode{ID: m0.id, Lease: a.lease, TTL: a.ttl, Mgr: mgr}
+// takeLease hands mgr to member mi (which owns it from here, so stop
+// closes it on every path), starts its lease handle and makes it lf's
+// leader. The epoch doubles as the replication generation: strictly
+// increasing across leaderships, never reused. Announce-round push
+// errors are tolerated — a partitioned node misses the fence advance,
+// and reconciliation retries it.
+func (lf *leaf) takeLease(mi int, mgr *dcm.Manager) error {
+	m := lf.members[mi]
+	m.mgr = mgr
+	node := &dcm.HANode{ID: m.id, Lease: lf.lease, TTL: HALeaseTTLTicks * haLeaseTick, Mgr: mgr}
 	role, err := node.Start()
-	if err != nil {
-		mgr.Close()
-		return fmt.Errorf("chaos: initial lease acquire: %w", err)
-	}
 	if role != dcm.RolePrimary {
-		mgr.Close()
-		return fmt.Errorf("chaos: first member came up %s, want primary", role)
+		if err == nil {
+			err = errors.New("lease still held")
+		}
+		return fmt.Errorf("chaos: %s failed to take the lease: %w", m.id, err)
 	}
-	// The epoch doubles as the replication generation: strictly
-	// increasing across leaderships, never reused.
 	mgr.Store().SetGen(mgr.Epoch())
-	m0.mgr, m0.node = mgr, node
-	a.leaderIdx = 0
-
-	m1 := a.members[1]
-	st, err := store.Open(m1.dir)
-	if err != nil {
-		mgr.Close()
-		return fmt.Errorf("chaos: opening standby store: %w", err)
-	}
-	st.SetSync(false)
-	m1.st = st
-	m1.rep = store.NewReplica(st)
-
-	f.ha = a
-	f.mgr = mgr
+	m.node, lf.lead = node, mi
 	return nil
 }
 
-// haTick advances the HA machinery one control tick: lease clock,
-// leader renewal, replication pump, standby takeover.
-func (f *Fleet) haTick(tick int, iv *invariants, v *Verdict) error {
-	a := f.ha
-	atomic.StoreInt64(&a.leaseNS, int64(tick)*int64(haLeaseTick))
+// openStandby opens m's store as a fresh replica. The replica starts
+// with no resume claim (generation zero), so its first session takes a
+// full snapshot of the leader — whatever its own journal recovers never
+// leaks forward.
+func (f *Fleet) openStandby(m *member) error {
+	st, err := store.Open(f.stateDir(m))
+	if err != nil {
+		return fmt.Errorf("chaos: opening %s's standby store: %w", m.id, err)
+	}
+	st.SetSync(false)
+	m.st, m.rep = st, store.NewReplica(st)
+	return nil
+}
 
-	if a.leaderIdx >= 0 {
-		ldr := a.members[a.leaderIdx]
-		if !ldr.stalled && ldr.node != nil {
-			// Renewal cannot change leadership here — the peer takes
-			// over only through promoteStandby below — so an error is
-			// a lease I/O failure, which is a harness fault.
-			if _, err := ldr.node.Tick(); err != nil {
-				return fmt.Errorf("chaos: leader lease renewal: %w", err)
-			}
+// replicate advances lf's replica set one tick: leader renewal, one
+// replication batch, and the standby's takeover once the lease lapses.
+// A leaf without standbys has no lease handle and nothing to pump.
+func (f *Fleet) replicate(tick int, lf *leaf, iv *invariants, v *Verdict) error {
+	if ldr := lf.acting(); ldr != nil && ldr.node != nil && !ldr.stalled {
+		// Renewal cannot change leadership here — the peer takes over
+		// only through promote below — so an error is a lease I/O
+		// failure, which is a harness fault.
+		if _, err := ldr.node.Tick(); err != nil {
+			return fmt.Errorf("chaos: leader lease renewal: %w", err)
 		}
 	}
+	f.pumpRepl(lf)
 
-	f.pumpRepl()
-
-	sby := a.standbyIdx()
-	if sby < 0 || a.members[sby].rep.Gen() == 0 {
+	sby := lf.standby()
+	if sby < 0 || lf.members[sby].rep.Gen() == 0 {
 		// No replica, or one that has never synced: promoting it would
 		// install an empty fleet, so it waits for a first snapshot.
 		return nil
 	}
-	l, ok, err := a.lease.Read()
+	l, ok, err := lf.lease.Read()
 	if err != nil {
 		return fmt.Errorf("chaos: reading lease: %w", err)
 	}
-	if ok && !l.Expired(a.leaseNow()) {
+	if ok && !l.Expired(f.leaseNow()) {
 		return nil
 	}
-	return f.promoteStandby(tick, sby, iv, v)
+	return f.promote(tick, lf, sby, iv, v)
 }
 
-// pumpRepl moves one batch of replication frames primary → standby.
+// pumpRepl moves one batch of replication frames leader → standby.
 // Session errors are not harness failures: the feed is dropped and the
 // next tick redials with a fresh HELLO, exactly as dcmd's replication
 // client reconnects.
-func (f *Fleet) pumpRepl() {
-	a := f.ha
-	if a.replDown || a.leaderIdx < 0 || f.mgr == nil {
+func (f *Fleet) pumpRepl(lf *leaf) {
+	ldr, sby := lf.acting(), lf.standby()
+	if lf.replDown || ldr == nil || sby < 0 {
 		return
 	}
-	sby := a.standbyIdx()
-	if sby < 0 {
-		return
+	rep := lf.members[sby].rep
+	if lf.feed == nil {
+		lf.feed = ldr.mgr.Store().NewFeed(rep.Hello())
 	}
-	rep := a.members[sby].rep
-	if a.feed == nil {
-		a.feed = f.mgr.Store().NewFeed(rep.Hello())
-	}
-	frames, err := a.feed.Pending(haPumpBatch)
+	frames, err := lf.feed.Pending(haPumpBatch)
 	if err != nil {
-		a.feed = nil
+		lf.feed = nil
 		return
 	}
 	for _, fr := range frames {
@@ -230,32 +146,34 @@ func (f *Fleet) pumpRepl() {
 		}
 		ack, err := rep.Handle(fr)
 		if err != nil {
-			a.feed = nil
+			lf.feed = nil
 			return
 		}
 		if ack != nil {
-			a.feed.Ack(*ack)
+			lf.feed.Ack(*ack)
 		}
 	}
 }
 
-// promoteStandby fails the fleet over to member idx: crash its replica
-// store, tear its journal at any pending cut, recover a manager from
-// what survived, verify the recovered state against the harness's
-// independent leader book (replica_convergence), then take the lease
-// and re-anchor the shadow model at the new leadership.
-func (f *Fleet) promoteStandby(tick, idx int, iv *invariants, v *Verdict) error {
-	a := f.ha
-	m := a.members[idx]
+// promote fails lf over to member idx: crash its replica store, tear
+// its journal at any pending cut, recover a manager from what survived,
+// verify the recovered state against the harness's independent leader
+// book (replica_convergence), then take the lease and re-anchor the
+// shadow model at the new leadership. An old leader that still runs a
+// manager is now deposed and duels the fence on its stale epoch — the
+// contest single_writer referees.
+func (f *Fleet) promote(tick int, lf *leaf, idx int, iv *invariants, v *Verdict) error {
+	m := lf.members[idx]
 	cursor := m.rep.Cursor()
-	a.feed = nil
+	lf.feed = nil
 
 	// The replicated journal inherits the primary's torn-tail rules:
 	// kill the store without compaction and cut the tail where the
 	// schedule says.
 	m.st.Crash()
-	lost, err := tearJournal(m.dir, a.pendingTear)
-	a.pendingTear = 0
+	m.st, m.rep = nil, nil
+	lost, err := tearJournal(f.stateDir(m), lf.pendingTear)
+	lf.pendingTear = 0
 	if err != nil {
 		return err
 	}
@@ -267,7 +185,7 @@ func (f *Fleet) promoteStandby(tick, idx int, iv *invariants, v *Verdict) error 
 	}
 	v.ReplicaLostRecords += lost
 
-	mgr, err := f.newManagerAt(m.dir)
+	mgr, err := f.newManager(m)
 	if err != nil {
 		return err
 	}
@@ -279,31 +197,10 @@ func (f *Fleet) promoteStandby(tick, idx int, iv *invariants, v *Verdict) error 
 	// cursor were never replicated — lost by design, which is exactly
 	// what asynchronous replication promises.
 	want := store.ReplayFrom(f.base, f.shadow[:int(cursor)-lost])
-	iv.checkReplicaConvergence(tick, got, want)
-
-	node := &dcm.HANode{ID: m.id, Lease: a.lease, TTL: a.ttl, Mgr: mgr}
-	role, err := node.Start()
-	if role != dcm.RolePrimary {
-		mgr.Close()
-		if err == nil {
-			err = errors.New("lease still held")
-		}
-		return fmt.Errorf("chaos: standby %s failed to take the lease: %w", m.id, err)
+	iv.checkRecovered(tick, InvReplicaConvergence, got, want)
+	if err := lf.takeLease(idx, mgr); err != nil {
+		return err
 	}
-	// Announce-round push errors are tolerated: a partitioned node
-	// misses the fence advance, and reconciliation retries it.
-	mgr.Store().SetGen(mgr.Epoch())
-
-	// An ex-leader that still runs a manager keeps actuating on its
-	// stale epoch until the fence stops it: the duel the single_writer
-	// invariant referees.
-	if old := a.leaderIdx; old >= 0 && a.members[old].mgr != nil && !a.members[old].dead {
-		a.duelIdx = old
-	}
-	m.mgr, m.node = mgr, node
-	m.st, m.rep = nil, nil
-	a.leaderIdx = idx
-	f.mgr = mgr
 
 	// Re-anchor the leader book at the restored state: base is what
 	// the new leader's store opened with, shadow restarts with the
@@ -312,16 +209,10 @@ func (f *Fleet) promoteStandby(tick, idx int, iv *invariants, v *Verdict) error 
 	// budget.
 	f.base = store.ReplayFrom(got, nil)
 	f.shadow = f.shadow[:0]
-	names := make([]string, 0, len(got.Nodes))
-	for name, rec := range got.Nodes {
-		if rec.HaveCap {
-			names = append(names, name)
+	for _, st := range mgr.Nodes() {
+		if rec := got.Nodes[st.Name]; rec.HaveCap {
+			f.shadow = append(f.shadow, store.Record{Op: store.OpSetCap, Name: st.Name, Node: &rec})
 		}
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		rec := got.Nodes[name]
-		f.shadow = append(f.shadow, store.Record{Op: store.OpSetCap, Name: name, Node: &rec})
 	}
 	if w, g, ivl, ok := mgr.RestoredBudget(); ok {
 		mgr.StartAutoBalance(w, g, ivl)
@@ -329,62 +220,49 @@ func (f *Fleet) promoteStandby(tick, idx int, iv *invariants, v *Verdict) error 
 			Op: store.OpBudget, Budget: &store.BudgetRecord{Watts: w, Group: g, Interval: ivl},
 		})
 	}
-	for i := range f.registered {
-		f.registered[i] = false
-	}
-	for i := range f.srvs {
-		if _, ok := got.Nodes[f.name(i)]; ok {
-			f.registered[i] = true
-		}
-	}
+	f.setRegistered(got)
 	v.Failovers++
 	return nil
 }
 
-// haKill murders the acting leader mid-budget-push: it allocates a
+// killLeader murders lf's leader mid-budget-push: it allocates a
 // rebalance, pushes (and journals) only the first half of the
-// decreases-first order, then crashes without compaction and tears the
-// dead journal. The torn records are cosmetic — a revived member
-// resyncs from a snapshot, never its old journal — but counting them
-// keeps the verdict honest about what the crash destroyed.
-func (f *Fleet) haKill(e Event, v *Verdict) error {
-	a := f.ha
-	if a.leaderIdx < 0 || f.mgr == nil {
+// decreases-first order, then crashes and tears the dead journal. The
+// torn records are cosmetic — a revived member resyncs from a snapshot,
+// never its old journal — but counting them keeps the verdict honest
+// about what the crash destroyed.
+func (f *Fleet) killLeader(lf *leaf, tornBytes int, v *Verdict) error {
+	ldr := lf.acting()
+	if ldr == nil {
 		return nil
 	}
-	ldr := a.members[a.leaderIdx]
 	if group := f.group(); len(group) > 0 {
-		if allocs, err := f.mgr.AllocateBudget(f.budget, group); err == nil {
-			half := f.orderDecreasesFirst(allocs)[:len(allocs)/2]
+		if allocs, err := ldr.mgr.AllocateBudget(f.budget, group); err == nil {
+			half := orderDecreasesFirst(ldr.mgr, allocs)[:len(allocs)/2]
 			for _, alc := range half {
 				// Push failures still journal the desired cap; the
 				// shadow mirrors the journal, not the plant.
-				_ = f.mgr.SetNodeCap(alc.Name, alc.CapWatts)
+				_ = ldr.mgr.SetNodeCap(alc.Name, alc.CapWatts)
 			}
 			f.mirrorAllocs(half)
 		}
 	}
-	a.feed = nil
-	f.mgr.Crash()
-	lost, err := tearJournal(ldr.dir, e.TornBytes)
+	lf.feed = nil
+	ldr.stalled = false
+	lost, err := f.crash(lf, lf.lead, tornBytes)
 	if err != nil {
 		return err
 	}
 	v.LostRecords += lost
 	v.Crashes++
-	ldr.mgr, ldr.node = nil, nil
-	ldr.dead = true
-	ldr.stalled = false
-	a.leaderIdx = -1
-	f.mgr = nil
 	return nil
 }
 
 // orderDecreasesFirst mirrors ApplyBudget's push order: allocations at
 // or below the node's current enabled desired cap first, then raises.
-func (f *Fleet) orderDecreasesFirst(allocs []dcm.Allocation) []dcm.Allocation {
+func orderDecreasesFirst(mgr *dcm.Manager, allocs []dcm.Allocation) []dcm.Allocation {
 	contribution := make(map[string]float64, len(allocs))
-	for _, st := range f.mgr.Nodes() {
+	for _, st := range mgr.Nodes() {
 		if st.CapEnabled {
 			contribution[st.Name] = st.CapWatts
 		}
@@ -401,62 +279,4 @@ func (f *Fleet) orderDecreasesFirst(allocs []dcm.Allocation) []dcm.Allocation {
 		}
 	}
 	return ordered
-}
-
-// haRevive brings a dead member back as a fresh replica. Its store
-// reopens from whatever its torn journal recovers, but the replica
-// starts with no resume claim (generation zero), so its first session
-// takes a full snapshot of the current leader — the old state never
-// leaks forward.
-func (f *Fleet) haRevive(v *Verdict) error {
-	for _, m := range f.ha.members {
-		if !m.dead {
-			continue
-		}
-		st, err := store.Open(m.dir)
-		if err != nil {
-			return fmt.Errorf("chaos: reviving %s: %w", m.id, err)
-		}
-		st.SetSync(false)
-		m.st = st
-		m.rep = store.NewReplica(st)
-		m.dead = false
-		m.stalled = false
-		v.Restarts++
-		return nil
-	}
-	return nil
-}
-
-// haDuel drives a deposed ex-leader at the same poll/rebalance cadence
-// as the real run loop. Its pushes carry the old epoch, so with the
-// fence intact every one is refused (ErrStaleEpoch → Fenced) and the
-// duelist concedes within a rebalance period; with fencing broken they
-// actuate the plant and the single_writer invariant fires.
-func (f *Fleet) haDuel(tick, pollEvery, rebalanceEvery int) {
-	a := f.ha
-	if a.duelIdx < 0 {
-		return
-	}
-	d := a.members[a.duelIdx]
-	if d.mgr == nil {
-		a.duelIdx = -1
-		return
-	}
-	if tick%pollEvery == pollEvery-1 {
-		d.mgr.Poll()
-	}
-	if tick%rebalanceEvery == rebalanceEvery-1 {
-		if group := f.group(); len(group) > 0 {
-			_, _ = d.mgr.ApplyBudget(f.budget, group)
-		}
-	}
-	if d.mgr.Fenced() {
-		// Positive proof a newer leader actuated the fleet: a real
-		// deployment alerts and exits here; the drill just stops it.
-		d.mgr.Crash()
-		d.mgr, d.node = nil, nil
-		d.dead = true
-		a.duelIdx = -1
-	}
 }

@@ -97,9 +97,9 @@ type memLink struct {
 	f   *Fleet
 	i   int
 	seq uint32
-	// leaf is the sharded-mode leaf index whose manager owns this
-	// connection (-1 for the solo/HA manager). Admitted cap pushes are
-	// attributed to it for the single_owner checker.
+	// leaf is the tree leaf index whose manager owns this connection
+	// (-1 without a tree). Admitted cap pushes are attributed to it for
+	// the single_owner checker.
 	leaf int
 }
 
@@ -168,10 +168,12 @@ func (l *memLink) GetPowerReading() (ipmi.PowerReading, error) {
 
 func (l *memLink) SetPowerLimit(lim ipmi.PowerLimit) error {
 	_, err := l.call(ipmi.CmdSetPowerLimit, ipmi.EncodePowerLimit(lim))
-	if err == nil && l.leaf >= 0 && l.f.sh != nil {
+	if err == nil && l.leaf >= 0 {
 		// The plant admitted this push on a leaf-attributed connection;
-		// single_owner audits it against current tree ownership.
-		l.f.notePush(l.i, l.leaf)
+		// single_owner audits it against current tree ownership. Every
+		// push comes from the run loop or its one-worker polls, which
+		// finish before Poll returns, so the log needs no lock.
+		l.f.pushLog = append(l.f.pushLog, ownedPush{node: l.i, leaf: l.leaf})
 	}
 	return err
 }
