@@ -60,6 +60,7 @@ import (
 	"io"
 	"io/fs"
 	"log"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -283,6 +284,13 @@ func start(opts options, dial dcm.Dialer, logf func(format string, args ...any))
 		return nil, fmt.Errorf("dcmd: -aggregator needs -budget (the cascade divides the datacenter budget)")
 	case opts.Shards > 99:
 		return nil, fmt.Errorf("dcmd: -shards %d: at most 99 leaves", opts.Shards)
+	case math.IsNaN(opts.Budget) || math.IsInf(opts.Budget, 0):
+		return nil, fmt.Errorf("dcmd: -budget %v is not a finite wattage", opts.Budget)
+	}
+	if opts.Group != "" {
+		if err := dcm.CheckGroup(strings.Split(opts.Group, ",")); err != nil {
+			return nil, fmt.Errorf("dcmd: -group: %w", err)
+		}
 	}
 	d := &daemon{
 		reg:   telemetry.NewRegistry(),

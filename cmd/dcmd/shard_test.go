@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -253,6 +254,26 @@ func TestShardedFlagValidation(t *testing.T) {
 		{"group", options{Shards: 2, Group: "a,b", Listen: "127.0.0.1:0", Poll: time.Hour}},
 		{"aggregator without budget", options{Shards: 2, Aggregator: time.Second, Listen: "127.0.0.1:0", Poll: time.Hour}},
 		{"too many leaves", options{Shards: 100, Listen: "127.0.0.1:0", Poll: time.Hour}},
+	}
+	for _, tc := range cases {
+		if d, err := start(tc.opts, nil, func(string, ...any) {}); err == nil {
+			d.Close()
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+}
+
+// TestStartRejectsBadBudgetGroup: a -budget that is not a finite
+// wattage, or a -group naming a node twice, fails start instead of
+// failing every auto-balance or aggregator tick.
+func TestStartRejectsBadBudgetGroup(t *testing.T) {
+	cases := []struct {
+		name string
+		opts options
+	}{
+		{"NaN aggregator budget", options{Shards: 2, Aggregator: time.Second, Budget: math.NaN(), Listen: "127.0.0.1:0", Poll: time.Hour}},
+		{"infinite group budget", options{Budget: math.Inf(1), Group: "a,b", Listen: "127.0.0.1:0", Poll: time.Hour, Rebalance: time.Hour}},
+		{"duplicate group member", options{Budget: 300, Group: "a,b,a", Listen: "127.0.0.1:0", Poll: time.Hour, Rebalance: time.Hour}},
 	}
 	for _, tc := range cases {
 		if d, err := start(tc.opts, nil, func(string, ...any) {}); err == nil {

@@ -1,8 +1,10 @@
 package dcm
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -448,5 +450,40 @@ func TestServerHandleTierAndWeights(t *testing.T) {
 	}
 	if grants["o"] <= grants["n"] {
 		t.Errorf("request weights ignored by the budget op: %+v", grants)
+	}
+}
+
+// TestBudgetGroupRejectsDuplicateNames: a group that names a node twice
+// used to let it claim twice — at 450 W a outbid b and the grants
+// summed past the budget — and to refuse 300 W as "below platform
+// minimums" though the two nodes need only 246 W.
+func TestBudgetGroupRejectsDuplicateNames(t *testing.T) {
+	m := fleet(map[string]*fakeBMC{"a": newFakeBMC(170), "b": newFakeBMC(170)})
+	defer m.Close()
+	m.AddNode("a", "a")
+	m.AddNode("b", "b")
+	m.Poll()
+	for _, budget := range []float64{300, 450} {
+		allocs, err := m.ApplyBudget(budget, []string{"a", "a", "b"})
+		if err == nil || !strings.Contains(err.Error(), `"a" named twice`) {
+			t.Errorf("%.0f W over [a a b]: allocs %+v, err %v; want a duplicate-name refusal", budget, allocs, err)
+		}
+	}
+	if n := m.DesiredCapSum(); n != 0 {
+		t.Errorf("refused budget still pushed caps summing to %.2f W", n)
+	}
+}
+
+// TestBudgetRejectsNonFiniteWatts: NaN and ±Inf are refused before any
+// division, so no NaN grant reaches a cap push or the journal.
+func TestBudgetRejectsNonFiniteWatts(t *testing.T) {
+	m := fleet(map[string]*fakeBMC{"a": newFakeBMC(170)})
+	defer m.Close()
+	m.AddNode("a", "a")
+	m.Poll()
+	for _, budget := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if allocs, err := m.AllocateBudget(budget, []string{"a"}); err == nil {
+			t.Errorf("budget %v accepted: %+v", budget, allocs)
+		}
 	}
 }
