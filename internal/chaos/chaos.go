@@ -252,7 +252,7 @@ type Scenario struct {
 	BreakHandoff bool `json:"break_handoff,omitempty"`
 
 	// BreakAggregator makes the budget cascade over-allocate (1.5× per
-	// leaf), violating cross-level conservation. Exists to prove
+	// leaf), violating tree-wide conservation. Exists to prove
 	// tree_budget_conserved catches a broken aggregator; see
 	// TestBrokenAggregatorCaught.
 	BreakAggregator bool `json:"break_aggregator,omitempty"`

@@ -238,7 +238,7 @@ func (f *Fleet) killLeader(lf *leaf, tornBytes int, v *Verdict) error {
 	}
 	if group := f.group(); len(group) > 0 {
 		if allocs, err := ldr.mgr.AllocateBudget(f.budget, group); err == nil {
-			half := orderDecreasesFirst(ldr.mgr, allocs)[:len(allocs)/2]
+			half := ldr.mgr.PushOrder(allocs)[:len(allocs)/2]
 			for _, alc := range half {
 				// Push failures still journal the desired cap; the
 				// shadow mirrors the journal, not the plant.
@@ -256,27 +256,4 @@ func (f *Fleet) killLeader(lf *leaf, tornBytes int, v *Verdict) error {
 	v.LostRecords += lost
 	v.Crashes++
 	return nil
-}
-
-// orderDecreasesFirst mirrors ApplyBudget's push order: allocations at
-// or below the node's current enabled desired cap first, then raises.
-func orderDecreasesFirst(mgr *dcm.Manager, allocs []dcm.Allocation) []dcm.Allocation {
-	contribution := make(map[string]float64, len(allocs))
-	for _, st := range mgr.Nodes() {
-		if st.CapEnabled {
-			contribution[st.Name] = st.CapWatts
-		}
-	}
-	ordered := make([]dcm.Allocation, 0, len(allocs))
-	for _, a := range allocs {
-		if a.CapWatts <= contribution[a.Name] {
-			ordered = append(ordered, a)
-		}
-	}
-	for _, a := range allocs {
-		if a.CapWatts > contribution[a.Name] {
-			ordered = append(ordered, a)
-		}
-	}
-	return ordered
 }

@@ -84,7 +84,7 @@ func (t *Tree) HandleControl(req dcm.Request) dcm.Response {
 		}
 		return dcm.Response{OK: true, History: h}
 	case "budget":
-		// The group is implicit — the whole tree; the cascade divides it.
+		// The group is implicit — the whole tree; Rebalance divides it.
 		res, err := t.Rebalance(req.Budget)
 		if err != nil {
 			return fail(err)

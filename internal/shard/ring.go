@@ -1,9 +1,8 @@
 // Package shard implements the two-level sharded control plane: leaf
 // dcm.Managers own node shards assigned by consistent hashing, and an
-// aggregator cascades the datacenter power budget down the topology
-// tree (datacenter → row → rack → shard), rebalancing from leaf demand
-// summaries and migrating node ownership with fenced handoff when
-// leaves join, leave, or crash.
+// aggregator divides the datacenter power budget over the leaves,
+// rebalancing from leaf demand summaries and migrating node ownership
+// with fenced handoff when leaves join, leave, or crash.
 package shard
 
 import (

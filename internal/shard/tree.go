@@ -46,7 +46,7 @@ type leafState struct {
 // Tree is the aggregator: the root of the two-level control plane. It
 // owns the node→leaf assignment (consistent-hash ring over member
 // leaves), migrates ownership with fenced handoff on membership
-// changes, and cascades the datacenter budget down the topology on
+// changes, and divides the datacenter budget over the leaves on
 // Rebalance. All mutations persist the shard map to snapPath (when
 // set) so a restarted aggregator resumes with the same ownership.
 //
@@ -91,8 +91,8 @@ type Tree struct {
 	// harness can prove its single_owner invariant catches a broken
 	// handoff (chaos -break-handoff).
 	BreakHandoff bool
-	// BreakAggregator makes the cascade hand each leaf 1.5× its share —
-	// a cascade that no longer conserves budget across tree levels. It
+	// BreakAggregator makes Rebalance hand each leaf 1.5× its share — a
+	// division that no longer conserves the datacenter budget. It
 	// exists only for the chaos -break-aggregator self-test proving
 	// tree_budget_conserved fires.
 	BreakAggregator bool
