@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # daemon-smoke: bring dcmd up as a real process over loopback in each of
-# its three shapes — flat, -shards 2, and an HA primary/standby pair —
+# its three shapes — flat, -shards 3, and an HA primary/standby pair —
 # and drive every one through dcmctl. Tier-1 only ever calls start()
 # in-process; this is the check that the one start path still comes up
 # as a binary, serves, and exits 0 on SIGTERM in every shape, and that a
@@ -61,30 +61,46 @@ until_ok role_is "$CTL" solo
 add_fleet "$CTL"
 lists_fleet "$CTL"
 test "$(ctl "$CTL" budget 300 sim0,sim1 | grep -c ' W$')" -eq 2
+# A group naming a node twice would let it claim twice: refused as such.
+if out=$(ctl "$CTL" budget 300 sim0,sim0,sim1 2>&1) || ! grep -q 'named twice' <<<"$out"; then
+	echo "daemon-smoke: duplicate budget group not refused: $out" >&2
+	exit 1
+fi
 term "$pid"
 
 echo "== sharded"
-"$BIN/dcmd" -listen "$CTL" -shards 2 -state-dir "$STATE/sharded" $FAST &
+# A NaN budget must fail start, not every aggregator pass: a non-zero
+# exit, and not the timeout's.
+status=0
+timeout 10 "$BIN/dcmd" -listen "$CTL" -shards 2 -aggregator 1s -budget NaN 2>/dev/null || status=$?
+if [ "$status" -eq 0 ] || [ "$status" -eq 124 ]; then
+	echo "daemon-smoke: -budget NaN accepted (exit $status)" >&2
+	exit 1
+fi
+"$BIN/dcmd" -listen "$CTL" -shards 3 -state-dir "$STATE/sharded" $FAST &
 pid=$!
 until_ok role_is "$CTL" aggregator
 add_fleet "$CTL"
 lists_fleet "$CTL"
-test "$(ctl "$CTL" budget 300 | grep -c '^leaf-0[01] .* W$')" -eq 2
-test "$(ctl "$CTL" shards | grep -c '^leaf-0[01] *true ')" -eq 2
+grants=$(ctl "$CTL" budget 300 | grep '^leaf-0[0-2] .* W$')
+test "$(wc -l <<<"$grants")" -eq 3
+# The leaf grants conserve the datacenter budget.
+awk '{s += $(NF-1)} END {exit !(s <= 300 + 1e-6)}' <<<"$grants"
+test "$(ctl "$CTL" shards | grep -c '^leaf-0[0-2] *true ')" -eq 3
 term "$pid"
 test -s "$STATE/sharded/shardmap.snap"
 # What a kill -9 mid-compaction strands; the restart must sweep it.
-for leaf in "$STATE"/sharded/leaf-0[01]; do
+for leaf in "$STATE"/sharded/leaf-0[0-2]; do
 	echo '{"nodes":{"half":' >"$leaf/snapshot-stale.tmp"
 done
 
 echo "== sharded, restarted on the same state dir"
-"$BIN/dcmd" -listen "$CTL" -shards 2 -state-dir "$STATE/sharded" $FAST &
+"$BIN/dcmd" -listen "$CTL" -shards 3 -state-dir "$STATE/sharded" $FAST &
 pid=$!
 until_ok role_is "$CTL" aggregator
 lists_fleet "$CTL"
 term "$pid"
-for leaf in "$STATE"/sharded/leaf-0[01]; do
+for leaf in "$STATE"/sharded/leaf-0[0-2]; do
 	test -z "$(find "$leaf" -name '*.tmp')"
 	jq -e .nodes "$leaf/snapshot.json" >/dev/null
 done
