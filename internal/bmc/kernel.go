@@ -177,9 +177,10 @@ func splitmix(z uint64) uint64 {
 // out-of-line call per node-tick spilled and reloaded every live value
 // of the fleet engine's loop and round-tripped the EWMA through memory.
 // Here the EWMA and the noise word live in locals and are written back
-// on exit. The rarely-moving run counters and flags stay in st: held
-// in locals too, they crowded the loop out of registers (slower at
-// every batch size). Stats.Ticks is left to the caller. The
+// on exit. In this general period the rarely-moving run counters and
+// flags stay in st: held in locals too, they crowded the loop out of
+// registers (slower at every batch size). A settled node's periods run
+// in Steady instead. Stats.Ticks is left to the caller. The
 // measurements are in DESIGN.md §11.
 func Run(cfg *Config, env *Envelope, capW float64, st *State, stats *Stats,
 	pos Pos, src *Source, n int, tiered bool) (Pos, Events, int) {
@@ -300,6 +301,77 @@ func Run(cfg *Config, env *Envelope, capW float64, st *State, stats *Stats,
 	st.Smoothed = sm
 	src.Noise = noise
 	return pos, out, ran
+}
+
+// Steady runs up to n periods of Run's law in the steady state — an
+// analytic plant, no fail-safe, a primed EWMA, stuck-at watch off —
+// and returns the plant's position and how many periods ran. It stops
+// before the first implausible reading, leaving it undrawn for Run's
+// general period; outside the steady state it runs nothing. Here the
+// vetting and fail-safe machine, which live only in Run, cannot act,
+// so the tuning and the plant's watts at pos sit in locals, no steady
+// period raises an event, and State is written back once, on exit.
+// It is a second entry because Run must stay a leaf function, and its
+// plant-move switch is a copy of Run's because a shared helper is too
+// big to inline and cost more per period as a call than the loop
+// saved (DESIGN.md §11). TestSteadyMatchesGeneralPeriods pins the two.
+func Steady(cfg *Config, env *Envelope, capW float64, st *State, stats *Stats,
+	pos Pos, src *Source, n int) (Pos, int) {
+	lin := src.Plant
+	if lin == nil || st.FailSafe || !st.HaveEWMA || cfg.StuckSensorTicks > 0 {
+		return pos, 0
+	}
+	noise, sm := src.Noise, st.Smoothed
+	a, lo, hi, amp := cfg.Smoothing, env.MinWatts, env.MaxWatts, lin.NoiseWatts
+	target := capW - cfg.GuardBandWatts
+	base := lin.Watts(pos)
+	var w float64
+	var over uint64
+	ran := 0
+	for ; ran < n; ran++ {
+		next := noise + splitmixGamma
+		f := float64(splitmix(next)>>11) / (1 << 53)
+		r := base + (f*2-1)*amp
+		if !(r >= lo && r <= hi) {
+			break
+		}
+		noise, w = next, r
+		sm = a*w + (1-a)*sm
+		if sm > capW {
+			over++
+		}
+		switch {
+		case sm > target:
+			switch {
+			case pos.PState < env.Slowest:
+				pos.PState = min(pos.PState+cfg.descent(sm-target, env.Slowest), env.Slowest)
+				stats.StepsDown++
+				base = lin.Watts(pos)
+			case pos.Gating < env.MaxGating:
+				pos.Gating++
+				stats.GateEscalate++
+				base = lin.Watts(pos)
+			default:
+				stats.AtFloorTicks++
+			}
+		case pos.Gating > 0:
+			if sm < target-cfg.GateRelaxHysteresisWatts {
+				pos.Gating--
+				stats.GateRelax++
+				base = lin.Watts(pos)
+			}
+		case sm < target-cfg.HysteresisWatts && pos.PState > 0:
+			pos.PState--
+			stats.StepsUp++
+			base = lin.Watts(pos)
+		}
+	}
+	if ran > 0 {
+		st.Smoothed, st.LastRaw, st.HaveRaw, st.BadTicks = sm, w, true, 0
+		stats.OverCapTicks += over
+		src.Noise = noise
+	}
+	return pos, ran
 }
 
 // hold enforces the fail-safe floor: the plant may be slower than the

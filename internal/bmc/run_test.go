@@ -129,6 +129,74 @@ func TestRunBatchEqualsSinglePeriods(t *testing.T) {
 	}
 }
 
+// TestSteadyMatchesGeneralPeriods pins Steady's copy of the law to
+// Run's general period: the fleet engine's sequence — Steady, then Run
+// on what is left, resumed after each event — leaves State, Stats, the
+// position and the noise word bit-identical to n general periods run
+// one at a time, each fed the plant's next noise draw as a given
+// reading, so the reference never enters the steady loop. The entry
+// states are randomRunCase's: EWMA unprimed, fail-safe, bad-tick and
+// stuck-at runs, smoothing 1, a noiseless sensor, and a 124-150 W
+// plausible range that rejects readings mid-batch.
+func TestSteadyMatchesGeneralPeriods(t *testing.T) {
+	cases := 5000
+	if testing.Short() {
+		cases = 1000
+	}
+	var steady, stopped, reset int
+	for k := 0; k < cases; k++ {
+		rng := rand.New(rand.NewSource(int64(k)))
+		cfg, env, st0, stats0, pos0, src0 := randomRunCase(rng)
+		capW := 100 + float64(rng.Intn(900))/10
+		n := rng.Intn(300)
+
+		st, stats, pos, src := st0, stats0, pos0, src0
+		pos, done := Steady(&cfg, &env, capW, &st, &stats, pos, &src, n)
+		if done < 0 || done > n {
+			t.Fatalf("case %d: Steady(%d) ran %d periods", k, n, done)
+		}
+		if done > 0 {
+			steady++
+			if done < n {
+				stopped++
+			}
+			if st0.BadTicks > 0 {
+				reset++
+			}
+		}
+		for done < n {
+			var ran int
+			pos, _, ran = Run(&cfg, &env, capW, &st, &stats, pos, &src, n-done, false)
+			done += ran
+		}
+
+		wst, wstats, wpos, noise := st0, stats0, pos0, src0.Noise
+		for p := 0; p < n; p++ {
+			given := src0
+			if lin := src0.Plant; lin != nil {
+				noise += splitmixGamma
+				f := float64(splitmix(noise)>>11) / (1 << 53)
+				given = Source{Watts: lin.Watts(wpos) + (f*2-1)*lin.NoiseWatts, Delivered: true}
+			}
+			wpos, _, _ = Run(&cfg, &env, capW, &wst, &wstats, wpos, &given, 1, false)
+		}
+
+		got := fmt.Sprintf("%+v %+v %+v %d", st, stats, pos, src.Noise)
+		want := fmt.Sprintf("%+v %+v %+v %d", wst, wstats, wpos, noise)
+		same := math.Float64bits(st.Smoothed) == math.Float64bits(wst.Smoothed) &&
+			math.Float64bits(st.LastRaw) == math.Float64bits(wst.LastRaw)
+		if got != want || !same {
+			t.Fatalf("case %d (n=%d tuning=%+v state=%+v source=%+v) diverged:\nengine:  %s\ngeneral: %s",
+				k, n, cfg, st0, src0, got, want)
+		}
+	}
+	// The comparison only bites where Steady ran: after a bad-tick run,
+	// and up to a reading it had to leave to Run.
+	if steady == 0 || stopped == 0 || reset == 0 {
+		t.Fatalf("Steady ran in %d cases, stopped early in %d, reset bad ticks in %d", steady, stopped, reset)
+	}
+}
+
 // TestRunZeroPeriods: n ≤ 0 runs nothing and touches nothing.
 func TestRunZeroPeriods(t *testing.T) {
 	cfg := FailSafeConfig()

@@ -7,8 +7,9 @@
 //
 // Every node runs the one control law in internal/bmc (bmc.Run and
 // bmc.Install over per-node bmc.State and bmc.Stats records) — the
-// entries bmc.BMC uses for a single Plant. Run owns the loop: one call
-// advances a node through a batch's periods until an event, reading the
+// entries bmc.BMC uses for a single Plant. The law owns the loop: one
+// call advances a node through a batch's periods until an event — or,
+// for bmc.Steady, a settled node's leading periods — reading the
 // analytic plant (bmc.Linear) through the node's noise stream. What is
 // the engine's own is the sensor the scalar stack used to layer per
 // node (a faults.FaultyPlant over an analytic plant), with two
@@ -309,9 +310,10 @@ func (e *Engine) Tick(n int) {
 // stepRange advances nodes [lo, hi) by the current batch, node-major:
 // nodes never interact within a tick, so the order is unobservable.
 //
-// The law owns the loop: one bmc.Run call per node covers every period
+// The law owns the loop: one bmc.Steady call per node runs the leading
+// periods a settled node spends in the steady state, bmc.Run the rest
 // of the batch but the last, resuming after each event it stops on,
-// and one more runs the last, which the audit's pre/post snapshots
+// and one more Run the last, which the audit's pre/post snapshots
 // bracket (at batch 1, the chaos harness's shape, that is the only
 // call). What is the engine's own is the audit snapshots, the
 // broken-floor quirk — which creeps between every two periods, so it
@@ -337,7 +339,11 @@ func (e *Engine) stepRange(worker, lo, hi int) {
 			src.Plant = nil // a storming sensor delivers nothing
 		}
 
-		for left := batch; left > 0; {
+		steady := 0
+		if enabled && batch > 1 {
+			pos, steady = bmc.Steady(cfg, env, capW, st, stats, pos, &src, batch-1)
+		}
+		for left := batch - steady; left > 0; {
 			n := left - 1
 			last := n == 0 || e.breakFloor
 			if last {
@@ -442,13 +448,14 @@ func (e *Engine) trueWattsLocked(i int) float64 {
 }
 
 // ManagementWatts is the reading served to management polls: the
-// controller's smoothed estimate, or truth before the first sample —
-// never a fresh sensor draw, so polling cannot perturb the seeded
-// noise streams.
+// controller's smoothed estimate while a policy is enabled, or truth
+// before the first sample and while uncapped — a disabled policy runs
+// no law, so its last estimate would go stale. It is never a fresh
+// sensor draw, so polling cannot perturb the seeded noise streams.
 func (e *Engine) ManagementWatts(i int) float64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if w := e.state[i].Smoothed; w != 0 {
+	if w := e.state[i].Smoothed; w != 0 && e.a.CapEnabled[i] {
 		return w
 	}
 	return e.trueWattsLocked(i)

@@ -419,6 +419,24 @@ func TestFailSafeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestManagementWattsAfterUncap: a disabled policy runs no law, so once
+// a node is uncapped the reading served to management polls is the
+// plant's draw, not the estimate the last capped period left behind.
+func TestManagementWattsAfterUncap(t *testing.T) {
+	e := New(Config{Nodes: 1, Seed: 1, Parallelism: 1})
+	defer e.Close()
+	e.PushPolicy(0, true, 140, 1)
+	e.Tick(50)
+	if w := e.ManagementWatts(0); w < 130 || w > 141 {
+		t.Fatalf("capped at 140 W, node reports %v W", w)
+	}
+	e.PushPolicy(0, false, 0, 1)
+	e.Tick(50)
+	if got, want := e.ManagementWatts(0), e.TrueWatts(0); got != want {
+		t.Fatalf("uncapped node reports %v W, draws %v W", got, want)
+	}
+}
+
 func TestEpochFencing(t *testing.T) {
 	e := New(Config{Nodes: 1, Seed: 1, Parallelism: 1})
 	defer e.Close()
