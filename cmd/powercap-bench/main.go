@@ -37,7 +37,6 @@ type options struct {
 	trials   int
 	parallel int
 	csvDir   string
-	memo     *core.Memo
 }
 
 func main() {
@@ -54,16 +53,12 @@ func main() {
 		trials   = flag.Int("trials", 0, "trials per cap (default 5, or 2 with -fast)")
 		parallel = flag.Int("parallel", 0, "worker pool size for sweep runs (0 = one per CPU, 1 = sequential)")
 		csvDir   = flag.String("csv", "", "directory for CSV artefacts (optional)")
-		memo     = flag.Bool("memo", false, "memoize sweep runs so repeated (cap, trial) grid points skip simulation")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
 
 	opt := options{fast: *fast, trials: *trials, parallel: *parallel, csvDir: *csvDir}
-	if *memo {
-		opt.memo = core.NewMemo(0)
-	}
 	stopCPU, err := profiling.StartCPU(*cpuProf)
 	if err != nil {
 		log.Fatalf("powercap-bench: %v", err)
@@ -168,7 +163,6 @@ func runSweep(opt options, name string) core.SweepResult {
 		NewWorkload: sweepWorkload(opt, name),
 		Trials:      opt.trials,
 		Parallelism: opt.parallel,
-		Memo:        opt.memo,
 	}.Run()
 	if err != nil {
 		log.Fatalf("powercap-bench: %v", err)

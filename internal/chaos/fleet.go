@@ -369,7 +369,7 @@ func (f *Fleet) dialer(leaf int) dcm.Dialer {
 		if down, _ := f.linkState(i); down {
 			return nil, errLinkDown
 		}
-		return &memLink{f: f, i: i, leaf: leaf}, nil
+		return ipmi.NewClientConn(ipmi.Loopback(f.link(i, leaf))), nil
 	}
 }
 

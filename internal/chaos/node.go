@@ -1,9 +1,7 @@
 package chaos
 
 import (
-	"bytes"
 	"errors"
-	"fmt"
 
 	"nodecap/internal/fleet"
 	"nodecap/internal/ipmi"
@@ -88,137 +86,32 @@ func (c *nodeCtl) Health() ipmi.Health {
 	}
 }
 
-// memLink implements dcm.BMC by round-tripping real wire frames
-// through the node's ipmi.Server dispatch table in-process — the full
-// codec path without socket timing. An asymmetric partition applies
-// the request but loses the response, exactly the failure mode where
-// a manager must not assume a failed push changed nothing.
-type memLink struct {
-	f   *Fleet
-	i   int
-	seq uint32
-	// leaf is the tree leaf index whose manager owns this connection
-	// (-1 without a tree). Admitted cap pushes are attributed to it for
-	// the single_owner checker.
-	leaf int
+// link is node i's end of an in-process manager connection: the
+// handler under an ipmi.Loopback, so the manager talks to the node
+// through the product's ipmi.Client. An asymmetric partition applies
+// the request but loses the response, exactly the failure mode where a
+// manager must not assume a failed push changed nothing. leaf is the
+// tree leaf index whose manager owns the connection (-1 without a
+// tree); admitted cap pushes are attributed to it for single_owner.
+func (f *Fleet) link(i, leaf int) func(ipmi.Frame) (ipmi.Frame, error) {
+	return func(req ipmi.Frame) (ipmi.Frame, error) {
+		down, asym := f.linkState(i)
+		if down {
+			return ipmi.Frame{}, errLinkDown
+		}
+		// A stormed node answers correctly but late: advance simulated
+		// time by this exchange's jittered latency so the manager's clock
+		// reads around the call measure the slowness for real.
+		f.injectLatency(i)
+		resp := f.srvs[i].Handle(req)
+		if asym {
+			return ipmi.Frame{}, errLinkAsym
+		}
+		if req.Cmd == ipmi.CmdSetPowerLimit && leaf >= 0 && len(resp.Payload) > 0 && resp.Payload[0] == ipmi.CCOK {
+			// Every push comes from the run loop or its one-worker polls,
+			// which finish before Poll returns, so the log needs no lock.
+			f.pushLog = append(f.pushLog, ownedPush{node: i, leaf: leaf})
+		}
+		return resp, nil
+	}
 }
-
-func (l *memLink) call(cmd uint8, payload []byte) ([]byte, error) {
-	down, asym := l.f.linkState(l.i)
-	if down {
-		return nil, errLinkDown
-	}
-	// A stormed node answers correctly but late: advance simulated time
-	// by this exchange's jittered latency so the manager's clock reads
-	// around the call measure the slowness for real.
-	l.f.injectLatency(l.i)
-	l.seq++
-	req := ipmi.Frame{Seq: l.seq, NetFn: ipmi.NetFnOEM, Cmd: cmd, Payload: payload}
-	b, err := req.Marshal()
-	if err != nil {
-		return nil, err
-	}
-	onWire, err := ipmi.ReadFrame(bytes.NewReader(b))
-	if err != nil {
-		return nil, err
-	}
-	resp := l.f.srvs[l.i].Handle(onWire)
-	if asym {
-		return nil, errLinkAsym
-	}
-	rb, err := resp.Marshal()
-	if err != nil {
-		return nil, err
-	}
-	back, err := ipmi.ReadFrame(bytes.NewReader(rb))
-	if err != nil {
-		return nil, err
-	}
-	if len(back.Payload) == 0 {
-		return nil, errors.New("chaos: empty response payload")
-	}
-	switch cc := back.Payload[0]; cc {
-	case ipmi.CCOK:
-	case ipmi.CCStaleEpoch:
-		// Surface the fencing verdict as the sentinel error, exactly as
-		// the TCP client does, so the manager's fenced detection fires
-		// through the in-process path too.
-		return nil, ipmi.ErrStaleEpoch
-	default:
-		return nil, fmt.Errorf("chaos: completion code %#02x", cc)
-	}
-	return back.Payload[1:], nil
-}
-
-func (l *memLink) GetDeviceID() (ipmi.DeviceInfo, error) {
-	p, err := l.call(ipmi.CmdGetDeviceID, nil)
-	if err != nil {
-		return ipmi.DeviceInfo{}, err
-	}
-	return ipmi.DecodeDeviceInfo(p)
-}
-
-func (l *memLink) GetPowerReading() (ipmi.PowerReading, error) {
-	p, err := l.call(ipmi.CmdGetPowerReading, nil)
-	if err != nil {
-		return ipmi.PowerReading{}, err
-	}
-	return ipmi.DecodePowerReading(p)
-}
-
-func (l *memLink) SetPowerLimit(lim ipmi.PowerLimit) error {
-	_, err := l.call(ipmi.CmdSetPowerLimit, ipmi.EncodePowerLimit(lim))
-	if err == nil && l.leaf >= 0 {
-		// The plant admitted this push on a leaf-attributed connection;
-		// single_owner audits it against current tree ownership. Every
-		// push comes from the run loop or its one-worker polls, which
-		// finish before Poll returns, so the log needs no lock.
-		l.f.pushLog = append(l.f.pushLog, ownedPush{node: l.i, leaf: l.leaf})
-	}
-	return err
-}
-
-func (l *memLink) GetPowerLimit() (ipmi.PowerLimit, error) {
-	p, err := l.call(ipmi.CmdGetPowerLimit, nil)
-	if err != nil {
-		return ipmi.PowerLimit{}, err
-	}
-	return ipmi.DecodePowerLimit(p)
-}
-
-func (l *memLink) GetPStateInfo() (ipmi.PStateInfo, error) {
-	p, err := l.call(ipmi.CmdGetPStateInfo, nil)
-	if err != nil {
-		return ipmi.PStateInfo{}, err
-	}
-	return ipmi.DecodePStateInfo(p)
-}
-
-func (l *memLink) GetGatingLevel() (int, error) {
-	p, err := l.call(ipmi.CmdGetGatingLevel, nil)
-	if err != nil {
-		return 0, err
-	}
-	if len(p) < 1 {
-		return 0, errors.New("chaos: short gating payload")
-	}
-	return int(p[0]), nil
-}
-
-func (l *memLink) GetCapabilities() (ipmi.Capabilities, error) {
-	p, err := l.call(ipmi.CmdGetCapabilities, nil)
-	if err != nil {
-		return ipmi.Capabilities{}, err
-	}
-	return ipmi.DecodeCapabilities(p)
-}
-
-func (l *memLink) GetHealth() (ipmi.Health, error) {
-	p, err := l.call(ipmi.CmdGetHealth, nil)
-	if err != nil {
-		return ipmi.Health{}, err
-	}
-	return ipmi.DecodeHealth(p)
-}
-
-func (l *memLink) Close() error { return nil }

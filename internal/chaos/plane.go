@@ -107,7 +107,7 @@ func (f *Fleet) setup() error {
 			f.mux.Register(uint32(i), srv)
 		}
 		f.snapPath = shard.SnapshotPathIn(f.dir)
-		f.adoptTree(shard.NewTree(uint64(s.Seed), 0, &chaosBatch{mux: f.mux}, f.snapPath))
+		f.adoptTree(shard.NewTree(uint64(s.Seed), 0, f.batchPlane(), f.snapPath))
 	}
 	if s.HA {
 		replicas = 2

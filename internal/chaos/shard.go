@@ -2,7 +2,6 @@ package chaos
 
 import (
 	"fmt"
-	"io"
 
 	"nodecap/internal/dcm"
 	"nodecap/internal/ipmi"
@@ -114,7 +113,7 @@ func (f *Fleet) aggRestart(v *Verdict) error {
 	if err != nil {
 		return fmt.Errorf("chaos: loading shard map: %w", err)
 	}
-	tree, err := shard.NewTreeFromState(st, &chaosBatch{mux: f.mux}, f.snapPath)
+	tree, err := shard.NewTreeFromState(st, f.batchPlane(), f.snapPath)
 	if err != nil {
 		return fmt.Errorf("chaos: restoring tree: %w", err)
 	}
@@ -137,47 +136,11 @@ func (f *Fleet) aggRestart(v *Verdict) error {
 	return nil
 }
 
-// chaosBatch adapts the fleet's ipmi.Mux to shard.BatchTransport,
-// round-tripping real batch frames through Mux.Handle — the same
-// dispatch (and the same per-node fence watermarks) the leaf memLinks
-// hit.
-type chaosBatch struct {
-	mux *ipmi.Mux
-	seq uint32
-}
-
-func (c *chaosBatch) exchange(cmd uint8, payload []byte) ([]byte, error) {
-	c.seq++
-	resp := c.mux.Handle(ipmi.Frame{Seq: c.seq, NetFn: ipmi.NetFnOEM, Cmd: cmd, Payload: payload})
-	if len(resp.Payload) < 1 {
-		return nil, io.ErrUnexpectedEOF
-	}
-	if cc := resp.Payload[0]; cc != ipmi.CCOK {
-		return nil, fmt.Errorf("chaos: batch completion code %#02x", cc)
-	}
-	return resp.Payload[1:], nil
-}
-
-func (c *chaosBatch) BatchPoll(ids []uint32) ([]ipmi.BatchPollResult, error) {
-	payload, err := ipmi.EncodeBatchPollRequest(ids)
-	if err != nil {
-		return nil, err
-	}
-	b, err := c.exchange(ipmi.CmdBatchPoll, payload)
-	if err != nil {
-		return nil, err
-	}
-	return ipmi.DecodeBatchPollResponse(b)
-}
-
-func (c *chaosBatch) BatchSet(entries []ipmi.BatchSetEntry) ([]ipmi.BatchSetResult, error) {
-	payload, err := ipmi.EncodeBatchSetRequest(entries)
-	if err != nil {
-		return nil, err
-	}
-	b, err := c.exchange(ipmi.CmdBatchSet, payload)
-	if err != nil {
-		return nil, err
-	}
-	return ipmi.DecodeBatchSetResponse(b)
+// batchPlane is the tree's shard.BatchTransport: the product client
+// over a loopback into the fleet's ipmi.Mux — the same dispatch (and
+// the same per-node fence watermarks) the leaves' links hit.
+func (f *Fleet) batchPlane() *ipmi.Client {
+	return ipmi.NewClientConn(ipmi.Loopback(func(req ipmi.Frame) (ipmi.Frame, error) {
+		return f.mux.Handle(req), nil
+	}))
 }

@@ -45,12 +45,6 @@ type Experiment struct {
 	// Parallelism permits more than one worker (pure constructors over
 	// shared read-only configuration are).
 	Parallelism int
-	// Memo, when non-nil, caches each (workload, cap, seed, config)
-	// run result so repeated grid points across Run calls skip the
-	// simulation. Share one Memo across experiments to reuse overlap;
-	// leave nil for the stock uncached behaviour. See Memo for the
-	// purity requirements on injected config hooks.
-	Memo *Memo
 }
 
 // Defaults fills unset fields.
@@ -164,35 +158,18 @@ func (e Experiment) Run() (SweepResult, error) {
 			capWatts = e.Caps[row-1]
 		}
 		seed := uint64(row+1)*1000 + uint64(trial)
-		cfg := e.MachineConfig(seed)
-		var key memoKey
-		if e.Memo != nil {
-			key = memoKey{
-				workload: out.Workload,
-				capWatts: capWatts,
-				seed:     seed,
-				cfgHash:  hashConfig(cfg),
-			}
-			if r, ok := e.Memo.get(key); ok {
-				runs[job] = r
-				return
-			}
-		}
 		var old *machine.Machine
 		mu.Lock()
 		if n := len(finished); n > 0 {
 			old, finished = finished[n-1], finished[:n-1]
 		}
 		mu.Unlock()
-		m := machine.Recycle(cfg, old)
+		m := machine.Recycle(e.MachineConfig(seed), old)
 		m.SetPolicy(capWatts)
 		runs[job] = m.RunWorkload(newRun())
 		mu.Lock()
 		finished = append(finished, m)
 		mu.Unlock()
-		if e.Memo != nil {
-			e.Memo.put(key, runs[job])
-		}
 	})
 
 	out.Baseline = e.reduceCap(0, "baseline", runs[:e.Trials])

@@ -600,6 +600,11 @@ func (m *Manager) dropConn(n *managedNode, bmc BMC) {
 // the connection — the exchange completed, only the authority was
 // refused.
 func (m *Manager) SetNodeCap(name string, capWatts float64) error {
+	if math.IsNaN(capWatts) || math.IsInf(capWatts, 0) {
+		// Refused before desired state changes: a NaN would read as
+		// "disabled" and the next poll would uncap the node.
+		return fmt.Errorf("dcm: cap %v W for %q is not finite", capWatts, name)
+	}
 	n, err := m.node(name)
 	if err != nil {
 		return err

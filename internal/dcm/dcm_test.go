@@ -2,6 +2,7 @@ package dcm
 
 import (
 	"errors"
+	"math"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -127,6 +128,36 @@ func TestSetNodeCap(t *testing.T) {
 	}
 	if err := m.SetNodeCap("ghost", 140); err == nil {
 		t.Error("unknown node accepted")
+	}
+}
+
+func TestSetNodeCapRefusesNonFinite(t *testing.T) {
+	for _, stateDir := range []bool{false, true} {
+		for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			b := newFakeBMC(150)
+			m := fleet(map[string]*fakeBMC{"a": b})
+			if stateDir {
+				if err := m.OpenStateDir(t.TempDir()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			m.AddNode("n", "a")
+			if err := m.SetNodeCap("n", 140); err != nil {
+				t.Fatal(err)
+			}
+			before := m.Nodes()
+			if err := m.SetNodeCap("n", w); err == nil {
+				t.Errorf("state dir %v: cap %v W accepted", stateDir, w)
+			}
+			if after := m.Nodes(); after[0].CapWatts != 140 || !after[0].CapEnabled || after[0] != before[0] {
+				t.Errorf("state dir %v: cap %v W changed desired state to %+v", stateDir, w, after[0])
+			}
+			m.Poll()
+			if lim := b.limit; !lim.Enabled || lim.CapWatts != 140 {
+				t.Errorf("state dir %v: after cap %v W and a poll the BMC holds %+v", stateDir, w, lim)
+			}
+			m.Close()
+		}
 	}
 }
 

@@ -173,6 +173,9 @@ func EncodeBatchSetRequest(entries []BatchSetEntry) ([]byte, error) {
 	if err := checkBatchLen(len(entries), batchSetReqEntry); err != nil {
 		return nil, err
 	}
+	if err := checkLimits(entries); err != nil {
+		return nil, err
+	}
 	return appendBatchSetRequest(make([]byte, 0, batchOverhead+len(entries)*batchSetReqEntry), entries), nil
 }
 
@@ -239,6 +242,17 @@ func DecodeBatchSetResponse(b []byte) ([]BatchSetResult, error) {
 	return out, nil
 }
 
+// checkLimits refuses a batch with any limit the wire cannot carry (see
+// checkLimit), naming the node.
+func checkLimits(entries []BatchSetEntry) error {
+	for _, e := range entries {
+		if err := checkLimit(e.Limit); err != nil {
+			return fmt.Errorf("%w (node id %d)", err, e.ID)
+		}
+	}
+	return nil
+}
+
 // checkBatchLen bounds one encoded batch to a single frame.
 func checkBatchLen(n, entrySize int) error {
 	if n > 255 || batchOverhead+n*entrySize > MaxPayload {
@@ -270,14 +284,6 @@ func NewMux() *Mux {
 func (m *Mux) Register(id uint32, srv *Server) {
 	m.nodesMu.Lock()
 	m.nodes[id] = srv
-	m.nodesMu.Unlock()
-}
-
-// Unregister removes node id; subsequent batch entries for it complete
-// with CCNotPresent.
-func (m *Mux) Unregister(id uint32) {
-	m.nodesMu.Lock()
-	delete(m.nodes, id)
 	m.nodesMu.Unlock()
 }
 
@@ -382,21 +388,21 @@ func (m *Mux) setOne(seq uint32, e BatchSetEntry) byte {
 	})[0]
 }
 
-// batchExchange sends one batch frame — build appends its payload to
-// the request — and decodes the response's want results before
+// batchExchange sends one batch frame — appendReq appends chunk's
+// payload to the request — and decodes the response's results before
 // releasing c.mu (see Client's buffer-ownership rule). A malformed
 // response poisons the stream: the frame was aligned but its content
 // cannot be trusted.
-func batchExchange[R any](c *Client, cmd uint8, want int, build func([]byte) []byte, decode func([]byte) ([]R, error)) ([]R, error) {
+func batchExchange[E, R any](c *Client, cmd uint8, chunk []E, appendReq func([]byte, []E) []byte, decode func([]byte) ([]R, error)) ([]R, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	b, err := c.exchange(build(c.request(cmd)))
+	b, err := c.exchange(appendReq(c.request(cmd), chunk))
 	if err != nil {
 		return nil, err
 	}
 	results, err := decode(b)
-	if err == nil && len(results) != want {
-		err = fmt.Errorf("ipmi: batch command %#x returned %d results for %d entries", cmd, len(results), want)
+	if err == nil && len(results) != len(chunk) {
+		err = fmt.Errorf("ipmi: batch command %#x returned %d results for %d entries", cmd, len(results), len(chunk))
 	}
 	if err != nil {
 		c.broken = true
@@ -405,38 +411,36 @@ func batchExchange[R any](c *Client, cmd uint8, want int, build func([]byte) []b
 	return results, nil
 }
 
-// BatchPoll reads power and applied limits for ids over a multiplexed
-// connection, chunking transparently at MaxBatchEntries. Results come
-// back in request order, one per id, each with its own completion code.
-func (c *Client) BatchPoll(ids []uint32) ([]BatchPollResult, error) {
-	out := make([]BatchPollResult, 0, len(ids))
-	for len(ids) > 0 {
-		chunk := ids[:min(len(ids), MaxBatchEntries)]
-		results, err := batchExchange(c, CmdBatchPoll, len(chunk),
-			func(b []byte) []byte { return appendBatchPollRequest(b, chunk) }, DecodeBatchPollResponse)
+// batchCall runs a batch command over in, one frame per MaxBatchEntries
+// chunk, and returns the results in request order, one per entry.
+func batchCall[E, R any](c *Client, cmd uint8, in []E, appendReq func([]byte, []E) []byte, decode func([]byte) ([]R, error)) ([]R, error) {
+	out := make([]R, 0, len(in))
+	for len(in) > 0 {
+		chunk := in[:min(len(in), MaxBatchEntries)]
+		results, err := batchExchange(c, cmd, chunk, appendReq, decode)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, results...)
-		ids = ids[len(chunk):]
+		in = in[len(chunk):]
 	}
 	return out, nil
 }
 
+// BatchPoll reads power and applied limits for ids over a multiplexed
+// connection, chunking transparently at MaxBatchEntries. Results come
+// back in request order, one per id, each with its own completion code.
+func (c *Client) BatchPoll(ids []uint32) ([]BatchPollResult, error) {
+	return batchCall(c, CmdBatchPoll, ids, appendBatchPollRequest, DecodeBatchPollResponse)
+}
+
 // BatchSet pushes limits for entries over a multiplexed connection,
 // chunking transparently at MaxBatchEntries. Every entry gets its own
-// completion code; a fenced or absent node fails only its slot.
+// completion code; a fenced or absent node fails only its slot. A
+// limit the wire cannot carry fails the whole call before any I/O.
 func (c *Client) BatchSet(entries []BatchSetEntry) ([]BatchSetResult, error) {
-	out := make([]BatchSetResult, 0, len(entries))
-	for len(entries) > 0 {
-		chunk := entries[:min(len(entries), MaxBatchEntries)]
-		results, err := batchExchange(c, CmdBatchSet, len(chunk),
-			func(b []byte) []byte { return appendBatchSetRequest(b, chunk) }, DecodeBatchSetResponse)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, results...)
-		entries = entries[len(chunk):]
+	if err := checkLimits(entries); err != nil {
+		return nil, err
 	}
-	return out, nil
+	return batchCall(c, CmdBatchSet, entries, appendBatchSetRequest, DecodeBatchSetResponse)
 }

@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 )
 
 // Protocol constants.
@@ -160,16 +161,6 @@ func ReadFrame(r io.Reader) (Frame, error) {
 	return openFrame(hdr[:], body)
 }
 
-// WriteFrame encodes and writes f to w.
-func WriteFrame(w io.Writer, f Frame) error {
-	buf, err := f.Marshal()
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(buf)
-	return err
-}
-
 // frameReader reads frames in place from one connection end through a
 // buffer it owns. The buffer starts at inlineFrameLen, which holds every
 // single-node frame, so an ordinary frame costs one Read; a larger
@@ -231,6 +222,19 @@ func (fr *frameReader) next(src io.Reader) (Frame, error) {
 // on the wire).
 func appendWatts(b []byte, w float64) []byte {
 	return binary.BigEndian.AppendUint32(b, uint32(w*100+0.5))
+}
+
+// maxWireWatts is the largest wattage a centiwatt field carries.
+const maxWireWatts = math.MaxUint32 / 100.0
+
+// checkLimit refuses an enabled limit whose watts the centiwatt field
+// cannot carry: appendWatts would wrap NaN, ±Inf, a negative or an
+// oversized cap into some other, enforceable cap.
+func checkLimit(p PowerLimit) error {
+	if p.Enabled && !(p.CapWatts >= 0 && p.CapWatts <= maxWireWatts) {
+		return fmt.Errorf("ipmi: cap %v W is outside the wire range [0, %.2f]", p.CapWatts, maxWireWatts)
+	}
+	return nil
 }
 
 func getWatts(b []byte) float64 {

@@ -292,7 +292,11 @@ func TestClientOverPipe(t *testing.T) {
 			if err != nil {
 				return
 			}
-			if err := WriteFrame(b, srv.Handle(req)); err != nil {
+			buf, err := srv.Handle(req).Marshal()
+			if err != nil {
+				return
+			}
+			if _, err := b.Write(buf); err != nil {
 				return
 			}
 		}

@@ -150,8 +150,8 @@ func NewServer(ctl NodeControl) *Server {
 }
 
 // Handle processes one request frame and produces the response frame.
-// Exposed so in-process tests can exercise the dispatch table without
-// sockets.
+// It is the in-process endpoint: a Loopback over it runs the client
+// against the dispatch table without a socket.
 func (s *Server) Handle(req Frame) Frame {
 	// 16 bytes hold the longest response payload (completion code and a
 	// fenced power limit, 14), so the payload is the one allocation.
@@ -423,8 +423,12 @@ func (c *Client) GetPowerReading() (PowerReading, error) {
 	return query(c, CmdGetPowerReading, DecodePowerReading)
 }
 
-// SetPowerLimit pushes a capping policy to the BMC.
+// SetPowerLimit pushes a capping policy to the BMC. An enabled limit
+// the wire cannot carry is refused before any I/O.
 func (c *Client) SetPowerLimit(lim PowerLimit) error {
+	if err := checkLimit(lim); err != nil {
+		return err
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	_, err := c.exchange(appendPowerLimit(c.request(CmdSetPowerLimit), lim))

@@ -18,9 +18,10 @@ const RoleAggregator = "aggregator"
 func NodeID(name string) uint32 { return uint32(fnv64a(name)) }
 
 // HandleControl serves the dcmctl control-plane protocol for a sharded
-// daemon: per-node ops route to the owning leaf, fleet-wide ops fan
-// out across every attached leaf and merge, and the sharded-only
-// "shards" op reports the tree. With Epoch it makes *Tree a dcm.Control.
+// daemon: per-node ops go to the owning leaf manager's HandleControl,
+// fleet-wide ops fan out across every attached leaf and merge, and the
+// sharded-only "shards" op reports the tree. With Epoch it makes *Tree
+// a dcm.Control.
 func (t *Tree) HandleControl(req dcm.Request) dcm.Response {
 	fail := func(err error) dcm.Response { return dcm.Response{Error: err.Error()} }
 	switch req.Op {
@@ -48,41 +49,12 @@ func (t *Tree) HandleControl(req dcm.Request) dcm.Response {
 		return dcm.Response{OK: true, Role: RoleAggregator, Epoch: t.Epoch()}
 	case "poll":
 		return dcm.Response{OK: true, Nodes: t.allNodes(true), Role: RoleAggregator, Epoch: t.Epoch()}
-	case "setcap":
+	case "setcap", "settier", "history":
 		mgr, err := t.ownerManager(req.Name)
 		if err != nil {
 			return fail(err)
 		}
-		if err := mgr.SetNodeCap(req.Name, req.Cap); err != nil {
-			return fail(err)
-		}
-		return dcm.Response{OK: true}
-	case "settier":
-		mgr, err := t.ownerManager(req.Name)
-		if err != nil {
-			return fail(err)
-		}
-		tier, err := dcm.ParseTier(req.Tier)
-		if err != nil {
-			return fail(err)
-		}
-		if err := mgr.SetNodeTier(req.Name, tier); err != nil {
-			return fail(err)
-		}
-		return dcm.Response{OK: true}
-	case "history":
-		mgr, err := t.ownerManager(req.Name)
-		if err != nil {
-			return fail(err)
-		}
-		h, err := mgr.History(req.Name)
-		if err != nil {
-			return fail(err)
-		}
-		if req.Limit > 0 && len(h) > req.Limit {
-			h = h[len(h)-req.Limit:]
-		}
-		return dcm.Response{OK: true, History: h}
+		return mgr.HandleControl(req)
 	case "budget":
 		// The group is implicit — the whole tree; Rebalance divides it.
 		res, err := t.Rebalance(req.Budget)
