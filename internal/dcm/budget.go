@@ -57,9 +57,6 @@ func (m *Manager) AllocateBudgetWeighted(budgetWatts float64, names []string, we
 	if math.IsNaN(budgetWatts) || math.IsInf(budgetWatts, 0) {
 		return nil, fmt.Errorf("dcm: budget %v W is not finite", budgetWatts)
 	}
-	if err := CheckGroup(names); err != nil {
-		return nil, err
-	}
 	staleAfter := m.StaleAfter
 	if staleAfter <= 0 {
 		staleAfter = DefaultStaleAfter
@@ -105,17 +102,21 @@ func (m *Manager) AllocateBudgetWeighted(budgetWatts float64, names []string, we
 
 // CheckGroup refuses a budget group that names a node twice: the node
 // would claim its share twice, and its minimum too. AllocateBudget
-// checks every group; a daemon calls this to refuse a bad group at
-// start rather than on every balance tick.
+// refuses such a group too (see waterfill); a daemon calls this to
+// refuse a bad group at start rather than on every balance tick.
 func CheckGroup(names []string) error {
 	sorted := slices.Clone(names)
 	slices.Sort(sorted)
 	for i := 1; i < len(sorted); i++ {
 		if sorted[i] == sorted[i-1] {
-			return fmt.Errorf("dcm: node %q named twice in the budget group", sorted[i])
+			return errNamedTwice(sorted[i])
 		}
 	}
 	return nil
+}
+
+func errNamedTwice(name string) error {
+	return fmt.Errorf("dcm: node %q named twice in the budget group", name)
 }
 
 // demandWatts is the per-node demand rule a node's bid and its leaf's
@@ -157,7 +158,9 @@ func (m *Manager) DemandSummary() (minWatts, wantWatts, maxWatts float64) {
 // most the budget, so a crash (or partition) mid-sweep can never
 // freeze the fleet in an over-budget state — shrinking one node's
 // share before growing another's is the only order for which that
-// holds. The returned slice is in push order.
+// holds. Each phase is one wave (see pushWave), pipelined across
+// nodes, and every lower is acked or has failed before the first raise
+// is journaled. The returned slice is in push order.
 func (m *Manager) ApplyBudget(budgetWatts float64, names []string) ([]Allocation, error) {
 	return m.ApplyBudgetWeighted(budgetWatts, names, nil)
 }
@@ -176,13 +179,11 @@ func (m *Manager) ApplyBudgetWeighted(budgetWatts float64, names []string, weigh
 		return nil, err
 	}
 
-	ordered := m.PushOrder(allocs)
-	var errs []error
-	for _, a := range ordered {
-		if err := m.SetNodeCap(a.Name, a.CapWatts); err != nil {
-			errs = append(errs, err)
-		}
-	}
+	// Two waves with a barrier between them: every lower is acked, or
+	// has failed, before any raise is journaled or sent.
+	ordered, lowers := m.pushOrder(allocs)
+	errs := m.pushWave(ordered[:lowers], nil)
+	errs = m.pushWave(ordered[lowers:], errs)
 	m.mu.Lock()
 	m.tel.budgetReallocs.Inc()
 	m.tel.trace.Append(telemetry.Event{
@@ -196,25 +197,33 @@ func (m *Manager) ApplyBudgetWeighted(budgetWatts float64, names []string, weigh
 // or below the node's current enabled desired cap (its contribution to
 // the enforced total) first, then raises and first-time caps.
 func (m *Manager) PushOrder(allocs []Allocation) []Allocation {
-	lowers := make([]bool, len(allocs))
+	ordered, _ := m.pushOrder(allocs)
+	return ordered
+}
+
+// pushOrder is PushOrder, also reporting how many of the ordered
+// allocations are lowers. Lowers fill the result from the front and
+// raises from the back, so one reversal restores the raises' order.
+func (m *Manager) pushOrder(allocs []Allocation) (ordered []Allocation, lowers int) {
+	ordered = make([]Allocation, len(allocs))
+	raises := len(allocs)
 	m.mu.Lock()
-	for i, a := range allocs {
+	for _, a := range allocs {
 		var contribution float64
 		if n, ok := m.nodes[a.Name]; ok && n.haveDesired && n.desired.Enabled {
 			contribution = n.desired.CapWatts
 		}
-		lowers[i] = a.CapWatts <= contribution
-	}
-	m.mu.Unlock()
-	ordered := make([]Allocation, 0, len(allocs))
-	for _, first := range []bool{true, false} {
-		for i, a := range allocs {
-			if lowers[i] == first {
-				ordered = append(ordered, a)
-			}
+		if a.CapWatts <= contribution {
+			ordered[lowers] = a
+			lowers++
+		} else {
+			raises--
+			ordered[raises] = a
 		}
 	}
-	return ordered
+	m.mu.Unlock()
+	slices.Reverse(ordered[lowers:])
+	return ordered, lowers
 }
 
 // StartAutoBalance re-divides budgetWatts across the named nodes every
@@ -362,19 +371,22 @@ func Divide(budget float64, claims []Claim) (grants []float64, feasible bool) {
 
 // waterfill divides budget over the nodes' demands under Divide.
 //
-// The input is canonicalized to name order first, so the result is a
-// pure function of the demand *set*: both the iterative rounding drift
+// The input is sorted into name order first, in place, so the result is
+// a pure function of the demand *set*: both the iterative rounding drift
 // and the spare-budget pass would otherwise leak the caller's argument
 // order into the grants, and two managers balancing the same group
-// from differently-ordered configs would push different caps.
+// from differently-ordered configs would push different caps. Sorted,
+// a node named twice sits next to itself and is refused.
 func waterfill(budget float64, demands []demand) ([]Allocation, error) {
 	if len(demands) == 0 {
 		return nil, fmt.Errorf("dcm: empty node group")
 	}
-	demands = append([]demand(nil), demands...)
 	sort.Slice(demands, func(i, j int) bool { return demands[i].name < demands[j].name })
 	claims := make([]Claim, len(demands))
 	for i, d := range demands {
+		if i > 0 && d.name == demands[i-1].name {
+			return nil, errNamedTwice(d.name)
+		}
 		if d.min < 0 || d.max < d.min {
 			return nil, fmt.Errorf("dcm: node %q has invalid cap range [%v, %v]", d.name, d.min, d.max)
 		}

@@ -587,8 +587,10 @@ func (m *Manager) dropConn(n *managedNode, bmc BMC) {
 }
 
 // SetNodeCap pushes a capping policy to one node. capWatts <= 0
-// disables capping. An explicit operator action redials a disconnected
-// node immediately, ignoring the poll loop's backoff gate.
+// disables capping; a cap that is not finite, or above the
+// ipmi.MaxWireWatts the wire carries, is refused before desired state
+// changes. An explicit operator action redials a disconnected node
+// immediately, ignoring the poll loop's backoff gate.
 //
 // Desired state is recorded (and journaled, when a state dir is open)
 // *before* the push: if the push fails, the intent survives and the
@@ -599,31 +601,137 @@ func (m *Manager) dropConn(n *managedNode, bmc BMC) {
 // ipmi.ErrStaleEpoch, which marks the manager Fenced without dropping
 // the connection — the exchange completed, only the authority was
 // refused.
+//
+// SetNodeCap is a wave of one push (see pushWave).
 func (m *Manager) SetNodeCap(name string, capWatts float64) error {
-	if math.IsNaN(capWatts) || math.IsInf(capWatts, 0) {
-		// Refused before desired state changes: a NaN would read as
-		// "disabled" and the next poll would uncap the node.
-		return fmt.Errorf("dcm: cap %v W for %q is not finite", capWatts, name)
+	if errs := m.pushWave([]Allocation{{Name: name, CapWatts: capWatts}}, nil); len(errs) > 0 {
+		return errs[0]
 	}
-	n, err := m.node(name)
-	if err != nil {
-		return err
+	return nil
+}
+
+// splitPusher is a BMC whose cap push splits into a send and an await,
+// as *ipmi.Client's does, so a wave can put every node's push on the
+// wire before it reads any ack. A BMC without it pushes synchronously
+// when the wave awaits it.
+type splitPusher interface {
+	SendPowerLimit(ipmi.PowerLimit) error
+	AwaitPowerLimit() error
+}
+
+// pushChunk is how many intents a wave records and journals in one
+// store append before it sends their pushes; it bounds the journal
+// buffer a wave leaves behind at any fleet size.
+const pushChunk = 64
+
+// capPush is one push of a wave.
+type capPush struct {
+	n   *managedNode
+	lim ipmi.PowerLimit
+	// bmc is the registered connection that holds the push, and the
+	// node's busy token with it, until the wave awaits it; nil once the
+	// outcome is settled.
+	bmc BMC
+	// err is the settled outcome or, while bmc is set, the send's
+	// failure.
+	err error
+}
+
+// pushWave pushes allocs' caps in order and appends the failures, in
+// the same order, to errs. It goes chunk by chunk: a chunk's intents
+// are recorded as desired state and journaled in one append, and only
+// then are its pushes sent. Every ack is awaited after the last chunk
+// is sent, in push order, each within the request timeout armed at its
+// send, so k hung nodes cost the wave about one timeout, not k. A node
+// whose busy token another operation holds takes the priority lane
+// inline at send.
+func (m *Manager) pushWave(allocs []Allocation, errs []error) []error {
+	pushes := make([]capPush, len(allocs))
+	for lo := 0; lo < len(pushes); lo += pushChunk {
+		chunk := pushes[lo:min(lo+pushChunk, len(pushes))]
+		m.recordIntents(allocs[lo:], chunk)
+		for i := range chunk {
+			m.sendPush(&chunk[i])
+		}
 	}
-	lim := ipmi.PowerLimit{Enabled: capWatts > 0, CapWatts: capWatts}
+	for i := range pushes {
+		p := &pushes[i]
+		if p.bmc != nil {
+			p.err = m.awaitPush(p.n, p.bmc, p.lim, p.err)
+		}
+		if p.err != nil {
+			errs = append(errs, p.err)
+		}
+	}
+	return errs
+}
+
+// recordIntents checks each of the chunk's caps, records it as the
+// node's desired state and journals the chunk's intents in one append.
+// A push refused here, or whose intent could not be journaled, is
+// settled with that error and never sent.
+func (m *Manager) recordIntents(allocs []Allocation, chunk []capPush) {
+	var recs [pushChunk]store.Record
+	k := 0
 	m.mu.Lock()
+	st := m.store
+	for i := range chunk {
+		p, a := &chunk[i], allocs[i]
+		if p.err = m.checkIntentLocked(a); p.err != nil {
+			continue
+		}
+		n := m.nodes[a.Name]
+		p.n = n
+		p.lim = ipmi.PowerLimit{Enabled: a.CapWatts > 0, CapWatts: a.CapWatts, Epoch: m.epoch}
+		n.desired, n.haveDesired = p.lim, true
+		n.status.CapWatts, n.status.CapEnabled = a.CapWatts, p.lim.Enabled
+		if st != nil {
+			recs[k] = store.Record{Op: store.OpSetCap, Name: n.name, Node: n.recordLocked()}
+			k++
+		}
+	}
+	m.mu.Unlock()
+	if k == 0 {
+		return
+	}
+	if err := st.ApplyAll(recs[:k]); err != nil {
+		for i := range chunk {
+			if p := &chunk[i]; p.err == nil {
+				p.err = fmt.Errorf("dcm: journaling %s %q: %w", store.OpSetCap, p.n.name, err)
+			}
+		}
+	}
+}
+
+// checkIntentLocked refuses a cap before it becomes desired state: a
+// NaN would read as "disabled" and the next poll would uncap the node,
+// and a cap the wire cannot carry would fail every later push and
+// reconcile. Callers hold m.mu.
+func (m *Manager) checkIntentLocked(a Allocation) error {
+	switch {
+	case math.IsNaN(a.CapWatts) || math.IsInf(a.CapWatts, 0):
+		return fmt.Errorf("dcm: cap %v W for %q is not finite", a.CapWatts, a.Name)
+	case a.CapWatts > ipmi.MaxWireWatts:
+		return fmt.Errorf("dcm: cap %v W for %q is above the %.2f W the wire carries", a.CapWatts, a.Name, ipmi.MaxWireWatts)
+	}
+	if _, ok := m.nodes[a.Name]; !ok {
+		return fmt.Errorf("dcm: unknown node %q", a.Name)
+	}
 	if m.role == RoleStandby {
-		m.mu.Unlock()
 		return ErrNotLeader
 	}
-	lim.Epoch = m.epoch
-	n.desired = lim
-	n.haveDesired = true
-	n.status.CapWatts = capWatts
-	n.status.CapEnabled = lim.Enabled
-	m.mu.Unlock()
-	if err := m.journalNode(store.OpSetCap, n); err != nil {
-		return err
+	return nil
+}
+
+// sendPush starts p. With the node's busy token free it takes the
+// token, which p holds until its await, and a splitting connection
+// writes the frame now. Otherwise the push takes the priority lane and
+// is settled here.
+func (m *Manager) sendPush(p *capPush) {
+	if p.err != nil {
+		return
 	}
+	n, lim := p.n, p.lim
 	if m.BreakerHoldsPushes {
 		// Harness self-test misconfiguration: a defense layer that lets
 		// breakers gate safety-critical pushes. The chaos cap_push_bounded
@@ -632,43 +740,51 @@ func (m *Manager) SetNodeCap(name string, capWatts float64) error {
 		s := n.brk.stateName()
 		m.mu.Unlock()
 		if s == BreakerOpen || s == BreakerQuarantined {
-			err := fmt.Errorf("dcm: breaker open for %q; push withheld (self-test)", name)
-			m.capPushFailed(name, capWatts, err)
-			return err
+			p.err = fmt.Errorf("dcm: breaker open for %q; push withheld (self-test)", n.name)
+			m.capPushFailed(n.name, lim.CapWatts, p.err)
+			return
 		}
 	}
-	if n.tryAcquire() {
-		return m.pushShared(n, lim)
+	if !n.tryAcquire() {
+		// Priority lane: another operation owns the busy token — typically
+		// a poll mid-exchange with a slow BMC. A safety-critical cap push
+		// must not queue behind best-effort telemetry, so it rides a fresh
+		// connection instead. Safe beside the in-flight operation: pushes
+		// are idempotent and epoch-fenced, and the fresh connection shares
+		// no framing state with the token holder's.
+		m.mu.Lock()
+		m.tel.lanePushes.Inc()
+		m.mu.Unlock()
+		p.err = m.pushFresh(n, lim)
+		return
 	}
-	// Priority lane: another operation owns the busy token — typically
-	// a poll mid-exchange with a slow BMC. A safety-critical cap push
-	// must not queue behind best-effort telemetry, so it rides a fresh
-	// connection instead. Safe beside the in-flight operation: pushes
-	// are idempotent and epoch-fenced, and the fresh connection shares
-	// no framing state with the token holder's.
-	m.mu.Lock()
-	m.tel.lanePushes.Inc()
-	m.mu.Unlock()
-	return m.pushFresh(n, lim)
-}
-
-// pushShared delivers a cap push over the node's registered connection.
-// The caller must hold the busy token; pushShared releases it — from a
-// goroutine when a hedged primary attempt is still in flight at return.
-func (m *Manager) pushShared(n *managedNode, lim ipmi.PowerLimit) error {
 	bmc, err := m.connect(n)
 	if err != nil {
 		n.release()
 		m.capPushFailed(n.name, lim.CapWatts, err)
-		return err
+		p.err = err
+		return
 	}
+	p.bmc = bmc
+	if s, ok := bmc.(splitPusher); ok {
+		p.err = s.SendPowerLimit(lim)
+	}
+}
+
+// awaitPush completes a push sendPush started on the node's registered
+// connection — reading its ack, or running the whole exchange when the
+// connection cannot split — and records the outcome. sendErr is the
+// send's failure. awaitPush releases the busy token sendPush took: from
+// a goroutine when a hedged primary attempt is still in flight at
+// return.
+func (m *Manager) awaitPush(n *managedNode, bmc BMC, lim ipmi.PowerLimit, sendErr error) error {
 	if m.HedgeDelay <= 0 {
 		defer n.release()
-		return m.finishPush(n, bmc, lim, true)
+		return m.finishPush(n, bmc, lim, true, completePush(bmc, lim, sendErr))
 	}
 	primary := make(chan error, 1)
 	go func() {
-		primary <- m.finishPush(n, bmc, lim, true)
+		primary <- m.finishPush(n, bmc, lim, true, completePush(bmc, lim, sendErr))
 		n.release()
 	}()
 	select {
@@ -700,6 +816,19 @@ func (m *Manager) pushShared(n *managedNode, lim ipmi.PowerLimit) error {
 	}
 }
 
+// completePush is the exchange left after sendPush: the ack of a sent
+// frame, or the whole exchange on a connection that cannot split.
+func completePush(bmc BMC, lim ipmi.PowerLimit, sendErr error) error {
+	s, ok := bmc.(splitPusher)
+	switch {
+	case !ok:
+		return bmc.SetPowerLimit(lim)
+	case sendErr != nil:
+		return sendErr
+	}
+	return s.AwaitPowerLimit()
+}
+
 // pushFresh is the priority lane: the push rides a dedicated fresh
 // connection, serialized per node by capMu (bounding concurrent dials)
 // but never waiting on the busy token.
@@ -719,15 +848,15 @@ func (m *Manager) pushFresh(n *managedNode, lim ipmi.PowerLimit) error {
 		return fmt.Errorf("dcm: reconnecting to %s: %w", n.addr, err)
 	}
 	defer bmc.Close()
-	return m.finishPush(n, bmc, lim, false)
+	return m.finishPush(n, bmc, lim, false, bmc.SetPowerLimit(lim))
 }
 
-// finishPush executes one SetPowerLimit exchange and records its
-// outcome. shared marks bmc as the node's registered connection
-// (dropped on failure so the next attempt redials); a priority-lane
-// bmc is owned and closed by the caller.
-func (m *Manager) finishPush(n *managedNode, bmc BMC, lim ipmi.PowerLimit, shared bool) error {
-	if err := bmc.SetPowerLimit(lim); err != nil {
+// finishPush records the outcome err of one SetPowerLimit exchange on
+// bmc. shared marks bmc as the node's registered connection (dropped
+// on failure so the next attempt redials); a priority-lane bmc is
+// owned and closed by the caller.
+func (m *Manager) finishPush(n *managedNode, bmc BMC, lim ipmi.PowerLimit, shared bool, err error) error {
+	if err != nil {
 		if errors.Is(err, ipmi.ErrStaleEpoch) {
 			m.noteFenced(n, lim.Epoch, err)
 			return fmt.Errorf("dcm: setting cap on %q: %w", n.name, err)

@@ -116,30 +116,25 @@ func (m *Manager) noteLeaderChange(transition string, epoch uint64) {
 // so anything still in flight from a deposed leader is rejected from
 // then on. Run on promotion, before the first rebalance. Nodes with no
 // desired policy are skipped; their watermark advances on their first
-// real push. Push failures are joined and returned; reconciliation
-// retries them.
+// real push. The pushes go out as one wave (see pushWave). Push
+// failures are joined and returned; reconciliation retries them.
 func (m *Manager) AnnounceEpoch() error {
 	m.mu.Lock()
-	caps := make(map[string]float64, len(m.nodes))
-	names := make([]string, 0, len(m.nodes))
+	allocs := make([]Allocation, 0, len(m.nodes))
 	for name, n := range m.nodes {
 		if !n.haveDesired {
 			continue
 		}
-		names = append(names, name)
+		a := Allocation{Name: name}
 		if n.desired.Enabled {
-			caps[name] = n.desired.CapWatts
+			a.CapWatts = n.desired.CapWatts
 		}
+		allocs = append(allocs, a)
 	}
 	m.mu.Unlock()
-	sort.Strings(names) // deterministic fence order
-	var errs []error
-	for _, name := range names {
-		if err := m.SetNodeCap(name, caps[name]); err != nil {
-			errs = append(errs, err)
-		}
-	}
-	return errors.Join(errs...)
+	// Deterministic fence order.
+	sort.Slice(allocs, func(i, j int) bool { return allocs[i].Name < allocs[j].Name })
+	return errors.Join(m.pushWave(allocs, nil)...)
 }
 
 // HANode drives one member of an HA pair through the lease state

@@ -95,14 +95,7 @@ func (m *Manager) journalNode(op string, n *managedNode) error {
 	st := m.store
 	var rec *store.NodeRecord
 	if st != nil && op != store.OpRemoveNode {
-		rec = &store.NodeRecord{
-			Addr:        n.addr,
-			MinCapWatts: n.status.MinCapWatts,
-			MaxCapWatts: n.status.MaxCapWatts,
-			HaveCap:     n.haveDesired,
-			CapEnabled:  n.desired.Enabled,
-			CapWatts:    n.desired.CapWatts,
-		}
+		rec = n.recordLocked()
 	}
 	m.mu.Unlock()
 	if st == nil {
@@ -112,6 +105,19 @@ func (m *Manager) journalNode(op string, n *managedNode) error {
 		return fmt.Errorf("dcm: journaling %s %q: %w", op, n.name, err)
 	}
 	return nil
+}
+
+// recordLocked is n's durable record: its registration and desired
+// policy. Callers hold m.mu.
+func (n *managedNode) recordLocked() *store.NodeRecord {
+	return &store.NodeRecord{
+		Addr:        n.addr,
+		MinCapWatts: n.status.MinCapWatts,
+		MaxCapWatts: n.status.MaxCapWatts,
+		HaveCap:     n.haveDesired,
+		CapEnabled:  n.desired.Enabled,
+		CapWatts:    n.desired.CapWatts,
+	}
 }
 
 // journalBudget persists (or, with nil, clears) the auto-balance

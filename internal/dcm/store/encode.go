@@ -25,9 +25,13 @@ const lineHeader = "00000000 "
 // sealLine finishes the framed line in b — lineHeader followed by a
 // JSON payload — as "crc32hex payloadJSON\n", the framing shared by
 // journal records and replication frames.
-func sealLine(b []byte) []byte {
-	sum := crc32.ChecksumIEEE(b[len(lineHeader):])
-	for i := 7; i >= 0; i-- {
+func sealLine(b []byte) []byte { return sealLineAt(b, 0) }
+
+// sealLineAt is sealLine for the line that starts at b[start], so a
+// batch of lines can be framed one after another in one buffer.
+func sealLineAt(b []byte, start int) []byte {
+	sum := crc32.ChecksumIEEE(b[start+len(lineHeader):])
+	for i := start + 7; i >= start; i-- {
 		b[i] = "0123456789abcdef"[sum&0xf]
 		sum >>= 4
 	}

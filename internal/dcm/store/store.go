@@ -390,6 +390,16 @@ func (s *Store) SetSync(on bool) {
 // returning). Once the journal is compactAtLocked records long it
 // compacts.
 func (s *Store) Apply(r Record) error {
+	return s.ApplyAll([]Record{r})
+}
+
+// ApplyAll is Apply for a batch: the records are encoded into one
+// buffer and journaled with one write and, with sync on, one fsync,
+// then folded into the state in order, and the journal is checked for
+// compaction once. A failed append journals none of them. Each record
+// is still its own line, so replay — and a crash that tears the write —
+// sees exactly the lines that many Apply calls would have left.
+func (s *Store) ApplyAll(records []Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -398,13 +408,17 @@ func (s *Store) Apply(r Record) error {
 	if s.failed != nil {
 		return s.failed
 	}
-	line, err := appendRecord(append(s.line[:0], lineHeader...), &r)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
+	buf := s.line[:0]
+	for i := range records {
+		start := len(buf)
+		var err error
+		if buf, err = appendRecord(append(buf, lineHeader...), &records[i]); err != nil {
+			return fmt.Errorf("store: %w", err)
+		}
+		buf = sealLineAt(buf, start)
 	}
-	line = sealLine(line)
-	s.line = line // keep the (possibly regrown) buffer for the next append
-	if _, err := s.journal.Write(line); err != nil {
+	s.line = buf // keep the (possibly regrown) buffer for the next append
+	if _, err := s.journal.Write(buf); err != nil {
 		return s.rollbackLocked(fmt.Errorf("store: journal append: %w", err))
 	}
 	if !s.nosync {
@@ -412,16 +426,18 @@ func (s *Store) Apply(r Record) error {
 			return s.rollbackLocked(fmt.Errorf("store: journal sync: %w", err))
 		}
 	}
-	s.journalLen += int64(len(line))
-	s.state.apply(r)
-	s.pending++
-	s.appends.Inc()
-	if len(s.recent) < ReplRetain {
-		s.recent = append(s.recent, r)
-	} else {
-		s.recent[s.seq%ReplRetain] = r
+	s.journalLen += int64(len(buf))
+	for _, r := range records {
+		s.state.apply(r)
+		if len(s.recent) < ReplRetain {
+			s.recent = append(s.recent, r)
+		} else {
+			s.recent[s.seq%ReplRetain] = r
+		}
+		s.seq++
 	}
-	s.seq++
+	s.pending += len(records)
+	s.appends.Add(uint64(len(records)))
 	if s.pending >= s.compactAtLocked() {
 		return s.compactLocked()
 	}

@@ -224,15 +224,16 @@ func appendWatts(b []byte, w float64) []byte {
 	return binary.BigEndian.AppendUint32(b, uint32(w*100+0.5))
 }
 
-// maxWireWatts is the largest wattage a centiwatt field carries.
-const maxWireWatts = math.MaxUint32 / 100.0
+// MaxWireWatts is the largest wattage a centiwatt field carries: an
+// enabled cap above it cannot be pushed.
+const MaxWireWatts = math.MaxUint32 / 100.0
 
 // checkLimit refuses an enabled limit whose watts the centiwatt field
 // cannot carry: appendWatts would wrap NaN, ±Inf, a negative or an
 // oversized cap into some other, enforceable cap.
 func checkLimit(p PowerLimit) error {
-	if p.Enabled && !(p.CapWatts >= 0 && p.CapWatts <= maxWireWatts) {
-		return fmt.Errorf("ipmi: cap %v W is outside the wire range [0, %.2f]", p.CapWatts, maxWireWatts)
+	if p.Enabled && !(p.CapWatts >= 0 && p.CapWatts <= MaxWireWatts) {
+		return fmt.Errorf("ipmi: cap %v W is outside the wire range [0, %.2f]", p.CapWatts, MaxWireWatts)
 	}
 	return nil
 }

@@ -78,7 +78,7 @@ func TestClientRefusesWattsTheWireCannotCarry(t *testing.T) {
 		frames++
 		return srv.Handle(req), nil
 	}))
-	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -5, 5e7, maxWireWatts + 0.01} {
+	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -5, 5e7, MaxWireWatts + 0.01} {
 		lim := PowerLimit{Enabled: true, CapWatts: w}
 		if err := c.SetPowerLimit(lim); err == nil {
 			t.Errorf("SetPowerLimit(%v W) succeeded", w)
@@ -96,12 +96,12 @@ func TestClientRefusesWattsTheWireCannotCarry(t *testing.T) {
 	}
 	// Both ends of the range still go out, and so does a disabled limit,
 	// whose watts the node ignores.
-	for _, lim := range []PowerLimit{{CapWatts: -1}, {Enabled: true}, {Enabled: true, CapWatts: maxWireWatts}} {
+	for _, lim := range []PowerLimit{{CapWatts: -1}, {Enabled: true}, {Enabled: true, CapWatts: MaxWireWatts}} {
 		if err := c.SetPowerLimit(lim); err != nil {
 			t.Errorf("SetPowerLimit(%+v): %v", lim, err)
 		}
 	}
-	if lim, err := c.GetPowerLimit(); err != nil || lim != (PowerLimit{Enabled: true, CapWatts: maxWireWatts}) {
+	if lim, err := c.GetPowerLimit(); err != nil || lim != (PowerLimit{Enabled: true, CapWatts: MaxWireWatts}) {
 		t.Errorf("largest cap read back as %+v, %v", lim, err)
 	}
 }

@@ -242,6 +242,14 @@ var ErrBroken = errors.New("ipmi: connection broken by earlier I/O failure")
 // honoured. The caller must stop actuating and step down.
 var ErrStaleEpoch = errors.New("ipmi: power limit rejected: stale fencing epoch")
 
+// ErrPushInFlight reports a call made while a push sent by
+// SendPowerLimit still awaits its ack: the client holds one exchange at
+// a time, so the call fails without I/O and the stream stays usable.
+var ErrPushInFlight = errors.New("ipmi: a power-limit push awaits its ack")
+
+// errNothingInFlight reports an AwaitPowerLimit with no push sent.
+var errNothingInFlight = errors.New("ipmi: no power-limit push awaits an ack")
+
 // Client is a DCM-side connection to one BMC.
 //
 // Buffer ownership: the client builds every request in req and parses
@@ -249,15 +257,23 @@ var ErrStaleEpoch = errors.New("ipmi: power limit rejected: stale fencing epoch"
 // mu. A response payload is therefore valid only until the next
 // exchange on the connection, and every method decodes it before it
 // releases mu.
+//
+// A cap push may be split in two (SendPowerLimit, AwaitPowerLimit) so a
+// manager can have many nodes' pushes on the wire at once; between the
+// halves the client holds that one push and every other call fails
+// with ErrPushInFlight.
 type Client struct {
 	mu         sync.Mutex
 	conn       net.Conn
 	seq        uint32
+	closed     atomic.Bool
 	reqTimeout time.Duration
 	broken     bool
-	closed     atomic.Bool
-	req        []byte
-	rd         frameReader
+	// awaiting is the command whose response the connection owes: set
+	// by a send, cleared by its await; zero when no request is out.
+	awaiting uint8
+	req      []byte
+	rd       frameReader
 
 	// Wire-level telemetry (SetCounters); nil-safe, so an unwired
 	// client pays one predictable no-op per exchange.
@@ -292,10 +308,14 @@ func NewClientConn(conn net.Conn) *Client {
 }
 
 // SetRequestTimeout bounds each request/response exchange; zero
-// disables the bound.
+// disables the bound and disarms the deadline the last exchange left
+// on the connection.
 func (c *Client) SetRequestTimeout(d time.Duration) {
 	c.mu.Lock()
 	c.reqTimeout = d
+	if d <= 0 {
+		c.conn.SetDeadline(time.Time{})
+	}
 	c.mu.Unlock()
 }
 
@@ -322,45 +342,99 @@ func (c *Client) Close() error {
 
 // request starts the next request frame in the client's own buffer
 // and returns it for the caller to append the payload to and hand to
-// exchange. c.mu must be held.
+// exchange. The frame takes the next sequence number, which send
+// claims. c.mu must be held.
 func (c *Client) request(cmd uint8) []byte {
-	c.seq++
-	return beginFrame(c.req[:0], c.seq, NetFnOEM, cmd)
+	return beginFrame(c.req[:0], c.seq+1, NetFnOEM, cmd)
 }
 
 // exchange sends the request begun by request and returns the response
 // payload after its completion code. The payload aliases the read
 // buffer: decode it before releasing c.mu, which must be held.
 func (c *Client) exchange(req []byte) ([]byte, error) {
+	if err := c.send(req); err != nil {
+		return nil, err
+	}
+	return c.await()
+}
+
+// send is an exchange's first half: it seals and writes the request
+// begun by request and arms the exchange's deadline, which then bounds
+// the write and await's read together. Nothing clears the deadline; the
+// next send re-arms it and SetRequestTimeout(0) disarms it. While a
+// push sent by SendPowerLimit awaits its ack, send refuses without I/O.
+// c.mu must be held.
+//
+// A caller that sends to many BMCs and then awaits them in turn may
+// reach an await after its deadline, while an earlier BMC used up the
+// timeout; see lateAwaitGrace.
+func (c *Client) send(req []byte) error {
+	if c.awaiting != 0 {
+		return ErrPushInFlight
+	}
+	c.seq++
 	c.mRequests.Inc()
-	b, err := c.roundTrip(req)
+	if err := c.write(req); err != nil {
+		c.mFailures.Inc()
+		return err
+	}
+	c.awaiting = req[8]
+	return nil
+}
+
+// write is send's body.
+func (c *Client) write(req []byte) error {
+	if c.broken || c.closed.Load() {
+		// A Close that lands between call and lock acquisition must read
+		// as the deliberate teardown it is, not a fresh socket error.
+		c.broken = true
+		return ErrBroken
+	}
+	if c.reqTimeout > 0 {
+		c.conn.SetDeadline(time.Now().Add(c.reqTimeout))
+	}
+	req, err := sealFrame(req)
+	if err != nil {
+		return c.brokenErr(err)
+	}
+	c.req = req // keep the buffer a batch request grew
+	if _, err := c.conn.Write(req); err != nil {
+		return c.brokenErr(err)
+	}
+	return nil
+}
+
+// lateAwaitGrace is how long an await whose deadline has passed reads
+// on. A read past its deadline fails without looking at the socket, so
+// without the grace an ack that arrived in time would be lost because
+// the caller was busy awaiting another BMC; an ack that has not arrived
+// costs only the grace more.
+const lateAwaitGrace = 10 * time.Millisecond
+
+// await is an exchange's second half: it reads and checks the response
+// to the request send wrote. c.mu must be held.
+func (c *Client) await() ([]byte, error) {
+	cmd := c.awaiting
+	if cmd == 0 {
+		return nil, errNothingInFlight
+	}
+	c.awaiting = 0
+	b, err := c.read(cmd)
 	if err != nil {
 		c.mFailures.Inc()
 	}
 	return b, err
 }
 
-// roundTrip is exchange's body.
-func (c *Client) roundTrip(req []byte) ([]byte, error) {
-	if c.broken || c.closed.Load() {
-		// A Close that lands between call and lock acquisition must read
-		// as the deliberate teardown it is, not a fresh socket error.
-		c.broken = true
-		return nil, ErrBroken
-	}
-	if c.reqTimeout > 0 {
-		c.conn.SetDeadline(time.Now().Add(c.reqTimeout))
-		defer c.conn.SetDeadline(time.Time{})
-	}
-	req, err := sealFrame(req)
-	if err != nil {
-		return nil, c.brokenErr(err)
-	}
-	c.req = req // keep the buffer a batch request grew
-	if _, err := c.conn.Write(req); err != nil {
-		return nil, c.brokenErr(err)
-	}
+// read is await's body: the response to cmd.
+func (c *Client) read(cmd uint8) ([]byte, error) {
 	resp, err := c.rd.next(c.conn)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() && c.reqTimeout > 0 {
+		// The reader keeps what it has read, so the retry resumes the
+		// frame where the timeout left it.
+		c.conn.SetDeadline(time.Now().Add(lateAwaitGrace))
+		resp, err = c.rd.next(c.conn)
+	}
 	if err != nil {
 		return nil, c.brokenErr(err)
 	}
@@ -368,7 +442,7 @@ func (c *Client) roundTrip(req []byte) ([]byte, error) {
 		c.broken = true
 		return nil, fmt.Errorf("ipmi: sequence mismatch: sent %d got %d", c.seq, resp.Seq)
 	}
-	if cmd := req[8]; resp.NetFn != NetFnOEMResponse || resp.Cmd != cmd {
+	if resp.NetFn != NetFnOEMResponse || resp.Cmd != cmd {
 		c.broken = true
 		return nil, fmt.Errorf("ipmi: mismatched response netfn=%#x cmd=%#x", resp.NetFn, resp.Cmd)
 	}
@@ -423,16 +497,44 @@ func (c *Client) GetPowerReading() (PowerReading, error) {
 	return query(c, CmdGetPowerReading, DecodePowerReading)
 }
 
-// SetPowerLimit pushes a capping policy to the BMC. An enabled limit
+// SetPowerLimit pushes a capping policy to the BMC: SendPowerLimit
+// and AwaitPowerLimit under one hold of the client. An enabled limit
 // the wire cannot carry is refused before any I/O.
 func (c *Client) SetPowerLimit(lim PowerLimit) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err := c.sendLimit(lim); err != nil {
+		return err
+	}
+	_, err := c.await()
+	return err
+}
+
+// SendPowerLimit writes a SetPowerLimit request and arms its deadline
+// without reading the ack, so the caller can send to other BMCs before
+// it collects any; AwaitPowerLimit completes the exchange. An enabled
+// limit the wire cannot carry is refused before any I/O.
+func (c *Client) SendPowerLimit(lim PowerLimit) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.sendLimit(lim)
+}
+
+// AwaitPowerLimit reads and checks the ack of the push SendPowerLimit
+// sent, within the deadline armed at send.
+func (c *Client) AwaitPowerLimit() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, err := c.await()
+	return err
+}
+
+// sendLimit is SendPowerLimit's body. c.mu must be held.
+func (c *Client) sendLimit(lim PowerLimit) error {
 	if err := checkLimit(lim); err != nil {
 		return err
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, err := c.exchange(appendPowerLimit(c.request(CmdSetPowerLimit), lim))
-	return err
+	return c.send(appendPowerLimit(c.request(CmdSetPowerLimit), lim))
 }
 
 // GetPowerLimit fetches the active policy.
