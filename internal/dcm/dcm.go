@@ -1119,33 +1119,47 @@ func policyDrifted(desired, reported ipmi.PowerLimit) bool {
 // and controller health. The sample is returned unstamped; the caller
 // sets At from the manager's clock.
 func sampleBMC(bmc BMC) (Sample, ipmi.PowerLimit, ipmi.Health, error) {
-	pr, err := bmc.GetPowerReading()
-	if err != nil {
-		return Sample{}, ipmi.PowerLimit{}, ipmi.Health{}, err
-	}
-	ps, err := bmc.GetPStateInfo()
-	if err != nil {
-		return Sample{}, ipmi.PowerLimit{}, ipmi.Health{}, err
-	}
-	g, err := bmc.GetGatingLevel()
-	if err != nil {
-		return Sample{}, ipmi.PowerLimit{}, ipmi.Health{}, err
-	}
-	lim, err := bmc.GetPowerLimit()
-	if err != nil {
-		return Sample{}, ipmi.PowerLimit{}, ipmi.Health{}, err
-	}
-	h, err := bmc.GetHealth()
+	st, err := readStatus(bmc)
 	if err != nil {
 		return Sample{}, ipmi.PowerLimit{}, ipmi.Health{}, err
 	}
 	return Sample{
-		PowerWatts:   pr.CurrentWatts,
-		AverageWatts: pr.AverageWatts,
-		FreqMHz:      int(ps.FreqMHz),
-		PState:       int(ps.Index),
-		GatingLevel:  g,
-	}, lim, h, nil
+		PowerWatts:   st.Reading.CurrentWatts,
+		AverageWatts: st.Reading.AverageWatts,
+		FreqMHz:      int(st.PState.FreqMHz),
+		PState:       int(st.PState.Index),
+		GatingLevel:  st.Gating,
+	}, st.Limit, st.Health, nil
+}
+
+// statusReader is a BMC that reads a status sample in one call, as
+// *ipmi.Client's ReadStatus does, writing the five requests in one
+// burst where its transport allows. A BMC without it (test fakes, the
+// benchmark's span-recording wrapper) makes the five Get calls.
+type statusReader interface {
+	ReadStatus() (ipmi.NodeStatus, error)
+}
+
+// readStatus is sampleBMC's read: ReadStatus, or the five Get calls in
+// its order up to the first failure.
+func readStatus(bmc BMC) (st ipmi.NodeStatus, err error) {
+	if r, ok := bmc.(statusReader); ok {
+		return r.ReadStatus()
+	}
+	if st.Reading, err = bmc.GetPowerReading(); err != nil {
+		return st, err
+	}
+	if st.PState, err = bmc.GetPStateInfo(); err != nil {
+		return st, err
+	}
+	if st.Gating, err = bmc.GetGatingLevel(); err != nil {
+		return st, err
+	}
+	if st.Limit, err = bmc.GetPowerLimit(); err != nil {
+		return st, err
+	}
+	st.Health, err = bmc.GetHealth()
+	return st, err
 }
 
 // History returns a copy of one node's monitoring history.

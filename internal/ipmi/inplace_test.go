@@ -66,7 +66,7 @@ func (c *memConn) Write(b []byte) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	c.out, err = sealFrame(c.srv.respond(beginFrame(c.out[:0], req.Seq, NetFnOEMResponse, req.Cmd), req))
+	c.out, err = sealFrame(c.srv.respond(beginFrame(c.out[:0], req.Seq, NetFnOEMResponse, req.Cmd), req), 0)
 	c.off = 0
 	return len(b), err
 }
@@ -125,30 +125,38 @@ func TestClientCommandsAllocateNothing(t *testing.T) {
 	}
 }
 
-// scriptConn feeds serveConn a fixed byte stream and discards what it
-// writes.
+// scriptConn feeds serveConn a fixed byte stream and keeps what it
+// writes in out, which the test sizes beforehand.
 type scriptConn struct {
 	nopConn
 	in     bytes.Reader
+	out    []byte
 	writes int
 }
 
-func (c *scriptConn) Read(p []byte) (int, error)  { return c.in.Read(p) }
-func (c *scriptConn) Write(b []byte) (int, error) { c.writes++; return len(b), nil }
+func (c *scriptConn) Read(p []byte) (int, error) { return c.in.Read(p) }
+func (c *scriptConn) Write(b []byte) (int, error) {
+	c.writes++
+	c.out = append(c.out, b...)
+	return len(b), nil
+}
 
 // TestServeConnTurnAllocatesNothing holds the server half: a connection
 // end costs its two buffers however many request→response turns it
-// serves. (serveConn runs here on the test's goroutine, to EOF.)
+// serves, answers every request in order, and answers requests that
+// arrive together in fewer writes than requests. (serveConn runs here
+// on the test's goroutine, to EOF.)
 func TestServeConnTurnAllocatesNothing(t *testing.T) {
 	srv := NewServer(&fakeControl{})
-	var one []byte
-	for _, req := range []Frame{
+	script := []Frame{
 		{Seq: 1, NetFn: NetFnOEM, Cmd: CmdGetPowerReading},
 		{Seq: 2, NetFn: NetFnOEM, Cmd: CmdSetPowerLimit, Payload: EncodePowerLimit(PowerLimit{Enabled: true, CapWatts: 150, Epoch: 9})},
 		{Seq: 3, NetFn: NetFnOEM, Cmd: CmdGetPowerLimit},
 		{Seq: 4, NetFn: NetFnOEM, Cmd: CmdGetHealth},
 		{Seq: 5, NetFn: 0x06, Cmd: CmdGetDeviceID},
-	} {
+	}
+	var one []byte
+	for _, req := range script {
 		b, err := req.Marshal()
 		if err != nil {
 			t.Fatal(err)
@@ -156,23 +164,36 @@ func TestServeConnTurnAllocatesNothing(t *testing.T) {
 		one = append(one, b...)
 	}
 	serve := func(stream []byte) (allocs float64, writes int) {
-		conn := &scriptConn{}
+		conn := &scriptConn{out: make([]byte, 0, 64<<10)}
 		allocs = testing.AllocsPerRun(50, func() {
 			conn.in.Reset(stream)
-			conn.writes = 0
+			conn.out, conn.writes = conn.out[:0], 0
 			srv.wg.Add(1)
 			srv.serveConn(conn)
 		})
+		// Every request is answered, in order, with its seq and cmd.
+		rest, n := conn.out, 0
+		for ; len(rest) > 0; n++ {
+			resp, tail, err := splitFrame(rest)
+			if err != nil {
+				t.Fatalf("response %d: %v", n, err)
+			}
+			want := script[n%len(script)]
+			if resp.Seq != want.Seq || resp.Cmd != want.Cmd || resp.NetFn != NetFnOEMResponse {
+				t.Fatalf("response %d is seq %d cmd %#x netfn %#x, want seq %d cmd %#x", n, resp.Seq, resp.Cmd, resp.NetFn, want.Seq, want.Cmd)
+			}
+			rest = tail
+		}
+		if want := len(stream) / len(one) * len(script); n != want {
+			t.Fatalf("%d requests got %d responses", want, n)
+		}
 		return allocs, conn.writes
 	}
-	few, n := serve(one)
-	if n != 5 {
-		t.Fatalf("5 requests got %d responses", n)
+	few, w := serve(one)
+	if w >= len(script) {
+		t.Errorf("5 requests that arrived together took %d writes, want fewer than 5", w)
 	}
-	many, n := serve(bytes.Repeat(one, 40))
-	if n != 200 {
-		t.Fatalf("200 requests got %d responses", n)
-	}
+	many, _ := serve(bytes.Repeat(one, 40))
 	if few != many || few > 2 {
 		t.Errorf("a connection serving 5 turns allocated %v times and one serving 200 %v; want the same two buffers", few, many)
 	}

@@ -84,29 +84,30 @@ func sum(b []byte) byte {
 }
 
 // beginFrame appends a frame header to b with the payload length left
-// zero: the caller appends the payload, then sealFrame fills the length
-// in. b must be empty, so the header sits at b[0].
+// zero: the caller appends the payload, then sealFrame, given the
+// header's offset in b, fills the length in.
 func beginFrame(b []byte, seq uint32, netFn, cmd uint8) []byte {
 	b = append(b, magic0, magic1, version)
 	b = binary.BigEndian.AppendUint32(b, seq)
 	return append(b, netFn, cmd, 0, 0)
 }
 
-// sealFrame completes the frame begun at b[0]: it writes the payload
-// length into the header and appends the checksum.
-func sealFrame(b []byte) ([]byte, error) {
-	plen := len(b) - headerLen
+// sealFrame completes the frame begun at b[at]: it writes the payload
+// length into the header and appends the checksum. Frames sealed
+// earlier in b[:at] are kept, so one buffer can carry a burst.
+func sealFrame(b []byte, at int) ([]byte, error) {
+	plen := len(b) - at - headerLen
 	if plen > MaxPayload {
 		return nil, fmt.Errorf("ipmi: payload %d exceeds max %d", plen, MaxPayload)
 	}
-	binary.BigEndian.PutUint16(b[9:], uint16(plen))
-	return append(b, -sum(b)), nil
+	binary.BigEndian.PutUint16(b[at+9:], uint16(plen))
+	return append(b, -sum(b[at:])), nil
 }
 
 // Marshal encodes f for the wire.
 func (f Frame) Marshal() ([]byte, error) {
 	b := make([]byte, 0, headerLen+len(f.Payload)+1)
-	return sealFrame(append(beginFrame(b, f.Seq, f.NetFn, f.Cmd), f.Payload...))
+	return sealFrame(append(beginFrame(b, f.Seq, f.NetFn, f.Cmd), f.Payload...), 0)
 }
 
 // payloadLen validates a frame header — magic, version and the payload
@@ -174,6 +175,39 @@ type frameReader struct {
 // single-node frame — a 14-byte SetPowerLimit response — is 26 bytes.
 const inlineFrameLen = 32
 
+// A status burst is Client.ReadStatus's five payload-less requests on
+// one connection, and the BMC's five responses to it. statusReqLen is
+// the requests' bytes; statusRespLen the responses' at their longest
+// (power reading 21, P-state 17, gating 14, fenced limit 26, health 18).
+const (
+	statusReqLen  = len(statusCmds) * (headerLen + 1)
+	statusRespLen = 96
+)
+
+// ready reports whether the buffer holds the connection's next frame
+// whole, so next returns it without a Read. A malformed header counts
+// as not ready: the caller's pending work goes out before next fails.
+func (fr *frameReader) ready() bool {
+	have := fr.buf[fr.r:fr.w]
+	if len(have) < headerLen {
+		return false
+	}
+	plen, err := payloadLen(have)
+	return err == nil && len(have) >= headerLen+plen+1
+}
+
+// reserve grows the buffer to at least n bytes, keeping what is read
+// but not yet consumed.
+func (fr *frameReader) reserve(n int) {
+	if len(fr.buf) >= n {
+		return
+	}
+	buf := make([]byte, n)
+	fr.w = copy(buf, fr.buf[fr.r:fr.w])
+	fr.r = 0
+	fr.buf = buf
+}
+
 // next returns the connection's next frame. Its Payload aliases the
 // reader's buffer and is valid only until the following call. Bytes
 // read past the frame's end are kept for that call.
@@ -203,7 +237,7 @@ func (fr *frameReader) next(src io.Reader) (Frame, error) {
 			if need > size {
 				size = maxFrameLen
 			}
-			fr.buf = append(make([]byte, 0, size), fr.buf[:fr.w]...)[:size]
+			fr.reserve(size)
 		}
 		n, err := src.Read(fr.buf[fr.w:])
 		fr.w += n
@@ -402,6 +436,16 @@ func DecodeCapabilities(b []byte) (Capabilities, error) {
 		c.Tier = b[8]
 	}
 	return c, nil
+}
+
+// NodeStatus is one monitoring read of a node: what ReadStatus returns,
+// the five status commands' responses together.
+type NodeStatus struct {
+	Reading PowerReading
+	PState  PStateInfo
+	Gating  int
+	Limit   PowerLimit
+	Health  Health
 }
 
 // Health is a GetHealth response: the BMC's defensive-controller

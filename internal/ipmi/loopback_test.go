@@ -105,3 +105,101 @@ func TestClientRefusesWattsTheWireCannotCarry(t *testing.T) {
 		t.Errorf("largest cap read back as %+v, %v", lim, err)
 	}
 }
+
+// marshalAll concatenates frames' wire forms: one multi-frame Write.
+func marshalAll(t *testing.T, frames ...Frame) []byte {
+	t.Helper()
+	var b []byte
+	for _, f := range frames {
+		w, err := f.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b = append(b, w...)
+	}
+	return b
+}
+
+// TestLoopbackAnswersEveryFrameOfAWrite: a Write of several frames is
+// answered frame by frame, in order, and Read returns the responses.
+func TestLoopbackAnswersEveryFrameOfAWrite(t *testing.T) {
+	srv := NewServer(&fakeControl{})
+	var seen []uint32
+	conn := Loopback(func(req Frame) (Frame, error) {
+		seen = append(seen, req.Seq)
+		return srv.Handle(req), nil
+	})
+	reqs := []Frame{
+		{Seq: 7, NetFn: NetFnOEM, Cmd: CmdGetPowerReading},
+		{Seq: 8, NetFn: NetFnOEM, Cmd: CmdSetPowerLimit, Payload: EncodePowerLimit(PowerLimit{Enabled: true, CapWatts: 130})},
+		{Seq: 9, NetFn: NetFnOEM, Cmd: CmdGetPowerLimit},
+	}
+	b := marshalAll(t, reqs...)
+	if n, err := conn.Write(b); err != nil || n != len(b) {
+		t.Fatalf("Write = %d, %v", n, err)
+	}
+	for i, req := range reqs {
+		resp, err := ReadFrame(conn)
+		if err != nil {
+			t.Fatalf("response %d: %v", i, err)
+		}
+		if resp.Seq != req.Seq || resp.Cmd != req.Cmd || ccOf(resp) != CCOK {
+			t.Errorf("response %d = %+v, want seq %d cmd %#x", i, resp, req.Seq, req.Cmd)
+		}
+		if req.Cmd == CmdGetPowerLimit {
+			if lim, err := DecodePowerLimit(resp.Payload[1:]); err != nil || lim.CapWatts != 130 {
+				t.Errorf("limit read after the set in the same Write: %+v, %v", lim, err)
+			}
+		}
+	}
+	if len(seen) != 3 || seen[0] != 7 || seen[1] != 8 || seen[2] != 9 {
+		t.Errorf("the handler saw seqs %v, want [7 8 9]", seen)
+	}
+}
+
+// TestLoopbackHandlerErrorStopsTheWrite: a handler error at frame k
+// fails the Write, and no frame after k reaches the handler.
+func TestLoopbackHandlerErrorStopsTheWrite(t *testing.T) {
+	lost := errors.New("response lost")
+	var seen []uint32
+	conn := Loopback(func(req Frame) (Frame, error) {
+		seen = append(seen, req.Seq)
+		if req.Seq == 2 {
+			return Frame{}, lost
+		}
+		return Frame{Seq: req.Seq, NetFn: NetFnOEMResponse, Cmd: req.Cmd, Payload: []byte{CCOK}}, nil
+	})
+	var reqs []Frame
+	for seq := uint32(1); seq <= 4; seq++ {
+		reqs = append(reqs, Frame{Seq: seq, NetFn: NetFnOEM, Cmd: CmdGetHealth})
+	}
+	if _, err := conn.Write(marshalAll(t, reqs...)); !errors.Is(err, lost) {
+		t.Errorf("Write = %v, want %v", err, lost)
+	}
+	if len(seen) != 2 {
+		t.Errorf("the handler saw seqs %v, want [1 2]", seen)
+	}
+}
+
+// TestLoopbackSingleFrameWriteAllocatesNothing: a request is opened in
+// place, so a one-frame Write to a handler that allocates nothing
+// allocates nothing either.
+func TestLoopbackSingleFrameWriteAllocatesNothing(t *testing.T) {
+	srv := NewServer(&fakeControl{})
+	var payload []byte
+	conn := Loopback(func(req Frame) (Frame, error) {
+		payload = srv.respond(payload[:0], req)
+		return Frame{Seq: req.Seq, NetFn: NetFnOEMResponse, Cmd: req.Cmd, Payload: payload}, nil
+	})
+	b := marshalAll(t, Frame{Seq: 1, NetFn: NetFnOEM, Cmd: CmdGetPowerReading})
+	if _, err := conn.Write(b); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if _, err := conn.Write(b); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("a one-frame Write allocated %v times, want 0", n)
+	}
+}

@@ -91,21 +91,32 @@ func (l *frameListener) serveConn(conn net.Conn) {
 		l.mu.Unlock()
 	}()
 	// Both buffers belong to this connection end: a request is answered
-	// in place before the next one is read over it.
-	var rd frameReader
-	out := make([]byte, 0, inlineFrameLen)
+	// in place before the next one is read over it. While the read
+	// buffer holds another whole request, the next response joins out,
+	// so requests that arrived together — a status burst — are answered
+	// in one write. The buffers are sized for that burst: its five
+	// requests fit one read and its five responses fit out. (out grows
+	// past that only if more requests than a burst's are read at once,
+	// and the read buffer bounds how far.)
+	rd := frameReader{buf: make([]byte, statusReqLen)}
+	out := make([]byte, 0, statusRespLen)
 	for {
 		req, err := rd.next(conn)
 		if err != nil {
 			return // EOF, malformed frame, or closed connection
 		}
-		out, err = sealFrame(l.respond(beginFrame(out[:0], req.Seq, NetFnOEMResponse, req.Cmd), req))
+		at := len(out)
+		out, err = sealFrame(l.respond(beginFrame(out, req.Seq, NetFnOEMResponse, req.Cmd), req), at)
 		if err != nil {
 			return
+		}
+		if rd.ready() {
+			continue
 		}
 		if _, err := conn.Write(out); err != nil {
 			return
 		}
+		out = out[:0]
 	}
 }
 
@@ -262,6 +273,10 @@ var errNothingInFlight = errors.New("ipmi: no power-limit push awaits an ack")
 // manager can have many nodes' pushes on the wire at once; between the
 // halves the client holds that one push and every other call fails
 // with ErrPushInFlight.
+//
+// ReadStatus sends its five requests as one burst when the connection
+// buffers what is written to it (see NewClientConn), and as five
+// exchanges otherwise.
 type Client struct {
 	mu         sync.Mutex
 	conn       net.Conn
@@ -269,6 +284,9 @@ type Client struct {
 	closed     atomic.Bool
 	reqTimeout time.Duration
 	broken     bool
+	// burst: conn buffers a written burst, so a status read can write
+	// all of its requests before it reads any response.
+	burst bool
 	// awaiting is the command whose response the connection owes: set
 	// by a send, cleared by its await; zero when no request is out.
 	awaiting uint8
@@ -303,8 +321,21 @@ func DialTimeout(addr string, connectTimeout, requestTimeout time.Duration) (*Cl
 // NewClientConn wraps an existing connection (e.g. a net.Pipe end in
 // tests, or a fault-injecting wrapper). No request timeout is set;
 // use SetRequestTimeout to bound exchanges.
+//
+// Over a TCP connection or a Loopback, ReadStatus writes its five
+// requests in one burst, because both buffer what is written until the
+// peer reads it. net.Conn does not promise that: a net.Pipe Write
+// blocks until the peer has read all of it, so a burst would deadlock
+// against a peer that answers one frame before it reads the next. Over
+// any other connection, wrappers included, ReadStatus makes five
+// exchanges.
 func NewClientConn(conn net.Conn) *Client {
-	return &Client{conn: conn, req: make([]byte, 0, inlineFrameLen)}
+	c := &Client{conn: conn, req: make([]byte, 0, inlineFrameLen)}
+	switch conn.(type) {
+	case *net.TCPConn, *loopConn:
+		c.burst = true
+	}
+	return c
 }
 
 // SetRequestTimeout bounds each request/response exchange; zero
@@ -374,7 +405,7 @@ func (c *Client) send(req []byte) error {
 	}
 	c.seq++
 	c.mRequests.Inc()
-	if err := c.write(req); err != nil {
+	if err := c.write(req, 0); err != nil {
 		c.mFailures.Inc()
 		return err
 	}
@@ -382,8 +413,9 @@ func (c *Client) send(req []byte) error {
 	return nil
 }
 
-// write is send's body.
-func (c *Client) write(req []byte) error {
+// write is send's body: it seals the request begun at b[at] and writes
+// b — that request after any sealed before it — in one Write.
+func (c *Client) write(b []byte, at int) error {
 	if c.broken || c.closed.Load() {
 		// A Close that lands between call and lock acquisition must read
 		// as the deliberate teardown it is, not a fresh socket error.
@@ -393,12 +425,12 @@ func (c *Client) write(req []byte) error {
 	if c.reqTimeout > 0 {
 		c.conn.SetDeadline(time.Now().Add(c.reqTimeout))
 	}
-	req, err := sealFrame(req)
+	b, err := sealFrame(b, at)
 	if err != nil {
 		return c.brokenErr(err)
 	}
-	c.req = req // keep the buffer a batch request grew
-	if _, err := c.conn.Write(req); err != nil {
+	c.req = b // keep the buffer a batch request or a burst grew
+	if _, err := c.conn.Write(b); err != nil {
 		return c.brokenErr(err)
 	}
 	return nil
@@ -549,12 +581,14 @@ func (c *Client) GetPStateInfo() (PStateInfo, error) {
 
 // GetGatingLevel fetches the sub-DVFS gating ladder position.
 func (c *Client) GetGatingLevel() (int, error) {
-	return query(c, CmdGetGatingLevel, func(b []byte) (int, error) {
-		if len(b) != 1 {
-			return 0, fmt.Errorf("ipmi: gating payload length %d", len(b))
-		}
-		return int(b[0]), nil
-	})
+	return query(c, CmdGetGatingLevel, decodeGating)
+}
+
+func decodeGating(b []byte) (int, error) {
+	if len(b) != 1 {
+		return 0, fmt.Errorf("ipmi: gating payload length %d", len(b))
+	}
+	return int(b[0]), nil
 }
 
 // GetCapabilities fetches the platform's cap range.
@@ -565,4 +599,98 @@ func (c *Client) GetCapabilities() (Capabilities, error) {
 // GetHealth fetches the BMC's defensive-controller status.
 func (c *Client) GetHealth() (Health, error) {
 	return query(c, CmdGetHealth, DecodeHealth)
+}
+
+// statusCmds are ReadStatus's requests, in the order it sends them.
+var statusCmds = [...]uint8{CmdGetPowerReading, CmdGetPStateInfo, CmdGetGatingLevel, CmdGetPowerLimit, CmdGetHealth}
+
+// ReadStatus reads the node's power, P-state, gating level, applied
+// limit and controller health: the five Get calls' requests, in that
+// order. Where the connection buffers a burst (see NewClientConn) the
+// five go out in one Write under one deadline, armed at send, and the
+// responses are read in order after it; elsewhere each is its own
+// exchange. Either way a completion-code or payload failure does not
+// stop the read: the remaining responses are still read, which keeps
+// the stream aligned, and the first error is returned. An I/O or
+// framing failure breaks the client, as in any exchange. While a push
+// awaits its ack, ReadStatus fails with ErrPushInFlight and writes
+// nothing.
+func (c *Client) ReadStatus() (NodeStatus, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.awaiting != 0 {
+		return NodeStatus{}, ErrPushInFlight
+	}
+	first := c.seq + 1
+	if c.burst {
+		if err := c.sendStatus(); err != nil {
+			return NodeStatus{}, err
+		}
+	}
+	var st NodeStatus
+	var firstErr error
+	for i, cmd := range statusCmds {
+		var b []byte
+		var err error
+		if c.burst {
+			c.seq, c.awaiting = first+uint32(i), cmd
+			b, err = c.await()
+		} else {
+			b, err = c.exchange(c.request(cmd))
+		}
+		if err == nil {
+			err = st.decode(cmd, b)
+		}
+		if firstErr == nil {
+			firstErr = err
+		}
+		if c.broken {
+			if c.burst {
+				c.mFailures.Add(uint64(len(statusCmds) - 1 - i)) // the unread rest
+			}
+			break
+		}
+	}
+	if firstErr != nil {
+		return NodeStatus{}, firstErr
+	}
+	return st, nil
+}
+
+// sendStatus writes ReadStatus's requests as one burst with consecutive
+// sequence numbers, growing the client's buffers for the burst. c.mu
+// must be held.
+func (c *Client) sendStatus() error {
+	c.rd.reserve(statusRespLen)
+	b, at := c.req[:0], 0
+	for i, cmd := range statusCmds {
+		if i > 0 {
+			b, _ = sealFrame(b, at) // a payload-less request always seals
+		}
+		at = len(b)
+		b = beginFrame(b, c.seq+uint32(i)+1, NetFnOEM, cmd)
+	}
+	c.mRequests.Add(uint64(len(statusCmds)))
+	if err := c.write(b, at); err != nil {
+		c.mFailures.Add(uint64(len(statusCmds)))
+		return err
+	}
+	return nil
+}
+
+// decode stores cmd's response payload b in st.
+func (st *NodeStatus) decode(cmd uint8, b []byte) (err error) {
+	switch cmd {
+	case CmdGetPowerReading:
+		st.Reading, err = DecodePowerReading(b)
+	case CmdGetPStateInfo:
+		st.PState, err = DecodePStateInfo(b)
+	case CmdGetGatingLevel:
+		st.Gating, err = decodeGating(b)
+	case CmdGetPowerLimit:
+		st.Limit, err = DecodePowerLimit(b)
+	case CmdGetHealth:
+		st.Health, err = DecodeHealth(b)
+	}
+	return err
 }
