@@ -1133,9 +1133,9 @@ func sampleBMC(bmc BMC) (Sample, ipmi.PowerLimit, ipmi.Health, error) {
 }
 
 // statusReader is a BMC that reads a status sample in one call, as
-// *ipmi.Client's ReadStatus does, writing the five requests in one
-// burst where its transport allows. A BMC without it (test fakes, the
-// benchmark's span-recording wrapper) makes the five Get calls.
+// *ipmi.Client's ReadStatus does with one GetStatus exchange. A BMC
+// without it (test fakes, the benchmark's span-recording wrapper) makes
+// the five Get calls.
 type statusReader interface {
 	ReadStatus() (ipmi.NodeStatus, error)
 }

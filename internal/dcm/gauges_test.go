@@ -97,33 +97,45 @@ func TestFleetGaugesMatchRecount(t *testing.T) {
 
 // TestAddNodeCostIsLinear: registration used to end in a walk over the
 // whole node map, so 4x the nodes cost 16x the time (0.21 s of the
-// 0.29 s a 10 000-node Tree.AddNodes took). Each size takes the best of
-// three to shed host noise; linear is 4x, the bound leaves a factor two.
+// 0.29 s a 10 000-node Tree.AddNodes took). A trial registers n nodes
+// into fresh managers until at least 50 ms of registering has passed,
+// and a size's cost is its best trial of five per registration round:
+// trials that long shed the GC pauses and host noise a single round of
+// a few milliseconds does not. Linear is 4x, the bound leaves a factor
+// two.
 func TestAddNodeCostIsLinear(t *testing.T) {
+	const trialTime = 50 * time.Millisecond
 	register := func(n int) time.Duration {
+		names := make([]string, n)
+		for i := range names {
+			names[i] = fmt.Sprintf("n%06d", i)
+		}
+		b := newFakeBMC(140)
 		best := time.Duration(1<<63 - 1)
-		for trial := 0; trial < 3; trial++ {
-			b := newFakeBMC(140)
-			m := NewManager(func(string) (BMC, error) { return b, nil })
-			names := make([]string, n)
-			for i := range names {
-				names[i] = fmt.Sprintf("n%06d", i)
-			}
-			t0 := time.Now()
-			for _, name := range names {
-				if err := m.AddNode(name, name); err != nil {
-					t.Fatal(err)
+		for trial := 0; trial < 5; trial++ {
+			var spent time.Duration
+			rounds := 0
+			for ; spent < trialTime; rounds++ {
+				m := NewManager(func(string) (BMC, error) { return b, nil })
+				t0 := time.Now()
+				for _, name := range names {
+					if err := m.AddNode(name, name); err != nil {
+						t.Fatal(err)
+					}
 				}
+				spent += time.Since(t0)
+				m.Close()
 			}
-			if d := time.Since(t0); d < best {
+			if d := spent / time.Duration(rounds); d < best {
 				best = d
 			}
-			m.Close()
 		}
 		return best
 	}
 	small, large := register(4000), register(16000)
-	if ratio := float64(large) / float64(small); ratio > 8 {
+	ratio := float64(large) / float64(small)
+	t.Logf("4 000 nodes: %v, 16 000 nodes: %v (%.1fx)", small, large, ratio)
+	if ratio > 8 {
 		t.Errorf("registering 16 000 nodes took %v, %.1fx the %v of 4 000: want about 4x, well under 16x", large, ratio, small)
 	}
 }

@@ -60,6 +60,16 @@ func FuzzPayloadCodecs(f *testing.F) {
 	f.Add(EncodePStateInfo(PStateInfo{Index: 3, Count: 16, FreqMHz: 2400}))
 	f.Add(EncodeCapabilities(Capabilities{MinCapWatts: 123, MaxCapWatts: 180}))
 	f.Add(EncodeHealth(Health{FailSafe: true, SensorFaults: 7, InfeasibleCap: true}))
+	status := NodeStatus{
+		Reading: PowerReading{CurrentWatts: 151.2, AverageWatts: 150},
+		PState:  PStateInfo{Index: 3, Count: 16, FreqMHz: 2400},
+		Gating:  2,
+		Health:  Health{SensorFaults: 7},
+	}
+	status.Limit = PowerLimit{Enabled: true, CapWatts: 140}
+	f.Add(EncodeStatus(status))
+	status.Limit.Epoch = 12
+	f.Add(EncodeStatus(status))
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xFF}, 9))
 
@@ -89,6 +99,11 @@ func FuzzPayloadCodecs(f *testing.F) {
 				t.Fatalf("health round trip: %+v vs %+v (%v)", got, h, err)
 			}
 		}
+		if st, err := DecodeStatus(data); err == nil {
+			if got, err := DecodeStatus(EncodeStatus(st)); err != nil || got != st {
+				t.Fatalf("status round trip: %+v vs %+v (%v)", got, st, err)
+			}
+		}
 	})
 }
 
@@ -104,6 +119,7 @@ func FuzzServerHandle(f *testing.F) {
 	f.Add(uint32(3), uint8(NetFnOEM), uint8(CmdSetPowerLimit), []byte{1, 2})
 	f.Add(uint32(4), uint8(0x00), uint8(CmdGetDeviceID), []byte{})
 	f.Add(uint32(5), uint8(NetFnOEM), uint8(0xEE), bytes.Repeat([]byte{0xA5}, 32))
+	f.Add(uint32(6), uint8(NetFnOEM), uint8(CmdGetStatus), []byte{})
 
 	srv := NewServer(&fakeControl{})
 	f.Fuzz(func(t *testing.T, seq uint32, netfn, cmd uint8, payload []byte) {

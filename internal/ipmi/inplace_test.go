@@ -55,18 +55,11 @@ type memConn struct {
 }
 
 func (c *memConn) Write(b []byte) (int, error) {
-	plen, err := payloadLen(b)
+	req, err := openWhole(b)
 	if err != nil {
 		return 0, err
 	}
-	if len(b) != headerLen+plen+1 {
-		return 0, errors.New("memConn: a write must be one whole frame")
-	}
-	req, err := openFrame(b[:headerLen], b[headerLen:])
-	if err != nil {
-		return 0, err
-	}
-	c.out, err = sealFrame(c.srv.respond(beginFrame(c.out[:0], req.Seq, NetFnOEMResponse, req.Cmd), req), 0)
+	c.out, err = sealFrame(c.srv.respond(beginFrame(c.out[:0], req.Seq, NetFnOEMResponse, req.Cmd), req))
 	c.off = 0
 	return len(b), err
 }
@@ -81,8 +74,9 @@ func (c *memConn) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// singleNodeCommands runs each of the eight single-node commands once.
+// singleNodeCommands runs each of the nine single-node commands once.
 func singleNodeCommands(t *testing.T, c *Client) {
+	st, e9 := c.ReadStatus()
 	_, e1 := c.GetDeviceID()
 	_, e2 := c.GetPowerReading()
 	e3 := c.SetPowerLimit(PowerLimit{Enabled: true, CapWatts: 140, Epoch: 3})
@@ -91,11 +85,14 @@ func singleNodeCommands(t *testing.T, c *Client) {
 	_, e6 := c.GetGatingLevel()
 	_, e7 := c.GetCapabilities()
 	_, e8 := c.GetHealth()
-	if err := errors.Join(e1, e2, e3, e4, e5, e6, e7, e8); err != nil {
+	if err := errors.Join(e1, e2, e3, e4, e5, e6, e7, e8, e9); err != nil {
 		t.Fatal(err)
 	}
 	if !lim.Enabled || lim.CapWatts != 140 {
 		t.Fatalf("limit read back as %+v", lim)
+	}
+	if st.PState.FreqMHz != 2400 || st.Gating != 2 {
+		t.Fatalf("status read as %+v", st)
 	}
 }
 
@@ -110,17 +107,17 @@ func TestClientCommandsAllocateNothing(t *testing.T) {
 	singleNodeCommands(t, c)
 
 	if n := testing.AllocsPerRun(200, func() { singleNodeCommands(t, c) }); n != 0 {
-		t.Errorf("eight commands allocated %v times, want 0", n)
+		t.Errorf("nine commands allocated %v times, want 0", n)
 	}
 	conn.reads = 0
 	singleNodeCommands(t, c)
-	if conn.reads != 8 {
-		t.Errorf("eight responses took %d reads, want one each", conn.reads)
+	if conn.reads != 9 {
+		t.Errorf("nine responses took %d reads, want one each", conn.reads)
 	}
-	if got := cap(c.req) + len(c.rd.buf); got != 2*inlineFrameLen {
-		t.Errorf("an idle client holds %d buffer bytes, want %d", got, 2*inlineFrameLen)
+	if got := cap(c.req) + len(c.rd.buf); got != inlineReqLen+inlineFrameLen {
+		t.Errorf("an idle client holds %d buffer bytes, want %d", got, inlineReqLen+inlineFrameLen)
 	}
-	if total := int(unsafe.Sizeof(Client{})) + 2*inlineFrameLen; total > 256 {
+	if total := int(unsafe.Sizeof(Client{})) + inlineReqLen + inlineFrameLen; total > 256 {
 		t.Errorf("an idle client is %d bytes resident, want at most 256", total)
 	}
 }
@@ -143,15 +140,15 @@ func (c *scriptConn) Write(b []byte) (int, error) {
 
 // TestServeConnTurnAllocatesNothing holds the server half: a connection
 // end costs its two buffers however many request→response turns it
-// serves, answers every request in order, and answers requests that
-// arrive together in fewer writes than requests. (serveConn runs here
-// on the test's goroutine, to EOF.)
+// serves, and answers every request — the status read's included — in
+// order, each in its own write. (serveConn runs here on the test's
+// goroutine, to EOF.)
 func TestServeConnTurnAllocatesNothing(t *testing.T) {
 	srv := NewServer(&fakeControl{})
 	script := []Frame{
 		{Seq: 1, NetFn: NetFnOEM, Cmd: CmdGetPowerReading},
 		{Seq: 2, NetFn: NetFnOEM, Cmd: CmdSetPowerLimit, Payload: EncodePowerLimit(PowerLimit{Enabled: true, CapWatts: 150, Epoch: 9})},
-		{Seq: 3, NetFn: NetFnOEM, Cmd: CmdGetPowerLimit},
+		{Seq: 3, NetFn: NetFnOEM, Cmd: CmdGetStatus},
 		{Seq: 4, NetFn: NetFnOEM, Cmd: CmdGetHealth},
 		{Seq: 5, NetFn: 0x06, Cmd: CmdGetDeviceID},
 	}
@@ -163,18 +160,18 @@ func TestServeConnTurnAllocatesNothing(t *testing.T) {
 		}
 		one = append(one, b...)
 	}
-	serve := func(stream []byte) (allocs float64, writes int) {
+	serve := func(stream []byte) float64 {
 		conn := &scriptConn{out: make([]byte, 0, 64<<10)}
-		allocs = testing.AllocsPerRun(50, func() {
+		allocs := testing.AllocsPerRun(50, func() {
 			conn.in.Reset(stream)
 			conn.out, conn.writes = conn.out[:0], 0
 			srv.wg.Add(1)
 			srv.serveConn(conn)
 		})
 		// Every request is answered, in order, with its seq and cmd.
-		rest, n := conn.out, 0
-		for ; len(rest) > 0; n++ {
-			resp, tail, err := splitFrame(rest)
+		out, n := bytes.NewReader(conn.out), 0
+		for ; out.Len() > 0; n++ {
+			resp, err := ReadFrame(out)
 			if err != nil {
 				t.Fatalf("response %d: %v", n, err)
 			}
@@ -182,18 +179,19 @@ func TestServeConnTurnAllocatesNothing(t *testing.T) {
 			if resp.Seq != want.Seq || resp.Cmd != want.Cmd || resp.NetFn != NetFnOEMResponse {
 				t.Fatalf("response %d is seq %d cmd %#x netfn %#x, want seq %d cmd %#x", n, resp.Seq, resp.Cmd, resp.NetFn, want.Seq, want.Cmd)
 			}
-			rest = tail
+			if want.Cmd == CmdGetStatus {
+				if st, err := DecodeStatus(resp.Payload[1:]); err != nil || st.Limit.CapWatts != 150 || st.Limit.Epoch != 9 {
+					t.Fatalf("status response %d = %+v, %v", n, st, err)
+				}
+			}
 		}
-		if want := len(stream) / len(one) * len(script); n != want {
-			t.Fatalf("%d requests got %d responses", want, n)
+		if want := len(stream) / len(one) * len(script); n != want || conn.writes != want {
+			t.Fatalf("%d requests got %d responses in %d writes", want, n, conn.writes)
 		}
-		return allocs, conn.writes
+		return allocs
 	}
-	few, w := serve(one)
-	if w >= len(script) {
-		t.Errorf("5 requests that arrived together took %d writes, want fewer than 5", w)
-	}
-	many, _ := serve(bytes.Repeat(one, 40))
+	few := serve(one)
+	many := serve(bytes.Repeat(one, 40))
 	if few != many || few > 2 {
 		t.Errorf("a connection serving 5 turns allocated %v times and one serving 200 %v; want the same two buffers", few, many)
 	}

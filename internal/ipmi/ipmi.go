@@ -44,6 +44,10 @@ const (
 	CmdGetGatingLevel  = 0x06
 	CmdGetCapabilities = 0x07
 	CmdGetHealth       = 0x08
+	// CmdGetStatus reads what a poll needs — power reading, P-state,
+	// gating level, controller health and applied limit — in one
+	// exchange. 0x09 and 0x0A are the batch commands.
+	CmdGetStatus = 0x0B
 )
 
 // Completion codes (subset of IPMI's, plus one OEM extension).
@@ -84,30 +88,29 @@ func sum(b []byte) byte {
 }
 
 // beginFrame appends a frame header to b with the payload length left
-// zero: the caller appends the payload, then sealFrame, given the
-// header's offset in b, fills the length in.
+// zero: the caller appends the payload, then sealFrame fills the length
+// in. b must be empty, so the header sits at b[0].
 func beginFrame(b []byte, seq uint32, netFn, cmd uint8) []byte {
 	b = append(b, magic0, magic1, version)
 	b = binary.BigEndian.AppendUint32(b, seq)
 	return append(b, netFn, cmd, 0, 0)
 }
 
-// sealFrame completes the frame begun at b[at]: it writes the payload
-// length into the header and appends the checksum. Frames sealed
-// earlier in b[:at] are kept, so one buffer can carry a burst.
-func sealFrame(b []byte, at int) ([]byte, error) {
-	plen := len(b) - at - headerLen
+// sealFrame completes the frame begun at b[0]: it writes the payload
+// length into the header and appends the checksum.
+func sealFrame(b []byte) ([]byte, error) {
+	plen := len(b) - headerLen
 	if plen > MaxPayload {
 		return nil, fmt.Errorf("ipmi: payload %d exceeds max %d", plen, MaxPayload)
 	}
-	binary.BigEndian.PutUint16(b[at+9:], uint16(plen))
-	return append(b, -sum(b[at:])), nil
+	binary.BigEndian.PutUint16(b[9:], uint16(plen))
+	return append(b, -sum(b)), nil
 }
 
 // Marshal encodes f for the wire.
 func (f Frame) Marshal() ([]byte, error) {
 	b := make([]byte, 0, headerLen+len(f.Payload)+1)
-	return sealFrame(append(beginFrame(b, f.Seq, f.NetFn, f.Cmd), f.Payload...), 0)
+	return sealFrame(append(beginFrame(b, f.Seq, f.NetFn, f.Cmd), f.Payload...))
 }
 
 // payloadLen validates a frame header — magic, version and the payload
@@ -172,41 +175,9 @@ type frameReader struct {
 }
 
 // inlineFrameLen is a frameReader's first buffer: the largest
-// single-node frame — a 14-byte SetPowerLimit response — is 26 bytes.
-const inlineFrameLen = 32
-
-// A status burst is Client.ReadStatus's five payload-less requests on
-// one connection, and the BMC's five responses to it. statusReqLen is
-// the requests' bytes; statusRespLen the responses' at their longest
-// (power reading 21, P-state 17, gating 14, fenced limit 26, health 18).
-const (
-	statusReqLen  = len(statusCmds) * (headerLen + 1)
-	statusRespLen = 96
-)
-
-// ready reports whether the buffer holds the connection's next frame
-// whole, so next returns it without a Read. A malformed header counts
-// as not ready: the caller's pending work goes out before next fails.
-func (fr *frameReader) ready() bool {
-	have := fr.buf[fr.r:fr.w]
-	if len(have) < headerLen {
-		return false
-	}
-	plen, err := payloadLen(have)
-	return err == nil && len(have) >= headerLen+plen+1
-}
-
-// reserve grows the buffer to at least n bytes, keeping what is read
-// but not yet consumed.
-func (fr *frameReader) reserve(n int) {
-	if len(fr.buf) >= n {
-		return
-	}
-	buf := make([]byte, n)
-	fr.w = copy(buf, fr.buf[fr.r:fr.w])
-	fr.r = 0
-	fr.buf = buf
-}
+// single-node frame — a GetStatus response with a fenced limit, 32
+// payload bytes — is 44 bytes.
+const inlineFrameLen = 48
 
 // next returns the connection's next frame. Its Payload aliases the
 // reader's buffer and is valid only until the following call. Bytes
@@ -237,7 +208,7 @@ func (fr *frameReader) next(src io.Reader) (Frame, error) {
 			if need > size {
 				size = maxFrameLen
 			}
-			fr.reserve(size)
+			fr.buf = append(make([]byte, 0, size), fr.buf[:fr.w]...)[:size]
 		}
 		n, err := src.Read(fr.buf[fr.w:])
 		fr.w += n
@@ -438,14 +409,45 @@ func DecodeCapabilities(b []byte) (Capabilities, error) {
 	return c, nil
 }
 
-// NodeStatus is one monitoring read of a node: what ReadStatus returns,
-// the five status commands' responses together.
+// NodeStatus is one monitoring read of a node: a GetStatus response,
+// what the five Get commands it replaces return together.
 type NodeStatus struct {
 	Reading PowerReading
 	PState  PStateInfo
 	Gating  int
 	Limit   PowerLimit
 	Health  Health
+}
+
+// statusFixedLen is a GetStatus payload up to its limit: reading(8)
+// P-state(4) gating(1) health(5).
+const statusFixedLen = 8 + 4 + 1 + 5
+
+// EncodeStatus packs a GetStatus response payload: reading(8) P-state(4)
+// gating(1) health(5), then the limit (5, or 13 when fenced), last
+// because its length varies.
+func EncodeStatus(st NodeStatus) []byte {
+	return appendStatus(make([]byte, 0, statusFixedLen+13), st)
+}
+
+func appendStatus(b []byte, st NodeStatus) []byte {
+	b = appendPStateInfo(appendPowerReading(b, st.Reading), st.PState)
+	b = appendHealth(append(b, byte(st.Gating)), st.Health)
+	return appendPowerLimit(b, st.Limit)
+}
+
+// DecodeStatus unpacks a GetStatus response payload.
+func DecodeStatus(b []byte) (NodeStatus, error) {
+	if len(b) != statusFixedLen+5 && len(b) != statusFixedLen+13 {
+		return NodeStatus{}, fmt.Errorf("ipmi: status payload length %d", len(b))
+	}
+	var st NodeStatus
+	st.Reading, _ = DecodePowerReading(b[:8])
+	st.PState, _ = DecodePStateInfo(b[8:12])
+	st.Gating = int(b[12])
+	st.Health, _ = DecodeHealth(b[13:statusFixedLen])
+	st.Limit, _ = DecodePowerLimit(b[statusFixedLen:])
+	return st, nil
 }
 
 // Health is a GetHealth response: the BMC's defensive-controller

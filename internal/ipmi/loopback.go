@@ -2,19 +2,19 @@ package ipmi
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net"
 	"time"
 )
 
 // Loopback returns the wire path without a socket: a net.Conn whose
-// Write passes each request frame in b, in order, to handle, and whose
-// Read then returns the marshalled responses. An error from handle
-// fails the Write, and no later frame of b reaches handle. A request's
-// Payload aliases b, so handle must not keep it. Under NewClientConn it
-// runs the whole client — framing, sequence and completion-code checks,
-// the status burst — against an in-process endpoint such as
-// Server.Handle or Mux.Handle.
+// Write opens the one request frame b holds and passes it to handle,
+// and whose Read then returns the marshalled response. An error from
+// handle fails the Write. The request's Payload aliases b, so handle
+// must not keep it. Under NewClientConn it runs the whole client —
+// framing, sequence and completion-code checks — against an in-process
+// endpoint such as Server.Handle or Mux.Handle.
 func Loopback(handle func(Frame) (Frame, error)) net.Conn {
 	return &loopConn{handle: handle}
 }
@@ -26,42 +26,33 @@ type loopConn struct {
 }
 
 func (c *loopConn) Write(b []byte) (int, error) {
-	c.out = c.out[:0]
-	for rest := b; len(rest) > 0; {
-		req, tail, err := splitFrame(rest)
-		if err != nil {
-			return 0, err
-		}
-		resp, err := c.handle(req)
-		if err != nil {
-			return 0, err
-		}
-		at := len(c.out)
-		if c.out, err = sealFrame(append(beginFrame(c.out, resp.Seq, resp.NetFn, resp.Cmd), resp.Payload...), at); err != nil {
-			return 0, err
-		}
-		rest = tail
+	req, err := openWhole(b)
+	if err != nil {
+		return 0, err
 	}
+	resp, err := c.handle(req)
+	if err != nil {
+		return 0, err
+	}
+	c.out, err = sealFrame(append(beginFrame(c.out[:0], resp.Seq, resp.NetFn, resp.Cmd), resp.Payload...))
 	c.rd.Reset(c.out)
-	return len(b), nil
+	return len(b), err
 }
 
-// splitFrame opens the frame at the head of b in place: its Payload
-// aliases b. It returns the frame and the bytes after it.
-func splitFrame(b []byte) (Frame, []byte, error) {
+// openWhole opens b, which must be exactly one frame, in place: the
+// frame's Payload aliases b.
+func openWhole(b []byte) (Frame, error) {
 	if len(b) < headerLen {
-		return Frame{}, nil, io.ErrUnexpectedEOF
+		return Frame{}, io.ErrUnexpectedEOF
 	}
 	plen, err := payloadLen(b)
 	if err != nil {
-		return Frame{}, nil, err
+		return Frame{}, err
 	}
-	end := headerLen + plen + 1
-	if len(b) < end {
-		return Frame{}, nil, io.ErrUnexpectedEOF
+	if n := headerLen + plen + 1; len(b) != n {
+		return Frame{}, fmt.Errorf("ipmi: a %d-byte write is not one %d-byte frame", len(b), n)
 	}
-	f, err := openFrame(b[:headerLen], b[headerLen:end])
-	return f, b[end:], err
+	return openFrame(b[:headerLen], b[headerLen:])
 }
 
 func (c *loopConn) Read(p []byte) (int, error)       { return c.rd.Read(p) }

@@ -106,7 +106,7 @@ func TestClientRefusesWattsTheWireCannotCarry(t *testing.T) {
 	}
 }
 
-// marshalAll concatenates frames' wire forms: one multi-frame Write.
+// marshalAll concatenates frames' wire forms.
 func marshalAll(t *testing.T, frames ...Frame) []byte {
 	t.Helper()
 	var b []byte
@@ -120,64 +120,24 @@ func marshalAll(t *testing.T, frames ...Frame) []byte {
 	return b
 }
 
-// TestLoopbackAnswersEveryFrameOfAWrite: a Write of several frames is
-// answered frame by frame, in order, and Read returns the responses.
-func TestLoopbackAnswersEveryFrameOfAWrite(t *testing.T) {
-	srv := NewServer(&fakeControl{})
-	var seen []uint32
+// TestLoopbackRefusesAllButOneFrame: a Write must hold exactly one
+// frame. Two frames, or a frame with bytes missing, fail the Write
+// before anything reaches the handler.
+func TestLoopbackRefusesAllButOneFrame(t *testing.T) {
+	calls := 0
 	conn := Loopback(func(req Frame) (Frame, error) {
-		seen = append(seen, req.Seq)
-		return srv.Handle(req), nil
-	})
-	reqs := []Frame{
-		{Seq: 7, NetFn: NetFnOEM, Cmd: CmdGetPowerReading},
-		{Seq: 8, NetFn: NetFnOEM, Cmd: CmdSetPowerLimit, Payload: EncodePowerLimit(PowerLimit{Enabled: true, CapWatts: 130})},
-		{Seq: 9, NetFn: NetFnOEM, Cmd: CmdGetPowerLimit},
-	}
-	b := marshalAll(t, reqs...)
-	if n, err := conn.Write(b); err != nil || n != len(b) {
-		t.Fatalf("Write = %d, %v", n, err)
-	}
-	for i, req := range reqs {
-		resp, err := ReadFrame(conn)
-		if err != nil {
-			t.Fatalf("response %d: %v", i, err)
-		}
-		if resp.Seq != req.Seq || resp.Cmd != req.Cmd || ccOf(resp) != CCOK {
-			t.Errorf("response %d = %+v, want seq %d cmd %#x", i, resp, req.Seq, req.Cmd)
-		}
-		if req.Cmd == CmdGetPowerLimit {
-			if lim, err := DecodePowerLimit(resp.Payload[1:]); err != nil || lim.CapWatts != 130 {
-				t.Errorf("limit read after the set in the same Write: %+v, %v", lim, err)
-			}
-		}
-	}
-	if len(seen) != 3 || seen[0] != 7 || seen[1] != 8 || seen[2] != 9 {
-		t.Errorf("the handler saw seqs %v, want [7 8 9]", seen)
-	}
-}
-
-// TestLoopbackHandlerErrorStopsTheWrite: a handler error at frame k
-// fails the Write, and no frame after k reaches the handler.
-func TestLoopbackHandlerErrorStopsTheWrite(t *testing.T) {
-	lost := errors.New("response lost")
-	var seen []uint32
-	conn := Loopback(func(req Frame) (Frame, error) {
-		seen = append(seen, req.Seq)
-		if req.Seq == 2 {
-			return Frame{}, lost
-		}
+		calls++
 		return Frame{Seq: req.Seq, NetFn: NetFnOEMResponse, Cmd: req.Cmd, Payload: []byte{CCOK}}, nil
 	})
-	var reqs []Frame
-	for seq := uint32(1); seq <= 4; seq++ {
-		reqs = append(reqs, Frame{Seq: seq, NetFn: NetFnOEM, Cmd: CmdGetHealth})
+	req := Frame{Seq: 1, NetFn: NetFnOEM, Cmd: CmdGetHealth}
+	one := marshalAll(t, req)
+	for _, b := range [][]byte{marshalAll(t, req, req), one[:len(one)-1], one[:headerLen-1]} {
+		if _, err := conn.Write(b); err == nil {
+			t.Errorf("a %d-byte Write was accepted", len(b))
+		}
 	}
-	if _, err := conn.Write(marshalAll(t, reqs...)); !errors.Is(err, lost) {
-		t.Errorf("Write = %v, want %v", err, lost)
-	}
-	if len(seen) != 2 {
-		t.Errorf("the handler saw seqs %v, want [1 2]", seen)
+	if calls != 0 {
+		t.Errorf("refused writes reached the handler %d times", calls)
 	}
 }
 

@@ -91,32 +91,21 @@ func (l *frameListener) serveConn(conn net.Conn) {
 		l.mu.Unlock()
 	}()
 	// Both buffers belong to this connection end: a request is answered
-	// in place before the next one is read over it. While the read
-	// buffer holds another whole request, the next response joins out,
-	// so requests that arrived together — a status burst — are answered
-	// in one write. The buffers are sized for that burst: its five
-	// requests fit one read and its five responses fit out. (out grows
-	// past that only if more requests than a burst's are read at once,
-	// and the read buffer bounds how far.)
-	rd := frameReader{buf: make([]byte, statusReqLen)}
-	out := make([]byte, 0, statusRespLen)
+	// in place before the next one is read over it.
+	var rd frameReader
+	out := make([]byte, 0, inlineFrameLen)
 	for {
 		req, err := rd.next(conn)
 		if err != nil {
 			return // EOF, malformed frame, or closed connection
 		}
-		at := len(out)
-		out, err = sealFrame(l.respond(beginFrame(out, req.Seq, NetFnOEMResponse, req.Cmd), req), at)
+		out, err = sealFrame(l.respond(beginFrame(out[:0], req.Seq, NetFnOEMResponse, req.Cmd), req))
 		if err != nil {
 			return
-		}
-		if rd.ready() {
-			continue
 		}
 		if _, err := conn.Write(out); err != nil {
 			return
 		}
-		out = out[:0]
 	}
 }
 
@@ -164,11 +153,12 @@ func NewServer(ctl NodeControl) *Server {
 // It is the in-process endpoint: a Loopback over it runs the client
 // against the dispatch table without a socket.
 func (s *Server) Handle(req Frame) Frame {
-	// 16 bytes hold the longest response payload (completion code and a
-	// fenced power limit, 14), so the payload is the one allocation.
+	// The buffer holds the longest response payload (completion code and
+	// a status with a fenced limit, 32), so the payload is the one
+	// allocation.
 	return Frame{
 		Seq: req.Seq, NetFn: NetFnOEMResponse, Cmd: req.Cmd,
-		Payload: s.respond(make([]byte, 0, 16), req),
+		Payload: s.respond(make([]byte, 0, 1+statusFixedLen+13), req),
 	}
 }
 
@@ -205,6 +195,15 @@ func (s *Server) respond(dst []byte, req Frame) []byte {
 		return appendCapabilities(append(dst, CCOK), s.ctl.Capabilities())
 	case CmdGetHealth:
 		return appendHealth(append(dst, CCOK), s.ctl.Health())
+	case CmdGetStatus:
+		// The five calls in the order the five Get commands make them.
+		return appendStatus(append(dst, CCOK), NodeStatus{
+			Reading: s.ctl.PowerReading(),
+			PState:  s.ctl.PStateInfo(),
+			Gating:  s.ctl.GatingLevel(),
+			Limit:   s.ctl.PowerLimit(),
+			Health:  s.ctl.Health(),
+		})
 	default:
 		return append(dst, CCInvalidCommand)
 	}
@@ -273,10 +272,6 @@ var errNothingInFlight = errors.New("ipmi: no power-limit push awaits an ack")
 // manager can have many nodes' pushes on the wire at once; between the
 // halves the client holds that one push and every other call fails
 // with ErrPushInFlight.
-//
-// ReadStatus sends its five requests as one burst when the connection
-// buffers what is written to it (see NewClientConn), and as five
-// exchanges otherwise.
 type Client struct {
 	mu         sync.Mutex
 	conn       net.Conn
@@ -284,9 +279,9 @@ type Client struct {
 	closed     atomic.Bool
 	reqTimeout time.Duration
 	broken     bool
-	// burst: conn buffers a written burst, so a status read can write
-	// all of its requests before it reads any response.
-	burst bool
+	// legacy: the BMC answered GetStatus with CCInvalidCommand, so
+	// ReadStatus makes the five Get exchanges instead.
+	legacy bool
 	// awaiting is the command whose response the connection owes: set
 	// by a send, cleared by its await; zero when no request is out.
 	awaiting uint8
@@ -321,22 +316,13 @@ func DialTimeout(addr string, connectTimeout, requestTimeout time.Duration) (*Cl
 // NewClientConn wraps an existing connection (e.g. a net.Pipe end in
 // tests, or a fault-injecting wrapper). No request timeout is set;
 // use SetRequestTimeout to bound exchanges.
-//
-// Over a TCP connection or a Loopback, ReadStatus writes its five
-// requests in one burst, because both buffer what is written until the
-// peer reads it. net.Conn does not promise that: a net.Pipe Write
-// blocks until the peer has read all of it, so a burst would deadlock
-// against a peer that answers one frame before it reads the next. Over
-// any other connection, wrappers included, ReadStatus makes five
-// exchanges.
 func NewClientConn(conn net.Conn) *Client {
-	c := &Client{conn: conn, req: make([]byte, 0, inlineFrameLen)}
-	switch conn.(type) {
-	case *net.TCPConn, *loopConn:
-		c.burst = true
-	}
-	return c
+	return &Client{conn: conn, req: make([]byte, 0, inlineReqLen)}
 }
+
+// inlineReqLen is a client's request buffer: the longest single-node
+// request, a fenced SetPowerLimit, is 25 bytes.
+const inlineReqLen = 32
 
 // SetRequestTimeout bounds each request/response exchange; zero
 // disables the bound and disarms the deadline the last exchange left
@@ -405,7 +391,7 @@ func (c *Client) send(req []byte) error {
 	}
 	c.seq++
 	c.mRequests.Inc()
-	if err := c.write(req, 0); err != nil {
+	if err := c.write(req); err != nil {
 		c.mFailures.Inc()
 		return err
 	}
@@ -413,9 +399,9 @@ func (c *Client) send(req []byte) error {
 	return nil
 }
 
-// write is send's body: it seals the request begun at b[at] and writes
-// b — that request after any sealed before it — in one Write.
-func (c *Client) write(b []byte, at int) error {
+// write is send's body: it seals the request begun by request and
+// writes it in one Write.
+func (c *Client) write(b []byte) error {
 	if c.broken || c.closed.Load() {
 		// A Close that lands between call and lock acquisition must read
 		// as the deliberate teardown it is, not a fresh socket error.
@@ -425,11 +411,11 @@ func (c *Client) write(b []byte, at int) error {
 	if c.reqTimeout > 0 {
 		c.conn.SetDeadline(time.Now().Add(c.reqTimeout))
 	}
-	b, err := sealFrame(b, at)
+	b, err := sealFrame(b)
 	if err != nil {
 		return c.brokenErr(err)
 	}
-	c.req = b // keep the buffer a batch request or a burst grew
+	c.req = b // keep the buffer a batch request grew
 	if _, err := c.conn.Write(b); err != nil {
 		return c.brokenErr(err)
 	}
@@ -488,10 +474,16 @@ func (c *Client) read(cmd uint8) ([]byte, error) {
 		if cc == CCStaleEpoch {
 			return nil, ErrStaleEpoch
 		}
-		return nil, fmt.Errorf("ipmi: completion code %#x", cc)
+		return nil, ccError(cc)
 	}
 	return resp.Payload[1:], nil
 }
+
+// ccError is a non-OK completion code, other than CCStaleEpoch, that a
+// BMC answered an exchange with.
+type ccError byte
+
+func (cc ccError) Error() string { return fmt.Sprintf("ipmi: completion code %#x", byte(cc)) }
 
 // brokenErr marks the stream broken after an I/O failure and picks the
 // error the caller should see. If the failure was induced by Close
@@ -511,6 +503,11 @@ func (c *Client) brokenErr(err error) error {
 func query[T any](c *Client, cmd uint8, decode func([]byte) (T, error)) (T, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return get(c, cmd, decode)
+}
+
+// get is query's body. c.mu must be held.
+func get[T any](c *Client, cmd uint8, decode func([]byte) (T, error)) (T, error) {
 	b, err := c.exchange(c.request(cmd))
 	if err != nil {
 		var zero T
@@ -601,96 +598,43 @@ func (c *Client) GetHealth() (Health, error) {
 	return query(c, CmdGetHealth, DecodeHealth)
 }
 
-// statusCmds are ReadStatus's requests, in the order it sends them.
-var statusCmds = [...]uint8{CmdGetPowerReading, CmdGetPStateInfo, CmdGetGatingLevel, CmdGetPowerLimit, CmdGetHealth}
-
 // ReadStatus reads the node's power, P-state, gating level, applied
-// limit and controller health: the five Get calls' requests, in that
-// order. Where the connection buffers a burst (see NewClientConn) the
-// five go out in one Write under one deadline, armed at send, and the
-// responses are read in order after it; elsewhere each is its own
-// exchange. Either way a completion-code or payload failure does not
-// stop the read: the remaining responses are still read, which keeps
-// the stream aligned, and the first error is returned. An I/O or
-// framing failure breaks the client, as in any exchange. While a push
-// awaits its ack, ReadStatus fails with ErrPushInFlight and writes
-// nothing.
+// limit and controller health in one GetStatus exchange. A BMC that
+// answers GetStatus with CCInvalidCommand predates the command: this
+// client then reads the status as the five Get exchanges, in that
+// order and up to the first failure, from then on (the refused
+// exchange counts once as a failed request). While a push awaits
+// its ack, ReadStatus fails with ErrPushInFlight and writes nothing.
 func (c *Client) ReadStatus() (NodeStatus, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.awaiting != 0 {
-		return NodeStatus{}, ErrPushInFlight
+	if !c.legacy {
+		st, err := get(c, CmdGetStatus, DecodeStatus)
+		if err != ccError(CCInvalidCommand) {
+			return st, err
+		}
+		c.legacy = true
 	}
-	first := c.seq + 1
-	if c.burst {
-		if err := c.sendStatus(); err != nil {
-			return NodeStatus{}, err
-		}
+	return c.getStatus()
+}
+
+// getStatus is ReadStatus over the five Get exchanges. c.mu must be
+// held.
+func (c *Client) getStatus() (st NodeStatus, err error) {
+	if st.Reading, err = get(c, CmdGetPowerReading, DecodePowerReading); err != nil {
+		return NodeStatus{}, err
 	}
-	var st NodeStatus
-	var firstErr error
-	for i, cmd := range statusCmds {
-		var b []byte
-		var err error
-		if c.burst {
-			c.seq, c.awaiting = first+uint32(i), cmd
-			b, err = c.await()
-		} else {
-			b, err = c.exchange(c.request(cmd))
-		}
-		if err == nil {
-			err = st.decode(cmd, b)
-		}
-		if firstErr == nil {
-			firstErr = err
-		}
-		if c.broken {
-			if c.burst {
-				c.mFailures.Add(uint64(len(statusCmds) - 1 - i)) // the unread rest
-			}
-			break
-		}
+	if st.PState, err = get(c, CmdGetPStateInfo, DecodePStateInfo); err != nil {
+		return NodeStatus{}, err
 	}
-	if firstErr != nil {
-		return NodeStatus{}, firstErr
+	if st.Gating, err = get(c, CmdGetGatingLevel, decodeGating); err != nil {
+		return NodeStatus{}, err
+	}
+	if st.Limit, err = get(c, CmdGetPowerLimit, DecodePowerLimit); err != nil {
+		return NodeStatus{}, err
+	}
+	if st.Health, err = get(c, CmdGetHealth, DecodeHealth); err != nil {
+		return NodeStatus{}, err
 	}
 	return st, nil
-}
-
-// sendStatus writes ReadStatus's requests as one burst with consecutive
-// sequence numbers, growing the client's buffers for the burst. c.mu
-// must be held.
-func (c *Client) sendStatus() error {
-	c.rd.reserve(statusRespLen)
-	b, at := c.req[:0], 0
-	for i, cmd := range statusCmds {
-		if i > 0 {
-			b, _ = sealFrame(b, at) // a payload-less request always seals
-		}
-		at = len(b)
-		b = beginFrame(b, c.seq+uint32(i)+1, NetFnOEM, cmd)
-	}
-	c.mRequests.Add(uint64(len(statusCmds)))
-	if err := c.write(b, at); err != nil {
-		c.mFailures.Add(uint64(len(statusCmds)))
-		return err
-	}
-	return nil
-}
-
-// decode stores cmd's response payload b in st.
-func (st *NodeStatus) decode(cmd uint8, b []byte) (err error) {
-	switch cmd {
-	case CmdGetPowerReading:
-		st.Reading, err = DecodePowerReading(b)
-	case CmdGetPStateInfo:
-		st.PState, err = DecodePStateInfo(b)
-	case CmdGetGatingLevel:
-		st.Gating, err = decodeGating(b)
-	case CmdGetPowerLimit:
-		st.Limit, err = DecodePowerLimit(b)
-	case CmdGetHealth:
-		st.Health, err = DecodeHealth(b)
-	}
-	return err
 }

@@ -21,69 +21,70 @@ func getStatus(c *Client) (NodeStatus, error) {
 	return st, errors.Join(e[:]...)
 }
 
-// TestReadStatusMatchesGetCalls: ReadStatus returns what the five Get
-// calls return, and over a connection that buffers a burst it writes
-// all five requests at once.
-func TestReadStatusMatchesGetCalls(t *testing.T) {
-	ctl := &fakeControl{}
-	c, cc := dialCounting(t, ctl)
-	c.burst = true // the counting wrapper hides the TCP conn; burst as Dial's client does
-	if err := c.SetPowerLimit(PowerLimit{Enabled: true, CapWatts: 140, Epoch: 4}); err != nil {
-		t.Fatal(err)
+// refusingServer is a Server whose connections answer every request
+// for cmd with cc while refuse is set. It returns that dispatch too.
+func refusingServer(cmd, cc uint8, refuse *atomic.Bool) (*Server, func([]byte, Frame) []byte) {
+	srv := NewServer(&fakeControl{})
+	srv.frameListener.respond = func(dst []byte, req Frame) []byte {
+		if req.Cmd == cmd && refuse.Load() {
+			return append(dst, cc)
+		}
+		return srv.respond(dst, req)
 	}
-	want, err := getStatus(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	writes := cc.writes
-	got, err := c.ReadStatus()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Errorf("ReadStatus = %+v, want %+v", got, want)
-	}
-	if n := cc.writes - writes; n != 1 {
-		t.Errorf("ReadStatus made %d writes, want 1", n)
-	}
-	if again, err := getStatus(c); err != nil || again != want {
-		t.Errorf("Get calls after a burst: %+v, %v", again, err)
-	}
+	return srv, srv.frameListener.respond
+}
 
-	srv := NewServer(ctl)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	dialed, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dialed.Close()
-	if !dialed.burst {
-		t.Error("a dialed TCP client does not burst")
-	}
-	if got, err := dialed.ReadStatus(); err != nil || got != want {
-		t.Errorf("dialed ReadStatus = %+v, %v; want %+v", got, err, want)
+// handler serves respond to a Loopback from one payload buffer, so that
+// it allocates nothing once the buffer has grown.
+func handler(respond func([]byte, Frame) []byte) func(Frame) (Frame, error) {
+	var payload []byte
+	return func(req Frame) (Frame, error) {
+		payload = respond(payload[:0], req)
+		return Frame{Seq: req.Seq, NetFn: NetFnOEMResponse, Cmd: req.Cmd, Payload: payload}, nil
 	}
 }
 
-// TestReadStatusDrainsBurstAfterCompletionCode: a BMC that refuses the
-// third request of a burst fails the read with that completion code,
-// and the client reads the last two responses anyway, so its next call
-// succeeds on the same connection.
-func TestReadStatusDrainsBurstAfterCompletionCode(t *testing.T) {
-	srv := NewServer(&fakeControl{})
+// TestReadStatusMatchesGetCalls: ReadStatus returns what the five Get
+// calls return, fenced limit included, in one write on the connection.
+func TestReadStatusMatchesGetCalls(t *testing.T) {
+	ctl := &fakeControl{}
+	c, cc := dialCounting(t, ctl)
+	for _, lim := range []PowerLimit{{Enabled: true, CapWatts: 140, Epoch: 4}, {Enabled: true, CapWatts: 125.5}} {
+		if err := c.SetPowerLimit(lim); err != nil {
+			t.Fatal(err)
+		}
+		want, err := getStatus(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		writes := cc.writes
+		got, err := c.ReadStatus()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("ReadStatus = %+v, want %+v", got, want)
+		}
+		if n := cc.writes - writes; n != 1 {
+			t.Errorf("ReadStatus made %d writes, want 1", n)
+		}
+		if got.Limit != lim {
+			t.Errorf("ReadStatus limit = %+v, want %+v", got.Limit, lim)
+		}
+	}
+	if again, err := getStatus(c); err != nil || again.Gating != 2 {
+		t.Errorf("Get calls after a status read: %+v, %v", again, err)
+	}
+}
+
+// TestReadStatusCompletionCodeKeepsSession: a BMC that refuses a status
+// read with a completion code other than CCInvalidCommand fails that
+// read, and the next status read on the same client succeeds as one
+// GetStatus exchange.
+func TestReadStatusCompletionCodeKeepsSession(t *testing.T) {
 	var refuse atomic.Bool
 	refuse.Store(true)
-	respond := srv.respond
-	srv.frameListener.respond = func(dst []byte, req Frame) []byte {
-		if req.Cmd == CmdGetGatingLevel && refuse.Load() {
-			return append(dst, CCInvalidCommand)
-		}
-		return respond(dst, req)
-	}
+	srv, _ := refusingServer(CmdGetStatus, CCUnspecified, &refuse)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -95,21 +96,24 @@ func TestReadStatusDrainsBurstAfterCompletionCode(t *testing.T) {
 	}
 	defer c.Close()
 
-	if _, err := c.ReadStatus(); err == nil || !strings.Contains(err.Error(), "0xc1") {
-		t.Fatalf("ReadStatus = %v, want completion code 0xc1", err)
+	if _, err := c.ReadStatus(); err == nil || !strings.Contains(err.Error(), "0xff") {
+		t.Fatalf("ReadStatus = %v, want completion code 0xff", err)
 	}
 	refuse.Store(false)
 	if st, err := c.ReadStatus(); err != nil || st.Gating != 2 || st.Health.SensorFaults != 7 {
 		t.Errorf("next ReadStatus on the same client: %+v, %v", st, err)
 	}
+	if c.legacy {
+		t.Error("a refused status read made the client fall back to five Get exchanges")
+	}
 	if _, err := c.GetPowerReading(); err != nil {
-		t.Errorf("Get after the refused burst: %v", err)
+		t.Errorf("Get after the refused status read: %v", err)
 	}
 }
 
-// TestReadStatusSilentBMCCostsOneTimeout: a burst to a BMC that never
-// answers runs under the one deadline armed at send, so it fails in one
-// request timeout plus lateAwaitGrace, not five timeouts.
+// TestReadStatusSilentBMCCostsOneTimeout: a status read from a BMC that
+// never answers is one exchange, so it fails in one request timeout
+// plus lateAwaitGrace, not five timeouts.
 func TestReadStatusSilentBMCCostsOneTimeout(t *testing.T) {
 	const timeout = 100 * time.Millisecond
 	c, err := DialTimeout(silentServer(t), time.Second, timeout)
@@ -128,7 +132,7 @@ func TestReadStatusSilentBMCCostsOneTimeout(t *testing.T) {
 		t.Errorf("ReadStatus on a silent BMC took %v, want about %v + %v", elapsed, timeout, lateAwaitGrace)
 	}
 	if _, err := c.ReadStatus(); !errors.Is(err, ErrBroken) {
-		t.Errorf("ReadStatus after a timed-out burst = %v, want ErrBroken", err)
+		t.Errorf("ReadStatus after a timed-out read = %v, want ErrBroken", err)
 	}
 }
 
@@ -137,7 +141,6 @@ func TestReadStatusSilentBMCCostsOneTimeout(t *testing.T) {
 // nothing.
 func TestReadStatusRefusedDuringPush(t *testing.T) {
 	c, cc := dialCounting(t, &fakeControl{})
-	c.burst = true
 	if err := c.SendPowerLimit(PowerLimit{Enabled: true, CapWatts: 140}); err != nil {
 		t.Fatal(err)
 	}
@@ -148,6 +151,9 @@ func TestReadStatusRefusedDuringPush(t *testing.T) {
 	if cc.writes != writes {
 		t.Errorf("a refused ReadStatus wrote %d times", cc.writes-writes)
 	}
+	if c.legacy {
+		t.Error("a status read refused locally made the client fall back")
+	}
 	if err := c.AwaitPowerLimit(); err != nil {
 		t.Fatal(err)
 	}
@@ -156,9 +162,9 @@ func TestReadStatusRefusedDuringPush(t *testing.T) {
 	}
 }
 
-// TestReadStatusOverPipe: net.Pipe does not buffer, so a client over
-// it reads the status in five exchanges and does not deadlock against
-// a server that answers each request before it reads the next.
+// TestReadStatusOverPipe: a status read is one exchange, so it works
+// over net.Pipe, which does not buffer a write, against a server that
+// answers each request before it reads the next.
 func TestReadStatusOverPipe(t *testing.T) {
 	cli, end := net.Pipe()
 	srv := NewServer(&fakeControl{})
@@ -166,14 +172,11 @@ func TestReadStatusOverPipe(t *testing.T) {
 	go srv.serveConn(end)
 	c := NewClientConn(cli)
 	defer c.Close()
-	if c.burst {
-		t.Fatal("a client over net.Pipe bursts")
-	}
 	done := make(chan error, 1)
 	go func() {
 		st, err := c.ReadStatus()
-		if err == nil && st.Reading.CurrentWatts != 151.2 {
-			err = errors.New("wrong reading")
+		if err == nil && (st.Reading.CurrentWatts != 151.2 || st.PState.FreqMHz != 2400 || !st.Health.FailSafe) {
+			err = errors.New("wrong status")
 		}
 		done <- err
 	}()
@@ -187,18 +190,56 @@ func TestReadStatusOverPipe(t *testing.T) {
 	}
 }
 
-// TestReadStatusAllocatesNothing: once the client's buffers have grown
-// for a burst, a status read allocates nothing, burst or not.
+// TestReadStatusFallsBackForLegacyBMC: a BMC that predates GetStatus
+// answers it CCInvalidCommand. The client then returns the five Get
+// exchanges' status for that read and every later one, and never asks
+// for GetStatus again.
+func TestReadStatusFallsBackForLegacyBMC(t *testing.T) {
+	var refuse atomic.Bool
+	refuse.Store(true)
+	_, legacy := refusingServer(CmdGetStatus, CCInvalidCommand, &refuse)
+	handle := handler(legacy)
+	var cmds []uint8
+	c := NewClientConn(Loopback(func(req Frame) (Frame, error) {
+		cmds = append(cmds, req.Cmd)
+		return handle(req)
+	}))
+	if err := c.SetPowerLimit(PowerLimit{Enabled: true, CapWatts: 133, Epoch: 2}); err != nil {
+		t.Fatal(err)
+	}
+	want, err := getStatus(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	five := string([]uint8{CmdGetPowerReading, CmdGetPStateInfo, CmdGetGatingLevel, CmdGetPowerLimit, CmdGetHealth})
+	for i, wantCmds := range []string{string(rune(CmdGetStatus)) + five, five} {
+		cmds = cmds[:0]
+		got, err := c.ReadStatus()
+		if err != nil || got != want {
+			t.Errorf("read %d from a legacy BMC = %+v, %v; want %+v", i, got, err, want)
+		}
+		if string(cmds) != wantCmds {
+			t.Errorf("read %d sent commands %x, want %x", i, cmds, wantCmds)
+		}
+	}
+}
+
+// TestReadStatusAllocatesNothing: a status read allocates nothing once
+// the client's two buffers exist — over one GetStatus exchange and over
+// a legacy BMC's five — and its response fits the inline read buffer,
+// so the client keeps its first buffers.
 func TestReadStatusAllocatesNothing(t *testing.T) {
 	srv := NewServer(&fakeControl{})
-	var payload []byte
-	burst := NewClientConn(Loopback(func(req Frame) (Frame, error) {
-		payload = srv.respond(payload[:0], req)
-		return Frame{Seq: req.Seq, NetFn: NetFnOEMResponse, Cmd: req.Cmd, Payload: payload}, nil
-	}))
-	seq := NewClientConn(&memConn{srv: srv, out: make([]byte, 0, inlineFrameLen)})
-	for _, c := range []*Client{burst, seq} {
+	var refuse atomic.Bool
+	refuse.Store(true)
+	_, legacy := refusingServer(CmdGetStatus, CCInvalidCommand, &refuse)
+	mem := NewClientConn(&memConn{srv: srv, out: make([]byte, 0, inlineFrameLen)})
+	loop := NewClientConn(Loopback(handler(legacy)))
+	for _, c := range []*Client{mem, loop} {
 		c.SetRequestTimeout(time.Second)
+		if err := c.SetPowerLimit(PowerLimit{Enabled: true, CapWatts: 140, Epoch: 9}); err != nil {
+			t.Fatal(err)
+		}
 		if _, err := c.ReadStatus(); err != nil {
 			t.Fatal(err)
 		}
@@ -207,36 +248,30 @@ func TestReadStatusAllocatesNothing(t *testing.T) {
 				t.Fatal(err)
 			}
 		}); n != 0 {
-			t.Errorf("ReadStatus (burst %v) allocated %v times, want 0", c.burst, n)
+			t.Errorf("ReadStatus (legacy %v) allocated %v times, want 0", c.legacy, n)
+		}
+		if got := cap(c.req) + len(c.rd.buf); got != inlineReqLen+inlineFrameLen {
+			t.Errorf("after status reads (legacy %v) the client holds %d buffer bytes, want %d", c.legacy, got, inlineReqLen+inlineFrameLen)
 		}
 	}
-	if got := cap(seq.req) + len(seq.rd.buf); got != 2*inlineFrameLen {
-		t.Errorf("a client that never bursts holds %d buffer bytes, want %d", got, 2*inlineFrameLen)
+	if mem.legacy || !loop.legacy {
+		t.Fatalf("legacy = %v, %v; want false, true", mem.legacy, loop.legacy)
 	}
 }
 
-// TestLoopbackReceivesStatusAsOneWrite: over a Loopback, ReadStatus's
-// five requests reach the handler within one Write — the responses to
-// the earlier ones are still waiting to be read when the later ones
-// arrive.
-func TestLoopbackReceivesStatusAsOneWrite(t *testing.T) {
+// TestLoopbackReceivesStatusAsOneFrame: over a Loopback, a status read
+// reaches the handler as one payload-less GetStatus request.
+func TestLoopbackReceivesStatusAsOneFrame(t *testing.T) {
 	srv := NewServer(&fakeControl{})
-	var lc *loopConn
-	var queued []int
-	lc = Loopback(func(req Frame) (Frame, error) {
-		queued = append(queued, len(lc.out))
+	var seen []Frame
+	c := NewClientConn(Loopback(func(req Frame) (Frame, error) {
+		seen = append(seen, Frame{Seq: req.Seq, NetFn: req.NetFn, Cmd: req.Cmd, Payload: append([]byte(nil), req.Payload...)})
 		return srv.Handle(req), nil
-	}).(*loopConn)
-	c := NewClientConn(lc)
+	}))
 	if _, err := c.ReadStatus(); err != nil {
 		t.Fatal(err)
 	}
-	if len(queued) != len(statusCmds) {
-		t.Fatalf("the handler saw %d requests, want %d", len(queued), len(statusCmds))
-	}
-	for i := 1; i < len(queued); i++ {
-		if queued[i] <= queued[i-1] {
-			t.Fatalf("unread response bytes at each request: %v; want them growing within one Write", queued)
-		}
+	if len(seen) != 1 || seen[0].Cmd != CmdGetStatus || seen[0].NetFn != NetFnOEM || len(seen[0].Payload) != 0 {
+		t.Fatalf("the handler saw %+v, want one payload-less GetStatus", seen)
 	}
 }
