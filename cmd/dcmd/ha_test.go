@@ -113,8 +113,8 @@ func startPrimary(t *testing.T, stateDir, lease, id string) *daemon {
 	d, err := start(options{
 		Listen: "127.0.0.1:0", Poll: time.Hour,
 		RetryBase: time.Nanosecond, RetryMax: time.Nanosecond,
-		StaleAfter: dcm.DefaultStaleAfter, PollWorkers: 2,
-		StateDir: stateDir, ReplicaAddr: "127.0.0.1:0",
+		StaleAfter: dcm.DefaultStaleAfter,
+		StateDir:   stateDir, ReplicaAddr: "127.0.0.1:0",
 		Lease: lease, HAID: id, LeaseTTL: haTTL,
 	}, haDial, silentLog)
 	if err != nil {
@@ -130,8 +130,8 @@ func startStandbyOf(t *testing.T, stateDir, lease, id, replAddr string) *daemon 
 	d, err := start(options{
 		Listen: "127.0.0.1:0", Poll: time.Hour,
 		RetryBase: time.Nanosecond, RetryMax: time.Nanosecond,
-		StaleAfter: dcm.DefaultStaleAfter, PollWorkers: 2,
-		StateDir: stateDir, StandbyOf: replAddr, ReplicaAddr: "127.0.0.1:0",
+		StaleAfter: dcm.DefaultStaleAfter,
+		StateDir:   stateDir, StandbyOf: replAddr, ReplicaAddr: "127.0.0.1:0",
 		Lease: lease, HAID: id, LeaseTTL: haTTL,
 	}, haDial, silentLog)
 	if err != nil {

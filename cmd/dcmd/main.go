@@ -92,7 +92,6 @@ type options struct {
 	RequestTO   time.Duration
 	RetryBase   time.Duration
 	RetryMax    time.Duration
-	PollWorkers int
 	StateDir    string
 	StaleAfter  time.Duration
 	Tiers       string
@@ -151,7 +150,6 @@ func parseFlags(args []string, stderr io.Writer) (options, error) {
 	fs.DurationVar(&o.RequestTO, "request-timeout", ipmi.DefaultRequestTimeout, "per-exchange BMC request timeout")
 	fs.DurationVar(&o.RetryBase, "retry-base", dcm.DefaultRetryBaseDelay, "initial redial backoff for a failed node")
 	fs.DurationVar(&o.RetryMax, "retry-max", dcm.DefaultRetryMaxDelay, "backoff ceiling for a failed node")
-	fs.IntVar(&o.PollWorkers, "poll-workers", dcm.DefaultPollConcurrency, "max nodes sampled in parallel per sweep")
 	fs.StringVar(&o.StateDir, "state-dir", "", "durable state directory: registry, caps and budget survive restarts")
 	fs.DurationVar(&o.StaleAfter, "stale-after", dcm.DefaultStaleAfter, "age after which an unreachable node's demand stops counting in budgets")
 	fs.StringVar(&o.Tiers, "tiers", "", "comma-separated NAME=high|low priority presets applied as nodes register")
@@ -212,7 +210,6 @@ func (o options) leaseTTL() time.Duration {
 func (o options) tune(mgr *dcm.Manager) {
 	mgr.RetryBaseDelay = o.RetryBase
 	mgr.RetryMaxDelay = o.RetryMax
-	mgr.PollConcurrency = o.PollWorkers
 	mgr.StaleAfter = o.StaleAfter
 	mgr.Breaker = dcm.BreakerConfig{
 		FailureThreshold: o.BreakerFailures,

@@ -26,7 +26,7 @@ func TestParseFlagsDefaultsAndOverrides(t *testing.T) {
 	if o.Listen != "127.0.0.1:9650" || o.MetricsAddr != "" {
 		t.Errorf("defaults: %+v", o)
 	}
-	if o.Poll != time.Second || o.PollWorkers != dcm.DefaultPollConcurrency {
+	if o.Poll != time.Second {
 		t.Errorf("defaults: %+v", o)
 	}
 
@@ -34,7 +34,6 @@ func TestParseFlagsDefaultsAndOverrides(t *testing.T) {
 		"-listen", "127.0.0.1:0",
 		"-metrics-addr", "127.0.0.1:0",
 		"-poll", "250ms",
-		"-poll-workers", "3",
 		"-budget", "420",
 		"-group", "a,b,c",
 	}, io.Discard)
@@ -42,12 +41,17 @@ func TestParseFlagsDefaultsAndOverrides(t *testing.T) {
 		t.Fatal(err)
 	}
 	if o.MetricsAddr != "127.0.0.1:0" || o.Poll != 250*time.Millisecond ||
-		o.PollWorkers != 3 || o.Budget != 420 || o.Group != "a,b,c" {
+		o.Budget != 420 || o.Group != "a,b,c" {
 		t.Errorf("overrides: %+v", o)
 	}
 
 	if _, err := parseFlags([]string{"-no-such-flag"}, io.Discard); err == nil {
 		t.Error("unknown flag accepted")
+	}
+	// A sweep reads its nodes as waves from one goroutine; there is no
+	// worker count to set.
+	if _, err := parseFlags([]string{"-poll-workers", "3"}, io.Discard); err == nil {
+		t.Error("-poll-workers accepted")
 	}
 }
 
@@ -80,7 +84,6 @@ func newHarness(t *testing.T) *testHarness {
 		RetryBase:   time.Nanosecond,
 		RetryMax:    time.Nanosecond,
 		StaleAfter:  dcm.DefaultStaleAfter,
-		PollWorkers: 2,
 	}
 	dial := func(a string) (dcm.BMC, error) {
 		conn, err := h.transport.Dial("tcp", a, time.Second)

@@ -16,16 +16,15 @@ import (
 // restart tests reuse it verbatim against the same state dir.
 func shardedOpts(stateDir string) options {
 	return options{
-		Listen:      "127.0.0.1:0",
-		Poll:        time.Hour, // tests poll explicitly
-		ConnectTO:   time.Second,
-		RequestTO:   time.Second,
-		RetryBase:   time.Nanosecond,
-		RetryMax:    time.Nanosecond,
-		StaleAfter:  dcm.DefaultStaleAfter,
-		PollWorkers: 2,
-		StateDir:    stateDir,
-		Shards:      2,
+		Listen:     "127.0.0.1:0",
+		Poll:       time.Hour, // tests poll explicitly
+		ConnectTO:  time.Second,
+		RequestTO:  time.Second,
+		RetryBase:  time.Nanosecond,
+		RetryMax:   time.Nanosecond,
+		StaleAfter: dcm.DefaultStaleAfter,
+		StateDir:   stateDir,
+		Shards:     2,
 	}
 }
 

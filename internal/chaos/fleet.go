@@ -290,8 +290,9 @@ func (f *Fleet) refreshElig(dst []bool) {
 // simClock is the deterministic wall clock injected into the manager.
 // Each read advances simulated time by 1 µs, so every timestamp-
 // dependent decision (staleness verdicts, backoff gates, sample
-// stamps) is a pure function of the read sequence — which, with one
-// poll worker and a sequential run loop, is itself deterministic.
+// stamps) is a pure function of the read sequence — which, with polls
+// swept in name order from one goroutine and a sequential run loop, is
+// itself deterministic.
 // 1 µs per read keeps the 1 ns backoff/staleness windows behaving as
 // before: any gate armed at read k has expired by read k+1.
 func (f *Fleet) simClock() time.Time {
@@ -314,9 +315,6 @@ func (f *Fleet) newManager(m *member) (*dcm.Manager, error) {
 	mgr.RetryMaxDelay = time.Nanosecond
 	mgr.StaleAfter = time.Nanosecond
 	mgr.Clock = f.simClock
-	// One poll worker keeps trace append order a function of the sorted
-	// node list alone, so verdict trace windows replay bit-identically.
-	mgr.PollConcurrency = 1
 	// Gray-failure defense, scaled to simClock's 1 µs-per-read pace: a
 	// healthy in-process exchange measures ~1 µs, a stormed node
 	// hundreds of µs, so 50 µs cleanly separates the populations. The

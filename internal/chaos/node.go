@@ -108,8 +108,8 @@ func (f *Fleet) link(i, leaf int) func(ipmi.Frame) (ipmi.Frame, error) {
 			return ipmi.Frame{}, errLinkAsym
 		}
 		if req.Cmd == ipmi.CmdSetPowerLimit && leaf >= 0 && len(resp.Payload) > 0 && resp.Payload[0] == ipmi.CCOK {
-			// Every push comes from the run loop or its one-worker polls,
-			// which finish before Poll returns, so the log needs no lock.
+			// Every push comes from the run loop or its polls, which run
+			// on its goroutine, so the log needs no lock.
 			f.pushLog = append(f.pushLog, ownedPush{node: i, leaf: leaf})
 		}
 		return resp, nil

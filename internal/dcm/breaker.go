@@ -13,8 +13,9 @@ import (
 // Hard failures (dead connections) are already handled by the redial
 // backoff; the breaker exists for the failure mode that dominates at
 // scale — nodes that are slow-but-alive. A BMC answering just under
-// the request timeout occupies a poll worker for the whole exchange,
-// so a herd of them head-of-line-blocks the sweep. The breaker tracks
+// the request timeout holds its chunk of a poll sweep for the whole
+// exchange, so a herd of them spread over the chunks stalls the sweep
+// for a timeout per chunk. The breaker tracks
 // each node's exchange latency (EWMA plus a P² streaming quantile)
 // and, when a node is persistently slow or persistently failing,
 // opens: the node is skipped until a hold expires, then a single
@@ -252,8 +253,9 @@ func (m *Manager) brkClose(n *managedNode) {
 	m.tel.trace.Append(telemetry.Event{Node: n.name, Kind: telemetry.EvBreakerClose})
 }
 
-// noteExchange records one successful sample exchange's latency:
-// EWMA + P² quantile for the status columns and the latency histogram,
+// noteExchange records one successful sample exchange's latency (the
+// node's own send plus its own await, not the time its await waited on
+// the rest of the chunk): EWMA + P² quantile for the status columns and the latency histogram,
 // then the latency-trip decision — SlowConsecutive over-threshold
 // exchanges open the breaker even though every one of them succeeded
 // (slow-but-alive is the gray failure). A fast exchange closes a

@@ -13,11 +13,13 @@
 // Fault model: BMCs are remote devices on their own NICs and fail
 // independently — they hang, reset, partition, and come back. The
 // manager therefore bounds every exchange with the client's request
-// timeout, polls nodes through a bounded worker pool so one stuck node
-// cannot stall the sweep, drops a failed node's connection and redials
-// it on a capped exponential backoff with jitter, and serializes all
-// per-node I/O through an ownership token so a poll, a cap push, and a
-// concurrent RemoveNode can never interleave frames or race a Close.
+// timeout, polls nodes in waves that put a chunk of reads on the wire
+// before awaiting any, so stuck nodes cost a sweep about one timeout
+// rather than stalling it, drops a failed node's connection and
+// redials it on a capped exponential backoff with jitter, and
+// serializes all per-node I/O through an ownership token so a poll, a
+// cap push, and a concurrent RemoveNode can never interleave frames or
+// race a Close.
 package dcm
 
 import (
@@ -31,7 +33,6 @@ import (
 
 	"nodecap/internal/dcm/store"
 	"nodecap/internal/ipmi"
-	"nodecap/internal/pool"
 	"nodecap/internal/telemetry"
 )
 
@@ -60,9 +61,8 @@ func DefaultDialer(addr string) (BMC, error) {
 
 // Manager tuning defaults.
 const (
-	DefaultPollConcurrency = 16
-	DefaultRetryBaseDelay  = 500 * time.Millisecond
-	DefaultRetryMaxDelay   = 30 * time.Second
+	DefaultRetryBaseDelay = 500 * time.Millisecond
+	DefaultRetryMaxDelay  = 30 * time.Second
 	// DefaultStaleAfter is how long an unreachable node's last good
 	// sample keeps counting as live demand in budget allocation.
 	DefaultStaleAfter = 30 * time.Second
@@ -234,8 +234,10 @@ type Manager struct {
 	// Guarded by mu.
 	reachable int
 
-	// PollConcurrency bounds how many nodes one Poll sweep samples in
-	// parallel (default DefaultPollConcurrency).
+	// PollConcurrency is ignored: a Poll sweep reads its nodes as waves
+	// from one goroutine (see Poll).
+	//
+	// Deprecated: it remains only for callers that still set it.
 	PollConcurrency int
 
 	// RetryBaseDelay and RetryMaxDelay shape the capped exponential
@@ -311,15 +313,14 @@ func NewManager(dial Dialer) *Manager {
 		dial = DefaultDialer
 	}
 	return &Manager{
-		dial:            dial,
-		nodes:           make(map[string]*managedNode),
-		role:            RoleSolo,
-		rng:             rand.New(rand.NewSource(1)),
-		HistoryLimit:    4096,
-		PollConcurrency: DefaultPollConcurrency,
-		RetryBaseDelay:  DefaultRetryBaseDelay,
-		RetryMaxDelay:   DefaultRetryMaxDelay,
-		StaleAfter:      DefaultStaleAfter,
+		dial:           dial,
+		nodes:          make(map[string]*managedNode),
+		role:           RoleSolo,
+		rng:            rand.New(rand.NewSource(1)),
+		HistoryLimit:   4096,
+		RetryBaseDelay: DefaultRetryBaseDelay,
+		RetryMaxDelay:  DefaultRetryMaxDelay,
+		StaleAfter:     DefaultStaleAfter,
 	}
 }
 
@@ -621,7 +622,8 @@ type splitPusher interface {
 
 // pushChunk is how many intents a wave records and journals in one
 // store append before it sends their pushes; it bounds the journal
-// buffer a wave leaves behind at any fleet size.
+// buffer a wave leaves behind at any fleet size. A poll sweep reads its
+// nodes in chunks of the same size.
 const pushChunk = 64
 
 // capPush is one push of a wave.
@@ -950,28 +952,26 @@ func (m *Manager) capPushFailed(name string, capWatts float64, err error) {
 }
 
 // Poll performs one monitoring round across all nodes, updating
-// statuses and history. Nodes are sampled through a bounded worker
-// pool, so a slow or hung BMC delays only its own slot; a node with an
-// operation already in flight is skipped this round rather than
-// queued behind it.
+// statuses and history. Nodes are read in name order as waves of
+// pushChunk: a chunk's status requests all go on the wire before the
+// first response is awaited, and each response is awaited under the
+// deadline armed at its send, so k hung BMCs in a chunk cost it about
+// one request timeout. A node with an operation already in flight is
+// skipped this round rather than queued behind it.
 func (m *Manager) Poll() {
 	start := m.wallNow()
 	m.mu.Lock()
-	// Sweep in name order so the decision-trace events a sequential
-	// sweep (PollConcurrency=1, as the chaos harness runs) appends are
-	// deterministic run-to-run; with a concurrent pool the order is
-	// merely a stable starting schedule.
+	// The sweep's name order makes the decision-trace events it appends
+	// deterministic run-to-run.
 	nodes := m.sortedLocked()
-	workers := m.PollConcurrency
 	budget := m.PollBudget
 	shed := m.shedLevel
 	tel := m.tel
 	m.mu.Unlock()
-	if workers <= 0 {
-		workers = DefaultPollConcurrency
-	}
 
-	pool.ForEach(len(nodes), workers, func(i int) { m.pollNode(nodes[i], shed) })
+	for lo := 0; lo < len(nodes); lo += pushChunk {
+		m.pollChunk(nodes[lo:min(lo+pushChunk, len(nodes))], shed)
+	}
 	elapsed := m.wallNow().Sub(start)
 	tel.polls.Inc()
 	tel.pollSeconds.Observe(elapsed.Seconds())
@@ -997,9 +997,51 @@ func (m *Manager) Poll() {
 	m.updateFleetGauges()
 }
 
-// pollNode samples one node, redialing through the backoff gate when
-// disconnected. shed is the brownout level the round runs under.
-func (m *Manager) pollNode(n *managedNode, shed int) {
+// statusSplitter is a BMC whose status read splits into a send and an
+// await, as *ipmi.Client's does, so a sweep can put a chunk's reads on
+// the wire before it awaits any. A BMC without it makes the five Get
+// calls when the sweep awaits it.
+type statusSplitter interface {
+	SendStatus() error
+	AwaitStatus() (ipmi.NodeStatus, error)
+}
+
+// pollRead is one node's status read in a sweep's chunk.
+type pollRead struct {
+	n *managedNode
+	// bmc is the registered connection that holds the read, and the
+	// node's busy token with it, until the sweep awaits it; nil for a
+	// node not read this sweep.
+	bmc BMC
+	// sent is the node's own send time, from its gate through its
+	// request on the wire; err is the send's failure.
+	sent time.Duration
+	err  error
+}
+
+// pollChunk reads at most pushChunk nodes as one wave: every read is
+// sent, then every read is awaited in order. The reads live on the
+// stack, so a sweep allocates nothing per node.
+func (m *Manager) pollChunk(nodes []*managedNode, shed int) {
+	var reads [pushChunk]pollRead
+	chunk := reads[:len(nodes)]
+	for i, n := range nodes {
+		m.sendRead(&chunk[i], n, shed)
+	}
+	for i := range chunk {
+		if r := &chunk[i]; r.bmc != nil {
+			m.awaitRead(r, shed)
+		}
+	}
+}
+
+// sendRead starts n's status read into r, redialing through the
+// backoff gate when disconnected. Busy-skip accounting, the backoff
+// gate and the breaker decide here whether n is read this sweep. A node
+// that is read keeps its busy token in r until its await, and a
+// splitting connection writes the request now. shed is the brownout
+// level the round runs under.
+func (m *Manager) sendRead(r *pollRead, n *managedNode, shed int) {
 	if !n.tryAcquire() {
 		// Another operation owns the node; skip this round. A skip is
 		// normal once, but a streak means something (a hung exchange, a
@@ -1017,12 +1059,12 @@ func (m *Manager) pollNode(n *managedNode, shed int) {
 		m.mu.Unlock()
 		return
 	}
-	defer n.release()
 
 	m.mu.Lock()
 	n.consecSkips = 0
 	if n.removed {
 		m.mu.Unlock()
+		n.release()
 		return
 	}
 	now := m.wallNow()
@@ -1030,27 +1072,59 @@ func (m *Manager) pollNode(n *managedNode, shed int) {
 	allowed := m.brkAllow(n, now, shed)
 	m.mu.Unlock()
 	if gated || !allowed {
+		n.release()
 		return
 	}
 
 	bmc, err := m.connect(n)
 	if err != nil {
+		n.release()
 		return // failure already recorded
 	}
+	r.n, r.bmc = n, bmc
+	if s, ok := bmc.(statusSplitter); ok {
+		r.err = s.SendStatus()
+	}
+	r.sent = m.wallNow().Sub(now)
+}
+
+// awaitRead completes the read sendRead started — reading the response,
+// or making the whole read on a connection that cannot split — records
+// the sample and releases the node's busy token. The breaker is charged
+// the node's own send and await, not the time the await waited on the
+// chunk's earlier nodes. A drifted policy is re-pushed here, on the
+// session and token the read holds.
+func (m *Manager) awaitRead(r *pollRead, shed int) {
+	n, bmc := r.n, r.bmc
+	defer n.release()
+	if r.err != nil {
+		m.dropConn(n, bmc)
+		m.recordFailure(n, r.err)
+		return
+	}
 	t0 := m.wallNow()
-	s, lim, h, err := sampleBMC(bmc)
+	st, err := readStatus(bmc)
 	if err != nil {
 		m.dropConn(n, bmc)
 		m.recordFailure(n, err)
 		return
 	}
-	m.noteExchange(n, m.wallNow().Sub(t0))
-	s.At = m.wallNow()
+	at := m.wallNow()
+	m.noteExchange(n, r.sent+at.Sub(t0))
+	s := Sample{
+		At:           at,
+		PowerWatts:   st.Reading.CurrentWatts,
+		AverageWatts: st.Reading.AverageWatts,
+		FreqMHz:      int(st.PState.FreqMHz),
+		PState:       int(st.PState.Index),
+		GatingLevel:  st.Gating,
+	}
+	lim, h := st.Limit, st.Health
 
 	// Reconcile: the BMC's reported policy must match desired state.
 	// A reboot (policy lost) or a write the node missed while the
 	// manager was down shows up here; the policy is idempotently
-	// re-pushed under the ownership token this goroutine already holds.
+	// re-pushed under the ownership token this read already holds.
 	m.mu.Lock()
 	desired, reconcile := n.desired, n.haveDesired
 	desired.Epoch = m.epoch // fencing token is stamped at push time
@@ -1115,36 +1189,12 @@ func policyDrifted(desired, reported ipmi.PowerLimit) bool {
 	return math.Abs(desired.CapWatts-reported.CapWatts) > 0.011
 }
 
-// sampleBMC reads one monitoring observation plus the reported policy
-// and controller health. The sample is returned unstamped; the caller
-// sets At from the manager's clock.
-func sampleBMC(bmc BMC) (Sample, ipmi.PowerLimit, ipmi.Health, error) {
-	st, err := readStatus(bmc)
-	if err != nil {
-		return Sample{}, ipmi.PowerLimit{}, ipmi.Health{}, err
-	}
-	return Sample{
-		PowerWatts:   st.Reading.CurrentWatts,
-		AverageWatts: st.Reading.AverageWatts,
-		FreqMHz:      int(st.PState.FreqMHz),
-		PState:       int(st.PState.Index),
-		GatingLevel:  st.Gating,
-	}, st.Limit, st.Health, nil
-}
-
-// statusReader is a BMC that reads a status sample in one call, as
-// *ipmi.Client's ReadStatus does with one GetStatus exchange. A BMC
-// without it (test fakes, the benchmark's span-recording wrapper) makes
-// the five Get calls.
-type statusReader interface {
-	ReadStatus() (ipmi.NodeStatus, error)
-}
-
-// readStatus is sampleBMC's read: ReadStatus, or the five Get calls in
-// its order up to the first failure.
+// readStatus is a read's await: AwaitStatus on a connection that
+// splits, or the five Get calls, in ReadStatus's order up to the first
+// failure, on one that does not.
 func readStatus(bmc BMC) (st ipmi.NodeStatus, err error) {
-	if r, ok := bmc.(statusReader); ok {
-		return r.ReadStatus()
+	if s, ok := bmc.(statusSplitter); ok {
+		return s.AwaitStatus()
 	}
 	if st.Reading, err = bmc.GetPowerReading(); err != nil {
 		return st, err

@@ -146,11 +146,11 @@ func TestHistoryLimitZeroNegativeAndLowered(t *testing.T) {
 }
 
 // TestPollAllocatesNothingOnceHistoryIsFull holds the manager's half of
-// the tentpole over fake BMCs. Per node (pollNode is Poll's body for
-// one node): while a ring grows it takes one chunk per historyChunk
-// polls and nothing else, and once it has reached HistoryLimit nothing
-// at all. Per sweep: only the closure Poll hands to the worker pool,
-// however many nodes there are.
+// the tentpole over fake BMCs. Per node (a chunk of one node, Poll's
+// body): while a ring grows it takes one chunk per historyChunk polls
+// and nothing else, and once it has reached HistoryLimit nothing at
+// all. Per sweep: nothing, however many nodes there are — a chunk's
+// reads live on the stack.
 func TestPollAllocatesNothingOnceHistoryIsFull(t *testing.T) {
 	const nodes = 8
 	bmcs := map[string]*fakeBMC{}
@@ -158,7 +158,6 @@ func TestPollAllocatesNothingOnceHistoryIsFull(t *testing.T) {
 		bmcs[fmt.Sprint("a", i)] = newFakeBMC(150)
 	}
 	m := fleet(bmcs)
-	m.PollConcurrency = 1 // the sweep stays on this goroutine
 	m.SetTelemetry(telemetry.NewRegistry(), telemetry.NewTrace(64))
 	for i := 0; i < nodes; i++ {
 		if err := m.AddNode(fmt.Sprint("n", i), fmt.Sprint("a", i)); err != nil {
@@ -169,9 +168,10 @@ func TestPollAllocatesNothingOnceHistoryIsFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	one := []*managedNode{n0}
 	chunkOfPolls := func() {
 		for i := 0; i < historyChunk; i++ {
-			m.pollNode(n0, 0)
+			m.pollChunk(one, 0)
 		}
 	}
 	if got := testing.AllocsPerRun(10, chunkOfPolls); got != 1 {
@@ -188,8 +188,8 @@ func TestPollAllocatesNothingOnceHistoryIsFull(t *testing.T) {
 	if got := testing.AllocsPerRun(10, chunkOfPolls); got != 0 {
 		t.Errorf("%d polls of a full ring allocated %v times, want 0", historyChunk, got)
 	}
-	if got := testing.AllocsPerRun(4*historyChunk, m.Poll); got > 1 {
-		t.Errorf("a sweep of %d nodes with full rings allocated %v times, want at most the pool's closure", nodes, got)
+	if got := testing.AllocsPerRun(4*historyChunk, m.Poll); got != 0 {
+		t.Errorf("a sweep of %d nodes with full rings allocated %v times, want 0", nodes, got)
 	}
 }
 

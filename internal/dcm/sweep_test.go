@@ -30,11 +30,9 @@ func (b *sweepBMC) GetPowerReading() (ipmi.PowerReading, error) {
 }
 
 func sweepManager(log *sweepLog) *Manager {
-	m := NewManager(func(addr string) (BMC, error) {
+	return NewManager(func(addr string) (BMC, error) {
 		return &sweepBMC{fakeBMC: newFakeBMC(150), addr: addr, log: log}, nil
 	})
-	m.PollConcurrency = 1 // sequential: the log is the sweep order
-	return m
 }
 
 // TestPollSweepsInNameOrder: the name-ordered slice Poll keeps between

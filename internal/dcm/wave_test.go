@@ -4,12 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"os"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"nodecap/internal/dcm/store"
 	"nodecap/internal/ipmi"
 )
 
@@ -27,12 +29,24 @@ type arrival struct {
 }
 
 // waveCtl is a BMC endpoint that records each cap push it receives in
-// log, when there is one. A hung endpoint never answers one.
+// log, when there is one. A hung endpoint never answers one; a mute one
+// never answers a status read.
 type waveCtl struct {
 	bmcStub
 	name string
 	log  *arrivals
 	hang chan struct{} // non-nil: SetPowerLimit blocks until closed; guarded by bmcStub.mu
+	mute chan struct{} // non-nil: PowerReading blocks until closed; guarded by bmcStub.mu
+}
+
+func (c *waveCtl) PowerReading() ipmi.PowerReading {
+	c.mu.Lock()
+	mute := c.mute
+	c.mu.Unlock()
+	if mute != nil {
+		<-mute
+	}
+	return c.bmcStub.PowerReading()
 }
 
 func (c *waveCtl) SetPowerLimit(lim ipmi.PowerLimit) error {
@@ -181,6 +195,128 @@ func TestWaveJournalsChunkBeforeSend(t *testing.T) {
 	}
 	for _, b := range bad {
 		t.Error(b)
+	}
+}
+
+// TestApplyBudgetJournalCutsConserve: a budget change whose lowers span
+// two chunks journals only budget-conserving prefixes. The old caps sit
+// in the snapshot and the change's intents in the journal, fsynced per
+// chunk; cut at every byte, the journal recovers to enabled caps that
+// sum to at most max(old budget, new budget), because every lower is
+// journaled before any raise.
+func TestApplyBudgetJournalCutsConserve(t *testing.T) {
+	const n = pushChunk + 8
+	bmcs := map[string]*fakeBMC{}
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("n%03d", i)
+		bmcs[names[i]] = newFakeBMC(150)
+	}
+	dir := t.TempDir()
+	m := fleet(bmcs)
+	if err := m.OpenStateDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	m.Store().SetSync(false)
+	for i, name := range names {
+		capW := 170.0 // lowered to 145 below: 66 lowers, two chunks
+		if i%12 == 0 {
+			capW = 130 // raised to 145 below
+		}
+		if err := m.AddNode(name, name); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.SetNodeCap(name, capW); err != nil {
+			t.Fatal(err)
+		}
+	}
+	oldBudget := m.DesiredCapSum()
+	m.Close() // compacts: the snapshot holds the old caps
+
+	m = fleet(bmcs)
+	if err := m.OpenStateDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	m.Store().SetSync(true)
+	m.Poll() // redials the restored nodes: every one draws 150 W, so every share is 145 W
+	newBudget := 145.0 * n
+	if _, err := m.ApplyBudget(newBudget, names); err != nil {
+		t.Fatal(err)
+	}
+	m.Crash()
+	snapshot, err := os.ReadFile(store.SnapshotPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	journal, err := os.ReadFile(store.JournalPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Count(string(journal), "\n"); got != n {
+		t.Fatalf("journal holds %d records, want the change's %d intents", got, n)
+	}
+
+	limit := max(oldBudget, newBudget)
+	// recovered opens a copy of the state dir cut at byte cut and sums
+	// its enabled caps. Recovery reads the snapshot, bumps the
+	// incarnation file and truncates a torn journal: nothing that changes
+	// what a later cut recovers, so each worker reuses one directory.
+	recovered := func(dir string, cut int) (float64, error) {
+		if err := os.WriteFile(store.JournalPath(dir), journal[:cut], 0o644); err != nil {
+			return 0, err
+		}
+		st, err := store.Open(dir)
+		if err != nil {
+			return 0, fmt.Errorf("cut %d: %w", cut, err)
+		}
+		defer st.Crash()
+		var sum float64
+		for _, rec := range st.State().Nodes {
+			if rec.HaveCap && rec.CapEnabled {
+				sum += rec.CapWatts
+			}
+		}
+		return sum, nil
+	}
+	// Every open syncs the incarnation file, so the cuts run on a few
+	// workers to overlap the syncs.
+	const workers = 4
+	var (
+		wg   sync.WaitGroup
+		mu   sync.Mutex
+		errs []error
+	)
+	for w := 0; w < workers; w++ {
+		dir := t.TempDir()
+		if err := os.WriteFile(store.SnapshotPath(dir), snapshot, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for cut := w; cut <= len(journal); cut += workers {
+				got, err := recovered(dir, cut)
+				switch {
+				case err != nil:
+				case cut == 0 && math.Abs(got-oldBudget) > 1e-6:
+					err = fmt.Errorf("the snapshot recovers %v W of caps, want the old %v W", got, oldBudget)
+				case cut == len(journal) && math.Abs(got-newBudget) > 1e-6:
+					err = fmt.Errorf("the whole journal recovers %v W of caps, want the new %v W", got, newBudget)
+				case got > limit+1e-6:
+					err = fmt.Errorf("cut at byte %d of %d recovers %v W of enabled caps, above max(old %v, new %v)", cut, len(journal), got, oldBudget, newBudget)
+				}
+				if err != nil {
+					mu.Lock()
+					errs = append(errs, err)
+					mu.Unlock()
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		t.Error(err)
 	}
 }
 

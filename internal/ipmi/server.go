@@ -252,13 +252,14 @@ var ErrBroken = errors.New("ipmi: connection broken by earlier I/O failure")
 // honoured. The caller must stop actuating and step down.
 var ErrStaleEpoch = errors.New("ipmi: power limit rejected: stale fencing epoch")
 
-// ErrPushInFlight reports a call made while a push sent by
-// SendPowerLimit still awaits its ack: the client holds one exchange at
-// a time, so the call fails without I/O and the stream stays usable.
-var ErrPushInFlight = errors.New("ipmi: a power-limit push awaits its ack")
+// ErrPushInFlight reports a call made while an exchange sent by one
+// half of a split call — SendPowerLimit or SendStatus — still awaits its
+// answer, or an await of the other kind: the client holds one exchange
+// at a time, so the call fails without I/O and the stream stays usable.
+var ErrPushInFlight = errors.New("ipmi: an exchange awaits its answer")
 
-// errNothingInFlight reports an AwaitPowerLimit with no push sent.
-var errNothingInFlight = errors.New("ipmi: no power-limit push awaits an ack")
+// errNothingInFlight reports an await with no exchange sent.
+var errNothingInFlight = errors.New("ipmi: no exchange awaits its answer")
 
 // Client is a DCM-side connection to one BMC.
 //
@@ -268,10 +269,11 @@ var errNothingInFlight = errors.New("ipmi: no power-limit push awaits an ack")
 // exchange on the connection, and every method decodes it before it
 // releases mu.
 //
-// A cap push may be split in two (SendPowerLimit, AwaitPowerLimit) so a
-// manager can have many nodes' pushes on the wire at once; between the
-// halves the client holds that one push and every other call fails
-// with ErrPushInFlight.
+// A cap push (SendPowerLimit, AwaitPowerLimit) and a status read
+// (SendStatus, AwaitStatus) may each be split in two, so a manager can
+// have many nodes' exchanges on the wire at once; between the halves
+// the client holds that one exchange, and every other call — the other
+// kind's await included — fails with ErrPushInFlight.
 type Client struct {
 	mu         sync.Mutex
 	conn       net.Conn
@@ -372,15 +374,15 @@ func (c *Client) exchange(req []byte) ([]byte, error) {
 	if err := c.send(req); err != nil {
 		return nil, err
 	}
-	return c.await()
+	return c.await(req[8])
 }
 
 // send is an exchange's first half: it seals and writes the request
 // begun by request and arms the exchange's deadline, which then bounds
 // the write and await's read together. Nothing clears the deadline; the
-// next send re-arms it and SetRequestTimeout(0) disarms it. While a
-// push sent by SendPowerLimit awaits its ack, send refuses without I/O.
-// c.mu must be held.
+// next send re-arms it and SetRequestTimeout(0) disarms it. While an
+// exchange awaits its answer, send refuses without I/O. c.mu must be
+// held.
 //
 // A caller that sends to many BMCs and then awaits them in turn may
 // reach an await after its deadline, while an earlier BMC used up the
@@ -430,11 +432,16 @@ func (c *Client) write(b []byte) error {
 const lateAwaitGrace = 10 * time.Millisecond
 
 // await is an exchange's second half: it reads and checks the response
-// to the request send wrote. c.mu must be held.
-func (c *Client) await() ([]byte, error) {
-	cmd := c.awaiting
-	if cmd == 0 {
+// to the cmd request send wrote. With another command's exchange in
+// flight it refuses without I/O and leaves that exchange outstanding.
+// c.mu must be held.
+func (c *Client) await(cmd uint8) ([]byte, error) {
+	switch c.awaiting {
+	case cmd:
+	case 0:
 		return nil, errNothingInFlight
+	default:
+		return nil, ErrPushInFlight
 	}
 	c.awaiting = 0
 	b, err := c.read(cmd)
@@ -535,7 +542,7 @@ func (c *Client) SetPowerLimit(lim PowerLimit) error {
 	if err := c.sendLimit(lim); err != nil {
 		return err
 	}
-	_, err := c.await()
+	_, err := c.await(CmdSetPowerLimit)
 	return err
 }
 
@@ -550,11 +557,12 @@ func (c *Client) SendPowerLimit(lim PowerLimit) error {
 }
 
 // AwaitPowerLimit reads and checks the ack of the push SendPowerLimit
-// sent, within the deadline armed at send.
+// sent, within the deadline armed at send. While a status read is in
+// flight instead it fails with ErrPushInFlight and reads nothing.
 func (c *Client) AwaitPowerLimit() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, err := c.await()
+	_, err := c.await(CmdSetPowerLimit)
 	return err
 }
 
@@ -599,26 +607,68 @@ func (c *Client) GetHealth() (Health, error) {
 }
 
 // ReadStatus reads the node's power, P-state, gating level, applied
-// limit and controller health in one GetStatus exchange. A BMC that
-// answers GetStatus with CCInvalidCommand predates the command: this
-// client then reads the status as the five Get exchanges, in that
-// order and up to the first failure, from then on (the refused
-// exchange counts once as a failed request). While a push awaits
-// its ack, ReadStatus fails with ErrPushInFlight and writes nothing.
+// limit and controller health in one GetStatus exchange: SendStatus and
+// AwaitStatus under one hold of the client. A BMC that answers
+// GetStatus with CCInvalidCommand predates the command: this client
+// then reads the status as the five Get exchanges, in that order and up
+// to the first failure, from then on (the refused exchange counts once
+// as a failed request). While a push awaits its ack, ReadStatus fails
+// with ErrPushInFlight and writes nothing.
 func (c *Client) ReadStatus() (NodeStatus, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if err := c.sendStatus(); err != nil {
+		return NodeStatus{}, err
+	}
+	return c.awaitStatus()
+}
+
+// SendStatus writes a GetStatus request and arms its deadline without
+// reading the response, so the caller can send to other BMCs before it
+// reads any; AwaitStatus completes the read. Once the BMC has proved
+// legacy (see ReadStatus), SendStatus sends nothing and AwaitStatus
+// makes the five Get exchanges.
+func (c *Client) SendStatus() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.sendStatus()
+}
+
+// AwaitStatus reads and checks the response to the GetStatus request
+// SendStatus sent, within the deadline armed at send. A BMC that
+// refuses the command turns the client legacy here, and this read is
+// made as the five Get exchanges. While a push is in flight instead it
+// fails with ErrPushInFlight and reads nothing.
+func (c *Client) AwaitStatus() (NodeStatus, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.awaitStatus()
+}
+
+// sendStatus is SendStatus's body. c.mu must be held.
+func (c *Client) sendStatus() error {
+	if c.legacy {
+		return nil
+	}
+	return c.send(c.request(CmdGetStatus))
+}
+
+// awaitStatus is AwaitStatus's body. c.mu must be held.
+func (c *Client) awaitStatus() (NodeStatus, error) {
 	if !c.legacy {
-		st, err := get(c, CmdGetStatus, DecodeStatus)
+		b, err := c.await(CmdGetStatus)
+		if err == nil {
+			return DecodeStatus(b)
+		}
 		if err != ccError(CCInvalidCommand) {
-			return st, err
+			return NodeStatus{}, err
 		}
 		c.legacy = true
 	}
-	return c.getStatus()
+	return c.getStatus() // whose first send refuses while a push is in flight
 }
 
-// getStatus is ReadStatus over the five Get exchanges. c.mu must be
+// getStatus is a status read over the five Get exchanges. c.mu must be
 // held.
 func (c *Client) getStatus() (st NodeStatus, err error) {
 	if st.Reading, err = get(c, CmdGetPowerReading, DecodePowerReading); err != nil {

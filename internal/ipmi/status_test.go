@@ -275,3 +275,162 @@ func TestLoopbackReceivesStatusAsOneFrame(t *testing.T) {
 		t.Fatalf("the handler saw %+v, want one payload-less GetStatus", seen)
 	}
 }
+
+// TestSplitStatusOverPipe: two status reads sent before either is
+// awaited complete over net.Pipe, which does not buffer a write, each
+// against a server that answers a request before it reads the next.
+func TestSplitStatusOverPipe(t *testing.T) {
+	var clients [2]*Client
+	for i := range clients {
+		cli, end := net.Pipe()
+		srv := NewServer(&fakeControl{})
+		srv.wg.Add(1)
+		go srv.serveConn(end)
+		clients[i] = NewClientConn(cli)
+		defer clients[i].Close()
+	}
+	done := make(chan error, 1)
+	go func() {
+		for _, c := range clients {
+			if err := c.SendStatus(); err != nil {
+				done <- err
+				return
+			}
+		}
+		for _, c := range clients {
+			st, err := c.AwaitStatus()
+			if err == nil && (st.Reading.CurrentWatts != 151.2 || st.PState.FreqMHz != 2400 || !st.Health.FailSafe) {
+				err = errors.New("wrong status")
+			}
+			if err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Error(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("split status reads over net.Pipe deadlocked")
+	}
+}
+
+// TestSplitStatusLegacyAtAwait: a BMC that refuses GetStatus is found
+// out at the await, which then makes the read as the five Get
+// exchanges; from then on SendStatus sends nothing and AwaitStatus
+// makes the five.
+func TestSplitStatusLegacyAtAwait(t *testing.T) {
+	var refuse atomic.Bool
+	refuse.Store(true)
+	_, legacy := refusingServer(CmdGetStatus, CCInvalidCommand, &refuse)
+	handle := handler(legacy)
+	var cmds []uint8
+	c := NewClientConn(Loopback(func(req Frame) (Frame, error) {
+		cmds = append(cmds, req.Cmd)
+		return handle(req)
+	}))
+	want, err := getStatus(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	five := string([]uint8{CmdGetPowerReading, CmdGetPStateInfo, CmdGetGatingLevel, CmdGetPowerLimit, CmdGetHealth})
+	for i, wantSent := range []string{string(rune(CmdGetStatus)), ""} {
+		cmds = cmds[:0]
+		if err := c.SendStatus(); err != nil {
+			t.Fatal(err)
+		}
+		if string(cmds) != wantSent {
+			t.Errorf("send %d sent commands %x, want %x", i, cmds, wantSent)
+		}
+		cmds = cmds[:0]
+		got, err := c.AwaitStatus()
+		if err != nil || got != want {
+			t.Errorf("await %d = %+v, %v; want %+v", i, got, err, want)
+		}
+		if string(cmds) != five {
+			t.Errorf("await %d sent commands %x, want the five Gets %x", i, cmds, five)
+		}
+		if !c.legacy {
+			t.Fatalf("after await %d the client is not legacy", i)
+		}
+	}
+}
+
+// TestSplitCrossAwaitsRefused: the client holds one exchange. With a
+// push in flight, a status send or await fails with ErrPushInFlight and
+// touches the connection not at all; with a status read in flight, so
+// does a push's await. Each held exchange then completes.
+func TestSplitCrossAwaitsRefused(t *testing.T) {
+	mc := &memConn{srv: NewServer(&fakeControl{})}
+	c := NewClientConn(mc)
+	touched := func() int { return mc.reads + mc.off }
+	if err := c.SendPowerLimit(PowerLimit{Enabled: true, CapWatts: 140}); err != nil {
+		t.Fatal(err)
+	}
+	before := touched()
+	if err := c.SendStatus(); !errors.Is(err, ErrPushInFlight) {
+		t.Errorf("SendStatus during a push: %v, want ErrPushInFlight", err)
+	}
+	if _, err := c.AwaitStatus(); !errors.Is(err, ErrPushInFlight) {
+		t.Errorf("AwaitStatus during a push: %v, want ErrPushInFlight", err)
+	}
+	if touched() != before {
+		t.Error("a refused status call read from the connection")
+	}
+	if err := c.AwaitPowerLimit(); err != nil {
+		t.Fatalf("the push's await after refused status calls: %v", err)
+	}
+
+	if err := c.SendStatus(); err != nil {
+		t.Fatal(err)
+	}
+	before = touched()
+	if err := c.AwaitPowerLimit(); !errors.Is(err, ErrPushInFlight) {
+		t.Errorf("AwaitPowerLimit during a status read: %v, want ErrPushInFlight", err)
+	}
+	if err := c.SendPowerLimit(PowerLimit{Enabled: true, CapWatts: 150}); !errors.Is(err, ErrPushInFlight) {
+		t.Errorf("SendPowerLimit during a status read: %v, want ErrPushInFlight", err)
+	}
+	if touched() != before {
+		t.Error("a refused push call touched the connection")
+	}
+	if st, err := c.AwaitStatus(); err != nil || st.Limit.CapWatts != 140 {
+		t.Errorf("the status read's await after refused push calls: %+v, %v", st, err)
+	}
+	if _, err := c.AwaitStatus(); err == nil {
+		t.Error("a second await with nothing in flight succeeded")
+	}
+}
+
+// TestSplitStatusAllocatesNothing: a split status read allocates
+// nothing once the client's buffers exist, over one GetStatus exchange
+// and over a legacy BMC's five.
+func TestSplitStatusAllocatesNothing(t *testing.T) {
+	var refuse atomic.Bool
+	refuse.Store(true)
+	_, legacy := refusingServer(CmdGetStatus, CCInvalidCommand, &refuse)
+	mem := NewClientConn(&memConn{srv: NewServer(&fakeControl{}), out: make([]byte, 0, inlineFrameLen)})
+	loop := NewClientConn(Loopback(handler(legacy)))
+	for _, c := range []*Client{mem, loop} {
+		c.SetRequestTimeout(time.Second)
+		read := func() {
+			if err := c.SendStatus(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.AwaitStatus(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		read()
+		if n := testing.AllocsPerRun(200, read); n != 0 {
+			t.Errorf("a split status read (legacy %v) allocated %v times, want 0", c.legacy, n)
+		}
+	}
+	if mem.legacy || !loop.legacy {
+		t.Fatalf("legacy = %v, %v; want false, true", mem.legacy, loop.legacy)
+	}
+}

@@ -251,7 +251,6 @@ func newLeafMgr(p *plant, clock *fakeClock) *dcm.Manager {
 	m.RetryBaseDelay = time.Nanosecond
 	m.RetryMaxDelay = time.Nanosecond
 	m.StaleAfter = time.Millisecond
-	m.PollConcurrency = 1
 	m.Clock = clock.now
 	m.Breaker = dcm.BreakerConfig{FailureThreshold: -1}
 	return m
