@@ -553,8 +553,14 @@ func (m *Manager) connect(n *managedNode) (BMC, error) {
 		return bmc, nil
 	}
 	m.mu.Unlock()
-
 	bmc, err := m.dial(n.addr)
+	return m.attach(n, bmc, err)
+}
+
+// attach registers the connection a dial of n returned, or records the
+// dial's failure, and returns what connect returns. The caller must
+// hold the node's ownership token.
+func (m *Manager) attach(n *managedNode, bmc BMC, err error) (BMC, error) {
 	if err != nil {
 		m.recordFailure(n, err)
 		return nil, fmt.Errorf("dcm: reconnecting to %s: %w", n.addr, err)
@@ -956,8 +962,10 @@ func (m *Manager) capPushFailed(name string, capWatts float64, err error) {
 // pushChunk: a chunk's status requests all go on the wire before the
 // first response is awaited, and each response is awaited under the
 // deadline armed at its send, so k hung BMCs in a chunk cost it about
-// one request timeout. A node with an operation already in flight is
-// skipped this round rather than queued behind it.
+// one request timeout. The chunk's redials are dialed together, so k
+// connects that hang cost it about one connect timeout more. A node
+// with an operation already in flight is skipped this round rather
+// than queued behind it.
 func (m *Manager) Poll() {
 	start := m.wallNow()
 	m.mu.Lock()
@@ -966,11 +974,12 @@ func (m *Manager) Poll() {
 	nodes := m.sortedLocked()
 	budget := m.PollBudget
 	shed := m.shedLevel
+	bound := m.awaitBoundLocked()
 	tel := m.tel
 	m.mu.Unlock()
 
 	for lo := 0; lo < len(nodes); lo += pushChunk {
-		m.pollChunk(nodes[lo:min(lo+pushChunk, len(nodes))], shed)
+		m.pollChunk(nodes[lo:min(lo+pushChunk, len(nodes))], shed, bound)
 	}
 	elapsed := m.wallNow().Sub(start)
 	tel.polls.Inc()
@@ -997,13 +1006,28 @@ func (m *Manager) Poll() {
 	m.updateFleetGauges()
 }
 
+// awaitBoundLocked is how long a sweep's first pass waits for each
+// read, from its send: the breaker's SlowThreshold, so that a read not
+// answered by then is charged from its send (see pollChunk). Zero —
+// await each read to the end — when the latency trip is off, or when
+// the manager runs on an injected Clock, which the connection's
+// deadlines cannot follow: with bound > 0 the send times the manager
+// reads are real time. Callers hold m.mu.
+func (m *Manager) awaitBoundLocked() time.Duration {
+	if m.Clock != nil || m.Breaker.disabled() {
+		return 0
+	}
+	return m.Breaker.SlowThreshold
+}
+
 // statusSplitter is a BMC whose status read splits into a send and an
 // await, as *ipmi.Client's does, so a sweep can put a chunk's reads on
-// the wire before it awaits any. A BMC without it makes the five Get
-// calls when the sweep awaits it.
+// the wire before it awaits any. Its await can stop at a bound and
+// leave the read in flight (ipmi.ErrStillAwaiting). A BMC without it
+// makes the five Get calls when the sweep awaits it.
 type statusSplitter interface {
 	SendStatus() error
-	AwaitStatus() (ipmi.NodeStatus, error)
+	AwaitStatusBy(time.Time) (ipmi.NodeStatus, error)
 }
 
 // pollRead is one node's status read in a sweep's chunk.
@@ -1013,35 +1037,68 @@ type pollRead struct {
 	// node's busy token with it, until the sweep awaits it; nil for a
 	// node not read this sweep.
 	bmc BMC
-	// sent is the node's own send time, from its gate through its
-	// request on the wire; err is the send's failure.
-	sent time.Duration
-	err  error
+	// sent is the node's own send time, from its gate (or, after a
+	// redial, from the new connection) through its request on the wire;
+	// sentAt is the clock read that ends it. err is the send's failure.
+	sent   time.Duration
+	sentAt time.Time
+	err    error
+	// redial: n passed its gates with no connection, and the read waits
+	// for the chunk's dials. late: the read was not answered within the
+	// first pass's bound.
+	redial, late bool
 }
 
 // pollChunk reads at most pushChunk nodes as one wave: every read is
-// sent, then every read is awaited in order. The reads live on the
-// stack, so a sweep allocates nothing per node.
-func (m *Manager) pollChunk(nodes []*managedNode, shed int) {
+// sent, the chunk's redials are dialed together and their reads sent,
+// then every read is awaited in order. The reads live on the stack, so
+// a sweep allocates nothing per node.
+//
+// A read is awaited in two passes when bound > 0. Awaits run in name
+// order, so over a socket a node's answer may arrive while an earlier
+// node is awaited, and its own await then takes no time. The first
+// pass takes each answer that came within bound of its send, or that
+// is already on the connection, and charges the node its own send and
+// await; an unanswered read stays in flight. The second pass awaits
+// those and charges each the span from its send, which holds no other
+// node's send but may hold an earlier slow node's await — a span past
+// bound either way, so every slow node is seen slow.
+func (m *Manager) pollChunk(nodes []*managedNode, shed int, bound time.Duration) {
 	var reads [pushChunk]pollRead
 	chunk := reads[:len(nodes)]
+	redial := false
 	for i, n := range nodes {
-		m.sendRead(&chunk[i], n, shed)
+		if m.sendRead(&chunk[i], n, shed) {
+			redial = true
+		}
+	}
+	if redial {
+		m.redialReads(chunk)
+	}
+	late := false
+	for i := range chunk {
+		if r := &chunk[i]; r.bmc != nil && !m.awaitRead(r, shed, bound) {
+			late = true
+		}
+	}
+	if !late {
+		return
 	}
 	for i := range chunk {
-		if r := &chunk[i]; r.bmc != nil {
-			m.awaitRead(r, shed)
+		if r := &chunk[i]; r.late {
+			m.awaitRead(r, shed, 0)
 		}
 	}
 }
 
-// sendRead starts n's status read into r, redialing through the
-// backoff gate when disconnected. Busy-skip accounting, the backoff
-// gate and the breaker decide here whether n is read this sweep. A node
-// that is read keeps its busy token in r until its await, and a
-// splitting connection writes the request now. shed is the brownout
-// level the round runs under.
-func (m *Manager) sendRead(r *pollRead, n *managedNode, shed int) {
+// sendRead starts n's status read into r. Busy-skip accounting, the
+// backoff gate and the breaker decide here whether n is read this
+// sweep. A node that is read keeps its busy token in r until its
+// await, and a splitting connection writes the request now. A
+// disconnected node that passes its gates is left for
+// redialReads, and sendRead reports it. shed is the brownout level the
+// round runs under.
+func (m *Manager) sendRead(r *pollRead, n *managedNode, shed int) (redial bool) {
 	if !n.tryAcquire() {
 		// Another operation owns the node; skip this round. A skip is
 		// normal once, but a streak means something (a hung exchange, a
@@ -1057,7 +1114,7 @@ func (m *Manager) sendRead(r *pollRead, n *managedNode, shed int) {
 			})
 		}
 		m.mu.Unlock()
-		return
+		return false
 	}
 
 	m.mu.Lock()
@@ -1065,49 +1122,108 @@ func (m *Manager) sendRead(r *pollRead, n *managedNode, shed int) {
 	if n.removed {
 		m.mu.Unlock()
 		n.release()
-		return
+		return false
 	}
 	now := m.wallNow()
-	gated := n.bmc == nil && now.Before(n.nextRetry)
+	bmc := n.bmc
+	gated := bmc == nil && now.Before(n.nextRetry)
 	allowed := m.brkAllow(n, now, shed)
 	m.mu.Unlock()
 	if gated || !allowed {
 		n.release()
-		return
+		return false
 	}
+	r.n = n
+	if bmc == nil {
+		r.redial = true
+		return true
+	}
+	m.startRead(r, bmc, now)
+	return false
+}
 
-	bmc, err := m.connect(n)
-	if err != nil {
-		n.release()
-		return // failure already recorded
+// redialReads dials the nodes of chunk that sendRead left for a
+// redial, all at once, so k connects that hang cost the chunk one
+// connect timeout, not k. Then, in name order, it records each dial as
+// connect does and sends the read on the new connection. A read's send
+// time starts after its dial: a slow connect is not a slow exchange.
+func (m *Manager) redialReads(chunk []pollRead) {
+	type dialed struct {
+		bmc BMC
+		err error
 	}
-	r.n, r.bmc = n, bmc
+	got := make([]dialed, len(chunk))
+	var wg sync.WaitGroup
+	for i := range chunk {
+		if r := &chunk[i]; r.redial {
+			wg.Add(1)
+			go func(i int, addr string) {
+				defer wg.Done()
+				got[i].bmc, got[i].err = m.dial(addr)
+			}(i, r.n.addr)
+		}
+	}
+	wg.Wait()
+	for i := range chunk {
+		r := &chunk[i]
+		if !r.redial {
+			continue
+		}
+		bmc, err := m.attach(r.n, got[i].bmc, got[i].err)
+		if err != nil {
+			r.n.release()
+			continue // failure already recorded
+		}
+		m.startRead(r, bmc, m.wallNow())
+	}
+}
+
+// startRead sends r's status read on bmc, when bmc splits, and stamps
+// the node's own send time from start.
+func (m *Manager) startRead(r *pollRead, bmc BMC, start time.Time) {
+	r.bmc = bmc
 	if s, ok := bmc.(statusSplitter); ok {
 		r.err = s.SendStatus()
 	}
-	r.sent = m.wallNow().Sub(now)
+	r.sentAt = m.wallNow()
+	r.sent = r.sentAt.Sub(start)
 }
 
 // awaitRead completes the read sendRead started — reading the response,
 // or making the whole read on a connection that cannot split — records
-// the sample and releases the node's busy token. The breaker is charged
-// the node's own send and await, not the time the await waited on the
-// chunk's earlier nodes. A drifted policy is re-pushed here, on the
-// session and token the read holds.
-func (m *Manager) awaitRead(r *pollRead, shed int) {
+// the sample and releases the node's busy token. With bound > 0 a read
+// not answered within bound of its send stays in flight, marked late,
+// and awaitRead reports it undone; pollChunk awaits it again with no
+// bound. A drifted policy is re-pushed here, on the session and token
+// the read holds.
+func (m *Manager) awaitRead(r *pollRead, shed int, bound time.Duration) (done bool) {
 	n, bmc := r.n, r.bmc
-	defer n.release()
 	if r.err != nil {
 		m.dropConn(n, bmc)
 		m.recordFailure(n, r.err)
-		return
+		n.release()
+		return true
 	}
-	t0 := m.wallNow()
-	st, err := readStatus(bmc)
+	// The breaker is charged the node's own send and await; a late
+	// read, the span from its send (see pollChunk).
+	t0 := r.sentAt
+	var by time.Time
+	if !r.late {
+		t0 = m.wallNow()
+		if bound > 0 {
+			by = r.sentAt.Add(bound)
+		}
+	}
+	st, err := readStatus(bmc, by)
+	if errors.Is(err, ipmi.ErrStillAwaiting) {
+		r.late = true
+		return false
+	}
+	defer n.release()
 	if err != nil {
 		m.dropConn(n, bmc)
 		m.recordFailure(n, err)
-		return
+		return true
 	}
 	at := m.wallNow()
 	m.noteExchange(n, r.sent+at.Sub(t0))
@@ -1142,11 +1258,11 @@ func (m *Manager) awaitRead(r *pollRead, shed int) {
 		if err := bmc.SetPowerLimit(desired); err != nil {
 			if errors.Is(err, ipmi.ErrStaleEpoch) {
 				m.noteFenced(n, desired.Epoch, err)
-				return
+				return true
 			}
 			m.dropConn(n, bmc)
 			m.recordFailure(n, err)
-			return
+			return true
 		}
 		lim = desired
 	}
@@ -1174,6 +1290,7 @@ func (m *Manager) awaitRead(r *pollRead, shed int) {
 		}
 	}
 	m.mu.Unlock()
+	return true
 }
 
 // policyDrifted reports whether the BMC's reported policy disagrees
@@ -1189,12 +1306,12 @@ func policyDrifted(desired, reported ipmi.PowerLimit) bool {
 	return math.Abs(desired.CapWatts-reported.CapWatts) > 0.011
 }
 
-// readStatus is a read's await: AwaitStatus on a connection that
-// splits, or the five Get calls, in ReadStatus's order up to the first
-// failure, on one that does not.
-func readStatus(bmc BMC) (st ipmi.NodeStatus, err error) {
+// readStatus is a read's await: AwaitStatusBy(by) on a connection
+// that splits, or the five Get calls, in ReadStatus's order up to the
+// first failure, on one that does not.
+func readStatus(bmc BMC, by time.Time) (st ipmi.NodeStatus, err error) {
 	if s, ok := bmc.(statusSplitter); ok {
-		return s.AwaitStatus()
+		return s.AwaitStatusBy(by)
 	}
 	if st.Reading, err = bmc.GetPowerReading(); err != nil {
 		return st, err

@@ -171,7 +171,7 @@ func TestPollAllocatesNothingOnceHistoryIsFull(t *testing.T) {
 	one := []*managedNode{n0}
 	chunkOfPolls := func() {
 		for i := 0; i < historyChunk; i++ {
-			m.pollChunk(one, 0)
+			m.pollChunk(one, 0, 0)
 		}
 	}
 	if got := testing.AllocsPerRun(10, chunkOfPolls); got != 1 {

@@ -170,8 +170,11 @@ func ReadFrame(r io.Reader) (Frame, error) {
 // single-node frame, so an ordinary frame costs one Read; a larger
 // (batch) frame grows it once to maxFrameLen. The zero value is ready.
 type frameReader struct {
-	buf  []byte
-	r, w int // buf[r:w] is read from the connection but not yet consumed
+	buf []byte
+	// buf[r:w] is read from the connection but not yet consumed. A
+	// frame is at most maxFrameLen bytes, and 32-bit offsets keep a
+	// Client, which holds a frameReader, in a 128-byte size class.
+	r, w int32
 }
 
 // inlineFrameLen is a frameReader's first buffer: the largest
@@ -192,15 +195,15 @@ func (fr *frameReader) next(src io.Reader) (Frame, error) {
 			}
 			need = headerLen + plen + 1
 			if len(have) >= need {
-				fr.r += need
+				fr.r += int32(need)
 				return openFrame(have[:headerLen], have[headerLen:need])
 			}
 		}
 		switch {
 		case fr.r == fr.w:
 			fr.r, fr.w = 0, 0
-		case fr.r+need > len(fr.buf):
-			fr.w = copy(fr.buf, fr.buf[fr.r:fr.w])
+		case int(fr.r)+need > len(fr.buf):
+			fr.w = int32(copy(fr.buf, fr.buf[fr.r:fr.w]))
 			fr.r = 0
 		}
 		if need > len(fr.buf) {
@@ -211,8 +214,8 @@ func (fr *frameReader) next(src io.Reader) (Frame, error) {
 			fr.buf = append(make([]byte, 0, size), fr.buf[:fr.w]...)[:size]
 		}
 		n, err := src.Read(fr.buf[fr.w:])
-		fr.w += n
-		if err != nil && fr.w-fr.r < need {
+		fr.w += int32(n)
+		if err != nil && int(fr.w-fr.r) < need {
 			if err == io.EOF && fr.w > fr.r {
 				err = io.ErrUnexpectedEOF
 			}

@@ -258,6 +258,11 @@ var ErrStaleEpoch = errors.New("ipmi: power limit rejected: stale fencing epoch"
 // at a time, so the call fails without I/O and the stream stays usable.
 var ErrPushInFlight = errors.New("ipmi: an exchange awaits its answer")
 
+// ErrStillAwaiting reports an AwaitStatusBy whose bound passed before
+// the BMC answered: the read stays in flight, and AwaitStatus (or
+// another AwaitStatusBy) resumes it where this one left off.
+var ErrStillAwaiting = errors.New("ipmi: no answer yet")
+
 // errNothingInFlight reports an await with no exchange sent.
 var errNothingInFlight = errors.New("ipmi: no exchange awaits its answer")
 
@@ -287,8 +292,15 @@ type Client struct {
 	// awaiting is the command whose response the connection owes: set
 	// by a send, cleared by its await; zero when no request is out.
 	awaiting uint8
-	req      []byte
-	rd       frameReader
+	// rearm marks a read deadline AwaitStatusBy moved, which the next
+	// read restores to due, or clears without a request timeout.
+	rearm bool
+	// due is the deadline the last send armed, as an offset from
+	// clockBase: 8 bytes where a time.Time takes 24, on every client of
+	// a fleet. Unset without a request timeout.
+	due time.Duration
+	req []byte
+	rd  frameReader
 
 	// Wire-level telemetry (SetCounters); nil-safe, so an unwired
 	// client pays one predictable no-op per exchange.
@@ -411,7 +423,9 @@ func (c *Client) write(b []byte) error {
 		return ErrBroken
 	}
 	if c.reqTimeout > 0 {
-		c.conn.SetDeadline(time.Now().Add(c.reqTimeout))
+		due := time.Now().Add(c.reqTimeout)
+		c.due = due.Sub(clockBase)
+		c.conn.SetDeadline(due)
 	}
 	b, err := sealFrame(b)
 	if err != nil {
@@ -423,6 +437,10 @@ func (c *Client) write(b []byte) error {
 	}
 	return nil
 }
+
+// clockBase anchors Client.due. It carries a monotonic reading, and so
+// does every time derived from it.
+var clockBase = time.Now()
 
 // lateAwaitGrace is how long an await whose deadline has passed reads
 // on. A read past its deadline fails without looking at the socket, so
@@ -453,13 +471,33 @@ func (c *Client) await(cmd uint8) ([]byte, error) {
 
 // read is await's body: the response to cmd.
 func (c *Client) read(cmd uint8) ([]byte, error) {
+	if c.rearm {
+		c.rearm = false
+		var due time.Time
+		if c.reqTimeout > 0 {
+			due = clockBase.Add(c.due)
+		}
+		c.conn.SetReadDeadline(due)
+	}
 	resp, err := c.rd.next(c.conn)
-	if ne, ok := err.(net.Error); ok && ne.Timeout() && c.reqTimeout > 0 {
+	if isTimeout(err) && c.reqTimeout > 0 {
 		// The reader keeps what it has read, so the retry resumes the
 		// frame where the timeout left it.
 		c.conn.SetDeadline(time.Now().Add(lateAwaitGrace))
 		resp, err = c.rd.next(c.conn)
 	}
+	return c.check(resp, err, cmd)
+}
+
+// isTimeout reports a read that ended at its deadline.
+func isTimeout(err error) bool {
+	ne, ok := err.(net.Error)
+	return ok && ne.Timeout()
+}
+
+// check is read's tail: the payload of resp, the response to cmd that
+// the reader returned with err.
+func (c *Client) check(resp Frame, err error, cmd uint8) ([]byte, error) {
 	if err != nil {
 		return nil, c.brokenErr(err)
 	}
@@ -645,6 +683,45 @@ func (c *Client) AwaitStatus() (NodeStatus, error) {
 	return c.awaitStatus()
 }
 
+// probeGrace is how long AwaitStatusBy reads once its bound has
+// passed — the caller was busy awaiting other BMCs — so that an answer
+// already on the connection is taken, while a BMC that has not answered
+// costs the caller little.
+const probeGrace = time.Millisecond
+
+// AwaitStatusBy is AwaitStatus bounded to by, or to a short probe of
+// the connection when by has passed. With no answer by then it fails
+// with ErrStillAwaiting and leaves the read in flight, so a caller
+// polling many BMCs can tell a BMC that has not answered by some time
+// after its send from one whose answer merely waited to be read. A
+// zero by, a bound past the request timeout, and a legacy BMC's five
+// Get exchanges are not bounded.
+func (c *Client) AwaitStatusBy(by time.Time) (NodeStatus, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if by.IsZero() || c.legacy || c.awaiting != CmdGetStatus || c.broken {
+		return c.awaitStatus()
+	}
+	if probe := time.Now().Add(probeGrace); by.Before(probe) {
+		by = probe
+	}
+	if c.reqTimeout > 0 && !by.Before(clockBase.Add(c.due)) {
+		return c.awaitStatus()
+	}
+	c.conn.SetReadDeadline(by)
+	c.rearm = true
+	resp, err := c.rd.next(c.conn)
+	if isTimeout(err) && !c.closed.Load() {
+		return NodeStatus{}, ErrStillAwaiting
+	}
+	c.awaiting = 0
+	b, err := c.check(resp, err, CmdGetStatus)
+	if err != nil {
+		c.mFailures.Inc()
+	}
+	return c.decodeStatus(b, err)
+}
+
 // sendStatus is SendStatus's body. c.mu must be held.
 func (c *Client) sendStatus() error {
 	if c.legacy {
@@ -655,17 +732,24 @@ func (c *Client) sendStatus() error {
 
 // awaitStatus is AwaitStatus's body. c.mu must be held.
 func (c *Client) awaitStatus() (NodeStatus, error) {
-	if !c.legacy {
-		b, err := c.await(CmdGetStatus)
-		if err == nil {
-			return DecodeStatus(b)
-		}
-		if err != ccError(CCInvalidCommand) {
-			return NodeStatus{}, err
-		}
-		c.legacy = true
+	if c.legacy {
+		return c.getStatus() // whose first send refuses while a push is in flight
 	}
-	return c.getStatus() // whose first send refuses while a push is in flight
+	return c.decodeStatus(c.await(CmdGetStatus))
+}
+
+// decodeStatus decodes the GetStatus response b that an await returned
+// with err. A BMC that refused the command turns the client legacy, and
+// the read is made as the five Get exchanges. c.mu must be held.
+func (c *Client) decodeStatus(b []byte, err error) (NodeStatus, error) {
+	if err == nil {
+		return DecodeStatus(b)
+	}
+	if err != ccError(CCInvalidCommand) {
+		return NodeStatus{}, err
+	}
+	c.legacy = true
+	return c.getStatus()
 }
 
 // getStatus is a status read over the five Get exchanges. c.mu must be

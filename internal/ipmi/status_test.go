@@ -434,3 +434,67 @@ func TestSplitStatusAllocatesNothing(t *testing.T) {
 		t.Fatalf("legacy = %v, %v; want false, true", mem.legacy, loop.legacy)
 	}
 }
+
+// heldConn is a server's end of a pipe whose writes wait for hold to
+// close and then report on wrote that they are being made: it makes a
+// BMC answer when the test lets it.
+type heldConn struct {
+	net.Conn
+	hold  <-chan struct{}
+	wrote chan<- struct{}
+}
+
+func (c heldConn) Write(b []byte) (int, error) {
+	<-c.hold
+	c.wrote <- struct{}{}
+	return c.Conn.Write(b)
+}
+
+// TestAwaitStatusByLeavesReadInFlight: an AwaitStatusBy whose
+// bound passes before the BMC answers fails with ErrStillAwaiting, and
+// so does one that only finds the bound past; the read stays in flight,
+// and AwaitStatus completes it. An answer already on the connection is
+// taken though the bound has passed. With and without a request
+// timeout, the exchanges after a bounded await keep their own deadlines.
+func TestAwaitStatusByLeavesReadInFlight(t *testing.T) {
+	const bound = 5 * time.Millisecond
+	for _, timeout := range []time.Duration{0, time.Second} {
+		hold, wrote := make(chan struct{}), make(chan struct{}, 3)
+		cli, end := net.Pipe()
+		srv := NewServer(&fakeControl{})
+		srv.wg.Add(1)
+		go srv.serveConn(heldConn{end, hold, wrote})
+		c := NewClientConn(cli)
+		defer c.Close()
+		c.SetRequestTimeout(timeout)
+
+		if err := c.SendStatus(); err != nil {
+			t.Fatal(err)
+		}
+		by := time.Now().Add(bound)
+		for i := 0; i < 2; i++ {
+			if _, err := c.AwaitStatusBy(by); !errors.Is(err, ErrStillAwaiting) {
+				t.Fatalf("timeout %v: bounded await %d of a BMC yet to answer: %v, want ErrStillAwaiting", timeout, i, err)
+			}
+		}
+		close(hold)
+		if st, err := c.AwaitStatus(); err != nil || st.Reading.CurrentWatts != 151.2 {
+			t.Fatalf("timeout %v: completing the read: %+v, %v", timeout, st, err)
+		}
+		<-wrote
+
+		if err := c.SendStatus(); err != nil {
+			t.Fatal(err)
+		}
+		by = time.Now().Add(bound)
+		<-wrote
+		time.Sleep(10 * bound) // the bound passes while the answer waits
+		if st, err := c.AwaitStatusBy(by); err != nil || st.Reading.CurrentWatts != 151.2 {
+			t.Fatalf("timeout %v: an answer waiting past the bound: %+v, %v", timeout, st, err)
+		}
+		time.Sleep(2 * bound) // past the deadline the bounded await left
+		if _, err := c.ReadStatus(); err != nil {
+			t.Fatalf("timeout %v: the read after a bounded await: %v", timeout, err)
+		}
+	}
+}
