@@ -180,7 +180,7 @@ func splitmix(z uint64) uint64 {
 // on exit. In this general period the rarely-moving run counters and
 // flags stay in st: held in locals too, they crowded the loop out of
 // registers (slower at every batch size). A settled node's periods run
-// in Steady instead. Stats.Ticks is left to the caller. The
+// in SteadyLanes instead. Stats.Ticks is left to the caller. The
 // measurements are in DESIGN.md §11.
 func Run(cfg *Config, env *Envelope, capW float64, st *State, stats *Stats,
 	pos Pos, src *Source, n int, tiered bool) (Pos, Events, int) {
@@ -198,8 +198,7 @@ func Run(cfg *Config, env *Envelope, capW float64, st *State, stats *Stats,
 		var ev Events
 		if lin != nil {
 			noise += splitmixGamma
-			f := float64(splitmix(noise)>>11) / (1 << 53)
-			w = lin.Watts(pos) + (f*2-1)*lin.NoiseWatts
+			w = reading(lin.Watts(pos), lin.NoiseWatts, noise)
 		}
 		// Vet the reading. Dropouts do not advance the stuck-at tracker:
 		// a frozen sensor is one that keeps *delivering* the same number.
@@ -303,75 +302,185 @@ func Run(cfg *Config, env *Envelope, capW float64, st *State, stats *Stats,
 	return pos, out, ran
 }
 
-// Steady runs up to n periods of Run's law in the steady state — an
-// analytic plant, no fail-safe, a primed EWMA, stuck-at watch off —
-// and returns the plant's position and how many periods ran. It stops
-// before the first implausible reading, leaving it undrawn for Run's
-// general period; outside the steady state it runs nothing. Here the
-// vetting and fail-safe machine, which live only in Run, cannot act,
-// so the tuning and the plant's watts at pos sit in locals, no steady
-// period raises an event, and State is written back once, on exit.
-// It is a second entry because Run must stay a leaf function, and its
-// plant-move switch is a copy of Run's because a shared helper is too
-// big to inline and cost more per period as a call than the loop
-// saved (DESIGN.md §11). TestSteadyMatchesGeneralPeriods pins the two.
-func Steady(cfg *Config, env *Envelope, capW float64, st *State, stats *Stats,
-	pos Pos, src *Source, n int) (Pos, int) {
-	lin := src.Plant
-	if lin == nil || st.FailSafe || !st.HaveEWMA || cfg.StuckSensorTicks > 0 {
-		return pos, 0
+// Lane is one node's slot in SteadyLanes: its controller records, the
+// plant's position, its noise word and its cap. SteadyLanes updates
+// Pos and Noise in place and writes St and Stats once, on exit.
+type Lane struct {
+	St    *State
+	Stats *Stats
+	Pos   Pos
+	Noise uint64
+	CapW  float64
+}
+
+// Settled reports whether a node with controller state st, its plant lin
+// at pos, is in the steady state SteadyLanes runs: no fail-safe, a
+// primed EWMA, stuck-at watch off, and every reading the plant can
+// deliver at pos plausible. Whether the node is capped and its sensor
+// delivers is the caller's to know.
+func Settled(cfg *Config, env *Envelope, lin *Linear, st *State, pos Pos) bool {
+	return !st.FailSafe && st.HaveEWMA && cfg.StuckSensorTicks == 0 && plausible(env, lin, lin.Watts(pos))
+}
+
+// plausible reports whether every reading of plant lin at true draw base
+// lies in env's plausible range. A reading is base + x*NoiseWatts with
+// x in [-1, 1), and rounding is monotonic, so the two extremes bound it.
+func plausible(env *Envelope, lin *Linear, base float64) bool {
+	amp := math.Abs(lin.NoiseWatts)
+	return base-amp >= env.MinWatts && base+amp <= env.MaxWatts
+}
+
+// reading is what a sensor with noise amplitude amp reads at true draw
+// base for the noise stream word noise (already advanced).
+func reading(base, amp float64, noise uint64) float64 {
+	// f*2-1 for f = float64(splitmix(noise)>>11) / (1 << 53) in [0, 1):
+	// both forms are exact, and this one is a multiply shorter.
+	x := float64(splitmix(noise)>>11)/(1<<52) - 1
+	return base + x*amp
+}
+
+// lane is SteadyLanes' working copy of one Lane: the plant's watts at
+// its position and the band [low, tgt] its EWMA may take without a
+// move, and the counters it adds to Stats on exit.
+type lane struct {
+	base, tgt, low, capW float64
+	// prev is the base the lane read in period moved, its last move.
+	prev  float64
+	moved int
+	pos   Pos
+	stats Stats
+}
+
+// band sets the lane's lower bound: the undershoot that relaxes a
+// gating level when gated, the one that raises the P-state below P0,
+// and none at full speed. Above tgt the lane slows down.
+func (l *lane) band(cfg *Config) {
+	switch {
+	case l.pos.Gating > 0:
+		l.low = l.tgt - cfg.GateRelaxHysteresisWatts
+	case l.pos.PState > 0:
+		l.low = l.tgt - cfg.HysteresisWatts
+	default:
+		l.low = math.Inf(-1)
 	}
-	noise, sm := src.Noise, st.Smoothed
-	a, lo, hi, amp := cfg.Smoothing, env.MinWatts, env.MaxWatts, lin.NoiseWatts
-	target := capW - cfg.GuardBandWatts
-	base := lin.Watts(pos)
-	var w float64
-	var over uint64
+}
+
+// SteadyLanes runs up to n periods of Run's law for one to four settled
+// nodes (see Settled) in lockstep, all over plant lin, and returns how
+// many periods ran: the same for every lane. Each lane's noise word and
+// EWMA live in registers, so the four dependent chains overlap. A
+// period in which every EWMA stays inside its lane's band moves
+// nothing, raises nothing and counts nothing (GuardBandWatts ≥ 0, so
+// the band lies under the cap), and costs no branch taken. A lane that
+// leaves its band calls move, the one out-of-line copy of Run's
+// plant-move switch outside Run. A move after which the lane's
+// base ± NoiseWatts leaves the plausible range stops every lane after
+// that period, before any lane draws a reading Run's general period
+// would have to vet. Fewer than four lanes are padded with ghosts of
+// the last lane whose results are dropped.
+//
+// LastRaw is not carried per lane (it cost a register in every lane):
+// it is recomputed on exit from the final noise word and the base the
+// last period read, which is the pre-move base if that period moved.
+// TestLanesMatchGeneralPeriods pins SteadyLanes to Run; the
+// measurements are in DESIGN.md §11.
+func SteadyLanes(cfg *Config, env *Envelope, lin *Linear, lanes []Lane, n int) int {
+	var ls [4]lane
+	var noise [4]uint64
+	var sm [4]float64
+	for j := range ls {
+		in, l := &lanes[min(j, len(lanes)-1)], &ls[j]
+		l.pos, l.capW, l.tgt, l.moved = in.Pos, in.CapW, in.CapW-cfg.GuardBandWatts, -1
+		l.base = lin.Watts(l.pos)
+		l.band(cfg)
+		noise[j], sm[j] = in.Noise, in.St.Smoothed
+	}
+	a, b, amp := cfg.Smoothing, 1-cfg.Smoothing, lin.NoiseWatts
+	n0, n1, n2, n3 := noise[0], noise[1], noise[2], noise[3]
+	s0, s1, s2, s3 := sm[0], sm[1], sm[2], sm[3]
 	ran := 0
-	for ; ran < n; ran++ {
-		next := noise + splitmixGamma
-		f := float64(splitmix(next)>>11) / (1 << 53)
-		r := base + (f*2-1)*amp
-		if !(r >= lo && r <= hi) {
+	for ran < n {
+		n0 += splitmixGamma
+		n1 += splitmixGamma
+		n2 += splitmixGamma
+		n3 += splitmixGamma
+		s0 = a*reading(ls[0].base, amp, n0) + b*s0
+		s1 = a*reading(ls[1].base, amp, n1) + b*s1
+		s2 = a*reading(ls[2].base, amp, n2) + b*s2
+		s3 = a*reading(ls[3].base, amp, n3) + b*s3
+		p := ran
+		ran++
+		stop := false
+		if s0 > ls[0].tgt || s0 < ls[0].low {
+			stop = !ls[0].move(cfg, env, lin, s0, p)
+		}
+		if s1 > ls[1].tgt || s1 < ls[1].low {
+			stop = !ls[1].move(cfg, env, lin, s1, p) || stop
+		}
+		if s2 > ls[2].tgt || s2 < ls[2].low {
+			stop = !ls[2].move(cfg, env, lin, s2, p) || stop
+		}
+		if s3 > ls[3].tgt || s3 < ls[3].low {
+			stop = !ls[3].move(cfg, env, lin, s3, p) || stop
+		}
+		if stop {
 			break
 		}
-		noise, w = next, r
-		sm = a*w + (1-a)*sm
-		if sm > capW {
-			over++
+	}
+	if ran == 0 {
+		return 0
+	}
+	noise, sm = [4]uint64{n0, n1, n2, n3}, [4]float64{s0, s1, s2, s3}
+	for j := range lanes {
+		l, out := &ls[j], &lanes[j]
+		base := l.base
+		if l.moved == ran-1 {
+			base = l.prev
 		}
+		out.Pos, out.Noise = l.pos, noise[j]
+		out.St.Smoothed, out.St.LastRaw, out.St.HaveRaw, out.St.BadTicks = sm[j], reading(base, amp, noise[j]), true, 0
+		out.Stats.Add(&l.stats)
+	}
+	return ran
+}
+
+// move is Run's plant-move switch for a lane whose EWMA sm left its band
+// in period p. It counts the period over the cap if it was, moves the
+// plant, recomputes base and band, and reports whether every reading
+// at the new base is plausible.
+func (l *lane) move(cfg *Config, env *Envelope, lin *Linear, sm float64, p int) bool {
+	if sm > l.capW {
+		l.stats.OverCapTicks++
+	}
+	pos := l.pos
+	switch {
+	case sm > l.tgt:
 		switch {
-		case sm > target:
-			switch {
-			case pos.PState < env.Slowest:
-				pos.PState = min(pos.PState+cfg.descent(sm-target, env.Slowest), env.Slowest)
-				stats.StepsDown++
-				base = lin.Watts(pos)
-			case pos.Gating < env.MaxGating:
-				pos.Gating++
-				stats.GateEscalate++
-				base = lin.Watts(pos)
-			default:
-				stats.AtFloorTicks++
-			}
-		case pos.Gating > 0:
-			if sm < target-cfg.GateRelaxHysteresisWatts {
-				pos.Gating--
-				stats.GateRelax++
-				base = lin.Watts(pos)
-			}
-		case sm < target-cfg.HysteresisWatts && pos.PState > 0:
-			pos.PState--
-			stats.StepsUp++
-			base = lin.Watts(pos)
+		case pos.PState < env.Slowest:
+			pos.PState = min(pos.PState+cfg.descent(sm-l.tgt, env.Slowest), env.Slowest)
+			l.stats.StepsDown++
+		case pos.Gating < env.MaxGating:
+			pos.Gating++
+			l.stats.GateEscalate++
+		default:
+			l.stats.AtFloorTicks++
 		}
+	case pos.Gating > 0:
+		if sm < l.tgt-cfg.GateRelaxHysteresisWatts {
+			pos.Gating--
+			l.stats.GateRelax++
+		}
+	case sm < l.tgt-cfg.HysteresisWatts && pos.PState > 0:
+		pos.PState--
+		l.stats.StepsUp++
 	}
-	if ran > 0 {
-		st.Smoothed, st.LastRaw, st.HaveRaw, st.BadTicks = sm, w, true, 0
-		stats.OverCapTicks += over
-		src.Noise = noise
+	if pos == l.pos {
+		return true
 	}
-	return pos, ran
+	l.prev, l.moved, l.pos = l.base, p, pos
+	l.base = lin.Watts(pos)
+	l.band(cfg)
+	return plausible(env, lin, l.base)
 }
 
 // hold enforces the fail-safe floor: the plant may be slower than the

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -129,71 +130,122 @@ func TestRunBatchEqualsSinglePeriods(t *testing.T) {
 	}
 }
 
-// TestSteadyMatchesGeneralPeriods pins Steady's copy of the law to
-// Run's general period: the fleet engine's sequence — Steady, then Run
-// on what is left, resumed after each event — leaves State, Stats, the
-// position and the noise word bit-identical to n general periods run
-// one at a time, each fed the plant's next noise draw as a given
-// reading, so the reference never enters the steady loop. The entry
-// states are randomRunCase's: EWMA unprimed, fail-safe, bad-tick and
-// stuck-at runs, smoothing 1, a noiseless sensor, and a 124-150 W
-// plausible range that rejects readings mid-batch.
-func TestSteadyMatchesGeneralPeriods(t *testing.T) {
+// TestLanesMatchGeneralPeriods pins SteadyLanes to Run's general
+// period: the fleet engine's sequence — SteadyLanes over the settled
+// nodes of a group of one to four, then Run on what is left of each
+// node, resumed after each event — leaves every node's State, Stats,
+// position and noise word bit-identical to n general periods run one
+// at a time, each fed the plant's next noise draw as a given reading,
+// so the reference never enters a steady loop. The entry states are
+// randomRunCase's: EWMA unprimed, fail-safe, bad-tick and stuck-at
+// runs, smoothing 1, a noiseless sensor, and a 124-150 W plausible
+// range that a move can leave, which stops the group.
+func TestLanesMatchGeneralPeriods(t *testing.T) {
 	cases := 5000
 	if testing.Short() {
 		cases = 1000
 	}
-	var steady, stopped, reset int
+	type node struct {
+		st    State
+		stats Stats
+		pos   Pos
+		noise uint64
+		capW  float64
+	}
+	var steady, moved, stopped, padded, reset int
 	for k := 0; k < cases; k++ {
 		rng := rand.New(rand.NewSource(int64(k)))
-		cfg, env, st0, stats0, pos0, src0 := randomRunCase(rng)
-		capW := 100 + float64(rng.Intn(900))/10
+		cfg, env, st, stats, pos, src := randomRunCase(rng)
+		lin := src.Plant
+		if lin == nil {
+			lin = &Linear{P0Watts: 157, WattsPerPState: 2, WattsPerGate: 1.2, NoiseWatts: 0.4}
+		}
+		nodes := make([]node, 1+rng.Intn(4))
+		for j := range nodes {
+			if j > 0 {
+				_, _, st, stats, pos, _ = randomRunCase(rng)
+			}
+			nodes[j] = node{st, stats, pos, rng.Uint64(), 100 + float64(rng.Intn(900))/10}
+			if rng.Intn(2) == 0 {
+				// A cap 0.2-0.8 W above an odd watt: the node dithers
+				// between two P-states.
+				nodes[j].capW = float64(127+2*rng.Intn(15)) + 0.2 + 0.6*rng.Float64()
+			}
+		}
 		n := rng.Intn(300)
 
-		st, stats, pos, src := st0, stats0, pos0, src0
-		pos, done := Steady(&cfg, &env, capW, &st, &stats, pos, &src, n)
-		if done < 0 || done > n {
-			t.Fatalf("case %d: Steady(%d) ran %d periods", k, n, done)
+		got := slices.Clone(nodes)
+		var group []Lane
+		var at []int
+		for j := range got {
+			if g := &got[j]; Settled(&cfg, &env, lin, &g.st, g.pos) {
+				group = append(group, Lane{St: &g.st, Stats: &g.stats, Pos: g.pos, Noise: g.noise, CapW: g.capW})
+				at = append(at, j)
+				if g.st.BadTicks > 0 {
+					reset++
+				}
+			}
 		}
-		if done > 0 {
+		ran := 0
+		if len(group) > 0 {
+			ran = SteadyLanes(&cfg, &env, lin, group, n)
+			if ran < 0 || ran > n {
+				t.Fatalf("case %d: SteadyLanes(%d) ran %d periods", k, n, ran)
+			}
+			for l, j := range at {
+				if group[l].Pos != got[j].pos {
+					moved++
+				}
+				got[j].pos, got[j].noise = group[l].Pos, group[l].Noise
+			}
+		}
+		if ran > 0 {
 			steady++
-			if done < n {
+			if ran < n {
 				stopped++
 			}
-			if st0.BadTicks > 0 {
-				reset++
+			if len(group) < 4 {
+				padded++
 			}
 		}
-		for done < n {
-			var ran int
-			pos, _, ran = Run(&cfg, &env, capW, &st, &stats, pos, &src, n-done, false)
-			done += ran
-		}
-
-		wst, wstats, wpos, noise := st0, stats0, pos0, src0.Noise
-		for p := 0; p < n; p++ {
-			given := src0
-			if lin := src0.Plant; lin != nil {
-				noise += splitmixGamma
-				f := float64(splitmix(noise)>>11) / (1 << 53)
-				given = Source{Watts: lin.Watts(wpos) + (f*2-1)*lin.NoiseWatts, Delivered: true}
+		for j := range got {
+			g := &got[j]
+			done := 0
+			if slices.Contains(at, j) {
+				done = ran
 			}
-			wpos, _, _ = Run(&cfg, &env, capW, &wst, &wstats, wpos, &given, 1, false)
+			src := Source{Plant: lin, Noise: g.noise}
+			for done < n {
+				var r int
+				g.pos, _, r = Run(&cfg, &env, g.capW, &g.st, &g.stats, g.pos, &src, n-done, false)
+				done += r
+			}
+			g.noise = src.Noise
 		}
 
-		got := fmt.Sprintf("%+v %+v %+v %d", st, stats, pos, src.Noise)
-		want := fmt.Sprintf("%+v %+v %+v %d", wst, wstats, wpos, noise)
-		same := math.Float64bits(st.Smoothed) == math.Float64bits(wst.Smoothed) &&
-			math.Float64bits(st.LastRaw) == math.Float64bits(wst.LastRaw)
-		if got != want || !same {
-			t.Fatalf("case %d (n=%d tuning=%+v state=%+v source=%+v) diverged:\nengine:  %s\ngeneral: %s",
-				k, n, cfg, st0, src0, got, want)
+		for j, w := range nodes {
+			for p := 0; p < n; p++ {
+				w.noise += splitmixGamma
+				f := float64(splitmix(w.noise)>>11) / (1 << 53)
+				given := Source{Watts: lin.Watts(w.pos) + (f*2-1)*lin.NoiseWatts, Delivered: true}
+				w.pos, _, _ = Run(&cfg, &env, w.capW, &w.st, &w.stats, w.pos, &given, 1, false)
+			}
+			g := got[j]
+			gs := fmt.Sprintf("%+v %+v %+v %d", g.st, g.stats, g.pos, g.noise)
+			ws := fmt.Sprintf("%+v %+v %+v %d", w.st, w.stats, w.pos, w.noise)
+			same := math.Float64bits(g.st.Smoothed) == math.Float64bits(w.st.Smoothed) &&
+				math.Float64bits(g.st.LastRaw) == math.Float64bits(w.st.LastRaw)
+			if gs != ws || !same {
+				t.Fatalf("case %d node %d of %d (n=%d ran=%d tuning=%+v entry=%+v cap=%v) diverged:\nengine:  %s\ngeneral: %s",
+					k, j, len(nodes), n, ran, cfg, nodes[j].st, w.capW, gs, ws)
+			}
 		}
 	}
-	// The comparison only bites where Steady ran: after a bad-tick run,
-	// and up to a reading it had to leave to Run.
-	if steady == 0 || stopped == 0 || reset == 0 {
-		t.Fatalf("Steady ran in %d cases, stopped early in %d, reset bad ticks in %d", steady, stopped, reset)
+	// The comparison only bites where lanes ran: moving, stopping before
+	// a reading Run must vet, padded with ghosts, after a bad-tick run.
+	if steady == 0 || moved == 0 || stopped == 0 || padded == 0 || reset == 0 {
+		t.Fatalf("lanes ran in %d cases, moved %d times, stopped early in %d cases, were padded in %d and reset bad ticks in %d",
+			steady, moved, stopped, padded, reset)
 	}
 }
 

@@ -117,7 +117,6 @@ func TestPollSweepsInNameOrder(t *testing.T) {
 // under -race.
 func TestPollRacesRemoveNode(t *testing.T) {
 	m := sweepManager(&sweepLog{})
-	m.PollConcurrency = 4
 	defer m.Close()
 	const nodes = 64
 	for i := 0; i < nodes; i++ {

@@ -9,11 +9,11 @@
 // bmc.Install over per-node bmc.State and bmc.Stats records) — the
 // entries bmc.BMC uses for a single Plant. The law owns the loop: one
 // call advances a node through a batch's periods until an event — or,
-// for bmc.Steady, a settled node's leading periods — reading the
-// analytic plant (bmc.Linear) through the node's noise stream. What is
-// the engine's own is the sensor the scalar stack used to layer per
-// node (a faults.FaultyPlant over an analytic plant), with two
-// deliberate substitutions:
+// for bmc.SteadyLanes, four settled nodes' leading periods in lockstep
+// — reading the analytic plant (bmc.Linear) through the node's noise
+// stream. What is the engine's own is the sensor the scalar stack used
+// to layer per node (a faults.FaultyPlant over an analytic plant), with
+// two deliberate substitutions:
 //
 //   - Randomness is counter-based (SplitMix64 streams keyed per node)
 //     instead of math/rand: one uint64 of state per node, advanced in
@@ -310,12 +310,12 @@ func (e *Engine) Tick(n int) {
 // stepRange advances nodes [lo, hi) by the current batch, node-major:
 // nodes never interact within a tick, so the order is unobservable.
 //
-// The law owns the loop: one bmc.Steady call per node runs the leading
-// periods a settled node spends in the steady state, bmc.Run the rest
-// of the batch but the last, resuming after each event it stops on,
-// and one more Run the last, which the audit's pre/post snapshots
-// bracket (at batch 1, the chaos harness's shape, that is the only
-// call). What is the engine's own is the audit snapshots, the
+// The law owns the loop. Chunk by chunk, lanes first runs the leading
+// periods every settled node spends in the steady state, four nodes at
+// a time; then, node by node, bmc.Run runs the rest of the batch but
+// the last, resuming after each event it stops on, and one more Run
+// the last, which the audit's pre/post snapshots bracket (at batch 1,
+// the chaos harness's shape, that is the only call). What is the engine's own is the audit snapshots, the
 // broken-floor quirk — which creeps between every two periods, so it
 // steps period by period — trace buffering, and the counters that
 // advance on every tick whatever the law decides (Ticks,
@@ -329,47 +329,90 @@ func (e *Engine) stepRange(worker, lo, hi int) {
 	lin := e.p.linear()
 	batch := e.batch
 
+	var steady [laneChunk]int32
 	var src bmc.Source
-	for i := lo; i < hi; i++ {
-		pos := bmc.Pos{PState: a.PState[i], Gating: a.Gating[i]}
-		st, stats := &e.state[i], &e.stats[i]
-		enabled, capW := a.CapEnabled[i], a.CapWatts[i]
-		src.Plant, src.Noise = &lin, e.noise[i]
-		if a.Dropout[i] {
-			src.Plant = nil // a storming sensor delivers nothing
+	for c := lo; c < hi; c += laneChunk {
+		end := min(c+laneChunk, hi)
+		if batch > 1 {
+			e.lanes(cfg, env, &lin, c, end, steady[:end-c])
 		}
+		for i := c; i < end; i++ {
+			pos := bmc.Pos{PState: a.PState[i], Gating: a.Gating[i]}
+			st, stats := &e.state[i], &e.stats[i]
+			enabled, capW := a.CapEnabled[i], a.CapWatts[i]
+			src.Plant, src.Noise = &lin, e.noise[i]
+			if a.Dropout[i] {
+				src.Plant = nil // a storming sensor delivers nothing
+			}
 
-		steady := 0
-		if enabled && batch > 1 {
-			pos, steady = bmc.Steady(cfg, env, capW, st, stats, pos, &src, batch-1)
-		}
-		for left := batch - steady; left > 0; {
-			n := left - 1
-			last := n == 0 || e.breakFloor
-			if last {
-				n = 1
-				a.PrePState[i], a.PreFailSafe[i] = pos.PState, st.FailSafe
-			}
-			if enabled {
-				var ev bmc.Events
-				if pos, ev, n = bmc.Run(cfg, env, capW, st, stats, pos, &src, n, false); ev != 0 {
-					e.mirror(worker, i, ev)
+			for left := batch - int(steady[i-c]); left > 0; {
+				n := left - 1
+				last := n == 0 || e.breakFloor
+				if last {
+					n = 1
+					a.PrePState[i], a.PreFailSafe[i] = pos.PState, st.FailSafe
+				}
+				if enabled {
+					var ev bmc.Events
+					if pos, ev, n = bmc.Run(cfg, env, capW, st, stats, pos, &src, n, false); ev != 0 {
+						e.mirror(worker, i, ev)
+					}
+				}
+				left -= n
+				if last {
+					if e.breakFloor && st.FailSafe && pos.PState > 0 {
+						// The "broken guard": the plant ignores the fail-safe
+						// clamp and creeps back toward full speed.
+						pos.PState--
+					}
+					a.PostPState[i], a.PostFailSafe[i] = pos.PState, st.FailSafe
 				}
 			}
-			left -= n
-			if last {
-				if e.breakFloor && st.FailSafe && pos.PState > 0 {
-					// The "broken guard": the plant ignores the fail-safe
-					// clamp and creeps back toward full speed.
-					pos.PState--
-				}
-				a.PostPState[i], a.PostFailSafe[i] = pos.PState, st.FailSafe
-			}
+			stats.Ticks += uint64(batch)
+			a.SinceCapChange[i] += int32(batch)
+			a.PState[i], a.Gating[i] = pos.PState, pos.Gating
+			e.noise[i] = src.Noise
 		}
-		stats.Ticks += uint64(batch)
-		a.SinceCapChange[i] += int32(batch)
-		a.PState[i], a.Gating[i] = pos.PState, pos.Gating
-		e.noise[i] = src.Noise
+	}
+}
+
+// laneChunk is how many nodes stepRange gathers lanes from before it
+// runs their remaining periods, so the second pass finds them in cache.
+const laneChunk = 256
+
+// lanes runs the leading periods of a batch, all but the audited last,
+// for every settled node of [lo, hi) through bmc.SteadyLanes, four at a
+// time in node order, and records in steady how many periods each
+// node ran there (0 for a node that is not settled, or not capped, or
+// storming). A node whose group stopped early finishes in Run.
+func (e *Engine) lanes(cfg *bmc.Config, env *bmc.Envelope, lin *bmc.Linear, lo, hi int, steady []int32) {
+	a := &e.a
+	var group [4]bmc.Lane
+	var at [4]int
+	k := 0
+	run := func() {
+		ran := int32(bmc.SteadyLanes(cfg, env, lin, group[:k], e.batch-1))
+		for j, i := range at[:k] {
+			a.PState[i], a.Gating[i] = group[j].Pos.PState, group[j].Pos.Gating
+			e.noise[i] = group[j].Noise
+			steady[i-lo] = ran
+		}
+		k = 0
+	}
+	for i := lo; i < hi; i++ {
+		steady[i-lo] = 0
+		pos := bmc.Pos{PState: a.PState[i], Gating: a.Gating[i]}
+		if !a.CapEnabled[i] || a.Dropout[i] || !bmc.Settled(cfg, env, lin, &e.state[i], pos) {
+			continue
+		}
+		group[k] = bmc.Lane{St: &e.state[i], Stats: &e.stats[i], Pos: pos, Noise: e.noise[i], CapW: a.CapWatts[i]}
+		at[k] = i
+		if k++; k == len(group) {
+			run()
+		}
+	}
+	if k > 0 {
+		run()
 	}
 }
 

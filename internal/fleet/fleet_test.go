@@ -6,9 +6,11 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"nodecap/internal/bmc"
+	"nodecap/internal/pool"
 	"nodecap/internal/telemetry"
 )
 
@@ -289,6 +291,216 @@ func TestEngineMatchesLegacyStepping(t *testing.T) {
 	}
 }
 
+// stepPerNode is Tick without lanes, the per-node path: every node
+// runs the whole batch through bmc.Run one period at a time, with the
+// audit snapshots around the last period and the broken-floor creep
+// after every period when it is on, and the trace merged as Tick merges
+// it. e must have one worker. settled marks the nodes an engine with
+// lanes hands to bmc.SteadyLanes at the batch's start; from their moves
+// stepPerNode works out what those lanes must have done: moved is set
+// when a settled node moved while no settled node's move had yet
+// stopped its group, and stopped when a settled node's move, before the
+// batch's second-last period, put its plant where a reading can be
+// implausible.
+func stepPerNode(e *Engine, batch int, settled []bool) (moved, stopped bool) {
+	e.shardEvents[0] = e.shardEvents[0][:0]
+	a, cfg, env := &e.a, &e.p.BMC, &e.env
+	lin := e.p.linear()
+	amp := math.Abs(lin.NoiseWatts)
+	firstStop := batch
+	var moves []int // periods of the settled nodes' moves in lanes' reach
+	for i := 0; i < e.n; i++ {
+		pos := bmc.Pos{PState: a.PState[i], Gating: a.Gating[i]}
+		st, stats := &e.state[i], &e.stats[i]
+		src := bmc.Source{Plant: &lin, Noise: e.noise[i]}
+		if a.Dropout[i] {
+			src.Plant = nil
+		}
+		for p := 0; p < batch; p++ {
+			last := p == batch-1 || e.breakFloor
+			if last {
+				a.PrePState[i], a.PreFailSafe[i] = pos.PState, st.FailSafe
+			}
+			if a.CapEnabled[i] {
+				was := pos
+				var ev bmc.Events
+				if pos, ev, _ = bmc.Run(cfg, env, a.CapWatts[i], st, stats, pos, &src, 1, false); ev != 0 {
+					e.mirror(0, i, ev)
+				}
+				if settled[i] && pos != was && p < batch-1 {
+					moves = append(moves, p)
+					if w := lin.Watts(pos); p < firstStop && !(w-amp >= env.MinWatts && w+amp <= env.MaxWatts) {
+						firstStop = p
+					}
+				}
+			}
+			if last {
+				if e.breakFloor && st.FailSafe && pos.PState > 0 {
+					pos.PState--
+				}
+				a.PostPState[i], a.PostFailSafe[i] = pos.PState, st.FailSafe
+			}
+		}
+		stats.Ticks += uint64(batch)
+		a.SinceCapChange[i] += int32(batch)
+		a.PState[i], a.Gating[i] = pos.PState, pos.Gating
+		e.noise[i] = src.Noise
+	}
+	if e.trace != nil {
+		for _, ev := range e.shardEvents[0] {
+			e.trace.Append(telemetry.Event{Node: e.names[ev.node], Kind: ev.kind})
+		}
+	}
+	for _, p := range moves {
+		moved = moved || p <= firstStop
+	}
+	return moved, firstStop < batch-2
+}
+
+// engineState renders everything a node carries between ticks — the
+// controller records with both floats as %b, the noise word — and the
+// whole Audit view.
+func engineState(e *Engine) string {
+	e.Lock()
+	defer e.Unlock()
+	var b strings.Builder
+	for i := 0; i < e.n; i++ {
+		st := &e.state[i]
+		fmt.Fprintf(&b, "n%d sm=%b raw=%b %+v %+v noise=%d\n", i, st.Smoothed, st.LastRaw, *st, e.stats[i], e.noise[i])
+	}
+	fmt.Fprintf(&b, "%+v\n", e.a)
+	return b.String()
+}
+
+// TestLanesMatchPerNodeStepping pins the lane path: random fleets
+// ticked by Engine.Tick, which runs settled nodes four at a time through
+// bmc.SteadyLanes, and by stepPerNode, which runs every node alone
+// through bmc.Run, must agree bit for bit after every operation — every
+// node's State, Stats, position and noise word, the Audit slices, the
+// trace and the fleet counters. The fleets draw caps on dithering values
+// (0.2-0.8 W above an odd watt), tick right after pushes to one node or
+// to all while nodes are unsettled, storm sensors, disable caps, break
+// the fail-safe floor, run sizes that are not a multiple of four or
+// that span more than one lane chunk, batches of 1 to 1 000 periods and
+// parallelism 1, 2 and NumCPU, under the default tuning and under
+// randomParams'. Lanes must have moved, stopped and been padded.
+func TestLanesMatchPerNodeStepping(t *testing.T) {
+	scenarios := 300
+	if testing.Short() {
+		scenarios = 60
+	}
+	var ticked, moved, stopped, padded int
+	for sc := 0; sc < scenarios; sc++ {
+		rng := rand.New(rand.NewSource(int64(sc)*104729 + 7))
+		nodes, ops := 1+rng.Intn(13), 20+rng.Intn(40)
+		if rng.Intn(10) == 0 {
+			nodes, ops = laneChunk+rng.Intn(2*laneChunk), 8+rng.Intn(8)
+		}
+		params := DefaultParams()
+		if rng.Intn(2) == 0 {
+			params = randomParams(rng)
+		}
+		seed := rng.Int63()
+		breakFloor := rng.Intn(10) == 0
+		par := []int{1, 2, runtime.NumCPU()}[rng.Intn(3)]
+		e := New(Config{Nodes: nodes, Seed: seed, Params: params, BreakFailSafeFloor: breakFloor, Parallelism: par})
+		ref := New(Config{Nodes: nodes, Seed: seed, Params: params, BreakFailSafeFloor: breakFloor, Parallelism: 1})
+		var regs [2]*telemetry.Registry
+		var trs [2]*telemetry.Trace
+		for k, x := range []*Engine{e, ref} {
+			regs[k], trs[k] = telemetry.NewRegistry(), telemetry.NewTrace(1<<14)
+			trs[k].SetWallClock(nil)
+			x.SetTelemetry(regs[k], trs[k])
+		}
+		capW := func() float64 {
+			if rng.Intn(2) == 0 {
+				return float64(127+2*rng.Intn(15)) + 0.2 + 0.6*rng.Float64()
+			}
+			return 100 + float64(rng.Intn(900))/10
+		}
+		push := func(i int) {
+			enabled, c, epoch := rng.Intn(10) != 0, capW(), uint64(rng.Intn(6))
+			e.PushPolicy(i, enabled, c, epoch)
+			ref.PushPolicy(i, enabled, c, epoch)
+		}
+		for i := 0; i < nodes; i++ {
+			push(i)
+		}
+		for op := 0; op < ops; op++ {
+			switch k := rng.Intn(10); {
+			case k < 5:
+				batch := 1 + rng.Intn(30)
+				if rng.Intn(4) == 0 {
+					batch = 2 + rng.Intn(999)
+				}
+				settled := make([]bool, nodes)
+				lin := ref.p.linear()
+				for i := range settled {
+					pos := bmc.Pos{PState: ref.a.PState[i], Gating: ref.a.Gating[i]}
+					settled[i] = batch > 1 && ref.a.CapEnabled[i] && !ref.a.Dropout[i] &&
+						bmc.Settled(&ref.p.BMC, &ref.env, &lin, &ref.state[i], pos)
+				}
+				for w := 0; w < e.workers; w++ {
+					lo, hi := pool.ShardRange(nodes, e.workers, w)
+					for c := lo; c < hi; c += laneChunk {
+						if n := countTrue(settled[c:min(c+laneChunk, hi)]); n%4 != 0 {
+							padded++
+						}
+					}
+				}
+				if slices.Contains(settled, true) {
+					ticked++
+				}
+				e.Tick(batch)
+				m, s := stepPerNode(ref, batch, settled)
+				if m {
+					moved++
+				}
+				if s {
+					stopped++
+				}
+			case k < 7:
+				push(rng.Intn(nodes))
+			case k < 8:
+				for i := 0; i < nodes; i++ {
+					push(i)
+				}
+			default:
+				i, on := rng.Intn(nodes), rng.Intn(3) == 0
+				e.SetDropout(i, on)
+				ref.SetDropout(i, on)
+			}
+			if got, want := engineState(e), engineState(ref); got != want {
+				t.Fatalf("scenario %d (nodes=%d par=%d breakFloor=%v tuning=%+v) diverged after op %d:\nlanes:\n%s\nper node:\n%s",
+					sc, nodes, par, breakFloor, params.BMC, op, got, want)
+			}
+			for _, name := range []string{"bmc_sensor_faults_total", "bmc_failsafe_entries_total", "bmc_failsafe_exits_total"} {
+				if g, w := regs[0].Counter(name).Value(), regs[1].Counter(name).Value(); g != w {
+					t.Fatalf("scenario %d op %d: counter %s = %d, per node %d", sc, op, name, g, w)
+				}
+			}
+			if g, w := trs[0].Tail(1<<14, ""), trs[1].Tail(1<<14, ""); !slices.Equal(g, w) {
+				t.Fatalf("scenario %d op %d: trace diverged:\nlanes:    %+v\nper node: %+v", sc, op, g, w)
+			}
+		}
+		e.Close()
+		ref.Close()
+	}
+	if ticked == 0 || moved == 0 || stopped == 0 || padded == 0 {
+		t.Fatalf("lanes ran in %d ticks, moved in %d, stopped in %d, padded %d chunks", ticked, moved, stopped, padded)
+	}
+}
+
+func countTrue(bs []bool) int {
+	n := 0
+	for _, b := range bs {
+		if b {
+			n++
+		}
+	}
+	return n
+}
+
 // TestTickParallelismDeterminism pins the shard/merge rule: the same
 // scenario at parallelism 1, 4, and NumCPU yields bit-identical state
 // and a bit-identical trace.
@@ -455,7 +667,12 @@ func TestEpochFencing(t *testing.T) {
 // long batch at parallelism 1 and NumCPU, one tick per call (the chaos
 // harness's shape, where each node makes a single bmc.Run call per
 // tick), and a sensor storm on every 8th node, whose law raises an
-// event every period.
+// event every period. These start timing after Tick(5), inside the
+// settling transient. settled is bench's fleet_soak shape instead: a
+// settled fleet on mixed caps, half of them quiet (1 W above a
+// P-state's draw, an odd watt) and half dithering (0.2–0.8 W above
+// it, so the target sits within 0.3 W of the draw), ticked 1 000 periods per
+// op; it reports ns per node-period.
 func BenchmarkEngineTick(b *testing.B) {
 	type shape struct {
 		name      string
@@ -493,4 +710,23 @@ func BenchmarkEngineTick(b *testing.B) {
 			b.ReportMetric(float64(nodes)*float64(b.N)/b.Elapsed().Seconds(), "node-ticks/s")
 		})
 	}
+	b.Run("settled", func(b *testing.B) {
+		const nodes, periods = 10000, 1000
+		e := New(Config{Nodes: nodes, Seed: 1, Parallelism: 1})
+		defer e.Close()
+		for i := 0; i < nodes; i++ {
+			capW := 134 + float64(2*(i/2%8)) // quiet: 1 W over P12-P5's draw
+			if i%2 == 1 {
+				capW += 1.2 + 0.1*float64(i/2%7) // dithering: 0.2-0.8 W over it
+			}
+			e.PushPolicy(i, true, capW, 1)
+		}
+		e.Tick(periods)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for n := 0; n < b.N; n++ {
+			e.Tick(periods)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(nodes)*periods*float64(b.N)), "ns/node-period")
+	})
 }
