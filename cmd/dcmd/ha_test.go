@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"nodecap/internal/daemon"
 	"nodecap/internal/dcm"
 	"nodecap/internal/dcm/store"
 	"nodecap/internal/ipmi"
@@ -38,14 +39,6 @@ func haDial(a string) (dcm.BMC, error) {
 
 func silentLog(string, ...any) {}
 
-// manager reads the daemon's current manager; promotion swaps it from
-// the heartbeat goroutine.
-func (d *daemon) manager() *dcm.Manager {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.mgr
-}
-
 // waitFor polls cond until it holds or the deadline passes.
 func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Helper()
@@ -75,42 +68,42 @@ func TestParseFlagsHA(t *testing.T) {
 		o.Lease != "/shared/l.json" || o.HAID != "b" || o.LeaseTTL != 2*time.Second {
 		t.Errorf("HA flags: %+v", o)
 	}
-	if !o.haEnabled() {
+	if !o.HAEnabled() {
 		t.Error("haEnabled false with both HA flags set")
 	}
-	if o.leasePath() != "/shared/l.json" || o.haID() != "b" {
-		t.Errorf("resolved lease=%q id=%q", o.leasePath(), o.haID())
+	if o.LeasePath() != "/shared/l.json" || o.ID() != "b" {
+		t.Errorf("resolved lease=%q id=%q", o.LeasePath(), o.ID())
 	}
 
 	o, err = parseFlags([]string{"-state-dir", "/tmp/x", "-listen", "127.0.0.1:7"}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.haEnabled() {
+	if o.HAEnabled() {
 		t.Error("haEnabled true without HA flags")
 	}
-	if o.leasePath() != store.LeasePath("/tmp/x") || o.haID() != "127.0.0.1:7" {
-		t.Errorf("defaults: lease=%q id=%q", o.leasePath(), o.haID())
+	if o.LeasePath() != store.LeasePath("/tmp/x") || o.ID() != "127.0.0.1:7" {
+		t.Errorf("defaults: lease=%q id=%q", o.LeasePath(), o.ID())
 	}
 }
 
 // TestHARequiresStateDir: an HA member without a journal has nothing
 // to replicate or recover; start must refuse it.
 func TestHARequiresStateDir(t *testing.T) {
-	_, err := start(options{Listen: "127.0.0.1:0", Poll: time.Hour, ReplicaAddr: "127.0.0.1:0"}, haDial, silentLog)
+	_, err := daemon.Start(daemon.Options{Listen: "127.0.0.1:0", Poll: time.Hour, ReplicaAddr: "127.0.0.1:0"}, haDial, silentLog)
 	if err == nil {
 		t.Fatal("-replica-addr accepted without -state-dir")
 	}
-	_, err = start(options{Listen: "127.0.0.1:0", Poll: time.Hour, StandbyOf: "127.0.0.1:1"}, haDial, silentLog)
+	_, err = daemon.Start(daemon.Options{Listen: "127.0.0.1:0", Poll: time.Hour, StandbyOf: "127.0.0.1:1"}, haDial, silentLog)
 	if err == nil {
 		t.Fatal("-standby-of accepted without -state-dir")
 	}
 }
 
 // startPrimary brings up the primary half of an HA pair.
-func startPrimary(t *testing.T, stateDir, lease, id string) *daemon {
+func startPrimary(t *testing.T, stateDir, lease, id string) *daemon.Daemon {
 	t.Helper()
-	d, err := start(options{
+	d, err := daemon.Start(daemon.Options{
 		Listen: "127.0.0.1:0", Poll: time.Hour,
 		RetryBase: time.Nanosecond, RetryMax: time.Nanosecond,
 		StaleAfter: dcm.DefaultStaleAfter,
@@ -125,9 +118,9 @@ func startPrimary(t *testing.T, stateDir, lease, id string) *daemon {
 }
 
 // startStandbyOf brings up a standby pulling from replAddr.
-func startStandbyOf(t *testing.T, stateDir, lease, id, replAddr string) *daemon {
+func startStandbyOf(t *testing.T, stateDir, lease, id, replAddr string) *daemon.Daemon {
 	t.Helper()
-	d, err := start(options{
+	d, err := daemon.Start(daemon.Options{
 		Listen: "127.0.0.1:0", Poll: time.Hour,
 		RetryBase: time.Nanosecond, RetryMax: time.Nanosecond,
 		StaleAfter: dcm.DefaultStaleAfter,
@@ -151,24 +144,24 @@ func TestHAFailover(t *testing.T) {
 	lease := filepath.Join(t.TempDir(), "lease.json")
 
 	p := startPrimary(t, t.TempDir(), lease, "a")
-	if resp := p.srv.Handle(dcm.Request{Op: "add", Name: "sim0", Addr: nodeAddr}); resp.Error != "" {
+	if resp := p.Handle(dcm.Request{Op: "add", Name: "sim0", Addr: nodeAddr}); resp.Error != "" {
 		t.Fatalf("add: %s", resp.Error)
 	}
-	if resp := p.srv.Handle(dcm.Request{Op: "setcap", Name: "sim0", Cap: 145}); resp.Error != "" {
+	if resp := p.Handle(dcm.Request{Op: "setcap", Name: "sim0", Cap: 145}); resp.Error != "" {
 		t.Fatalf("setcap: %s", resp.Error)
 	}
-	if got := p.srv.Handle(dcm.Request{Op: "leader"}); got.Role != string(dcm.RolePrimary) || got.Epoch != 1 {
+	if got := p.Handle(dcm.Request{Op: "leader"}); got.Role != string(dcm.RolePrimary) || got.Epoch != 1 {
 		t.Fatalf("leader: role=%q epoch=%d, want primary/1", got.Role, got.Epoch)
 	}
 
 	s := startStandbyOf(t, t.TempDir(), lease, "b", p.ReplAddr)
-	if got := s.srv.Handle(dcm.Request{Op: "leader"}); got.Role != string(dcm.RoleStandby) {
+	if got := s.Handle(dcm.Request{Op: "leader"}); got.Role != string(dcm.RoleStandby) {
 		t.Fatalf("standby leader op: role=%q", got.Role)
 	}
-	if resp := s.srv.Handle(dcm.Request{Op: "setcap", Name: "sim0", Cap: 130}); resp.Error == "" {
+	if resp := s.Handle(dcm.Request{Op: "setcap", Name: "sim0", Cap: 130}); resp.Error == "" {
 		t.Fatal("standby accepted a mutation")
 	}
-	waitFor(t, 5*time.Second, "replica sync", func() bool { return s.rep.Gen() != 0 && s.rep.Cursor() >= 2 })
+	waitFor(t, 5*time.Second, "replica sync", func() bool { return s.Replica.Gen() != 0 && s.Replica.Cursor() >= 2 })
 
 	// Hard-kill the primary: no StepDown, the lease must expire on its
 	// own before the standby may promote.
@@ -178,15 +171,15 @@ func TestHAFailover(t *testing.T) {
 	// journal is swapped in — wait for the restored fleet, not just the
 	// role flip.
 	waitFor(t, 10*time.Second, "standby promotion", func() bool {
-		m := s.manager()
+		m := s.Manager()
 		return m.Role() == dcm.RolePrimary && len(m.Nodes()) == 1
 	})
 
-	got := s.srv.Handle(dcm.Request{Op: "leader"})
+	got := s.Handle(dcm.Request{Op: "leader"})
 	if got.Role != string(dcm.RolePrimary) || got.Epoch != 2 {
 		t.Fatalf("promoted leader: role=%q epoch=%d, want primary/2", got.Role, got.Epoch)
 	}
-	nodes := s.srv.Handle(dcm.Request{Op: "nodes"})
+	nodes := s.Handle(dcm.Request{Op: "nodes"})
 	if len(nodes.Nodes) != 1 || nodes.Nodes[0].Name != "sim0" {
 		t.Fatalf("restored nodes: %+v", nodes.Nodes)
 	}
@@ -194,7 +187,7 @@ func TestHAFailover(t *testing.T) {
 		t.Fatalf("replicated cap lost: %+v", n)
 	}
 	// The new primary serves mutations and reaches the plant.
-	if resp := s.srv.Handle(dcm.Request{Op: "setcap", Name: "sim0", Cap: 160}); resp.Error != "" {
+	if resp := s.Handle(dcm.Request{Op: "setcap", Name: "sim0", Cap: 160}); resp.Error != "" {
 		t.Fatalf("post-failover setcap: %s", resp.Error)
 	}
 	// And it serves its own replication feed for the next standby.
@@ -212,14 +205,14 @@ func TestHAGracefulHandover(t *testing.T) {
 	dirA := t.TempDir()
 
 	p := startPrimary(t, dirA, lease, "a")
-	if resp := p.srv.Handle(dcm.Request{Op: "add", Name: "sim0", Addr: nodeAddr}); resp.Error != "" {
+	if resp := p.Handle(dcm.Request{Op: "add", Name: "sim0", Addr: nodeAddr}); resp.Error != "" {
 		t.Fatalf("add: %s", resp.Error)
 	}
-	if resp := p.srv.Handle(dcm.Request{Op: "setcap", Name: "sim0", Cap: 150}); resp.Error != "" {
+	if resp := p.Handle(dcm.Request{Op: "setcap", Name: "sim0", Cap: 150}); resp.Error != "" {
 		t.Fatalf("setcap: %s", resp.Error)
 	}
 	s := startStandbyOf(t, t.TempDir(), lease, "b", p.ReplAddr)
-	waitFor(t, 5*time.Second, "replica sync", func() bool { return s.rep.Gen() != 0 && s.rep.Cursor() >= 2 })
+	waitFor(t, 5*time.Second, "replica sync", func() bool { return s.Replica.Gen() != 0 && s.Replica.Cursor() >= 2 })
 
 	start := time.Now()
 	p.Shutdown()
@@ -247,13 +240,13 @@ func TestHAGracefulHandover(t *testing.T) {
 
 	// The peer takes over well inside the TTL it would otherwise wait.
 	waitFor(t, 10*time.Second, "handover", func() bool {
-		m := s.manager()
+		m := s.Manager()
 		return m.Role() == dcm.RolePrimary && len(m.Nodes()) == 1
 	})
 	if elapsed := time.Since(start); elapsed > 8*time.Second {
 		t.Errorf("handover took %v", elapsed)
 	}
-	if got := s.srv.Handle(dcm.Request{Op: "leader"}); got.Epoch != 2 {
+	if got := s.Handle(dcm.Request{Op: "leader"}); got.Epoch != 2 {
 		t.Errorf("handover epoch %d, want 2", got.Epoch)
 	}
 }
@@ -269,33 +262,33 @@ func TestHAStandbyRestartPromotesWithoutPrimary(t *testing.T) {
 	lease := filepath.Join(t.TempDir(), "lease.json")
 
 	p := startPrimary(t, t.TempDir(), lease, "a")
-	if resp := p.srv.Handle(dcm.Request{Op: "add", Name: "sim0", Addr: nodeAddr}); resp.Error != "" {
+	if resp := p.Handle(dcm.Request{Op: "add", Name: "sim0", Addr: nodeAddr}); resp.Error != "" {
 		t.Fatalf("add: %s", resp.Error)
 	}
-	if resp := p.srv.Handle(dcm.Request{Op: "setcap", Name: "sim0", Cap: 145}); resp.Error != "" {
+	if resp := p.Handle(dcm.Request{Op: "setcap", Name: "sim0", Cap: 145}); resp.Error != "" {
 		t.Fatalf("setcap: %s", resp.Error)
 	}
 	sbyDir := t.TempDir()
 	s := startStandbyOf(t, sbyDir, lease, "b", p.ReplAddr)
-	waitFor(t, 5*time.Second, "replica sync", func() bool { return s.rep.Gen() != 0 && s.rep.Cursor() >= 2 })
+	waitFor(t, 5*time.Second, "replica sync", func() bool { return s.Replica.Gen() != 0 && s.Replica.Cursor() >= 2 })
 
 	// The standby process dies first, then the primary — which never
 	// releases its lease. Only the standby comes back.
 	s.Close()
 	p.Close()
 	s2 := startStandbyOf(t, sbyDir, lease, "b", p.ReplAddr)
-	if g := s2.rep.Gen(); g == 0 {
+	if g := s2.Replica.Gen(); g == 0 {
 		t.Fatal("restarted standby recovered no resume point; it can never promote")
 	}
 	waitFor(t, 10*time.Second, "restarted standby promotion", func() bool {
-		m := s2.manager()
+		m := s2.Manager()
 		return m.Role() == dcm.RolePrimary && len(m.Nodes()) == 1
 	})
-	got := s2.srv.Handle(dcm.Request{Op: "leader"})
+	got := s2.Handle(dcm.Request{Op: "leader"})
 	if got.Role != string(dcm.RolePrimary) || got.Epoch != 2 {
 		t.Fatalf("promoted leader: role=%q epoch=%d, want primary/2", got.Role, got.Epoch)
 	}
-	nodes := s2.srv.Handle(dcm.Request{Op: "nodes"})
+	nodes := s2.Handle(dcm.Request{Op: "nodes"})
 	if len(nodes.Nodes) != 1 || nodes.Nodes[0].Name != "sim0" {
 		t.Fatalf("restored nodes: %+v", nodes.Nodes)
 	}
@@ -312,7 +305,7 @@ func TestHASecondPrimaryRefused(t *testing.T) {
 	p := startPrimary(t, t.TempDir(), lease, "a")
 	defer p.Close()
 
-	_, err := start(options{
+	_, err := daemon.Start(daemon.Options{
 		Listen: "127.0.0.1:0", Poll: time.Hour,
 		StateDir: t.TempDir(), ReplicaAddr: "127.0.0.1:0",
 		Lease: lease, HAID: "b", LeaseTTL: haTTL,

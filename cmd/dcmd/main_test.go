@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"nodecap/internal/daemon"
 	"nodecap/internal/dcm"
 	"nodecap/internal/faults"
 	"nodecap/internal/ipmi"
@@ -61,7 +62,7 @@ type testHarness struct {
 	agent     *nodeagent.Agent
 	srv       *ipmi.Server
 	transport *faults.Transport
-	d         *daemon
+	d         *daemon.Daemon
 }
 
 func newHarness(t *testing.T) *testHarness {
@@ -77,7 +78,7 @@ func newHarness(t *testing.T) *testHarness {
 	t.Cleanup(func() { h.srv.Close() })
 	h.transport = faults.New(faults.Profile{Seed: 1})
 
-	opts := options{
+	opts := daemon.Options{
 		Listen:      "127.0.0.1:0",
 		MetricsAddr: "127.0.0.1:0",
 		Poll:        time.Hour, // tests poll explicitly
@@ -94,14 +95,14 @@ func newHarness(t *testing.T) *testHarness {
 		c.SetRequestTimeout(time.Second)
 		return c, nil
 	}
-	d, err := start(opts, dial, func(string, ...any) {})
+	d, err := daemon.Start(opts, dial, func(string, ...any) {})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(d.Close)
 	h.d = d
 
-	if resp := d.srv.Handle(dcm.Request{Op: "add", Name: "sim0", Addr: addr}); resp.Error != "" {
+	if resp := d.Handle(dcm.Request{Op: "add", Name: "sim0", Addr: addr}); resp.Error != "" {
 		t.Fatalf("add: %s", resp.Error)
 	}
 	return h
@@ -139,10 +140,10 @@ func (h *testHarness) scrape(t *testing.T) map[string]float64 {
 func TestDaemonServesMetrics(t *testing.T) {
 	h := newHarness(t)
 
-	if resp := h.d.srv.Handle(dcm.Request{Op: "setcap", Name: "sim0", Cap: 145}); resp.Error != "" {
+	if resp := h.d.Handle(dcm.Request{Op: "setcap", Name: "sim0", Cap: 145}); resp.Error != "" {
 		t.Fatalf("setcap: %s", resp.Error)
 	}
-	h.d.mgr.Poll()
+	h.d.Manager().Poll()
 
 	m := h.scrape(t)
 	if m["dcm_cap_pushes_total"] < 1 {
@@ -165,8 +166,8 @@ func TestDaemonServesMetrics(t *testing.T) {
 	// so the next polls must arm backoff and drop reachability.
 	h.transport.SetProfile(faults.Profile{Seed: 1, DialErrorProb: 1, DropWrites: true})
 	before := m["dcm_backoffs_armed_total"]
-	h.d.mgr.Poll()
-	h.d.mgr.Poll()
+	h.d.Manager().Poll()
+	h.d.Manager().Poll()
 	m = h.scrape(t)
 	if m["dcm_backoffs_armed_total"] <= before {
 		t.Errorf("dcm_backoffs_armed_total stuck at %v under a full partition", m["dcm_backoffs_armed_total"])
@@ -180,7 +181,7 @@ func TestDaemonServesMetrics(t *testing.T) {
 // last, filterable by node.
 func TestDaemonServesTrace(t *testing.T) {
 	h := newHarness(t)
-	if resp := h.d.srv.Handle(dcm.Request{Op: "setcap", Name: "sim0", Cap: 150}); resp.Error != "" {
+	if resp := h.d.Handle(dcm.Request{Op: "setcap", Name: "sim0", Cap: 150}); resp.Error != "" {
 		t.Fatalf("setcap: %s", resp.Error)
 	}
 
@@ -212,7 +213,7 @@ func TestDaemonServesTrace(t *testing.T) {
 	}
 
 	// The control plane serves the same trace via the "trace" op.
-	tr := h.d.srv.Handle(dcm.Request{Op: "trace", Name: "sim0"})
+	tr := h.d.Handle(dcm.Request{Op: "trace", Name: "sim0"})
 	if !tr.OK || len(tr.Trace) == 0 {
 		t.Errorf("trace op: %+v", tr)
 	}
@@ -220,8 +221,8 @@ func TestDaemonServesTrace(t *testing.T) {
 
 // TestMetricsDisabledByDefault: no -metrics-addr, no HTTP listener.
 func TestMetricsDisabledByDefault(t *testing.T) {
-	opts := options{Listen: "127.0.0.1:0", Poll: time.Hour}
-	d, err := start(opts, func(string) (dcm.BMC, error) { return nil, fmt.Errorf("no nodes") }, func(string, ...any) {})
+	opts := daemon.Options{Listen: "127.0.0.1:0", Poll: time.Hour}
+	d, err := daemon.Start(opts, func(string) (dcm.BMC, error) { return nil, fmt.Errorf("no nodes") }, func(string, ...any) {})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"nodecap/internal/daemon"
 	"nodecap/internal/dcm"
 	"nodecap/internal/ipmi"
 	"nodecap/internal/machine"
@@ -14,8 +15,8 @@ import (
 
 // shardedOpts is the daemon configuration every sharded test shares;
 // restart tests reuse it verbatim against the same state dir.
-func shardedOpts(stateDir string) options {
-	return options{
+func shardedOpts(stateDir string) daemon.Options {
+	return daemon.Options{
 		Listen:     "127.0.0.1:0",
 		Poll:       time.Hour, // tests poll explicitly
 		ConnectTO:  time.Second,
@@ -53,19 +54,19 @@ func startBMCs(t *testing.T, n int) []string {
 func TestShardedDaemonLifecycle(t *testing.T) {
 	addrs := startBMCs(t, 4)
 	opts := shardedOpts(t.TempDir())
-	d, err := start(opts, nil, func(string, ...any) {})
+	d, err := daemon.Start(opts, nil, func(string, ...any) {})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
 
 	for i, a := range addrs {
-		if resp := d.srv.Handle(dcm.Request{Op: "add", Name: fmt.Sprintf("n%d", i), Addr: a}); resp.Error != "" {
+		if resp := d.Handle(dcm.Request{Op: "add", Name: fmt.Sprintf("n%d", i), Addr: a}); resp.Error != "" {
 			t.Fatalf("add n%d: %s", i, resp.Error)
 		}
 	}
 
-	resp := d.srv.Handle(dcm.Request{Op: "nodes"})
+	resp := d.Handle(dcm.Request{Op: "nodes"})
 	if resp.Error != "" || resp.Role != "aggregator" {
 		t.Fatalf("nodes: %+v", resp)
 	}
@@ -78,7 +79,7 @@ func TestShardedDaemonLifecycle(t *testing.T) {
 		}
 	}
 
-	resp = d.srv.Handle(dcm.Request{Op: "shards"})
+	resp = d.Handle(dcm.Request{Op: "shards"})
 	if resp.Error != "" || len(resp.Shards) != opts.Shards {
 		t.Fatalf("shards: %+v", resp)
 	}
@@ -93,13 +94,13 @@ func TestShardedDaemonLifecycle(t *testing.T) {
 		t.Fatalf("shards own %d of %d nodes", total, len(addrs))
 	}
 
-	if resp := d.srv.Handle(dcm.Request{Op: "setcap", Name: "n0", Cap: 150}); resp.Error != "" {
+	if resp := d.Handle(dcm.Request{Op: "setcap", Name: "n0", Cap: 150}); resp.Error != "" {
 		t.Fatalf("setcap: %s", resp.Error)
 	}
-	if resp := d.srv.Handle(dcm.Request{Op: "settier", Name: "n1", Tier: "high"}); resp.Error != "" {
+	if resp := d.Handle(dcm.Request{Op: "settier", Name: "n1", Tier: "high"}); resp.Error != "" {
 		t.Fatalf("settier: %s", resp.Error)
 	}
-	resp = d.srv.Handle(dcm.Request{Op: "budget", Budget: 500})
+	resp = d.Handle(dcm.Request{Op: "budget", Budget: 500})
 	if resp.Error != "" || len(resp.Allocs) != opts.Shards {
 		t.Fatalf("budget: %+v", resp)
 	}
@@ -118,19 +119,19 @@ func TestShardedDaemonLifecycle(t *testing.T) {
 func TestShardedDaemonRestartRestoresOwnership(t *testing.T) {
 	addrs := startBMCs(t, 4)
 	opts := shardedOpts(t.TempDir())
-	d, err := start(opts, nil, func(string, ...any) {})
+	d, err := daemon.Start(opts, nil, func(string, ...any) {})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, a := range addrs {
-		if resp := d.srv.Handle(dcm.Request{Op: "add", Name: fmt.Sprintf("n%d", i), Addr: a}); resp.Error != "" {
+		if resp := d.Handle(dcm.Request{Op: "add", Name: fmt.Sprintf("n%d", i), Addr: a}); resp.Error != "" {
 			t.Fatalf("add n%d: %s", i, resp.Error)
 		}
 	}
 	owners := make(map[string]string)
 	for i := range addrs {
 		name := fmt.Sprintf("n%d", i)
-		owner, ok := d.shTree.Owner(name)
+		owner, ok := d.Tree.Owner(name)
 		if !ok {
 			t.Fatalf("no owner for %s", name)
 		}
@@ -138,17 +139,17 @@ func TestShardedDaemonRestartRestoresOwnership(t *testing.T) {
 	}
 	d.Close()
 
-	d2, err := start(opts, nil, func(string, ...any) {})
+	d2, err := daemon.Start(opts, nil, func(string, ...any) {})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d2.Close()
-	resp := d2.srv.Handle(dcm.Request{Op: "nodes"})
+	resp := d2.Handle(dcm.Request{Op: "nodes"})
 	if len(resp.Nodes) != len(addrs) {
 		t.Fatalf("restart lists %d of %d nodes", len(resp.Nodes), len(addrs))
 	}
 	for name, want := range owners {
-		got, ok := d2.shTree.Owner(name)
+		got, ok := d2.Tree.Owner(name)
 		if !ok || got != want {
 			t.Errorf("restart moved %s: owner %q (was %q)", name, got, want)
 		}
@@ -162,28 +163,28 @@ func TestShardedDaemonRestartRestoresOwnership(t *testing.T) {
 func TestShardedDaemonRestartWithChangedShards(t *testing.T) {
 	addrs := startBMCs(t, 4)
 	opts := shardedOpts(t.TempDir())
-	d, err := start(opts, nil, func(string, ...any) {})
+	d, err := daemon.Start(opts, nil, func(string, ...any) {})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, a := range addrs {
-		if resp := d.srv.Handle(dcm.Request{Op: "add", Name: fmt.Sprintf("n%d", i), Addr: a}); resp.Error != "" {
+		if resp := d.Handle(dcm.Request{Op: "add", Name: fmt.Sprintf("n%d", i), Addr: a}); resp.Error != "" {
 			t.Fatalf("add n%d: %s", i, resp.Error)
 		}
 	}
 	d.Close()
 
 	opts.Shards = 3
-	d2, err := start(opts, nil, func(string, ...any) {})
+	d2, err := daemon.Start(opts, nil, func(string, ...any) {})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d2.Close()
-	resp := d2.srv.Handle(dcm.Request{Op: "nodes"})
+	resp := d2.Handle(dcm.Request{Op: "nodes"})
 	if len(resp.Nodes) != len(addrs) {
 		t.Fatalf("restart with -shards 3 lists %d of %d nodes: %+v", len(resp.Nodes), len(addrs), resp.Nodes)
 	}
-	resp = d2.srv.Handle(dcm.Request{Op: "shards"})
+	resp = d2.Handle(dcm.Request{Op: "shards"})
 	total := 0
 	for _, sh := range resp.Shards {
 		total += sh.Nodes
@@ -193,14 +194,14 @@ func TestShardedDaemonRestartWithChangedShards(t *testing.T) {
 	}
 	for i := range addrs {
 		name := fmt.Sprintf("n%d", i)
-		owner, ok := d2.shTree.Owner(name)
+		owner, ok := d2.Tree.Owner(name)
 		if !ok {
 			t.Fatalf("no owner for %s after the rebuild", name)
 		}
-		for j, mgr := range d2.shLeaves {
-			for _, ns := range mgr.Nodes() {
-				if ns.Name == name && leafName(j) != owner {
-					t.Errorf("%s registered with %s but owned by %s", name, leafName(j), owner)
+		for j := 0; j < opts.Shards; j++ {
+			for _, ns := range d2.Tree.Leaf(daemon.LeafName(j)).Nodes() {
+				if ns.Name == name && daemon.LeafName(j) != owner {
+					t.Errorf("%s registered with %s but owned by %s", name, daemon.LeafName(j), owner)
 				}
 			}
 		}
@@ -214,20 +215,20 @@ func TestShardedAggregatorLoop(t *testing.T) {
 	opts := shardedOpts("")
 	opts.Budget = 400
 	opts.Aggregator = 10 * time.Millisecond
-	d, err := start(opts, nil, func(string, ...any) {})
+	d, err := daemon.Start(opts, nil, func(string, ...any) {})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
 	for i, a := range addrs {
-		if resp := d.srv.Handle(dcm.Request{Op: "add", Name: fmt.Sprintf("n%d", i), Addr: a}); resp.Error != "" {
+		if resp := d.Handle(dcm.Request{Op: "add", Name: fmt.Sprintf("n%d", i), Addr: a}); resp.Error != "" {
 			t.Fatalf("add n%d: %s", i, resp.Error)
 		}
 	}
 
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		resp := d.srv.Handle(dcm.Request{Op: "shards"})
+		resp := d.Handle(dcm.Request{Op: "shards"})
 		var granted float64
 		for _, sh := range resp.Shards {
 			granted += sh.BudgetWatts
@@ -247,15 +248,16 @@ func TestShardedAggregatorLoop(t *testing.T) {
 func TestShardedFlagValidation(t *testing.T) {
 	cases := []struct {
 		name string
-		opts options
+		opts daemon.Options
 	}{
-		{"ha pair", options{Shards: 2, ReplicaAddr: "127.0.0.1:0", StateDir: t.TempDir(), Listen: "127.0.0.1:0", Poll: time.Hour}},
-		{"group", options{Shards: 2, Group: "a,b", Listen: "127.0.0.1:0", Poll: time.Hour}},
-		{"aggregator without budget", options{Shards: 2, Aggregator: time.Second, Listen: "127.0.0.1:0", Poll: time.Hour}},
-		{"too many leaves", options{Shards: 100, Listen: "127.0.0.1:0", Poll: time.Hour}},
+		{"ha pair", daemon.Options{Shards: 2, ReplicaAddr: "127.0.0.1:0", StateDir: t.TempDir(), Listen: "127.0.0.1:0", Poll: time.Hour}},
+		{"group", daemon.Options{Shards: 2, Group: "a,b", Listen: "127.0.0.1:0", Poll: time.Hour}},
+		{"aggregator without budget", daemon.Options{Shards: 2, Aggregator: time.Second, Listen: "127.0.0.1:0", Poll: time.Hour}},
+		{"too many leaves", daemon.Options{Shards: 100, Listen: "127.0.0.1:0", Poll: time.Hour}},
+		{"negative leaves", daemon.Options{Shards: -3, Listen: "127.0.0.1:0", Poll: time.Hour}},
 	}
 	for _, tc := range cases {
-		if d, err := start(tc.opts, nil, func(string, ...any) {}); err == nil {
+		if d, err := daemon.Start(tc.opts, nil, func(string, ...any) {}); err == nil {
 			d.Close()
 			t.Errorf("%s: accepted", tc.name)
 		}
@@ -264,18 +266,22 @@ func TestShardedFlagValidation(t *testing.T) {
 
 // TestStartRejectsBadBudgetGroup: a -budget that is not a finite
 // wattage, or a -group naming a node twice, fails start instead of
-// failing every auto-balance or aggregator tick.
+// failing every auto-balance or aggregator tick; a zero -poll, or a
+// zero -rebalance under an armed budget, fails start instead of
+// panicking the ticker goroutine.
 func TestStartRejectsBadBudgetGroup(t *testing.T) {
 	cases := []struct {
 		name string
-		opts options
+		opts daemon.Options
 	}{
-		{"NaN aggregator budget", options{Shards: 2, Aggregator: time.Second, Budget: math.NaN(), Listen: "127.0.0.1:0", Poll: time.Hour}},
-		{"infinite group budget", options{Budget: math.Inf(1), Group: "a,b", Listen: "127.0.0.1:0", Poll: time.Hour, Rebalance: time.Hour}},
-		{"duplicate group member", options{Budget: 300, Group: "a,b,a", Listen: "127.0.0.1:0", Poll: time.Hour, Rebalance: time.Hour}},
+		{"NaN aggregator budget", daemon.Options{Shards: 2, Aggregator: time.Second, Budget: math.NaN(), Listen: "127.0.0.1:0", Poll: time.Hour}},
+		{"infinite group budget", daemon.Options{Budget: math.Inf(1), Group: "a,b", Listen: "127.0.0.1:0", Poll: time.Hour, Rebalance: time.Hour}},
+		{"duplicate group member", daemon.Options{Budget: 300, Group: "a,b,a", Listen: "127.0.0.1:0", Poll: time.Hour, Rebalance: time.Hour}},
+		{"zero poll", daemon.Options{Listen: "127.0.0.1:0"}},
+		{"zero rebalance", daemon.Options{Budget: 300, Group: "a,b", Listen: "127.0.0.1:0", Poll: time.Hour}},
 	}
 	for _, tc := range cases {
-		if d, err := start(tc.opts, nil, func(string, ...any) {}); err == nil {
+		if d, err := daemon.Start(tc.opts, nil, func(string, ...any) {}); err == nil {
 			d.Close()
 			t.Errorf("%s: accepted", tc.name)
 		}

@@ -67,11 +67,13 @@
 package chaos
 
 import (
+	"cmp"
 	"fmt"
 	"os"
 	"sort"
 	"time"
 
+	"nodecap/internal/daemon"
 	"nodecap/internal/dcm/store"
 	"nodecap/internal/telemetry"
 )
@@ -364,6 +366,9 @@ func Run(s Scenario) (Verdict, error) {
 	if s.HA && s.Wire {
 		return Verdict{}, fmt.Errorf("chaos: HA scenarios are in-process only (wire mode unsupported)")
 	}
+	if err := daemon.CheckShards(s.Shards); err != nil {
+		return Verdict{}, fmt.Errorf("chaos: shards %w", err)
+	}
 	if s.Shards > 0 {
 		if s.HA {
 			return Verdict{}, fmt.Errorf("chaos: sharded scenarios are incompatible with HA (the tree is its own availability story)")
@@ -405,15 +410,6 @@ func Run(s Scenario) (Verdict, error) {
 			return Verdict{}, fmt.Errorf("chaos: event %q at tick %d needs a positive period", e.Kind, e.Tick)
 		}
 	}
-	pollEvery := s.PollEvery
-	if pollEvery <= 0 {
-		pollEvery = DefaultPollEvery
-	}
-	rebalanceEvery := s.RebalanceEvery
-	if rebalanceEvery <= 0 {
-		rebalanceEvery = DefaultRebalanceEvery
-	}
-
 	dir := s.StateDir
 	if dir == "" {
 		d, err := os.MkdirTemp("", "chaos-state-*")
@@ -429,6 +425,14 @@ func Run(s Scenario) (Verdict, error) {
 		return Verdict{}, err
 	}
 	defer f.stop()
+	return f.run()
+}
+
+// run plays the fleet's scenario from registration to its last tick.
+func (f *Fleet) run() (Verdict, error) {
+	s := f.scenario
+	pollEvery := cmp.Or(max(s.PollEvery, 0), DefaultPollEvery)
+	rebalanceEvery := cmp.Or(max(s.RebalanceEvery, 0), DefaultRebalanceEvery)
 	if err := f.registerAll(); err != nil {
 		return Verdict{}, err
 	}
@@ -438,11 +442,9 @@ func Run(s Scenario) (Verdict, error) {
 		// restored state. The interval is far beyond the run, so the
 		// loop's own ticker never fires — the run loop rebalances on
 		// the deterministic tick cadence instead.
-		group := f.group()
-		f.leader().StartAutoBalance(f.budget, group, time.Hour)
-		f.shadow = append(f.shadow, store.Record{
-			Op: store.OpBudget, Budget: &store.BudgetRecord{Watts: f.budget, Group: group, Interval: time.Hour},
-		})
+		if b := daemon.Lead(f.leader(), f.budget, f.group(), time.Hour); b != nil {
+			f.shadow = append(f.shadow, store.Record{Op: store.OpBudget, Budget: b})
+		}
 	}
 
 	events := append([]Event(nil), s.Events...)

@@ -172,3 +172,31 @@ func TestHAValidation(t *testing.T) {
 		t.Error("HA accepted with wire mode")
 	}
 }
+
+// TestPromotionStampsDaemonGeneration: the harness promotes through
+// the daemon's rule (daemon.Promote), so a failed-over leader's
+// replication generation is what SetGenForEpoch stamps — the lease
+// epoch over the state dir's incarnation — not the bare epoch.
+func TestPromotionStampsDaemonGeneration(t *testing.T) {
+	s, err := Build("failover-kill", 1, 1200, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := newFleet(s, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.stop()
+	v, err := f.run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr := f.leader()
+	if v.Failovers == 0 || mgr == nil || mgr.Epoch() < 2 {
+		t.Fatalf("no promoted leader at the end: %d failovers, leader %v", v.Failovers, mgr)
+	}
+	st := mgr.Store()
+	if got, want := st.Gen(), mgr.Epoch()<<32|st.Incarnation(); got != want {
+		t.Errorf("leader at epoch %d, incarnation %d: gen %#x, want %#x", mgr.Epoch(), st.Incarnation(), got, want)
+	}
+}

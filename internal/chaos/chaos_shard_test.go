@@ -154,4 +154,8 @@ func TestShardScenarioValidation(t *testing.T) {
 	if _, err := Run(Scenario{Name: "x", Ticks: 10, Nodes: 2, Shards: 2, Events: []Event{{Tick: 1, Kind: EvCrash}}}); err == nil {
 		t.Error("solo crash event accepted in sharded scenario")
 	}
+	// Leaf names must sort in index order for the shard map's leaf check.
+	if _, err := Run(Scenario{Name: "x", Ticks: 10, Nodes: 2, Shards: 100}); err == nil || !contains(err.Error(), "sort in index order") {
+		t.Errorf("100 shards: err = %v, want dcmd's leaf bound", err)
+	}
 }

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"nodecap/internal/daemon"
 	"nodecap/internal/dcm"
 	"nodecap/internal/dcm/store"
 	"nodecap/internal/faults"
@@ -310,37 +311,35 @@ func (f *Fleet) simClock() time.Time {
 // identical either way), and fleet-scale scenarios journal far too
 // many records to fsync each one inside the CI budget.
 func (f *Fleet) newManager(m *member) (*dcm.Manager, error) {
-	mgr := dcm.NewManager(f.dialer(m.leaf))
-	mgr.RetryBaseDelay = time.Nanosecond
-	mgr.RetryMaxDelay = time.Nanosecond
-	mgr.StaleAfter = time.Nanosecond
-	mgr.Clock = f.simClock
-	// Gray-failure defense, scaled to simClock's 1 µs-per-read pace: a
-	// healthy in-process exchange measures ~1 µs, a stormed node
-	// hundreds of µs, so 50 µs cleanly separates the populations. The
-	// open hold (60 µs) spans a few poll rounds; quarantine doubles it.
-	// Both must stay well under StarvationRounds' worth of poll rounds
-	// (a round advances the clock ≥ ~3 µs per registered node), or a
-	// healed node still serving its hold trips no_starvation.
-	mgr.Breaker = dcm.BreakerConfig{
-		FailureThreshold: 3,
-		SlowThreshold:    50 * time.Microsecond,
-		SlowConsecutive:  2,
-		OpenTimeout:      60 * time.Microsecond,
-		FlapWindow:       5 * time.Millisecond,
-		FlapMax:          4,
-		QuarantineHold:   120 * time.Microsecond,
-	}
-	mgr.PollBudget = 400 * time.Microsecond
-	if f.scenario.BreakBreaker {
+	mgr, err := daemon.NewManager(f.dialer(m.leaf), f.reg, f.trace, f.stateDir(m), func(mgr *dcm.Manager) {
+		mgr.RetryBaseDelay = time.Nanosecond
+		mgr.RetryMaxDelay = time.Nanosecond
+		mgr.StaleAfter = time.Nanosecond
+		mgr.Clock = f.simClock
+		// Gray-failure defense, scaled to simClock's 1 µs-per-read pace: a
+		// healthy in-process exchange measures ~1 µs, a stormed node
+		// hundreds of µs, so 50 µs cleanly separates the populations. The
+		// open hold (60 µs) spans a few poll rounds; quarantine doubles it.
+		// Both must stay well under StarvationRounds' worth of poll rounds
+		// (a round advances the clock ≥ ~3 µs per registered node), or a
+		// healed node still serving its hold trips no_starvation.
+		mgr.Breaker = dcm.BreakerConfig{
+			FailureThreshold: 3,
+			SlowThreshold:    50 * time.Microsecond,
+			SlowConsecutive:  2,
+			OpenTimeout:      60 * time.Microsecond,
+			FlapWindow:       5 * time.Millisecond,
+			FlapMax:          4,
+			QuarantineHold:   120 * time.Microsecond,
+		}
+		mgr.PollBudget = 400 * time.Microsecond
 		// Self-test sabotage: verdicts still trip, but open breakers gate
 		// cap pushes and never probe, so healed nodes stay dark — the
 		// -break-breaker run must make both gray invariants fire.
-		mgr.BreakerHoldsPushes = true
-		mgr.BreakerNeverProbes = true
-	}
-	mgr.SetTelemetry(f.reg, f.trace)
-	if err := mgr.OpenStateDir(f.stateDir(m)); err != nil {
+		mgr.BreakerHoldsPushes = f.scenario.BreakBreaker
+		mgr.BreakerNeverProbes = f.scenario.BreakBreaker
+	})
+	if err != nil {
 		return nil, fmt.Errorf("chaos: opening state dir: %w", err)
 	}
 	mgr.Store().SetSync(false)

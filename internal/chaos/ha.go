@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"nodecap/internal/daemon"
 	"nodecap/internal/dcm"
 	"nodecap/internal/dcm/store"
 )
@@ -50,15 +51,14 @@ func (lf *leaf) standby() int {
 }
 
 // takeLease hands mgr to member mi (which owns it from here, so stop
-// closes it on every path), starts its lease handle and makes it lf's
-// leader. The epoch doubles as the replication generation: strictly
-// increasing across leaderships, never reused. Announce-round push
-// errors are tolerated — a partitioned node misses the fence advance,
-// and reconciliation retries it.
+// closes it on every path), starts its lease handle, which stamps the
+// generation at every promotion (daemon.Promote), and makes it lf's
+// leader. Announce-round push errors are tolerated: a partitioned node
+// misses the fence advance, and reconciliation retries it.
 func (lf *leaf) takeLease(mi int, mgr *dcm.Manager) error {
 	m := lf.members[mi]
 	m.mgr = mgr
-	node := &dcm.HANode{ID: m.id, Lease: lf.lease, TTL: HALeaseTTLTicks * haLeaseTick, Mgr: mgr}
+	node := daemon.NewHANode(m.id, lf.lease, HALeaseTTLTicks*haLeaseTick, mgr, nil)
 	role, err := node.Start()
 	if role != dcm.RolePrimary {
 		if err == nil {
@@ -66,7 +66,6 @@ func (lf *leaf) takeLease(mi int, mgr *dcm.Manager) error {
 		}
 		return fmt.Errorf("chaos: %s failed to take the lease: %w", m.id, err)
 	}
-	mgr.Store().SetGen(mgr.Epoch())
 	m.node, lf.lead = node, mi
 	return nil
 }
@@ -100,9 +99,7 @@ func (f *Fleet) replicate(tick int, lf *leaf, iv *invariants, v *Verdict) error 
 	f.pumpRepl(lf)
 
 	sby := lf.standby()
-	if sby < 0 || lf.members[sby].rep.Gen() == 0 {
-		// No replica, or one that has never synced: promoting it would
-		// install an empty fleet, so it waits for a first snapshot.
+	if sby < 0 || !daemon.MayContend(dcm.RoleStandby, lf.members[sby].rep) {
 		return nil
 	}
 	l, ok, err := lf.lease.Read()
@@ -214,11 +211,8 @@ func (f *Fleet) promote(tick int, lf *leaf, idx int, iv *invariants, v *Verdict)
 			f.shadow = append(f.shadow, store.Record{Op: store.OpSetCap, Name: st.Name, Node: &rec})
 		}
 	}
-	if w, g, ivl, ok := mgr.RestoredBudget(); ok {
-		mgr.StartAutoBalance(w, g, ivl)
-		f.shadow = append(f.shadow, store.Record{
-			Op: store.OpBudget, Budget: &store.BudgetRecord{Watts: w, Group: g, Interval: ivl},
-		})
+	if b := daemon.Lead(mgr, 0, nil, 0); b != nil {
+		f.shadow = append(f.shadow, store.Record{Op: store.OpBudget, Budget: b})
 	}
 	f.setRegistered(got)
 	v.Failovers++

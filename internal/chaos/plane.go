@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"sync/atomic"
 
+	"nodecap/internal/daemon"
 	"nodecap/internal/dcm"
 	"nodecap/internal/dcm/store"
 	"nodecap/internal/ipmi"
@@ -96,7 +97,7 @@ func (f *Fleet) stateDir(m *member) string {
 // setup builds the control plane: Scenario.Shards leaves (one without a
 // tree) of two members with HA, one without. Member 0 of each leaf
 // leads — taking the lease first when the leaf has standbys — and the
-// others open empty stores and replicate.
+// others open empty stores and replicate. A tree opens over the leaders.
 func (f *Fleet) setup() error {
 	s := f.scenario
 	leaves, replicas := 1, 1
@@ -107,17 +108,17 @@ func (f *Fleet) setup() error {
 			f.mux.Register(uint32(i), srv)
 		}
 		f.snapPath = shard.SnapshotPathIn(f.dir)
-		f.adoptTree(shard.NewTree(uint64(s.Seed), 0, f.batchPlane(), f.snapPath))
 	}
 	if s.HA {
 		replicas = 2
 	}
+	var names []string
 	for li := 0; li < leaves; li++ {
-		lf := &leaf{name: fmt.Sprintf("leaf-%02d", li)}
+		lf := &leaf{name: daemon.LeafName(li)}
 		f.leaves = append(f.leaves, lf)
 		for mi := 0; mi < replicas; mi++ {
 			m := &member{id: fmt.Sprintf("%s-m%d", lf.name, mi), leaf: -1, grant: f.budget}
-			if f.tree != nil {
+			if s.Shards > 0 {
 				m.leaf, m.grant = li, 0
 			}
 			lf.members = append(lf.members, m)
@@ -127,6 +128,7 @@ func (f *Fleet) setup() error {
 			return err
 		}
 		lf.members[0].mgr = mgr
+		names = append(names, lf.name)
 		if replicas > 1 {
 			lf.lease = &store.LeaseFile{Path: store.LeasePath(f.dir), Clock: f.leaseNow}
 			if err := lf.takeLease(0, mgr); err != nil {
@@ -138,10 +140,10 @@ func (f *Fleet) setup() error {
 				}
 			}
 		}
-		if f.tree != nil {
-			if _, err := f.tree.AddLeaf(lf.name, mgr); err != nil {
-				return fmt.Errorf("chaos: adding leaf %s: %w", lf.name, err)
-			}
+	}
+	if s.Shards > 0 {
+		if _, err := f.openTree(names); err != nil {
+			return fmt.Errorf("chaos: opening the tree: %w", err)
 		}
 	}
 	return nil

@@ -3,6 +3,7 @@ package chaos
 import (
 	"fmt"
 
+	"nodecap/internal/daemon"
 	"nodecap/internal/dcm"
 	"nodecap/internal/ipmi"
 	"nodecap/internal/shard"
@@ -15,15 +16,6 @@ import (
 // the tree is EvLeafIsolate — the aggregator seizes its shard while the
 // isolated manager keeps actuating on stale state, the duel the
 // plant-side fence must win.
-
-// adoptTree installs t as the fleet's aggregator with the scenario's
-// sabotage switches and the fleet trace.
-func (f *Fleet) adoptTree(t *shard.Tree) {
-	t.BreakHandoff = f.scenario.BreakHandoff
-	t.BreakAggregator = f.scenario.BreakAggregator
-	t.SetTelemetry(f.trace)
-	f.tree = t
-}
 
 // leafIsolate partitions a leaf away from the aggregator: the tree
 // seizes its shard (fenced handoff to the survivors) while the leaf's
@@ -104,36 +96,37 @@ func (f *Fleet) leafRestart(lf *leaf, v *Verdict) error {
 	return nil
 }
 
-// aggRestart restarts the aggregator from its journaled shard map: the
-// new tree must recover the exact node→leaf ownership the old one
-// persisted, re-attach the live leaves, and seize the shards of leaves
-// that died or stayed isolated across the restart.
+// aggRestart restarts the aggregator from its journaled shard map,
+// which names the old tree's members: the new tree must recover the
+// exact node→leaf ownership the old one persisted, re-attach the live
+// leaves, and seize the shards of leaves that died or stayed isolated.
 func (f *Fleet) aggRestart(v *Verdict) error {
-	st, err := shard.LoadSnapshot(f.snapPath)
-	if err != nil {
-		return fmt.Errorf("chaos: loading shard map: %w", err)
-	}
-	tree, err := shard.NewTreeFromState(st, f.batchPlane(), f.snapPath)
+	moved, err := f.openTree(f.tree.Leaves())
 	if err != nil {
 		return fmt.Errorf("chaos: restoring tree: %w", err)
 	}
-	f.adoptTree(tree)
-	// Tree.Rebind is the restart procedure dcmd ships; here the leaves
-	// that crashed or stayed isolated are left out of live, so their
-	// shards are seized once every survivor is re-attached.
+	v.Handoffs += moved
+	v.AggRestarts++
+	return nil
+}
+
+// openTree opens the aggregator over leaves as dcmd does, bound to
+// every leaf whose manager runs and is not isolated from it, and
+// installs it with the scenario's sabotage switches and the fleet trace.
+func (f *Fleet) openTree(leaves []string) (moved int, err error) {
 	live := make(map[string]*dcm.Manager, len(f.leaves))
 	for _, lf := range f.leaves {
 		if m := lf.acting(); m != nil && !m.isolated {
 			live[lf.name] = m.mgr
 		}
 	}
-	moved, err := tree.Rebind(live)
-	if err != nil {
-		return fmt.Errorf("chaos: re-binding leaves after aggregator restart: %w", err)
-	}
-	v.Handoffs += moved
-	v.AggRestarts++
-	return nil
+	_, moved, err = daemon.OpenTree(uint64(f.scenario.Seed), leaves, live, f.batchPlane(), f.snapPath, func(t *shard.Tree) {
+		t.BreakHandoff = f.scenario.BreakHandoff
+		t.BreakAggregator = f.scenario.BreakAggregator
+		t.SetTelemetry(f.trace)
+		f.tree = t
+	})
+	return moved, err
 }
 
 // batchPlane is the tree's shard.BatchTransport: the product client

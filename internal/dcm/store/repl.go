@@ -90,11 +90,11 @@ func DecodeReplFrame(line string) (ReplFrame, bool) {
 }
 
 // SetGen stamps this store incarnation's replication generation. A
-// primary must pick a value no store lifetime has ever served before
-// (dcmd derives it from the lease epoch and the state dir's open
-// counter via SetGenForEpoch; chaos uses its strictly-increasing
-// epochs directly) so standbys that replicated from an earlier
-// incarnation resync rather than resume into a diverged log.
+// primary must pick a value no store lifetime has ever served before,
+// so standbys that replicated from an earlier incarnation resync
+// rather than resume into a diverged log. Every promotion, in dcmd and
+// in the chaos harness alike, stamps through SetGenForEpoch
+// (daemon.Promote); SetGen is the store tests' primitive.
 func (s *Store) SetGen(g uint64) {
 	s.mu.Lock()
 	s.gen = g
